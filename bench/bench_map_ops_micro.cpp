@@ -251,7 +251,8 @@ void register_kernel_benches() {
                                   static_cast<i64>(len));
         })
         ->Args({kLens[0]})
-        ->Args({kLens[1]});
+        ->Args({kLens[1]})
+        ->Args({8 << 20});
 
     benchmark::RegisterBenchmark(
         ("BM_KernelCountNonzero" + suffix).c_str(),

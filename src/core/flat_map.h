@@ -8,7 +8,7 @@
 //   reset     memset(trace_bits, 0, size)  (full map)
 //   classify  bucket every byte            (full map)
 //   compare   has_new_bits vs. virgin      (full map)
-//   hash      crc32(trace_bits, size)      (full map)
+//   hash      crc32(trace_bits, size)      (full map, PCLMULQDQ-folded)
 #pragma once
 
 #include <span>

@@ -77,9 +77,10 @@ NewBits sc_classify_compare(u8* trace, u8* virgin, usize len) noexcept {
   return result;
 }
 
-// Bytewise CRC-32 via the incremental API: deliberately independent of the
-// slicing-by-8 fast path, so the differential suite cross-checks the fast
-// hashes against a genuinely different evaluation order.
+// Bytewise CRC-32 via the incremental API: one-byte spans never reach the
+// PCLMULQDQ fold or the slicing-by-8 loop, so the differential suite
+// cross-checks the fast hashes against a genuinely different evaluation
+// order.
 u32 sc_hash(const u8* mem, usize len) noexcept {
   u32 state = kCrc32Init;
   for (usize i = 0; i < len; ++i) {
@@ -139,7 +140,8 @@ NewBits sw_classify_compare(u8* trace, u8* virgin, usize len) noexcept {
 }
 
 u32 sw_hash(const u8* mem, usize len) noexcept {
-  // crc32() is already slicing-by-8 — the SWAR formulation of CRC.
+  // crc32() already picks the fastest CRC-32 this CPU runs (PCLMULQDQ fold
+  // or slicing-by-8); a u64-word formulation would only be slower.
   return crc32({mem, len});
 }
 

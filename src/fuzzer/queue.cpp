@@ -1,8 +1,13 @@
 #include "fuzzer/queue.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace bigmap {
+
+// update_scores() maps byte k of a loaded u64 to bits 8k..8k+7.
+static_assert(std::endian::native == std::endian::little);
 
 SeedQueue::SeedQueue(usize map_positions)
     : top_entry_(map_positions, kNoEntry), top_factor_(map_positions, 0) {}
@@ -24,8 +29,7 @@ void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
       std::max<u64>(1, e.exec_ns) * std::max<usize>(1, e.data.size());
 
   const u32 idx32 = static_cast<u32>(entry_idx);
-  for (usize i = 0; i < trace.size(); ++i) {
-    if (trace[i] == 0) continue;
+  auto visit = [&](usize i) {
     if (top_entry_[i] == kNoEntry) {
       ++top_covered_;
       top_entry_[i] = idx32;
@@ -36,6 +40,24 @@ void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
       top_factor_[i] = factor;
       cull_pending_ = true;
     }
+  };
+
+  // The flat scheme passes the full (mostly zero) map: skip zero words and
+  // visit each non-zero byte of a word via ctz, lowest byte first.
+  const u8* p = trace.data();
+  const usize n = trace.size();
+  usize i = 0;
+  for (; i + 8 <= n; i += 8) {
+    u64 w;
+    std::memcpy(&w, p + i, 8);
+    while (w != 0) {
+      const int bit = __builtin_ctzll(w) & ~7;
+      visit(i + static_cast<usize>(bit / 8));
+      w &= ~(u64{0xFF} << bit);
+    }
+  }
+  for (; i < n; ++i) {
+    if (p[i] != 0) visit(i);
   }
 }
 

@@ -3,14 +3,20 @@
 #include <array>
 #include <cstring>
 
+#include "util/crc32_clmul.h"
+
 namespace bigmap {
 namespace {
 
-// Slicing-by-8 CRC-32: eight derived tables let the inner loop consume
-// 8 bytes per iteration (~5x faster than the classic bytewise loop). The
-// trace-bitmap hash runs over the full map for the flat scheme, so its
+// The trace-bitmap hash runs over the full map for the flat scheme, so its
 // speed directly shapes the Figure 3/6 comparisons — a slow hash would
-// unfairly penalize the AFL baseline.
+// unfairly penalize the AFL baseline. Spans of 64 bytes or more take the
+// PCLMULQDQ fold (util/crc32_clmul.cpp, ~15x slicing-by-8) when the CPU
+// has it; short spans, the last len % 16 bytes, and CPUs without it run
+// slicing-by-8 below. Both paths compute the same CRC-32/IEEE value.
+
+// Slicing-by-8 CRC-32: eight derived tables let the inner loop consume
+// 8 bytes per iteration (~5x faster than the classic bytewise loop).
 struct CrcTables {
   std::array<std::array<u32, 256>, 8> t{};
 
@@ -34,13 +40,21 @@ struct CrcTables {
 
 constexpr CrcTables kCrc;
 
-}  // namespace
+// The CLMUL fold when both the compiler and this CPU support it; decided
+// once per process.
+detail::Crc32FoldFn clmul_fold() noexcept {
+  static const detail::Crc32FoldFn fold = []() -> detail::Crc32FoldFn {
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+      return detail::crc32_clmul_fold();
+    }
+#endif
+    return nullptr;
+  }();
+  return fold;
+}
 
-u32 crc32_update(u32 state, std::span<const u8> data) noexcept {
-  u32 c = state;
-  const u8* p = data.data();
-  usize n = data.size();
-
+u32 slice8_update(u32 c, const u8* p, usize n) noexcept {
   while (n >= 8) {
     u64 w;
     std::memcpy(&w, p, 8);
@@ -56,6 +70,22 @@ u32 crc32_update(u32 state, std::span<const u8> data) noexcept {
     c = kCrc.t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
   }
   return c;
+}
+
+}  // namespace
+
+u32 crc32_update(u32 state, std::span<const u8> data) noexcept {
+  const u8* p = data.data();
+  usize n = data.size();
+  if (n >= detail::kCrc32ClmulMinLen) {
+    if (const detail::Crc32FoldFn fold = clmul_fold()) {
+      const usize bulk = n & ~static_cast<usize>(15);
+      state = fold(state, p, bulk);
+      p += bulk;
+      n -= bulk;
+    }
+  }
+  return slice8_update(state, p, n);
 }
 
 u32 crc32(std::span<const u8> data) noexcept {

@@ -1,6 +1,6 @@
 // Hash primitives used by the coverage machinery.
 //
-// - crc32(): table-driven CRC-32 (IEEE 802.3 polynomial, reflected). AFL
+// - crc32(): CRC-32 (IEEE 802.3 polynomial, reflected). AFL
 //   hashes the classified trace bitmap with CRC-32 to cheaply detect
 //   duplicate execution paths; BigMap inherits that but hashes only up to
 //   the last non-zero byte (see core/two_level_map.h and paper §IV-D).
@@ -16,8 +16,10 @@
 namespace bigmap {
 
 // CRC-32 over a byte span (IEEE polynomial 0xEDB88320, init/final xor
-// 0xFFFFFFFF). Implemented with a 256-entry lookup table generated at
-// static-init time.
+// 0xFFFFFFFF). Spans of 64 bytes or more are folded with PCLMULQDQ when
+// the CPU supports it (checked once per process); the rest, and every span
+// on other CPUs, use slicing-by-8 tables built at compile time. Both paths
+// give the same value, so stored CRCs are portable between machines.
 u32 crc32(std::span<const u8> data) noexcept;
 
 // Incremental variant: feed `state` from a previous call (start with

@@ -10,6 +10,29 @@ namespace {
 
 Input bytes(usize n, u8 fill = 0xAA) { return Input(n, fill); }
 
+// Byte-at-a-time model of update_scores' top_rated bookkeeping.
+struct ReferenceScores {
+  std::vector<u32> top_entry;
+  std::vector<u64> top_factor;
+  usize covered = 0;
+  bool pending = false;
+
+  explicit ReferenceScores(usize n)
+      : top_entry(n, SeedQueue::kNoEntry), top_factor(n, 0) {}
+
+  void update(u32 idx, u64 factor, const std::vector<u8>& trace) {
+    for (usize i = 0; i < trace.size(); ++i) {
+      if (trace[i] == 0) continue;
+      if (top_entry[i] == SeedQueue::kNoEntry) ++covered;
+      if (top_entry[i] == SeedQueue::kNoEntry || factor < top_factor[i]) {
+        top_entry[i] = idx;
+        top_factor[i] = factor;
+        pending = true;
+      }
+    }
+  }
+};
+
 TEST(SeedQueueTest, StartsEmpty) {
   SeedQueue q(64);
   EXPECT_TRUE(q.empty());
@@ -96,6 +119,57 @@ TEST(SeedQueueTest, TraceSpanShorterThanMapIsFine) {
   q.cull();
   EXPECT_TRUE(q.entry(e).favored);
   EXPECT_EQ(q.top_rated_positions(), 1u);
+}
+
+TEST(SeedQueueTest, UpdateScoresMatchesBytewiseAcrossWordBoundaries) {
+  // Hits in the first and last byte, on both sides of every u64 boundary,
+  // and traces whose length is not a multiple of 8.
+  for (const usize len : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 67u, 83u}) {
+    SCOPED_TRACE(len);
+    SeedQueue q(len);
+    ReferenceScores ref(len);
+    // Never scored, so cull() leaves it favored only when nothing is
+    // pending: a probe for update_scores' cull_pending flag.
+    const usize probe = q.add(bytes(1), 1, 0, 0);
+
+    std::vector<std::vector<u8>> traces;
+    std::vector<u8> t(len, 0);
+    traces.push_back(t);  // empty: must leave everything untouched
+    t.front() = 1;
+    t.back() = 0x80;
+    traces.push_back(t);
+    for (usize w = 8; w < len; w += 8) {
+      std::vector<u8> b(len, 0);
+      b[w - 1] = 3;
+      b[w] = 0xFF;
+      traces.push_back(b);
+    }
+    std::vector<u8> dense(len);
+    for (usize i = 0; i < len; ++i) dense[i] = static_cast<u8>(i % 3);
+    traces.push_back(dense);
+    traces.push_back(dense);  // a second entry contests every position
+
+    u64 exec_ns = 5000;
+    for (const auto& trace : traces) {
+      exec_ns = exec_ns * 3 % 7919 + 1;  // winners and losers interleave
+      const usize idx = q.add(bytes(4), exec_ns, 0, 0);
+      q.cull();
+      q.entry(probe).favored = true;
+      ref.pending = false;
+
+      q.update_scores(idx, trace);
+      ref.update(static_cast<u32>(idx), exec_ns * 4, trace);
+
+      const SeedQueue::ExportedState st = q.export_state();
+      EXPECT_EQ(std::vector<u32>(st.top_entry.begin(), st.top_entry.end()),
+                ref.top_entry);
+      EXPECT_EQ(std::vector<u64>(st.top_factor.begin(), st.top_factor.end()),
+                ref.top_factor);
+      EXPECT_EQ(q.top_rated_positions(), ref.covered);
+      q.cull();
+      EXPECT_EQ(!q.entry(probe).favored, ref.pending);
+    }
+  }
 }
 
 TEST(SeedQueueTest, PerfScoreRewardsFastEntries) {
