@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
     // What a campaign actually visits (BigMap's used_key).
     CampaignConfig c;
     c.scheme = MapScheme::kTwoLevel;
+    c.tracing = TracingMode::kAlways;
     c.map.map_size = 2u << 20;
     c.max_execs = bench::scaled_execs(20000);
     c.max_seconds = bench::config_seconds(5.0);

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   for (MetricKind m : metrics) {
     CampaignConfig c;
     c.scheme = MapScheme::kTwoLevel;  // large map: pressure measured cleanly
+    c.tracing = TracingMode::kAlways;
     c.map.map_size = 8u << 20;
     c.metric = m;
     c.max_execs = bench::scaled_execs(15000);

@@ -73,11 +73,14 @@ inline std::vector<Input> capped_seeds(const GeneratedTarget& target,
   return seeds;
 }
 
-// Standard campaign config for throughput-style benches.
+// Standard campaign config for throughput-style benches. Every exec runs
+// traced: the paper's AFL scans its whole map on every exec, and only
+// bench_tracing_fastpath measures the untraced fast path.
 inline CampaignConfig throughput_config(MapScheme scheme, usize map_size,
                                         double seconds, u64 seed = 1) {
   CampaignConfig c;
   c.scheme = scheme;
+  c.tracing = TracingMode::kAlways;
   c.map.map_size = map_size;
   c.max_execs = 0;
   c.max_seconds = seconds;

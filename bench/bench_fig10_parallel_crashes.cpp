@@ -129,6 +129,7 @@ int main(int argc, char** argv) {
         for (u32 inst = 0; inst < n; ++inst) {
           CampaignConfig c;
           c.scheme = scheme;
+          c.tracing = TracingMode::kAlways;
           c.map.map_size = 2u << 20;
           c.max_execs = budget;
           c.seed = 0xF16'0A + inst;

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
 
     CampaignConfig c;
     c.scheme = MapScheme::kTwoLevel;
+    c.tracing = TracingMode::kAlways;
     c.map.map_size = 2u << 20;
     c.max_execs = bench::scaled_execs(30000);
     c.max_seconds = bench::config_seconds(6.0);

@@ -1,13 +1,18 @@
 // Coverage-guided tracing fast path: dual-mode (untraced + oracle-fire
 // re-execution) vs. always-trace campaigns at equal exec budgets.
 //
-// Two claims, in the spirit of UnTracer/"Full-speed Fuzzing": at steady
-// state the overwhelming majority of executions are boring and complete
-// untraced (>80% even at smoke scale), and skipping the whole-map pipeline
-// for them buys an end-to-end speedup that grows with map size — while
-// finding EXACTLY the same queue entries, crashes, and coverage
-// (deterministic timing, equal seeds; mode_diff_test pins the equivalence
-// exhaustively).
+// Two claims, in the spirit of UnTracer/"Full-speed Fuzzing": on AFL's
+// flat map the overwhelming majority of steady-state executions are boring
+// and complete untraced (>80% even at smoke scale), and skipping the
+// whole-map pipeline for them buys an end-to-end speedup that grows with
+// map size — while finding EXACTLY the same queue entries, crashes, and
+// coverage (deterministic timing, equal seeds; mode_diff_test pins the
+// equivalence exhaustively).
+//
+// The BigMap rows document the scheme rule: the two-level map's whole-map
+// operations already touch only the used prefix, so there is nothing for
+// untraced execution to skip and kDual runs every exec traced. Those rows
+// show 0 untraced, 0 fires, ~1.00x and equal finds.
 //
 // Trimming is disabled: trim executions run the full map pipeline in both
 // modes by design, and this bench isolates the exec-path difference.
@@ -55,12 +60,13 @@ int main(int argc, char** argv) {
   bench::init(argc, argv, "tracing");
   bench::print_header(
       "Coverage-guided tracing — dual-mode vs. always-trace campaigns",
-      "boring execs skip the whole-map pipeline entirely: >80% untraced at "
-      "steady state, equal finds, end-to-end speedup growing with map size");
+      "on AFL's flat map boring execs skip the whole-map pipeline: >80% "
+      "untraced at steady state, equal finds, end-to-end speedup growing "
+      "with map size; BigMap traces every exec (nothing to skip)");
 
-  // Three BigMap rows at the paper's baseline 64 kB, plus one flat-map row
-  // at 2 MB where reset/classify/compare dominate and skipping them pays
-  // the most.
+  // Three BigMap rows at the paper's baseline 64 kB (kDual == kAlways
+  // there), plus flat-map rows at 64 kB and at 2 MB, where
+  // reset/classify/compare dominate and skipping them pays the most.
   const RowSpec rows[] = {
       {"zlib", MapScheme::kTwoLevel, 64u << 10},
       {"proj4", MapScheme::kTwoLevel, 64u << 10},

@@ -130,15 +130,23 @@ def check_series(doc, name, min_series):
 
 check_series(fig9, "fig9", 2)
 
-# Tracing fast path: every dual-mode row must run >80% of steady-state
-# execs untraced and find exactly what always-trace finds.
+# Tracing fast path: every flat-map (AFL) dual-mode row must run >80% of
+# steady-state execs untraced; every two-level (BigMap) row must run every
+# exec traced (0 untraced, 0 fires). All rows must find exactly what
+# always-trace finds.
 ratio_t = next(t for t in tracing["tables"] if t["name"] == "tracing_ratio")
 cols = ratio_t["columns"]
 check(len(ratio_t["rows"]) >= 4, "tracing: expected >= 4 tracing_ratio rows")
 for row in ratio_t["rows"]:
-    pct = float(row[cols.index("Steady untraced")].rstrip("%"))
-    check(pct > 80.0,
-          f"tracing: steady untraced ratio {pct}% <= 80% in row {row}")
+    scheme = row[cols.index("Scheme")]
+    if scheme == "AFL":
+        pct = float(row[cols.index("Steady untraced")].rstrip("%"))
+        check(pct > 80.0,
+              f"tracing: steady untraced ratio {pct}% <= 80% in row {row}")
+    else:
+        check(row[cols.index("Untraced")] == "0" and
+              row[cols.index("Fires")] == "0",
+              f"tracing: two-level row ran untraced execs: {row}")
 speed_t = next(t for t in tracing["tables"] if t["name"] == "speedup")
 cols = speed_t["columns"]
 check(len(speed_t["rows"]) == len(ratio_t["rows"]),

@@ -540,22 +540,27 @@ class Campaign {
   // Runs one input; adds it to the queue when interesting (or when it is a
   // non-crashing seed — AFL keeps all seeds). Returns true if queued.
   //
-  // Under TracingMode::kDual a non-seed input first runs UNTRACED: only the
-  // inline interest oracle observes the execution, and a boring run (no
-  // oracle fire, no crash, no hang) costs neither trace emission nor any
-  // whole-map operation. Firing runs — and every crash/hang, which needs
-  // the exact virgin_crash/virgin_hang compare — replay through the full
-  // traced pipeline. The oracle is exact against the queue virgin map
-  // (see Executor::run_untraced), so the traced pipeline observes
-  // precisely the interesting/crash/hang executions it would have
-  // observed under kAlways; everything downstream (queue, triage, sync,
-  // corpus, checkpoints) is therefore stream-identical between the modes,
-  // and beyond crash/hang replays a re-execution is only ever paid for an
-  // actually-interesting input.
+  // Under TracingMode::kDual on the flat scheme a non-seed input first runs
+  // UNTRACED: only the inline interest oracle observes the execution, and
+  // a boring run (no oracle fire, no crash, no hang) costs neither trace
+  // emission nor any whole-map operation. Firing runs — and every
+  // crash/hang, which needs the exact virgin_crash/virgin_hang compare —
+  // replay through the full traced pipeline. The oracle is exact against
+  // the queue virgin map (see Executor::run_untraced), so the traced
+  // pipeline observes precisely the interesting/crash/hang executions it
+  // would have observed under kAlways; everything downstream (queue,
+  // triage, sync, corpus, checkpoints) is therefore stream-identical
+  // between the modes, and beyond crash/hang replays a re-execution is
+  // only ever paid for an actually-interesting input. On the two-level
+  // scheme every exec runs traced (see TracingMode).
   bool process(Input input, u32 depth, bool is_seed) {
     if (!fault_gate()) return false;
     typename Executor<Map, Metric>::Outcome out;
-    if (cfg_.tracing == TracingMode::kDual && !is_seed) {
+    bool untraced_first = false;
+    if constexpr (Map::kScheme == MapScheme::kFlat) {
+      untraced_first = cfg_.tracing == TracingMode::kDual && !is_seed;
+    }
+    if (untraced_first) {
       const auto fast = ex_.run_untraced(input, res_.timing);
       if (fast.fired) {
         ++res_.tracing_oracle_fires;

@@ -61,12 +61,23 @@ struct ExecHook {
 //
 //   kAlways  every exec runs fully traced through the whole-map pipeline
 //            (classic AFL behaviour; the control arm for diff testing).
-//   kDual    non-seed execs first run UNTRACED with only the inline
-//            interest oracle; the exec is re-executed traced iff the
-//            oracle fires or the run crashes/hangs. Seeds always run
-//            traced (the queue needs their trace for scoring), as do
-//            trim executions. The two modes provably produce identical
+//   kDual    on the FLAT scheme, non-seed execs first run UNTRACED with
+//            only the inline interest oracle; the exec is re-executed
+//            traced iff the oracle fires or the run crashes/hangs. Seeds
+//            always run traced (the queue needs their trace for scoring),
+//            as do trim executions. On the TWO-LEVEL scheme kDual is
+//            exactly kAlways. The two modes provably produce identical
 //            find/crash/queue streams — mode_diff_test pins this.
+//
+// Why the scheme decides: untraced execution pays by skipping the
+// whole-map reset/classify/compare/hash, which on a flat map scan every
+// byte of it. BigMap's condensed map already confines those scans to the
+// used prefix [0, used_key), so they are ~1% of an exec and there is
+// almost nothing left to skip. The oracle, meanwhile, costs as much per
+// block as the traced update (the same index lookup plus a counter bump),
+// and every fire runs the input twice — on LLVM-sized targets ~40% of
+// execs fire. Tracing every exec is the faster policy on every two-level
+// workload, with no measurement and no knob needed to know it.
 enum class TracingMode : u8 {
   kAlways = 0,
   kDual = 1,
@@ -78,8 +89,9 @@ struct CampaignConfig {
   MapOptions map;
 
   // Coverage-guided tracing fast path: untraced-by-default execution with
-  // traced re-execution on oracle fire. Dual is the default because the
-  // modes are find-equivalent; benches compare against kAlways explicitly.
+  // traced re-execution on oracle fire, taken on the flat scheme only (see
+  // TracingMode). Dual is the default because the modes are
+  // find-equivalent; benches compare against kAlways explicitly.
   TracingMode tracing = TracingMode::kDual;
 
   u64 seed = 1;
@@ -261,10 +273,10 @@ struct CampaignResult {
   //   tracing_untraced_execs + tracing_traced_execs == execs
   // (an exec counts as traced when it ran a map pipeline — seeds,
   // oracle-fire re-executions, crash/hang replays, trim executions, and
-  // every exec under TracingMode::kAlways).
+  // every exec under TracingMode::kAlways or on the two-level scheme).
   u64 tracing_untraced_execs = 0;
   u64 tracing_traced_execs = 0;
-  u64 tracing_oracle_fires = 0;  // untraced runs stopped by the oracle
+  u64 tracing_oracle_fires = 0;  // untraced runs the oracle flagged
   u64 tracing_reexec_ns = 0;     // wall time spent in traced re-executions
 
   // Corpus-store accounting (zero without a CorpusStore).

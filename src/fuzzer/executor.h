@@ -80,14 +80,7 @@ class Executor {
       const u64 start = monotonic_ns();
       metric_.begin_execution();
       out.exec = interp_.run(*prog_, input, [this](u32 block_index) {
-        if constexpr (ContextAwareMetric<Metric>) {
-          const Block& b = prog_->blocks[block_index];
-          if (b.kind == BlockKind::kCall) {
-            metric_.on_call(b.targets[0]);
-          } else if (b.kind == BlockKind::kReturn) {
-            metric_.on_return();
-          }
-        }
+        track_calls(block_index);
         map_.update(metric_.visit(block_index));
       });
       out.exec_ns = monotonic_ns() - start;
@@ -114,12 +107,13 @@ class Executor {
     return out;
   }
 
-  // Outcome of an untraced (coverage-guided tracing) run.
+  // Outcome of an untraced (coverage-guided tracing) run. The run always
+  // completes, so `exec` is the same ExecResult run() reports for the
+  // input.
   struct UntracedOutcome {
     ExecResult exec;
-    // The interest oracle stopped the execution: this input may produce
-    // new coverage and must be re-executed with full tracing. The partial
-    // ExecResult is meaningless and must be discarded.
+    // The interest oracle fired: this input may produce new coverage and
+    // must be re-executed with full tracing.
     bool fired = false;
     u64 exec_ns = 0;
   };
@@ -132,35 +126,35 @@ class Executor {
   //  - first-hit check (two-level scheme): the metric key has no
   //    condensed slot yet (slot_of == kUnassigned). A fresh key lands in
   //    a fresh 0xFF virgin byte — guaranteed new bits — and untraced mode
-  //    must never mutate the index. On the non-context path this check is
-  //    BRANCHLESS: the unassigned sentinel is clamped (one cmov) onto a
-  //    spare counter slot just past the virgin positions, the run
-  //    completes like any other, and a touched spare slot reads back as
-  //    fired. The interpreter loop then needs no per-block stop check at
-  //    all (run_until_nostop). Context-aware metrics keep the stopping
-  //    oracle: their call/return bookkeeping already branches per block,
-  //    so the early stop costs nothing extra there.
-  //  - final-count check: otherwise the run completes fully while a
-  //    sparse per-position u8 counter mirrors the map's counter (same
-  //    256-wrap); afterwards, fired = any touched position with
-  //    classify_count(final_count) & virgin — byte-for-byte the test
-  //    classify + compare_update would perform. Intermediate counts are
-  //    deliberately NOT checked against virgin mid-run: a traced run
-  //    clears only its FINAL bucket's bit, so lower-bucket bits stay
-  //    virgin indefinitely and checking them over-fires on nearly every
-  //    exec; the hot per-block path therefore touches no virgin byte at
-  //    all, only the two count arrays.
+  //    must never mutate the index. The check is BRANCHLESS: the
+  //    unassigned sentinel is clamped (one cmov) onto a spare counter slot
+  //    just past the virgin positions, the run completes like any other,
+  //    and a touched spare slot reads back as fired. The interpreter loop
+  //    therefore needs no per-block stop check.
+  //  - final-count check: a sparse per-position u8 counter mirrors the
+  //    map's counter (same 256-wrap); after the run, fired = any touched
+  //    position with classify_count(final_count) & virgin — byte-for-byte
+  //    the test classify + compare_update would perform. Intermediate
+  //    counts are deliberately NOT checked against virgin mid-run: a
+  //    traced run clears only its FINAL bucket's bit, so lower-bucket bits
+  //    stay virgin indefinitely and checking them over-fires on nearly
+  //    every exec; the hot per-block path therefore touches no virgin byte
+  //    at all, only the two count arrays.
   //
   // Crashes and hangs complete normally (fired stays false); the caller
   // decides to replay them traced for the exact crash/hang virgin compare.
   // Nothing campaign-lifetime is touched: no index allocation, no virgin
   // update — an aborted re-execution therefore leaves the breakpoint
   // armed and the same input fires again.
+  //
+  // Campaigns take this path on the flat scheme only (see TracingMode);
+  // the two-level branch stays for per-layer attribution and its
+  // exactness tests.
   UntracedOutcome run_untraced(std::span<const u8> input,
                                OpTimeBreakdown& timing) {
     UntracedOutcome out;
     // One spare slot past the virgin positions absorbs unassigned
-    // two-level keys on the branchless path; flat maps never touch it.
+    // two-level keys; flat maps never touch it.
     const u32 spare = static_cast<u32>(virgin_positions());
     if (oracle_counts_.empty()) {
       oracle_counts_.assign(virgin_positions() + 1, 0);
@@ -168,68 +162,41 @@ class Executor {
     }
     const u64 start = monotonic_ns();
     metric_.begin_execution();
-    if constexpr (ContextAwareMetric<Metric>) {
-      out.exec = interp_.run_until(
-          *prog_, input, &out.fired, [this](u32 block_index) {
-            const Block& b = prog_->blocks[block_index];
-            if (b.kind == BlockKind::kCall) {
-              metric_.on_call(b.targets[0]);
-            } else if (b.kind == BlockKind::kReturn) {
-              metric_.on_return();
-            }
-            const u32 key = metric_.visit(block_index);
-            u32 pos;
-            if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-              pos = map_.slot_of(key);
-              if (pos == Map::kUnassigned) return true;
-            } else {
-              pos = key & static_cast<u32>(map_.map_size() - 1);
-            }
-            const u8 c = ++oracle_counts_[pos];
-            if (c == 1) oracle_touched_.push_back(pos);
-            return false;
-          });
-    } else {
-      out.exec = interp_.run_until_nostop(
-          *prog_, input, [this, spare](u32 block_index) {
-            const u32 key = metric_.visit(block_index);
-            u32 pos;
-            if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-              pos = map_.slot_of(key);
-              // Sentinel clamp compiles to a conditional move — no
-              // control-flow branch, no early exit.
-              pos = pos == Map::kUnassigned ? spare : pos;
-            } else {
-              pos = key & static_cast<u32>(map_.map_size() - 1);
-              (void)spare;
-            }
-            const u8 c = ++oracle_counts_[pos];
-            if (c == 1) oracle_touched_.push_back(pos);
-          });
-    }
+    out.exec = interp_.run(*prog_, input, [this, spare](u32 block_index) {
+      track_calls(block_index);
+      const u32 key = metric_.visit(block_index);
+      u32 pos;
+      if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+        pos = map_.slot_of(key);
+        // Sentinel clamp compiles to a conditional move — no control-flow
+        // branch, no early exit.
+        pos = pos == Map::kUnassigned ? spare : pos;
+      } else {
+        pos = key & static_cast<u32>(map_.map_size() - 1);
+        (void)spare;
+      }
+      const u8 c = ++oracle_counts_[pos];
+      if (c == 1) oracle_touched_.push_back(pos);
+    });
     // Fused final-count check + sparse counter reset, one pass over the
     // touched positions (LUT classify, like the traced pipeline's
-    // classify_counts). Runs on every exit path so the scratch is always
-    // clean for the next run. The spare slot appearing in the touched
-    // list means an unassigned key executed — a guaranteed-new first hit,
-    // detected by membership rather than by count so a 256-wrap back to
-    // zero cannot mask it. The touched list can hold a duplicate after a
-    // wrap; the extra zero store is harmless.
-    {
-      const u8* virgin = virgin_queue_.data();
-      const auto& lut = count_class_lookup8();
-      bool novel = false;
-      for (u32 pos : oracle_touched_) {
-        if (pos == spare) {
-          novel = true;
-        } else {
-          novel |= (virgin[pos] & lut[oracle_counts_[pos]]) != 0;
-        }
-        oracle_counts_[pos] = 0;
+    // classify_counts), so the scratch is always clean for the next run.
+    // The spare slot appearing in the touched list means an unassigned key
+    // executed — a guaranteed-new first hit, detected by membership rather
+    // than by count so a 256-wrap back to zero cannot mask it. The touched
+    // list can hold a duplicate after a wrap; the extra zero store is
+    // harmless.
+    const u8* virgin = virgin_queue_.data();
+    const auto& lut = count_class_lookup8();
+    for (u32 pos : oracle_touched_) {
+      if (pos == spare) {
+        out.fired = true;
+      } else {
+        out.fired |= (virgin[pos] & lut[oracle_counts_[pos]]) != 0;
       }
-      oracle_touched_.clear();
-      out.fired = out.fired || novel;
+      oracle_counts_[pos] = 0;
     }
+    oracle_touched_.clear();
     out.exec_ns = monotonic_ns() - start;
     timing.add(MapOp::kExecution, out.exec_ns);
     return out;
@@ -255,14 +222,7 @@ class Executor {
       ScopedOpTimer t(timing, MapOp::kExecution);
       metric_.begin_execution();
       out.exec = interp_.run(*prog_, input, [this](u32 block_index) {
-        if constexpr (ContextAwareMetric<Metric>) {
-          const Block& b = prog_->blocks[block_index];
-          if (b.kind == BlockKind::kCall) {
-            metric_.on_call(b.targets[0]);
-          } else if (b.kind == BlockKind::kReturn) {
-            metric_.on_return();
-          }
-        }
+        track_calls(block_index);
         map_.update(metric_.visit(block_index));
       });
     }
@@ -309,6 +269,19 @@ class Executor {
   Interpreter& interpreter() noexcept { return interp_; }
 
  private:
+  // Call/return notifications for context-aware metrics; compiles to
+  // nothing for the others.
+  void track_calls(u32 block_index) {
+    if constexpr (ContextAwareMetric<Metric>) {
+      const Block& b = prog_->blocks[block_index];
+      if (b.kind == BlockKind::kCall) {
+        metric_.on_call(b.targets[0]);
+      } else if (b.kind == BlockKind::kReturn) {
+        metric_.on_return();
+      }
+    }
+  }
+
   static usize virgin_positions_of(const Map& m) noexcept {
     if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
       return m.condensed_size();

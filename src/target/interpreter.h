@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "target/program.h"
@@ -67,55 +66,14 @@ class Interpreter {
   // Executes `prog` over `input`, calling on_block(u32 block_index) for
   // every block entered. The program must have passed Program::validate();
   // the interpreter still bounds-checks nothing beyond what the validator
-  // guarantees.
+  // guarantees. This is the one execution loop: traced runs and the
+  // executor's untraced oracle runs differ only in the callback, and the
+  // loop carries no per-block stop check — every run completes (or
+  // crashes/hangs) exactly as the program dictates. Any value the callback
+  // returns is ignored.
   template <typename OnBlock>
   ExecResult run(const Program& prog, std::span<const u8> input,
                  OnBlock&& on_block) {
-    // The void wrapper selects run_impl's no-stop-check specialization
-    // (and deliberately ignores any value the callback returns).
-    return run_impl(prog, input, [&](u32 block) { on_block(block); });
-  }
-
-  // Untraced fast path (coverage-guided tracing): like run(), but the
-  // per-block callback is an interest oracle — returning true stops the
-  // execution immediately and sets *stopped (the caller then re-executes
-  // with full tracing). Block ordering, step accounting, and all outcome
-  // semantics are identical to run(), so a run the oracle never stops is
-  // bit-for-bit the execution a traced run would have performed.
-  template <typename Oracle>
-  ExecResult run_until(const Program& prog, std::span<const u8> input,
-                       bool* stopped, Oracle&& oracle) {
-    bool hit = false;
-    ExecResult res = run_impl(prog, input, [&](u32 block) {
-      hit = oracle(block);
-      return hit;
-    });
-    *stopped = hit;
-    return res;
-  }
-
-  // Branchless variant of run_until: the oracle observes every block but
-  // returns void, so the interpreter loop carries no per-block stop check
-  // at all — the same code run() executes. The caller detects "would have
-  // stopped" after the run from state the oracle accumulated (e.g. a
-  // spare counter slot absorbing first-hit keys). Outcome semantics are
-  // exactly run()'s: the execution always completes (or crashes/hangs) as
-  // a traced run would.
-  template <typename Oracle>
-  ExecResult run_until_nostop(const Program& prog, std::span<const u8> input,
-                              Oracle&& oracle) {
-    return run_impl(prog, input, std::forward<Oracle>(oracle));
-  }
-
- private:
-  // Shared execution loop. A bool-returning on_block returns true to stop
-  // mid-execution; the result then carries the steps executed so far with
-  // outcome kOk (the caller is expected to discard or replay it). A
-  // void-returning on_block compiles to a loop with no stop check — the
-  // fast shape both run() and run_until_nostop() share.
-  template <typename OnBlock>
-  ExecResult run_impl(const Program& prog, std::span<const u8> input,
-                      OnBlock&& on_block) {
     ExecResult res;
     if (prog.blocks.empty()) return res;
     begin_run(prog.blocks.size());
@@ -128,11 +86,7 @@ class Interpreter {
         break;
       }
       ++res.steps;
-      if constexpr (std::is_void_v<std::invoke_result_t<OnBlock&, u32>>) {
-        on_block(cur);
-      } else {
-        if (on_block(cur)) break;
-      }
+      on_block(cur);
       for (u32 w = 0; w < work_per_block_; ++w) {
         work_acc = work_acc * 6364136223846793005ULL + cur;
       }

@@ -15,15 +15,11 @@
 //   - the queue CONTENTS equal: same entries, same bytes, same order
 //   - covered virgin positions equal, coverage_series equal
 //   - trim decisions equal (trim_execs / trimmed_bytes)
+//   - used_key and saturated_updates equal
 //
-// What deliberately is NOT compared for the two-level scheme: used_key and
-// per-entry bitmap_hash values. Dual mode allocates condensed slots only
-// during traced executions, so the key->slot assignment ORDER differs
-// between modes; the key-wise virgin state is provably identical (boring
-// execs clear nothing in either mode, firing execs run identical traced
-// compares), but slot-numbered artifacts are mode-relative. The flat
-// scheme has no such indirection, so there everything is compared,
-// bitmap hashes included.
+// kDual takes the untraced path on the flat scheme only; on the two-level
+// scheme it runs every exec traced, so there the harness also pins that
+// the oracle never ran (zero untraced execs, zero fires).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -81,11 +77,8 @@ std::vector<u64> sorted(std::vector<u64> v) {
 }
 
 // The full equality contract between a dual-mode and an always-trace result.
-// `compare_map_artifacts` adds the slot-numbered comparisons that are only
-// meaningful for the flat scheme.
 void expect_equivalent(const CampaignResult& dual,
-                       const CampaignResult& always,
-                       bool compare_map_artifacts) {
+                       const CampaignResult& always) {
   EXPECT_EQ(dual.execs, always.execs);
   EXPECT_EQ(dual.seed_execs, always.seed_execs);
   EXPECT_EQ(dual.interesting, always.interesting);
@@ -111,16 +104,22 @@ void expect_equivalent(const CampaignResult& dual,
     EXPECT_EQ(dual.corpus[i], always.corpus[i]) << "queue entry " << i;
   }
 
-  if (compare_map_artifacts) {
-    EXPECT_EQ(dual.used_key, always.used_key);
-    EXPECT_EQ(dual.saturated_updates, always.saturated_updates);
-  }
+  EXPECT_EQ(dual.used_key, always.used_key);
+  EXPECT_EQ(dual.saturated_updates, always.saturated_updates);
 
   // Accounting invariants on both arms.
   EXPECT_EQ(dual.tracing_untraced_execs + dual.tracing_traced_execs,
             dual.execs);
   EXPECT_EQ(always.tracing_untraced_execs, 0u);
   EXPECT_EQ(always.tracing_traced_execs, always.execs);
+}
+
+// On the two-level scheme kDual never takes the untraced path: every exec
+// is traced and the oracle never runs.
+void expect_all_traced(const CampaignResult& dual) {
+  EXPECT_EQ(dual.tracing_untraced_execs, 0u);
+  EXPECT_EQ(dual.tracing_oracle_fires, 0u);
+  EXPECT_EQ(dual.tracing_traced_execs, dual.execs);
 }
 
 // --- Table II sweep ---------------------------------------------------------
@@ -141,8 +140,11 @@ TEST_P(ModeDiffTable2Test, DualEqualsAlwaysTrace) {
         run_campaign(target.program, seeds,
                      diff_config(scheme, TracingMode::kAlways, 4000));
     SCOPED_TRACE(info.name + (scheme == MapScheme::kFlat ? "/flat" : "/2l"));
-    expect_equivalent(dual, always,
-                      /*compare_map_artifacts=*/scheme == MapScheme::kFlat);
+    expect_equivalent(dual, always);
+    if (scheme == MapScheme::kTwoLevel) {
+      expect_all_traced(dual);
+      continue;
+    }
     // The fast path must actually engage, and every traced re-execution
     // must be PAID FOR: an eligible exec (non-seed, non-trim) runs traced
     // only when the oracle fired (=> it was interesting or crashed/hung)
@@ -236,13 +238,17 @@ TEST(ModeDiffCheckpointTest, ResumeCrossesModesExactly) {
         interrupted_resumed(target, seeds, scheme, TracingMode::kAlways,
                             always_dir.path, kPart, kFull);
 
-    expect_equivalent(resumed_dual, resumed_always, flat);
+    expect_equivalent(resumed_dual, resumed_always);
 
     // The kTracingState record carried the lifetime split across the
     // restart: the resumed dual run keeps accumulating untraced execs on
     // top of the restored counters, and the invariant stays exact.
-    EXPECT_GT(resumed_dual.tracing_untraced_execs, 0u);
-    EXPECT_GT(resumed_dual.tracing_oracle_fires, 0u);
+    if (flat) {
+      EXPECT_GT(resumed_dual.tracing_untraced_execs, 0u);
+      EXPECT_GT(resumed_dual.tracing_oracle_fires, 0u);
+    } else {
+      expect_all_traced(resumed_dual);
+    }
 
     // Uninterrupted arms agree with each other too (same contract at a
     // budget the Table II sweep doesn't cover).
@@ -251,7 +257,7 @@ TEST(ModeDiffCheckpointTest, ResumeCrossesModesExactly) {
     CampaignResult always = run_campaign(
         target.program, seeds,
         diff_config(scheme, TracingMode::kAlways, kFull));
-    expect_equivalent(straight, always, flat);
+    expect_equivalent(straight, always);
   }
 }
 
@@ -266,7 +272,7 @@ CampaignResult killed_restarted(const GeneratedTarget& target,
   FaultPlan plan;
   plan.triggers.push_back({FaultSite::kInstanceKill, 0, kill_nth});
   FaultInjector injector(1, plan);
-  CampaignConfig doomed = diff_config(MapScheme::kTwoLevel, tracing, full);
+  CampaignConfig doomed = diff_config(MapScheme::kFlat, tracing, full);
   doomed.checkpoint = &store1;
   doomed.checkpoint_interval = 512;
   doomed.fault = &injector;
@@ -275,7 +281,7 @@ CampaignResult killed_restarted(const GeneratedTarget& target,
   EXPECT_GT(died.checkpoints_written, 0u);
 
   persist::CheckpointStore store2(dir, persist::FaultCtx{}, /*fresh=*/false);
-  CampaignConfig relaunch = diff_config(MapScheme::kTwoLevel, tracing, full);
+  CampaignConfig relaunch = diff_config(MapScheme::kFlat, tracing, full);
   relaunch.checkpoint = &store2;
   relaunch.checkpoint_interval = 512;
   relaunch.resume_from_checkpoint = true;
@@ -287,7 +293,9 @@ CampaignResult killed_restarted(const GeneratedTarget& target,
 // Supervisor-restart semantics: both modes die to the same injected
 // kInstanceKill schedule mid-run and recover from their last periodic
 // checkpoint, replaying the lost tail. The recovered dual campaign must
-// land exactly on the recovered always-trace campaign's final state.
+// land exactly on the recovered always-trace campaign's final state. It
+// runs on the flat scheme, where kDual engages the oracle, so the kill
+// crosses live untraced execution.
 //
 // The kill trigger counts fault-gate checks, and dual mode consumes one
 // extra check per oracle fire — so the two arms die a few dozen execs
@@ -315,8 +323,7 @@ TEST(ModeDiffCheckpointTest, InstanceKillRestartStillMatchesAlwaysTrace) {
 
   ASSERT_EQ(resumed_dual.resumed_from_execs,
             resumed_always.resumed_from_execs);
-  expect_equivalent(resumed_dual, resumed_always,
-                    /*compare_map_artifacts=*/false);
+  expect_equivalent(resumed_dual, resumed_always);
   EXPECT_GT(resumed_dual.tracing_untraced_execs, 0u);
 }
 

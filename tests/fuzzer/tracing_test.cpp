@@ -1,9 +1,14 @@
 // Coverage-guided tracing oracle tests: breakpoint derivation, retention
 // across aborted re-executions, exact-conservativeness against the traced
-// pipeline, and campaign-level fault interaction (kExecAbort /
-// kTransientHang landing on the traced re-exec path).
+// pipeline, untraced runs reporting the traced run's exact ExecResult, the
+// scheme policy (two-level kDual == kAlways), and campaign-level fault
+// interaction (kExecAbort / kTransientHang landing on the traced re-exec
+// path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
 #include <vector>
 
 #include "core/flat_map.h"
@@ -110,12 +115,12 @@ TEST(TracingOracleTest, AbortedReexecKeepsBreakpointArmed) {
 // that then turn out to crash or hang). Two executors with identical
 // seeds run in lockstep: A decides untraced-first, B is the always-traced
 // control.
-template <class Map>
+template <class Map, class Metric = EdgeMetric>
 void run_conservativeness_stream(u64 target_seed) {
   GeneratedTarget target = branchy_target(target_seed);
   BlockIdTable ids{target.program.blocks.size(), 1u << 12, 77};
-  Executor<Map, EdgeMetric> a{target.program, opts(), ids, 1u << 12};
-  Executor<Map, EdgeMetric> b{target.program, opts(), ids, 1u << 12};
+  Executor<Map, Metric> a{target.program, opts(), ids, 1u << 12};
+  Executor<Map, Metric> b{target.program, opts(), ids, 1u << 12};
   OpTimeBreakdown timing;
 
   Xoshiro256 rng(42);
@@ -128,7 +133,7 @@ void run_conservativeness_stream(u64 target_seed) {
     auto fast = a.run_untraced(input, timing);
     const bool reexec =
         fast.fired || fast.exec.crashed() || fast.exec.hung();
-    typename Executor<Map, EdgeMetric>::Outcome a_out;
+    typename Executor<Map, Metric>::Outcome a_out;
     if (reexec) a_out = a.run(input, timing);
 
     auto b_out = b.run(input, timing);
@@ -157,20 +162,192 @@ void run_conservativeness_stream(u64 target_seed) {
 TEST(TracingOracleTest, NeverUnderFiresTwoLevel) {
   for (u64 seed : {3u, 11u, 29u}) {
     run_conservativeness_stream<TwoLevelCoverageMap>(seed);
+    run_conservativeness_stream<TwoLevelCoverageMap, ContextMetric>(seed);
   }
 }
 
 TEST(TracingOracleTest, NeverUnderFiresFlat) {
   for (u64 seed : {3u, 11u, 29u}) {
     run_conservativeness_stream<FlatCoverageMap>(seed);
+    run_conservativeness_stream<FlatCoverageMap, ContextMetric>(seed);
   }
+}
+
+// --- untraced runs report the traced run's ExecResult -----------------------
+
+void expect_same_exec(const ExecResult& untraced, const ExecResult& traced) {
+  EXPECT_EQ(untraced.outcome, traced.outcome);
+  EXPECT_EQ(untraced.steps, traced.steps);
+  EXPECT_EQ(untraced.bug_id, traced.bug_id);
+  EXPECT_EQ(untraced.faulting_block, traced.faulting_block);
+  EXPECT_EQ(untraced.stack_hash, traced.stack_hash);
+}
+
+struct ExecTally {
+  u64 fired = 0;
+  u64 unfired = 0;
+  u64 crashed = 0;
+  u64 hung = 0;
+};
+
+// Runs every input untraced, traced, then untraced again on one executor.
+// Both untraced runs must report exactly the traced ExecResult: the first
+// sees the input's coverage as new and fires, the second runs after the
+// traced run consumed that coverage. Fired or not, an untraced run always
+// completes, so its verdict is the traced verdict.
+template <class Map, class Metric>
+ExecTally untraced_matches_traced(const GeneratedTarget& target,
+                                  const std::vector<Input>& inputs,
+                                  u64 step_budget) {
+  BlockIdTable ids{target.program.blocks.size(), 1u << 12, 77};
+  Executor<Map, Metric> ex{target.program, opts(), ids, step_budget};
+  OpTimeBreakdown timing;
+  ExecTally tally;
+  for (usize i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    const auto before = ex.run_untraced(inputs[i], timing);
+    const auto traced = ex.run(inputs[i], timing);
+    const auto after = ex.run_untraced(inputs[i], timing);
+    expect_same_exec(before.exec, traced.exec);
+    expect_same_exec(after.exec, traced.exec);
+    for (bool fired : {before.fired, after.fired}) {
+      ++(fired ? tally.fired : tally.unfired);
+    }
+    tally.crashed += traced.exec.crashed();
+    tally.hung += traced.exec.hung();
+  }
+  return tally;
+}
+
+// Both schemes x an edge metric and the context-aware metric (whose
+// call/return bookkeeping shares the untraced lambda).
+std::array<ExecTally, 4> each_executor(const GeneratedTarget& target,
+                                       const std::vector<Input>& inputs,
+                                       u64 step_budget) {
+  std::array<ExecTally, 4> t;
+  {
+    SCOPED_TRACE("two-level/edge");
+    t[0] = untraced_matches_traced<TwoLevelCoverageMap, EdgeMetric>(
+        target, inputs, step_budget);
+  }
+  {
+    SCOPED_TRACE("two-level/context");
+    t[1] = untraced_matches_traced<TwoLevelCoverageMap, ContextMetric>(
+        target, inputs, step_budget);
+  }
+  {
+    SCOPED_TRACE("flat/edge");
+    t[2] = untraced_matches_traced<FlatCoverageMap, EdgeMetric>(
+        target, inputs, step_budget);
+  }
+  {
+    SCOPED_TRACE("flat/context");
+    t[3] = untraced_matches_traced<FlatCoverageMap, ContextMetric>(
+        target, inputs, step_budget);
+  }
+  return t;
+}
+
+TEST(TracingExecTest, UntracedMatchesTracedExec) {
+  GeneratedTarget target = branchy_target();
+  std::vector<Input> inputs = make_seed_corpus(target, 8, 3);
+  inputs.push_back({});
+  inputs.push_back(Input(64, 0xFF));
+  for (const ExecTally& t : each_executor(target, inputs, 1u << 12)) {
+    EXPECT_GT(t.fired, 0u);
+    EXPECT_GT(t.unfired, 0u);
+  }
+}
+
+TEST(TracingExecTest, CrashVerdictIdenticalInBothModes) {
+  GeneratedTarget target = branchy_target();
+  ASSERT_GT(target.program.num_bugs, 0u);
+  std::vector<Input> inputs;
+  for (u32 bug = 0; bug < target.program.num_bugs; ++bug) {
+    inputs.push_back(target.crashing_input(bug));
+  }
+  for (const ExecTally& t : each_executor(target, inputs, 1u << 12)) {
+    EXPECT_EQ(t.crashed, inputs.size());
+    EXPECT_GT(t.fired, 0u);
+  }
+}
+
+TEST(TracingExecTest, HangVerdictIdenticalInBothModes) {
+  GeneratedTarget target = branchy_target();
+  const std::vector<Input> inputs = make_seed_corpus(target, 4, 9);
+  // Starve the budget below the shortest input's natural length, so every
+  // run hangs at exactly the budget boundary.
+  Interpreter probe(1u << 12);
+  u64 shortest = ~u64{0};
+  for (const Input& in : inputs) {
+    const ExecResult r = probe.run(target.program, in, [](u32) {});
+    ASSERT_EQ(r.outcome, ExecResult::Outcome::kOk);
+    shortest = std::min(shortest, r.steps);
+  }
+  ASSERT_GT(shortest, 2u);
+  for (const ExecTally& t : each_executor(target, inputs, shortest - 1)) {
+    EXPECT_EQ(t.hung, inputs.size());
+  }
+}
+
+// --- scheme policy ------------------------------------------------------------
+
+// On the two-level scheme kDual is exactly kAlways: every exec runs
+// traced, the oracle never runs, and the whole result — slot numbering
+// (used_key) included — is the always-trace campaign's.
+TEST(TracingPolicyTest, TwoLevelDualRunsEveryExecTraced) {
+  GeneratedTarget target = branchy_target();
+  std::vector<Input> seeds = make_seed_corpus(target, 4, 1);
+  auto run = [&](TracingMode tracing) {
+    CampaignConfig c;
+    c.scheme = MapScheme::kTwoLevel;
+    c.tracing = tracing;
+    c.map.map_size = 1u << 16;
+    c.map.huge_pages = false;
+    c.max_execs = 3000;
+    c.seed = 77;
+    c.deterministic_timing = true;
+    c.keep_corpus = true;
+    c.series_interval = 500;
+    return run_campaign(target.program, seeds, c);
+  };
+  const CampaignResult dual = run(TracingMode::kDual);
+  const CampaignResult always = run(TracingMode::kAlways);
+
+  EXPECT_EQ(dual.tracing_untraced_execs, 0u);
+  EXPECT_EQ(dual.tracing_oracle_fires, 0u);
+  EXPECT_EQ(dual.tracing_reexec_ns, 0u);
+  EXPECT_EQ(dual.tracing_traced_execs, dual.execs);
+  EXPECT_EQ(dual.tracing_traced_execs, always.tracing_traced_execs);
+
+  EXPECT_EQ(dual.execs, always.execs);
+  EXPECT_EQ(dual.seed_execs, always.seed_execs);
+  EXPECT_EQ(dual.interesting, always.interesting);
+  EXPECT_EQ(dual.hangs, always.hangs);
+  EXPECT_EQ(dual.covered_positions, always.covered_positions);
+  EXPECT_EQ(dual.used_key, always.used_key);
+  EXPECT_EQ(dual.saturated_updates, always.saturated_updates);
+  EXPECT_EQ(dual.crashes_total, always.crashes_total);
+  EXPECT_EQ(dual.crashes_afl_unique, always.crashes_afl_unique);
+  EXPECT_EQ(dual.crashes_crashwalk_unique, always.crashes_crashwalk_unique);
+  EXPECT_EQ(dual.crashes_ground_truth, always.crashes_ground_truth);
+  EXPECT_EQ(dual.found_bug_ids, always.found_bug_ids);
+  EXPECT_EQ(dual.found_stack_hashes, always.found_stack_hashes);
+  EXPECT_EQ(dual.trim_execs, always.trim_execs);
+  EXPECT_EQ(dual.trimmed_bytes, always.trimmed_bytes);
+  EXPECT_EQ(dual.corpus_size, always.corpus_size);
+  EXPECT_EQ(dual.corpus, always.corpus);
+  EXPECT_EQ(dual.coverage_series, always.coverage_series);
+  EXPECT_GT(dual.interesting, 0u);
 }
 
 // --- campaign-level fault interaction ---------------------------------------
 
+// The flat scheme, where kDual takes the untraced-first path, so the
+// re-exec fault gates below exist.
 CampaignConfig tracing_config(TracingMode tracing, u64 execs) {
   CampaignConfig c;
-  c.scheme = MapScheme::kTwoLevel;
+  c.scheme = MapScheme::kFlat;
   c.tracing = tracing;
   c.map.map_size = 1u << 16;
   c.map.huge_pages = false;
