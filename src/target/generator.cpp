@@ -410,7 +410,9 @@ std::vector<u8> GeneratedTarget::crashing_input(u32 bug_id) const {
 }
 
 GeneratedTarget generate_target(const GeneratorParams& params) {
-  return Builder(params).build();
+  GeneratedTarget target = Builder(params).build();
+  target.program.validate();
+  return target;
 }
 
 std::vector<std::vector<u8>> make_seed_corpus(const GeneratedTarget& target,

@@ -80,6 +80,7 @@ struct GeneratedTarget {
   std::vector<u8> crashing_input(u32 bug_id) const;
 };
 
+// The returned program is validated (and so runnable).
 GeneratedTarget generate_target(const GeneratorParams& params);
 
 // Deterministic seed corpus: `count` inputs of the program's nominal size,

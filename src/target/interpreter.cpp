@@ -1,6 +1,25 @@
 #include "target/interpreter.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace bigmap {
+
+const LoweredProgram& Interpreter::table_of(const Program& prog) {
+  const usize lowered = prog.lowered_.blocks.size();
+  if (lowered == 0) {
+    throw std::logic_error("Interpreter::run: program '" + prog.name +
+                           "' was not validated");
+  }
+  if (lowered != prog.blocks.size()) {
+    throw std::logic_error("Interpreter::run: program '" + prog.name +
+                           "' was edited after validate() (" +
+                           std::to_string(prog.blocks.size()) +
+                           " blocks, table has " + std::to_string(lowered) +
+                           ")");
+  }
+  return prog.lowered_;
+}
 
 void Interpreter::begin_run(usize num_blocks) {
   call_stack_.clear();

@@ -15,6 +15,12 @@
 //           wall-clock timeout detector. Hangs are deterministic: the same
 //           program, input, and budget always hang at the same step.
 //
+// The loop walks the Program's lowered table (LoweredBlock, built by
+// Program::validate()), not its Block vector: one 32-byte record per block
+// with both successors inline, so each step is one load from a table that
+// fits in L2 rather than a 96-byte Block plus a pointer chase into its
+// `targets` vector (DESIGN.md §14).
+//
 // Each block additionally burns `work_per_block` iterations of arithmetic
 // into a sink member, modelling the target's own computation so that
 // throughput experiments see a realistic exec cost alongside the map
@@ -22,6 +28,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -64,19 +72,22 @@ class Interpreter {
   void set_work_per_block(u32 work) noexcept { work_per_block_ = work; }
 
   // Executes `prog` over `input`, calling on_block(u32 block_index) for
-  // every block entered. The program must have passed Program::validate();
-  // the interpreter still bounds-checks nothing beyond what the validator
-  // guarantees. This is the one execution loop: traced runs and the
-  // executor's untraced oracle runs differ only in the callback, and the
-  // loop carries no per-block stop check — every run completes (or
-  // crashes/hangs) exactly as the program dictates. Any value the callback
-  // returns is ignored.
+  // every block entered. The program must have passed Program::validate(),
+  // which builds the lowered table this loop walks; a non-empty program
+  // without one (or with one of another size, i.e. blocks edited after
+  // validation) throws std::logic_error. This is the one execution loop:
+  // traced runs and the executor's untraced oracle runs differ only in the
+  // callback, and the loop carries no per-block stop check — every run
+  // completes (or crashes/hangs) exactly as the program dictates. Any
+  // value the callback returns is ignored.
   template <typename OnBlock>
   ExecResult run(const Program& prog, std::span<const u8> input,
                  OnBlock&& on_block) {
     ExecResult res;
     if (prog.blocks.empty()) return res;
-    begin_run(prog.blocks.size());
+    const LoweredProgram& code = table_of(prog);
+    const LoweredBlock* blocks = code.blocks.data();
+    begin_run(code.blocks.size());
 
     u64 work_acc = 0x9e3779b97f4a7c15ULL;
     u32 cur = 0;
@@ -91,7 +102,7 @@ class Interpreter {
         work_acc = work_acc * 6364136223846793005ULL + cur;
       }
 
-      const Block& b = prog.blocks[cur];
+      const LoweredBlock& b = blocks[cur];
       bool done = false;
       switch (b.kind) {
         case BlockKind::kExit:
@@ -101,16 +112,23 @@ class Interpreter {
           cur = b.targets[0];
           break;
         case BlockKind::kBranch: {
-          const u64 v = read_value(input, b.input_offset, b.cmp_width);
-          cur = b.targets[compare(v, b.expected, b.pred) ? 0 : 1];
+          const u64 v = read_value(input, b.input_offset, b.width,
+                                   b.value_mask);
+          const u32 outcome = static_cast<u32>(v < b.imm) |
+                              static_cast<u32>(v == b.imm) << 1 |
+                              static_cast<u32>(v > b.imm) << 2;
+          cur = b.targets[(outcome & b.accept) != 0 ? 0 : 1];
           break;
         }
         case BlockKind::kSwitch: {
-          const u64 v = read_value(input, b.input_offset, b.cmp_width);
-          u32 next = b.targets.back();
-          for (usize i = 0; i < b.cases.size(); ++i) {
-            if (v == b.cases[i]) {
-              next = b.targets[i];
+          const u64 v = read_value(input, b.input_offset, b.width,
+                                   b.value_mask);
+          const u64* pairs = code.cases.data() + b.pool_index();
+          const u32 count = b.pool_count();
+          u32 next = b.targets[1];
+          for (u32 i = 0; i < count; ++i) {
+            if (v == pairs[2 * i]) {
+              next = static_cast<u32>(pairs[2 * i + 1]);
               break;
             }
           }
@@ -118,19 +136,15 @@ class Interpreter {
           break;
         }
         case BlockKind::kStrcmp: {
-          bool equal = true;
-          for (usize i = 0; i < b.str.size(); ++i) {
-            if (byte_at(input, b.input_offset + i) != b.str[i]) {
-              equal = false;
-              break;
-            }
-          }
+          const bool equal =
+              bytes_equal(input, b.input_offset,
+                          code.bytes.data() + b.pool_index(), b.pool_count());
           cur = b.targets[equal ? 0 : 1];
           break;
         }
         case BlockKind::kLoop: {
           const u32 iters = std::min<u32>(byte_at(input, b.input_offset),
-                                          b.loop_max);
+                                          static_cast<u32>(b.imm));
           u32& count = loop_counter(cur);
           if (count < iters) {
             ++count;
@@ -154,7 +168,7 @@ class Interpreter {
           break;
         case BlockKind::kBug:
           res.outcome = ExecResult::Outcome::kCrash;
-          res.bug_id = b.bug_id;
+          res.bug_id = static_cast<u32>(b.imm);
           res.faulting_block = cur;
           res.stack_hash = hash_call_stack();
           done = true;
@@ -167,31 +181,46 @@ class Interpreter {
   }
 
  private:
+  // The program's lowered table; throws std::logic_error if it is missing
+  // or was built for a different block count.
+  static const LoweredProgram& table_of(const Program& prog);
+
   static u8 byte_at(std::span<const u8> input, usize offset) noexcept {
     return offset < input.size() ? input[offset] : 0;
   }
 
-  // Little-endian read of `width` bytes; bytes past the end of the input
-  // read as zero (short inputs simply fail wide compares).
-  static u64 read_value(std::span<const u8> input, usize offset,
-                        u32 width) noexcept {
+  // Little-endian read of `width` bytes (`mask` has the low `width` bytes
+  // set); bytes past the end of the input read as zero (short inputs
+  // simply fail wide compares). Away from the input's end this is one
+  // unaligned 8-byte load.
+  static u64 read_value(std::span<const u8> input, u32 offset, u32 width,
+                        u64 mask) noexcept {
+    if constexpr (std::endian::native == std::endian::little) {
+      if (static_cast<usize>(offset) + 8 <= input.size()) {
+        u64 v;
+        std::memcpy(&v, input.data() + offset, sizeof(v));
+        return v & mask;
+      }
+    }
     u64 v = 0;
     for (u32 i = 0; i < width; ++i) {
-      v |= static_cast<u64>(byte_at(input, offset + i)) << (8 * i);
+      v |= static_cast<u64>(byte_at(input, static_cast<usize>(offset) + i))
+           << (8 * i);
     }
     return v;
   }
 
-  static bool compare(u64 lhs, u64 rhs, CmpPred pred) noexcept {
-    switch (pred) {
-      case CmpPred::kEq: return lhs == rhs;
-      case CmpPred::kNe: return lhs != rhs;
-      case CmpPred::kLt: return lhs < rhs;
-      case CmpPred::kLe: return lhs <= rhs;
-      case CmpPred::kGt: return lhs > rhs;
-      case CmpPred::kGe: return lhs >= rhs;
+  // input[offset, offset + len) == str, bytes past the end reading as zero.
+  static bool bytes_equal(std::span<const u8> input, u32 offset,
+                          const u8* str, u32 len) noexcept {
+    const usize off = offset;
+    if (off + len <= input.size()) {
+      return std::memcmp(input.data() + off, str, len) == 0;
     }
-    return false;
+    for (u32 i = 0; i < len; ++i) {
+      if (byte_at(input, off + i) != str[i]) return false;
+    }
+    return true;
   }
 
   // Per-run loop-counter reset via the epoch trick: O(1) per run instead of

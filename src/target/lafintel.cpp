@@ -122,6 +122,7 @@ Program apply_laf_intel(const Program& src, LafIntelStats* stats) {
   st.blocks_after = out.blocks.size();
   st.static_edges_after = out.static_edge_count();
   if (stats) *stats = st;
+  out.validate();
   return out;
 }
 

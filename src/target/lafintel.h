@@ -31,6 +31,7 @@ struct LafIntelStats {
   usize split_strgates = 0;  // strcmp gates expanded byte-wise
 };
 
+// The returned program is validated (and so runnable).
 Program apply_laf_intel(const Program& src, LafIntelStats* stats = nullptr);
 
 }  // namespace bigmap

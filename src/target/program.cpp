@@ -35,6 +35,73 @@ int expected_targets(BlockKind kind) {
                               std::to_string(block) + ": " + what);
 }
 
+// CmpPred as the set of (lt, eq, gt) outcomes it accepts.
+u8 accept_mask(CmpPred pred) {
+  constexpr u8 kLt = 1, kEq = 2, kGt = 4;
+  switch (pred) {
+    case CmpPred::kEq: return kEq;
+    case CmpPred::kNe: return kLt | kGt;
+    case CmpPred::kLt: return kLt;
+    case CmpPred::kLe: return kLt | kEq;
+    case CmpPred::kGt: return kGt;
+    case CmpPred::kGe: return kGt | kEq;
+  }
+  return 0;
+}
+
+u64 width_mask(u32 width) {
+  return width >= 8 ? ~0ULL : (1ULL << (8 * width)) - 1;
+}
+
+u64 pool_ref(usize index, usize count) {
+  return static_cast<u64>(index) | (static_cast<u64>(count) << 32);
+}
+
+LoweredProgram lower(const std::vector<Block>& blocks) {
+  LoweredProgram out;
+  out.blocks.resize(blocks.size());
+  for (usize i = 0; i < blocks.size(); ++i) {
+    const Block& b = blocks[i];
+    LoweredBlock& lb = out.blocks[i];
+    lb.kind = b.kind;
+    lb.input_offset = b.input_offset;
+    for (usize t = 0; t < b.targets.size() && t < 2; ++t) {
+      lb.targets[t] = b.targets[t];
+    }
+    switch (b.kind) {
+      case BlockKind::kBranch:
+        lb.accept = accept_mask(b.pred);
+        lb.width = b.cmp_width;
+        lb.imm = b.expected;
+        lb.value_mask = width_mask(b.cmp_width);
+        break;
+      case BlockKind::kSwitch:
+        lb.width = b.cmp_width;
+        lb.value_mask = width_mask(b.cmp_width);
+        lb.targets[1] = b.targets.back();
+        lb.imm = pool_ref(out.cases.size(), b.cases.size());
+        for (usize c = 0; c < b.cases.size(); ++c) {
+          out.cases.push_back(b.cases[c]);
+          out.cases.push_back(b.targets[c]);
+        }
+        break;
+      case BlockKind::kStrcmp:
+        lb.imm = pool_ref(out.bytes.size(), b.str.size());
+        out.bytes.insert(out.bytes.end(), b.str.begin(), b.str.end());
+        break;
+      case BlockKind::kLoop:
+        lb.imm = b.loop_max;
+        break;
+      case BlockKind::kBug:
+        lb.imm = b.bug_id;
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 usize Program::static_edge_count() const noexcept {
@@ -50,7 +117,8 @@ usize Program::static_edge_count() const noexcept {
   return edges.size();
 }
 
-void Program::validate() const {
+void Program::validate() {
+  lowered_ = {};
   if (blocks.empty()) {
     throw std::invalid_argument("Program::validate: program has no blocks");
   }
@@ -134,6 +202,7 @@ void Program::validate() const {
   for (usize b = 0; b < n; ++b) {
     if (!reachable[b]) fail(b, "unreachable from entry");
   }
+  lowered_ = lower(blocks);
 }
 
 }  // namespace bigmap

@@ -30,7 +30,10 @@
 // before being handed to the interpreter: the validator rejects malformed
 // CFGs (out-of-range targets, unreachable blocks, call/return imbalance)
 // with std::invalid_argument instead of letting the interpreter walk off
-// the graph.
+// the graph. validate() also lowers the blocks into the compact table the
+// interpreter actually walks (LoweredBlock below); generate_target,
+// apply_laf_intel and build_benchmark hand out validated programs, and code
+// that edits `blocks` afterwards must call validate() again.
 #pragma once
 
 #include <string>
@@ -73,6 +76,41 @@ struct Block {
   std::vector<u8> str;
 };
 
+class Interpreter;
+
+// One block of a validated Program as the interpreter runs it: 32 bytes,
+// so a 27.6k-block program is an 864 KB table that fits in L2 (the Block
+// vector, with three heap vectors per block, is 2.6 MB plus the
+// per-block `targets` allocations). Variable-length operands live in the
+// owning table's side pools.
+struct alignas(32) LoweredBlock {
+  BlockKind kind = BlockKind::kExit;
+  // kBranch: the predicate as a mask over (lt, eq << 1, gt << 2).
+  u8 accept = 0;
+  // kBranch / kSwitch: compared width in bytes.
+  u8 width = 0;
+  u32 input_offset = 0;
+  // kFallthrough/kBranch/kStrcmp/kLoop/kCall: Block::targets; kSwitch:
+  // targets[1] is the default.
+  u32 targets[2] = {0, 0};
+  // kBranch: expected; kLoop: loop_max; kBug: bug_id; kSwitch: index of the
+  // first (case, target) pair in `cases` | pair count << 32; kStrcmp: index
+  // into `bytes` | length << 32.
+  u64 imm = 0;
+  // kBranch / kSwitch: low `width` bytes set.
+  u64 value_mask = 0;
+
+  u32 pool_index() const noexcept { return static_cast<u32>(imm); }
+  u32 pool_count() const noexcept { return static_cast<u32>(imm >> 32); }
+};
+static_assert(sizeof(LoweredBlock) == 32);
+
+struct LoweredProgram {
+  std::vector<LoweredBlock> blocks;
+  std::vector<u64> cases;  // kSwitch (case, target) pairs
+  std::vector<u8> bytes;   // kStrcmp strings
+};
+
 struct Program {
   std::string name = "unnamed";
   std::vector<Block> blocks;
@@ -90,8 +128,14 @@ struct Program {
   // first problem found. Checks per-kind target arity, target ranges,
   // switch/strcmp/loop field consistency, reachability of every block from
   // the entry, and call/return balance (no kReturn reachable with an empty
-  // simulated call stack).
-  void validate() const;
+  // simulated call stack). On success, rebuilds the lowered table the
+  // interpreter runs; on failure the table is left empty, so running the
+  // program throws instead of executing stale code.
+  void validate();
+
+ private:
+  friend class Interpreter;
+  LoweredProgram lowered_;
 };
 
 }  // namespace bigmap

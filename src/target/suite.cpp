@@ -141,9 +141,7 @@ const BenchmarkInfo* find_benchmark(std::string_view name) {
 }
 
 GeneratedTarget build_benchmark(const BenchmarkInfo& info) {
-  GeneratedTarget target = generate_target(info.gen);
-  target.program.validate();
-  return target;
+  return generate_target(info.gen);
 }
 
 std::vector<std::vector<u8>> benchmark_seeds(const GeneratedTarget& target,

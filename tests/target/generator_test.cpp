@@ -54,7 +54,7 @@ TEST(GeneratorTest, DifferentSeedsProduceDifferentPrograms) {
 
 TEST(GeneratorTest, GeneratedProgramsValidate) {
   for (u64 seed = 1; seed <= 8; ++seed) {
-    const GeneratedTarget t = generate_target(small_params(seed));
+    GeneratedTarget t = generate_target(small_params(seed));
     EXPECT_NO_THROW(t.program.validate()) << "seed " << seed;
     EXPECT_GE(t.program.blocks.size(), 300u);
   }

@@ -3,6 +3,7 @@
 // (kCrash with stable identity) and the step-budget hang detector.
 #include "target/interpreter.h"
 
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,13 +23,16 @@ ExecResult run_traced(const Program& p, const std::vector<u8>& input,
   });
 }
 
-// branch(pred) over input[0] vs `expected`: taken -> exit 1, else -> exit 2.
-Program branch_program(CmpPred pred, u64 expected, u8 width = 1) {
+// branch(pred) over input[offset] vs `expected`: taken -> exit 1, else ->
+// exit 2.
+Program branch_program(CmpPred pred, u64 expected, u8 width = 1,
+                       u32 offset = 0) {
   Program p;
   p.blocks.resize(3);
   p.blocks[0].kind = BlockKind::kBranch;
   p.blocks[0].pred = pred;
   p.blocks[0].cmp_width = width;
+  p.blocks[0].input_offset = offset;
   p.blocks[0].expected = expected;
   p.blocks[0].targets = {1, 2};
   p.blocks[1].kind = BlockKind::kExit;
@@ -38,10 +42,10 @@ Program branch_program(CmpPred pred, u64 expected, u8 width = 1) {
 }
 
 bool takes_branch(CmpPred pred, u64 expected, const std::vector<u8>& input,
-                  u8 width = 1) {
+                  u8 width = 1, u32 offset = 0) {
   Trace trace;
-  const ExecResult res =
-      run_traced(branch_program(pred, expected, width), input, &trace);
+  const ExecResult res = run_traced(
+      branch_program(pred, expected, width, offset), input, &trace);
   EXPECT_EQ(res.outcome, ExecResult::Outcome::kOk);
   EXPECT_EQ(trace.size(), 2u);
   return trace[1] == 1;
@@ -66,6 +70,32 @@ TEST(InterpreterTest, WideCompareReadsLittleEndian) {
   EXPECT_FALSE(takes_branch(CmpPred::kEq, 0xBEEF, {0xBE, 0xEF}, 2));
   EXPECT_TRUE(
       takes_branch(CmpPred::kEq, 0x01020304, {0x04, 0x03, 0x02, 0x01}, 4));
+
+  // Every width at every offset from size-8 to size: reads that fit take
+  // the 8-byte load, the rest the zero-padded tail, and both must agree
+  // with a byte-by-byte little-endian read.
+  std::vector<u8> input(16);
+  for (usize i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<u8>(0x11 * (i + 1));
+  }
+  for (u8 width : {2, 4, 8}) {
+    for (usize off = input.size() - 8; off <= input.size(); ++off) {
+      u64 want = 0;
+      for (u32 i = 0; i < width; ++i) {
+        if (off + i < input.size()) {
+          want |= static_cast<u64>(input[off + i]) << (8 * i);
+        }
+      }
+      const u32 o = static_cast<u32>(off);
+      EXPECT_TRUE(takes_branch(CmpPred::kEq, want, input, width, o))
+          << "width " << int{width} << " offset " << off;
+      EXPECT_FALSE(takes_branch(CmpPred::kEq, want ^ 1, input, width, o))
+          << "width " << int{width} << " offset " << off;
+      // The bytes above the width never leak into the compare.
+      EXPECT_FALSE(takes_branch(CmpPred::kGt, want, input, width, o))
+          << "width " << int{width} << " offset " << off;
+    }
+  }
 }
 
 TEST(InterpreterTest, BytesPastInputEndReadAsZero) {
@@ -74,6 +104,37 @@ TEST(InterpreterTest, BytesPastInputEndReadAsZero) {
   EXPECT_FALSE(takes_branch(CmpPred::kEq, 7, {}));
   // Partial wide read: {0x01} as 4 bytes is 0x00000001.
   EXPECT_TRUE(takes_branch(CmpPred::kEq, 0x01, {0x01}, 4));
+
+  // Offsets at or past the end read zero at every width.
+  const std::vector<u8> input(12, 0xAB);
+  for (u8 width : {1, 2, 4, 8}) {
+    for (u32 off : {12u, 13u, 19u, 20u, 4096u}) {
+      EXPECT_TRUE(takes_branch(CmpPred::kEq, 0, input, width, off))
+          << "width " << int{width} << " offset " << off;
+    }
+  }
+
+  // Offsets near UINT32_MAX must not wrap into an in-bounds load: offset +
+  // width overflows u32, but the bytes it would wrap to are nonzero.
+  for (u8 width : {1, 2, 4, 8}) {
+    for (u32 back : {0u, 1u, 3u, 7u}) {
+      const u32 off = 0xFFFFFFFFu - back;
+      EXPECT_TRUE(takes_branch(CmpPred::kEq, 0, input, width, off))
+          << "width " << int{width} << " offset " << off;
+    }
+  }
+  Program p;
+  p.blocks.resize(3);
+  p.blocks[0].kind = BlockKind::kStrcmp;
+  p.blocks[0].input_offset = 0xFFFFFFFEu;
+  p.blocks[0].str = {0, 0, 0, 0};
+  p.blocks[0].targets = {1, 2};
+  p.blocks[1].kind = BlockKind::kExit;
+  p.blocks[2].kind = BlockKind::kExit;
+  p.validate();
+  Trace t;
+  run_traced(p, input, &t);
+  EXPECT_EQ(t, (Trace{0, 1}));
 }
 
 TEST(InterpreterTest, SwitchSelectsMatchingCaseAndDefault) {
@@ -250,6 +311,38 @@ TEST(InterpreterTest, StepsCountExecutedBlocks) {
   const ExecResult res = run_traced(p, {}, &t);
   EXPECT_EQ(res.steps, 3u);
   EXPECT_EQ(t, (Trace{0, 1, 2}));
+}
+
+TEST(InterpreterTest, RunsOnlyValidatedPrograms) {
+  Program p;
+  p.blocks.resize(2);
+  p.blocks[0].kind = BlockKind::kFallthrough;
+  p.blocks[0].targets = {1};
+  p.blocks[1].kind = BlockKind::kExit;
+  EXPECT_THROW(run_traced(p, {}, nullptr), std::logic_error);
+
+  p.validate();
+  Trace t;
+  run_traced(p, {}, &t);
+  EXPECT_EQ(t, (Trace{0, 1}));
+
+  // Growing the program after validation leaves a table of the wrong size.
+  p.blocks[1].kind = BlockKind::kFallthrough;
+  p.blocks[1].targets = {2};
+  p.blocks.emplace_back();
+  EXPECT_THROW(run_traced(p, {}, nullptr), std::logic_error);
+  p.validate();
+  t.clear();
+  run_traced(p, {}, &t);
+  EXPECT_EQ(t, (Trace{0, 1, 2}));
+
+  // A failed validate() drops the table instead of keeping the stale one.
+  p.blocks[2].targets = {7};
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  EXPECT_THROW(run_traced(p, {}, nullptr), std::logic_error);
+
+  // The empty program still runs zero steps.
+  EXPECT_EQ(run_traced(Program{}, {}, nullptr).steps, 0u);
 }
 
 TEST(InterpreterTest, WorkPerBlockIsConfigurable) {

@@ -37,7 +37,7 @@ u32 final_block(const Program& p, const std::vector<u8>& input) {
 
 TEST(LafIntelTest, SplitsWideEqualityIntoByteCascade) {
   LafIntelStats stats;
-  const Program out = apply_laf_intel(wide_eq_program(), &stats);
+  Program out = apply_laf_intel(wide_eq_program(), &stats);
   EXPECT_NO_THROW(out.validate());
   EXPECT_EQ(stats.split_compares, 1u);
   EXPECT_EQ(stats.blocks_before, 3u);
@@ -94,7 +94,7 @@ TEST(LafIntelTest, LowersSwitchesToEqualityChains) {
   p.validate();
 
   LafIntelStats stats;
-  const Program out = apply_laf_intel(p, &stats);
+  Program out = apply_laf_intel(p, &stats);
   EXPECT_NO_THROW(out.validate());
   EXPECT_EQ(stats.split_switches, 1u);
   for (const Block& b : out.blocks) {
@@ -122,7 +122,7 @@ TEST(LafIntelTest, ExpandsStrcmpGates) {
   p.validate();
 
   LafIntelStats stats;
-  const Program out = apply_laf_intel(p, &stats);
+  Program out = apply_laf_intel(p, &stats);
   EXPECT_NO_THROW(out.validate());
   EXPECT_EQ(stats.split_strgates, 1u);
   for (const Block& b : out.blocks) {
@@ -161,7 +161,7 @@ TEST(LafIntelTest, PreservesOutcomesOnGeneratedTargets) {
   gp.frac_wide_cmp = 0.4;
   gp.frac_hard_eq = 0.5;
   const GeneratedTarget t = generate_target(gp);
-  const Program transformed = apply_laf_intel(t.program);
+  Program transformed = apply_laf_intel(t.program);
   EXPECT_NO_THROW(transformed.validate());
 
   // Generous budget: the cascade adds steps, not behaviour.

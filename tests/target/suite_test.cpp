@@ -104,7 +104,7 @@ TEST(SuiteTest, ProfileScaleTracksThePaperOrdering) {
 
 TEST(SuiteTest, EveryProfileBuildsValidatesAndRunsItsSeeds) {
   for (const BenchmarkInfo& info : full_table2_suite()) {
-    const GeneratedTarget target = build_benchmark(info);
+    GeneratedTarget target = build_benchmark(info);
     EXPECT_NO_THROW(target.program.validate()) << info.name;
     EXPECT_EQ(target.program.num_bugs, info.gen.num_bugs) << info.name;
     // The first few seeds execute without hanging on the default budget.
