@@ -61,6 +61,17 @@ struct OracleStats {
   u64 cells_exported = 0;
   u64 deltas_applied = 0;
   u64 cells_applied = 0;
+
+  OracleStats& operator+=(const OracleStats& o) noexcept {
+    checked += o.checked;
+    accepted += o.accepted;
+    rejected += o.rejected;
+    deltas_exported += o.deltas_exported;
+    cells_exported += o.cells_exported;
+    deltas_applied += o.deltas_applied;
+    cells_applied += o.cells_applied;
+    return *this;
+  }
 };
 
 // One changed virgin cell, keyed by the ORIGINAL map position.

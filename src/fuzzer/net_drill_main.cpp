@@ -10,16 +10,18 @@
 //   net_drill pair-storm <dir>      federated pair under the full network
 //                                   storm: seeded frame drops, delays,
 //                                   torn-frame short writes, connection
-//                                   resets, and a partition — the
-//                                   federation union must still match the
-//                                   single fleet exactly
+//                                   resets, and a partition (campaign
+//                                   stretched so the partition fires) —
+//                                   the federation union must still match
+//                                   the single fleet exactly
 //   net_drill pair-partition <dir>  federated pair with a long
 //                                   mid-campaign partition-and-heal: both
 //                                   sides keep fuzzing on local sync
 //                                   during the cut, reconcile on heal
 //
-// Star (3-node hub) modes over a 6-worker budget, with the virgin-map
-// novelty oracle gating every gateway link:
+// Star (3-rank) modes over a 6-worker budget, with the virgin-map
+// novelty oracle gating every gateway link. Pair and star are one code
+// path: a 2-rank or 3-rank run_federation around rank 0.
 //
 //   net_drill single-wide <dir>     one 6-worker fleet, no network — the
 //                                   reference for the star modes
@@ -160,52 +162,70 @@ void print_link_diag(const char* who, const LinkStats& n) {
       static_cast<unsigned long long>(n.bytes_received));
 }
 
-int run_star(const GeneratedTarget& target, const std::vector<Input>& seeds,
-             const std::string& mode, const std::string& dir) {
-  // Hub seed 501 (workers 501-502), spokes 503 and 505 (503-506): the
-  // union of campaign seeds across the star is exactly the single-wide
-  // baseline's set {501..506}, at the same total exec budget.
+// Every federated mode: rank 0 leads, every rank runs 2 workers. Rank r
+// starts at seed 501 + 2r, so the union of campaign seeds across the
+// federation is exactly its single baseline's set at the same total exec
+// budget.
+int run_federated(const GeneratedTarget& target,
+                  const std::vector<Input>& seeds, const std::string& mode,
+                  const std::string& dir) {
+  const bool star = mode == "star" || mode == "star-storm";
+  const usize ranks = star ? 3 : 2;
   std::vector<ProcFleetConfig> nodes;
-  nodes.push_back(make_config(dir + "/hub", 2, 501));
-  nodes.push_back(make_config(dir + "/s1", 2, 503));
-  nodes.push_back(make_config(dir + "/s2", 2, 505));
-  for (usize i = 0; i < nodes.size(); ++i) {
-    ProcFleetConfig& fc = nodes[i];
-    fc.net.node_id = i + 1;
-    fc.net.heartbeat_ms = 20;
-    fc.net.peer_timeout_ms = 400;
-    fc.net.reconnect_initial_ms = 5;
-    fc.net.reconnect_cap_ms = 100;
-    // Virgin-map novelty gate on every gateway link (hub and spokes): the
-    // drill doubles as proof the oracle never costs a find.
-    fc.net_virgin_oracle = true;
+  for (usize i = 0; i < ranks; ++i) {
+    ProcFleetConfig fc =
+        make_config(dir + "/r" + std::to_string(i), 2, 501 + 2 * i);
+    // Fast liveness so injected failures are detected and healed well
+    // within the drill's runtime.
+    fc.federation.link.heartbeat_ms = 20;
+    fc.federation.link.peer_timeout_ms = 400;
+    fc.federation.link.reconnect_initial_ms = 5;
+    fc.federation.link.reconnect_cap_ms = 100;
+    // Star: the virgin-map novelty gate on every gateway link (leader and
+    // followers) — the drill doubles as proof the oracle never costs a
+    // find.
+    fc.net_virgin_oracle = star;
+    nodes.push_back(fc);
   }
 
-  if (mode == "star-storm") {
-    // The storm rides the hub's coordinator injector (gateway instance 2,
-    // shared occurrence counters across its links), plus one spoke with
-    // its own schedule so connector-side failures fire too.
+  if (mode == "pair-storm" || mode == "star-storm") {
+    // The storm rides the leader's coordinator injector (shared occurrence
+    // counters across its links) plus rank 1's own, decorrelated schedule,
+    // so dialer-side failures fire too and the sides fail at different
+    // times.
+    for (usize i = 0; i < 2; ++i) {
+      nodes[i].fault_enabled = true;
+      nodes[i].fault_seed = 909 + i;
+      nodes[i].fault_plan = make_net_storm_plan();
+      nodes[i].federation.link.partition_ms = 300;
+    }
+    // Stretch the pair's campaign so it outlasts the partition trigger's
+    // 120th connected pump.
+    if (!star) {
+      for (ProcFleetConfig& fc : nodes) fc.base.work_per_block = 400;
+    }
+  } else if (mode == "pair-partition") {
+    // Only rank 0 cuts the link; rank 1 experiences the partition as a
+    // peer timeout and keeps retrying into the void until the heal.
     nodes[0].fault_enabled = true;
-    nodes[0].fault_seed = 909;
-    nodes[0].fault_plan = make_net_storm_plan();
-    nodes[0].net.partition_ms = 300;
-    nodes[1].fault_enabled = true;
-    nodes[1].fault_seed = 910;
-    nodes[1].fault_plan = make_net_storm_plan();
-    nodes[1].net.partition_ms = 300;
+    nodes[0].fault_seed = 911;
+    nodes[0].fault_plan = make_partition_plan();
+    nodes[0].federation.link.partition_ms = 1000;
+    // Stretch the campaign so the cut demonstrably lands mid-run with
+    // fuzzing continuing on both sides throughout.
+    for (ProcFleetConfig& fc : nodes) fc.base.work_per_block = 400;
   }
 
-  StarResult sr = run_federated_star(target.program, seeds, nodes);
-  if (!sr.ok) {
-    std::fprintf(stderr, "net_drill: %s\n", sr.error.c_str());
+  FederationResult fr = run_federation(target.program, seeds, nodes);
+  if (!fr.ok) {
+    std::fprintf(stderr, "net_drill: %s\n", fr.error.c_str());
     return 1;
   }
-  u64 oracle_checked = 0, oracle_rejected = 0, records_sent = 0;
-  u64 injected = 0, reconnects = 0;
-  for (usize i = 0; i < sr.nodes.size(); ++i) {
-    const HalfReport& r = sr.nodes[i];
-    const std::string who =
-        i == 0 ? std::string("hub") : "spoke-" + std::to_string(i);
+  LinkStats net;
+  corpus::OracleStats oracle;
+  for (usize i = 0; i < fr.nodes.size(); ++i) {
+    const NodeReport& r = fr.nodes[i];
+    const std::string who = "rank-" + std::to_string(i);
     print_link_diag(who.c_str(), r.net);
     std::fprintf(stderr,
                  "[%s] oracle checked=%llu accepted=%llu rejected=%llu\n",
@@ -213,39 +233,45 @@ int run_star(const GeneratedTarget& target, const std::vector<Input>& seeds,
                  static_cast<unsigned long long>(r.oracle.checked),
                  static_cast<unsigned long long>(r.oracle.accepted),
                  static_cast<unsigned long long>(r.oracle.rejected));
-    oracle_checked += r.oracle.checked;
-    oracle_rejected += r.oracle.rejected;
-    records_sent += r.net.records_sent;
-    injected += r.net.injected_drops + r.net.injected_delays +
-                r.net.injected_short_writes + r.net.injected_resets +
-                r.net.injected_partitions;
-    reconnects += r.net.reconnects;
+    net = sum_link_stats(net, r.net);
+    oracle += r.oracle;
   }
-  print_union(sr.found_bug_ids, sr.found_stack_hashes, sr.total_execs,
-              sr.all_completed);
+  print_union(fr.found_bug_ids, fr.found_stack_hashes, fr.total_execs,
+              fr.all_completed);
 
-  if (records_sent == 0) {
+  // Self-checks: the exchange must have happened, and chaos modes must
+  // have actually hurt the network (otherwise the drill proves nothing).
+  if (net.records_sent == 0) {
     std::fprintf(stderr, "net_drill: no corpus exchange happened\n");
     return 3;
   }
-  if (oracle_checked == 0) {
-    std::fprintf(stderr, "net_drill: the novelty oracle never engaged\n");
-    return 3;
+  if (star) {
+    if (oracle.checked == 0) {
+      std::fprintf(stderr, "net_drill: the novelty oracle never engaged\n");
+      return 3;
+    }
+    std::fprintf(stderr, "[star] oracle_reject_ratio=%.3f\n",
+                 static_cast<double>(oracle.rejected) /
+                     static_cast<double>(oracle.checked));
   }
-  std::fprintf(stderr, "[star] oracle_reject_ratio=%.3f\n",
-               static_cast<double>(oracle_rejected) /
-                   static_cast<double>(oracle_checked));
-  if (mode == "star-storm") {
+  if (mode == "pair-storm" || mode == "star-storm") {
+    const u64 injected = net.injected_drops + net.injected_delays +
+                         net.injected_short_writes + net.injected_resets +
+                         net.injected_partitions;
     if (injected == 0) {
       std::fprintf(stderr, "net_drill: storm injected no faults\n");
       return 3;
     }
-    if (reconnects == 0) {
+    if (net.reconnects == 0) {
       std::fprintf(stderr, "net_drill: storm forced no reconnects\n");
       return 3;
     }
   }
-  return sr.all_completed ? 0 : 1;
+  if (mode == "pair-partition" && net.injected_partitions == 0) {
+    std::fprintf(stderr, "net_drill: no partition was injected\n");
+    return 3;
+  }
+  return fr.all_completed ? 0 : 1;
 }
 
 }  // namespace
@@ -281,83 +307,5 @@ int main(int argc, char** argv) {
     return r.all_completed() ? 0 : 1;
   }
 
-  if (mode == "star" || mode == "star-storm") {
-    return run_star(target, seeds, mode, dir);
-  }
-
-  ProcFleetConfig a = make_config(dir + "/a", 2, 501);
-  ProcFleetConfig b = make_config(dir + "/b", 2, 503);
-  a.net.node_id = 1;
-  b.net.node_id = 2;
-  // Fast liveness so injected failures are detected and healed well within
-  // the drill's runtime.
-  for (ProcFleetConfig* fc : {&a, &b}) {
-    fc->net.heartbeat_ms = 20;
-    fc->net.peer_timeout_ms = 400;
-    fc->net.reconnect_initial_ms = 5;
-    fc->net.reconnect_cap_ms = 100;
-  }
-
-  if (mode == "pair-storm") {
-    const FaultPlan plan = make_net_storm_plan();
-    a.fault_enabled = true;
-    a.fault_seed = 909;
-    a.fault_plan = plan;
-    b.fault_enabled = true;
-    b.fault_seed = 910;  // decorrelated: the sides fail at different times
-    b.fault_plan = plan;
-    a.net.partition_ms = 300;
-    b.net.partition_ms = 300;
-  } else if (mode == "pair-partition") {
-    const FaultPlan plan = make_partition_plan();
-    a.fault_enabled = true;
-    a.fault_seed = 911;
-    a.fault_plan = plan;
-    // Only A cuts the link; B experiences the partition as a peer timeout
-    // and keeps retrying into the void until the heal.
-    a.net.partition_ms = 1000;
-    // Stretch the campaign so the cut demonstrably lands mid-run with
-    // fuzzing continuing on both sides throughout.
-    a.base.work_per_block = 400;
-    b.base.work_per_block = 400;
-  }
-
-  FederatedResult fr = run_federated_pair(target.program, seeds, a, b);
-  if (!fr.ok) {
-    std::fprintf(stderr, "net_drill: %s\n", fr.error.c_str());
-    return 1;
-  }
-  print_link_diag("half-a", fr.a.net);
-  print_link_diag("half-b", fr.b.net);
-  print_union(fr.found_bug_ids, fr.found_stack_hashes, fr.total_execs,
-              fr.all_completed);
-
-  // Self-checks: the exchange must have happened, and chaos modes must
-  // have actually hurt the network (otherwise the drill proves nothing).
-  if (fr.a.net.records_sent == 0 && fr.b.net.records_sent == 0) {
-    std::fprintf(stderr, "net_drill: no corpus exchange happened\n");
-    return 3;
-  }
-  if (mode == "pair-storm") {
-    const u64 injected =
-        fr.a.net.injected_drops + fr.a.net.injected_delays +
-        fr.a.net.injected_short_writes + fr.a.net.injected_resets +
-        fr.a.net.injected_partitions + fr.b.net.injected_drops +
-        fr.b.net.injected_delays + fr.b.net.injected_short_writes +
-        fr.b.net.injected_resets + fr.b.net.injected_partitions;
-    if (injected == 0) {
-      std::fprintf(stderr, "net_drill: storm injected no faults\n");
-      return 3;
-    }
-    if (fr.a.net.reconnects + fr.b.net.reconnects == 0) {
-      std::fprintf(stderr, "net_drill: storm forced no reconnects\n");
-      return 3;
-    }
-  }
-  if (mode == "pair-partition" &&
-      fr.a.net.injected_partitions + fr.b.net.injected_partitions == 0) {
-    std::fprintf(stderr, "net_drill: no partition was injected\n");
-    return 3;
-  }
-  return fr.all_completed ? 0 : 1;
+  return run_federated(target, seeds, mode, dir);
 }

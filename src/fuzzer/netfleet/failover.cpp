@@ -39,24 +39,13 @@ std::vector<u8> wal_header() {
   return out;
 }
 
-void fold_oracle(corpus::OracleStats& into, const corpus::OracleStats& s) {
-  into.checked += s.checked;
-  into.accepted += s.accepted;
-  into.rejected += s.rejected;
-  into.deltas_exported += s.deltas_exported;
-  into.cells_exported += s.cells_exported;
-  into.deltas_applied += s.deltas_applied;
-  into.cells_applied += s.cells_applied;
-}
-
 }  // namespace
 
 FailoverMesh::FailoverMesh(SyncEndpoint* inner, u32 gateway_instance,
-                           FailoverNodeConfig cfg, OracleFactory factory,
+                           FederationConfig cfg, OracleFactory factory,
                            FaultInjector* fault,
                            telemetry::MetricRegistry* reg)
-    : inner_(inner),
-      gateway_(gateway_instance),
+    : Gateway(inner, gateway_instance),
       cfg_(std::move(cfg)),
       factory_(std::move(factory)),
       fault_(fault),
@@ -79,26 +68,6 @@ FailoverMesh::FailoverMesh(SyncEndpoint* inner, u32 gateway_instance,
 }
 
 FailoverMesh::~FailoverMesh() = default;
-
-u32 FailoverMesh::num_instances() const noexcept {
-  return inner_->num_instances();
-}
-
-bool FailoverMesh::publish(u32 instance, Input input) {
-  return inner_->publish(instance, std::move(input));
-}
-
-std::vector<Input> FailoverMesh::fetch_new(u32 instance) {
-  return inner_->fetch_new(instance);
-}
-
-void FailoverMesh::reset_cursor(u32 instance) {
-  inner_->reset_cursor(instance);
-}
-
-u64 FailoverMesh::total_published() const { return inner_->total_published(); }
-
-SyncHubStats FailoverMesh::stats() const { return inner_->stats(); }
 
 std::unique_ptr<corpus::NoveltyOracle> FailoverMesh::make_model() const {
   return factory_ ? factory_() : nullptr;
@@ -156,27 +125,6 @@ void FailoverMesh::journal_delta(const Input& blob) {
 
 // ---- Role transitions ----------------------------------------------------
 
-NetPeerConfig FailoverMesh::link_config(bool listener, u32 remote_rank) const {
-  NetPeerConfig c = cfg_.link;
-  c.enabled = true;
-  c.epoch = epoch_;
-  c.rank = cfg_.rank;
-  if (listener) {
-    c.listener = true;
-    c.listen_fd = remote_rank < cfg_.listen_fds.size()
-                      ? cfg_.listen_fds[remote_rank]
-                      : -1;
-    c.port = 0;
-  } else {
-    c.listener = false;
-    c.listen_fd = -1;
-    c.port = remote_rank < cfg_.dial_ports.size()
-                 ? cfg_.dial_ports[remote_rank]
-                 : 0;
-  }
-  return c;
-}
-
 // Folds the stats of every current link/model into the carried totals and
 // destroys the links — re-homing must not erase the old epoch's accounting.
 void FailoverMesh::capture_handoff(Peer& p) {
@@ -201,8 +149,9 @@ void FailoverMesh::promote(u64 now_ns, bool resumed) {
     if (r == cfg_.rank) continue;
     Peer p;
     p.rank = r;
-    p.link = std::make_unique<PeerLink>(link_config(/*listener=*/true, r),
-                                        fault_, gateway_, reg_);
+    p.link = std::make_unique<PeerLink>(
+        federation_link(cfg_, /*listener=*/true, r, epoch_), fault_, gateway_,
+        reg_);
     p.oracle = make_model();
     peers_.push_back(std::move(p));
   }
@@ -223,7 +172,8 @@ void FailoverMesh::rehome(u32 new_leader, u64 now_ns, bool rejoin) {
   Peer p;
   p.rank = new_leader;
   p.link = std::make_unique<PeerLink>(
-      link_config(/*listener=*/false, new_leader), fault_, gateway_, reg_);
+      federation_link(cfg_, /*listener=*/false, new_leader, epoch_), fault_,
+      gateway_, reg_);
   peers_.push_back(std::move(p));
   last_leader_seen_ns_ = now_ns;
   last_delta_ns_ = now_ns;
@@ -242,7 +192,7 @@ void FailoverMesh::rehome(u32 new_leader, u64 now_ns, bool rejoin) {
 void FailoverMesh::retire_links() {
   for (Peer& p : peers_) {
     net_carried_ = sum_link_stats(net_carried_, p.link->stats());
-    if (p.oracle != nullptr) fold_oracle(oracle_carried_, p.oracle->stats());
+    if (p.oracle != nullptr) oracle_carried_ += p.oracle->stats();
   }
   peers_.clear();
 }
@@ -319,8 +269,9 @@ void FailoverMesh::start_probe(u64 now_ns) {
     if (r == cfg_.rank) continue;
     Peer p;
     p.rank = r;
-    p.link = std::make_unique<PeerLink>(link_config(/*listener=*/false, r),
-                                        fault_, gateway_, reg_);
+    p.link = std::make_unique<PeerLink>(
+        federation_link(cfg_, /*listener=*/false, r, epoch_), fault_, gateway_,
+        reg_);
     peers_.push_back(std::move(p));
   }
 }
@@ -528,9 +479,9 @@ FailoverStats FailoverMesh::failover_stats() const {
   s.oracle = oracle_carried_;
   for (const Peer& p : peers_) {
     s.net = sum_link_stats(s.net, p.link->stats());
-    if (p.oracle != nullptr) fold_oracle(s.oracle, p.oracle->stats());
+    if (p.oracle != nullptr) s.oracle += p.oracle->stats();
   }
-  if (my_oracle_ != nullptr) fold_oracle(s.oracle, my_oracle_->stats());
+  if (my_oracle_ != nullptr) s.oracle += my_oracle_->stats();
   return s;
 }
 

@@ -1,5 +1,6 @@
-// FailoverMesh: the self-healing federation node — a SyncEndpoint gateway
-// that survives the one fault MeshHub cannot: the death of the hub itself.
+// FailoverMesh: the self-healing federation node — the Gateway (mesh.h)
+// for a FederationConfig with failover on. It survives the one fault a
+// static MeshHub cannot: the death of the hub itself.
 //
 // Every node in the federation runs one FailoverMesh over a static rank
 // table [0, num_nodes). Exactly one rank leads an **epoch**; the others
@@ -53,7 +54,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -64,96 +64,28 @@
 
 namespace bigmap::netfleet {
 
-struct FailoverNodeConfig {
-  bool enabled = false;
-
-  // Static identity. Ranks are [0, num_nodes); initial_leader leads
-  // initial_epoch. Epoch 0 is reserved (epoch-agnostic links), so
-  // initial_epoch must be >= 1.
-  u32 rank = 0;
-  u32 num_nodes = 0;
-  u32 initial_leader = 0;
-  u64 initial_epoch = 1;
-
-  // Pre-bound wiring. listen_fds[s] is OUR listener that rank s dials
-  // when WE lead (-1 at index == rank). dial_ports[r] is the port WE dial
-  // when rank r leads. Both sized num_nodes.
-  std::vector<int> listen_fds;
-  std::vector<u16> dial_ports;
-
-  // Per-link template: fingerprint, node id, liveness/backoff tuning,
-  // chaos wiring. listener/port/epoch/rank fields are overwritten per
-  // link.
-  NetPeerConfig link;
-
-  // Leader-link silence (never established) before a spoke declares the
-  // leader dead and elects. Must comfortably exceed the link's own
-  // peer_timeout + reconnect backoff so transient faults heal in-session.
-  u32 election_timeout_ms = 600;
-
-  // Steady-state oracle delta cadence on follower links (0 = only the
-  // full-state snapshot at (re)home time).
-  u32 delta_interval_ms = 40;
-
-  // Resurrected-node behavior. resume_probe: before acting on the
-  // journaled role, dial every other rank and listen for a newer epoch;
-  // on silence, resume the prior role. stale_fatal: when a newer epoch is
-  // observed, latch fenced (refuse to participate ever again) instead of
-  // rejoining it.
-  bool resume_probe = false;
-  bool stale_fatal = false;
-  u32 probe_timeout_ms = 0;  // 0 -> 2 * election_timeout_ms
-
-  // Federation WAL path (empty = no journaling, no epoch resume).
-  std::string wal_path;
-};
-
-struct FailoverStats {
-  u64 epoch = 0;
-  u32 role = 0;  // 0 leader, 1 follower, 2 probing, 3 fenced
-  u32 leader_rank = 0;
-  u64 elections = 0;    // leader deaths this node detected
-  u64 promotions = 0;   // elections this node won
-  u64 rehomes = 0;      // re-homes to a successor (incl. rejoins)
-  u64 rejoins = 0;      // re-homes caused by observing a newer epoch
-  u64 fenced = 0;       // 1 when stale-fatal latched
-  u64 handoff_reoffered = 0;  // unacked entries re-offered across an epoch
-  u64 dup_suppressed = 0;     // cross-epoch duplicate publishes suppressed
-  u64 deltas_shipped = 0;     // delta records offered to the wire
-  u64 deltas_applied = 0;     // delta records applied to per-peer models
-  LinkStats net;              // aggregate over this node's current links
-  corpus::OracleStats oracle;  // aggregate over this node's models
-};
-
-class FailoverMesh final : public SyncEndpoint {
+class FailoverMesh final : public Gateway {
  public:
   using OracleFactory =
       std::function<std::unique_ptr<corpus::NoveltyOracle>()>;
 
-  // `inner` as in MeshHub (one extra instance, the gateway). `factory`
-  // builds one fresh remote model per peer link (may be null / return
-  // null: content-hash filtering only, no delta sync). `fault` drives the
-  // kNet* chaos sites; `reg` receives failover.* counters.
+  // `inner` as in Gateway (one extra instance, the gateway). `cfg` must
+  // have failover on. `factory` builds one fresh remote model per peer
+  // link (may be null / return null: content-hash filtering only, no
+  // delta sync). `fault` drives the kNet* chaos sites; `reg` receives
+  // failover.* counters.
   FailoverMesh(SyncEndpoint* inner, u32 gateway_instance,
-               FailoverNodeConfig cfg, OracleFactory factory,
+               FederationConfig cfg, OracleFactory factory,
                FaultInjector* fault, telemetry::MetricRegistry* reg);
   ~FailoverMesh() override;
 
-  u32 num_instances() const noexcept override;
-  bool publish(u32 instance, Input input) override;
-  std::vector<Input> fetch_new(u32 instance) override;
-  void reset_cursor(u32 instance) override;
-  u64 total_published() const override;
-  SyncHubStats stats() const override;
-
-  // Drives links, elections, delta sync, and epoch reactions; call from
-  // the coordinator loop every few milliseconds.
-  void pump(u64 now_ns);
+  // Drives links, elections, delta sync, and epoch reactions.
+  void pump(u64 now_ns) override;
 
   // Final export sweep, link drains, goodbye. Fenced nodes no-op.
-  void shutdown(u64 now_ns);
+  void shutdown(u64 now_ns) override;
 
-  FailoverStats failover_stats() const;
+  FailoverStats failover_stats() const override;
 
  private:
   enum class Role { kLeader, kFollower, kProbing, kFenced };
@@ -167,7 +99,6 @@ class FailoverMesh final : public SyncEndpoint {
   void journal_epoch(u8 reason);
   void journal_delta(const Input& blob);
   void load_wal();
-  NetPeerConfig link_config(bool listener, u32 remote_rank) const;
   std::unique_ptr<corpus::NoveltyOracle> make_model() const;
   void publish_once(Input in);
   void export_gated(Peer& p, const Input& in);
@@ -187,9 +118,7 @@ class FailoverMesh final : public SyncEndpoint {
     if (c != nullptr) c->add(n);
   }
 
-  SyncEndpoint* inner_;
-  const u32 gateway_;
-  const FailoverNodeConfig cfg_;
+  const FederationConfig cfg_;
   OracleFactory factory_;
   FaultInjector* fault_;
   telemetry::MetricRegistry* reg_;

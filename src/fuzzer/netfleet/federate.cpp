@@ -1,37 +1,84 @@
 #include "fuzzer/netfleet/federate.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <exception>
 #include <set>
 #include <sstream>
-#include <thread>
+#include <utility>
 
 #include "fuzzer/netfleet/transport.h"
 #include "util/syscall.h"
+#include "util/timing.h"
 
 namespace bigmap::netfleet {
 namespace {
 
-// Reads until EOF (the child closing its end of the pipe).
-std::string read_all(int fd) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const ssize_t r = xread(fd, buf, sizeof(buf));
-    if (r <= 0) break;
-    out.append(buf, static_cast<usize>(r));
-  }
-  return out;
+constexpr u64 kMsNs = 1'000'000ull;
+
+// The report codec's one key table: calls f(key, field) for every scalar
+// field of a NodeReport, for encode (const) and decode alike. ok, error
+// and the two find lists are handled separately.
+template <class Report, class F>
+void for_each_field(Report& r, F&& f) {
+  f("total_execs", r.total_execs);
+  f("total_interesting", r.total_interesting);
+  f("total_crashes", r.total_crashes);
+  f("all_completed", r.all_completed);
+  f("net_bytes_sent", r.net.bytes_sent);
+  f("net_bytes_received", r.net.bytes_received);
+  f("net_records_sent", r.net.records_sent);
+  f("net_records_received", r.net.records_received);
+  f("net_deltas_sent", r.net.deltas_sent);
+  f("net_deltas_received", r.net.deltas_received);
+  f("net_entries_offered", r.net.entries_offered);
+  f("net_novelty_filtered", r.net.novelty_filtered);
+  f("net_duplicates_dropped", r.net.duplicates_dropped);
+  f("net_out_of_order_dropped", r.net.out_of_order_dropped);
+  f("net_rewinds", r.net.rewinds);
+  f("net_connects", r.net.connects);
+  f("net_reconnects", r.net.reconnects);
+  f("net_heartbeat_timeouts", r.net.heartbeat_timeouts);
+  f("net_conn_errors", r.net.conn_errors);
+  f("net_hello_rejected", r.net.hello_rejected);
+  f("net_injected_drops", r.net.injected_drops);
+  f("net_injected_delays", r.net.injected_delays);
+  f("net_injected_short_writes", r.net.injected_short_writes);
+  f("net_injected_resets", r.net.injected_resets);
+  f("net_injected_partitions", r.net.injected_partitions);
+  f("net_partition_ms", r.net.partition_ms_total);
+  f("net_log_evicted", r.net.log_evicted);
+  f("net_lost_to_eviction", r.net.lost_to_eviction);
+  f("net_resyncs_sent", r.net.resyncs_sent);
+  f("net_resync_skipped", r.net.resync_skipped);
+  f("net_stale_hellos_dropped", r.net.stale_hellos_dropped);
+  f("net_epoch_ahead_seen", r.net.epoch_ahead_seen);
+  f("oracle_checked", r.oracle.checked);
+  f("oracle_accepted", r.oracle.accepted);
+  f("oracle_rejected", r.oracle.rejected);
+  f("oracle_deltas_exported", r.oracle.deltas_exported);
+  f("oracle_cells_exported", r.oracle.cells_exported);
+  f("oracle_deltas_applied", r.oracle.deltas_applied);
+  f("oracle_cells_applied", r.oracle.cells_applied);
+  f("fo_epoch", r.failover.epoch);
+  f("fo_role", r.failover.role);
+  f("fo_leader", r.failover.leader_rank);
+  f("fo_elections", r.failover.elections);
+  f("fo_promotions", r.failover.promotions);
+  f("fo_rehomes", r.failover.rehomes);
+  f("fo_rejoins", r.failover.rejoins);
+  f("fo_fenced", r.failover.fenced);
+  f("fo_handoff_reoffered", r.failover.handoff_reoffered);
+  f("fo_dup_suppressed", r.failover.dup_suppressed);
+  f("fo_deltas_shipped", r.failover.deltas_shipped);
+  f("fo_deltas_applied", r.failover.deltas_applied);
 }
 
-// One forked coordinator half: runs the fleet, reports over `pipe_wr`,
-// never returns.
+// One forked coordinator: runs the fleet, reports over `pipe_wr`, never
+// returns.
 [[noreturn]] void child_main(const Program& program,
                              const std::vector<Input>& seeds,
                              const procfleet::ProcFleetConfig& config,
@@ -40,12 +87,12 @@ std::string read_all(int fd) {
   try {
     const procfleet::ProcFleetResult r =
         run_process_fleet(program, seeds, config);
-    report = encode_half_report(r, true, "");
+    report = encode_node_report(r, true, "");
   } catch (const std::exception& e) {
-    report = encode_half_report(procfleet::ProcFleetResult{}, false,
+    report = encode_node_report(procfleet::ProcFleetResult{}, false,
                                 e.what());
   } catch (...) {
-    report = encode_half_report(procfleet::ProcFleetResult{}, false,
+    report = encode_node_report(procfleet::ProcFleetResult{}, false,
                                 "unknown exception");
   }
   (void)write_full(pipe_wr, reinterpret_cast<const u8*>(report.data()),
@@ -56,8 +103,17 @@ std::string read_all(int fd) {
 
 }  // namespace
 
-std::string encode_half_report(const procfleet::ProcFleetResult& r, bool ok,
+std::string encode_node_report(const procfleet::ProcFleetResult& r, bool ok,
                                const std::string& error) {
+  NodeReport n;
+  n.total_execs = r.total_execs;
+  n.total_interesting = r.total_interesting;
+  n.total_crashes = r.total_crashes;
+  n.all_completed = r.all_completed();
+  n.net = r.net;
+  n.oracle = r.oracle;
+  n.failover = r.failover;
+
   std::ostringstream os;
   os << "ok " << (ok ? 1 : 0) << "\n";
   if (!error.empty()) os << "error " << error << "\n";
@@ -65,64 +121,15 @@ std::string encode_half_report(const procfleet::ProcFleetResult& r, bool ok,
   for (u32 b : r.found_bug_ids) os << ' ' << b;
   os << "\nstack_hashes";
   for (u64 h : r.found_stack_hashes) os << ' ' << h;
-  os << "\ntotal_execs " << r.total_execs;
-  os << "\ntotal_interesting " << r.total_interesting;
-  os << "\ntotal_crashes " << r.total_crashes;
-  os << "\nall_completed " << (r.all_completed() ? 1 : 0);
-  const LinkStats& n = r.net;
-  os << "\nnet_bytes_sent " << n.bytes_sent;
-  os << "\nnet_bytes_received " << n.bytes_received;
-  os << "\nnet_records_sent " << n.records_sent;
-  os << "\nnet_records_received " << n.records_received;
-  os << "\nnet_entries_offered " << n.entries_offered;
-  os << "\nnet_novelty_filtered " << n.novelty_filtered;
-  os << "\nnet_duplicates_dropped " << n.duplicates_dropped;
-  os << "\nnet_out_of_order_dropped " << n.out_of_order_dropped;
-  os << "\nnet_rewinds " << n.rewinds;
-  os << "\nnet_connects " << n.connects;
-  os << "\nnet_reconnects " << n.reconnects;
-  os << "\nnet_heartbeat_timeouts " << n.heartbeat_timeouts;
-  os << "\nnet_conn_errors " << n.conn_errors;
-  os << "\nnet_injected_drops " << n.injected_drops;
-  os << "\nnet_injected_delays " << n.injected_delays;
-  os << "\nnet_injected_short_writes " << n.injected_short_writes;
-  os << "\nnet_injected_resets " << n.injected_resets;
-  os << "\nnet_injected_partitions " << n.injected_partitions;
-  os << "\nnet_partition_ms " << n.partition_ms_total;
-  os << "\nnet_log_evicted " << n.log_evicted;
-  os << "\nnet_lost_to_eviction " << n.lost_to_eviction;
-  os << "\nnet_deltas_sent " << n.deltas_sent;
-  os << "\nnet_deltas_received " << n.deltas_received;
-  os << "\nnet_resyncs_sent " << n.resyncs_sent;
-  os << "\nnet_resync_skipped " << n.resync_skipped;
-  os << "\nnet_stale_hellos_dropped " << n.stale_hellos_dropped;
-  os << "\nnet_epoch_ahead_seen " << n.epoch_ahead_seen;
-  os << "\noracle_checked " << r.oracle.checked;
-  os << "\noracle_accepted " << r.oracle.accepted;
-  os << "\noracle_rejected " << r.oracle.rejected;
-  os << "\noracle_deltas_exported " << r.oracle.deltas_exported;
-  os << "\noracle_cells_exported " << r.oracle.cells_exported;
-  os << "\noracle_deltas_applied " << r.oracle.deltas_applied;
-  os << "\noracle_cells_applied " << r.oracle.cells_applied;
-  const FailoverStats& f = r.failover;
-  os << "\nfo_epoch " << f.epoch;
-  os << "\nfo_role " << f.role;
-  os << "\nfo_leader " << f.leader_rank;
-  os << "\nfo_elections " << f.elections;
-  os << "\nfo_promotions " << f.promotions;
-  os << "\nfo_rehomes " << f.rehomes;
-  os << "\nfo_rejoins " << f.rejoins;
-  os << "\nfo_fenced " << f.fenced;
-  os << "\nfo_handoff_reoffered " << f.handoff_reoffered;
-  os << "\nfo_dup_suppressed " << f.dup_suppressed;
-  os << "\nfo_deltas_shipped " << f.deltas_shipped;
-  os << "\nfo_deltas_applied " << f.deltas_applied;
   os << "\n";
+  for_each_field(std::as_const(n), [&](const char* key, const auto& v) {
+    os << key << ' ' << v << "\n";
+  });
   return os.str();
 }
 
-bool decode_half_report(const std::string& text, HalfReport* out) {
-  HalfReport r;
+bool decode_node_report(const std::string& text, NodeReport* out) {
+  NodeReport r;
   bool saw_ok = false;
   std::istringstream is(text);
   std::string line;
@@ -131,9 +138,7 @@ bool decode_half_report(const std::string& text, HalfReport* out) {
     std::string key;
     if (!(ls >> key)) continue;
     if (key == "ok") {
-      int v = 0;
-      ls >> v;
-      r.ok = v != 0;
+      ls >> r.ok;
       saw_ok = true;
     } else if (key == "error") {
       std::getline(ls, r.error);
@@ -144,108 +149,10 @@ bool decode_half_report(const std::string& text, HalfReport* out) {
     } else if (key == "stack_hashes") {
       u64 v;
       while (ls >> v) r.stack_hashes.push_back(v);
-    } else if (key == "total_execs") {
-      ls >> r.total_execs;
-    } else if (key == "total_interesting") {
-      ls >> r.total_interesting;
-    } else if (key == "total_crashes") {
-      ls >> r.total_crashes;
-    } else if (key == "all_completed") {
-      int v = 0;
-      ls >> v;
-      r.all_completed = v != 0;
-    } else if (key == "net_bytes_sent") {
-      ls >> r.net.bytes_sent;
-    } else if (key == "net_bytes_received") {
-      ls >> r.net.bytes_received;
-    } else if (key == "net_records_sent") {
-      ls >> r.net.records_sent;
-    } else if (key == "net_records_received") {
-      ls >> r.net.records_received;
-    } else if (key == "net_entries_offered") {
-      ls >> r.net.entries_offered;
-    } else if (key == "net_novelty_filtered") {
-      ls >> r.net.novelty_filtered;
-    } else if (key == "net_duplicates_dropped") {
-      ls >> r.net.duplicates_dropped;
-    } else if (key == "net_out_of_order_dropped") {
-      ls >> r.net.out_of_order_dropped;
-    } else if (key == "net_rewinds") {
-      ls >> r.net.rewinds;
-    } else if (key == "net_connects") {
-      ls >> r.net.connects;
-    } else if (key == "net_reconnects") {
-      ls >> r.net.reconnects;
-    } else if (key == "net_heartbeat_timeouts") {
-      ls >> r.net.heartbeat_timeouts;
-    } else if (key == "net_conn_errors") {
-      ls >> r.net.conn_errors;
-    } else if (key == "net_injected_drops") {
-      ls >> r.net.injected_drops;
-    } else if (key == "net_injected_delays") {
-      ls >> r.net.injected_delays;
-    } else if (key == "net_injected_short_writes") {
-      ls >> r.net.injected_short_writes;
-    } else if (key == "net_injected_resets") {
-      ls >> r.net.injected_resets;
-    } else if (key == "net_injected_partitions") {
-      ls >> r.net.injected_partitions;
-    } else if (key == "net_partition_ms") {
-      ls >> r.net.partition_ms_total;
-    } else if (key == "net_log_evicted") {
-      ls >> r.net.log_evicted;
-    } else if (key == "net_lost_to_eviction") {
-      ls >> r.net.lost_to_eviction;
-    } else if (key == "net_deltas_sent") {
-      ls >> r.net.deltas_sent;
-    } else if (key == "net_deltas_received") {
-      ls >> r.net.deltas_received;
-    } else if (key == "net_resyncs_sent") {
-      ls >> r.net.resyncs_sent;
-    } else if (key == "net_resync_skipped") {
-      ls >> r.net.resync_skipped;
-    } else if (key == "net_stale_hellos_dropped") {
-      ls >> r.net.stale_hellos_dropped;
-    } else if (key == "net_epoch_ahead_seen") {
-      ls >> r.net.epoch_ahead_seen;
-    } else if (key == "oracle_checked") {
-      ls >> r.oracle.checked;
-    } else if (key == "oracle_accepted") {
-      ls >> r.oracle.accepted;
-    } else if (key == "oracle_rejected") {
-      ls >> r.oracle.rejected;
-    } else if (key == "oracle_deltas_exported") {
-      ls >> r.oracle.deltas_exported;
-    } else if (key == "oracle_cells_exported") {
-      ls >> r.oracle.cells_exported;
-    } else if (key == "oracle_deltas_applied") {
-      ls >> r.oracle.deltas_applied;
-    } else if (key == "oracle_cells_applied") {
-      ls >> r.oracle.cells_applied;
-    } else if (key == "fo_epoch") {
-      ls >> r.failover.epoch;
-    } else if (key == "fo_role") {
-      ls >> r.failover.role;
-    } else if (key == "fo_leader") {
-      ls >> r.failover.leader_rank;
-    } else if (key == "fo_elections") {
-      ls >> r.failover.elections;
-    } else if (key == "fo_promotions") {
-      ls >> r.failover.promotions;
-    } else if (key == "fo_rehomes") {
-      ls >> r.failover.rehomes;
-    } else if (key == "fo_rejoins") {
-      ls >> r.failover.rejoins;
-    } else if (key == "fo_fenced") {
-      ls >> r.failover.fenced;
-    } else if (key == "fo_handoff_reoffered") {
-      ls >> r.failover.handoff_reoffered;
-    } else if (key == "fo_dup_suppressed") {
-      ls >> r.failover.dup_suppressed;
-    } else if (key == "fo_deltas_shipped") {
-      ls >> r.failover.deltas_shipped;
-    } else if (key == "fo_deltas_applied") {
-      ls >> r.failover.deltas_applied;
+    } else {
+      for_each_field(r, [&](const char* k, auto& v) {
+        if (key == k) ls >> v;
+      });
     }
   }
   if (!saw_ok) return false;
@@ -253,299 +160,33 @@ bool decode_half_report(const std::string& text, HalfReport* out) {
   return true;
 }
 
-FederatedResult run_federated_pair(const Program& program,
-                                   const std::vector<Input>& seeds,
-                                   procfleet::ProcFleetConfig a,
-                                   procfleet::ProcFleetConfig b) {
-  FederatedResult out;
-  ignore_sigpipe();
-
-  // Bind the listener in the parent: the connector half then knows the
-  // port before either child exists, and the listening socket survives a
-  // listener-coordinator that is still setting up.
-  u16 port = 0;
-  std::string err;
-  const int listen_fd = tcp_listen("127.0.0.1", &port, &err);
-  if (listen_fd < 0) {
-    out.error = "federate: " + err;
-    return out;
-  }
-
-  // Shared session identity: derive it from config the federation halves
-  // genuinely have in common — seeds and worker counts legitimately differ
-  // between halves, so the coordinator's per-fleet auto-fingerprint would
-  // spuriously mismatch.
-  if (a.net.session_fingerprint == 0 && b.net.session_fingerprint == 0) {
-    u64 h = 0x66656465ull;
-    for (u64 v :
-         {a.base.max_execs, static_cast<u64>(a.base.scheme),
-          static_cast<u64>(a.base.metric),
-          static_cast<u64>(a.base.map.map_size)}) {
-      h = (h ^ v) * 0x100000001b3ull;
-    }
-    a.net.session_fingerprint = h;
-    b.net.session_fingerprint = h;
-  }
-
-  a.net.enabled = true;
-  a.net.listener = true;
-  a.net.listen_fd = listen_fd;
-  a.net.port = port;
-  b.net.enabled = true;
-  b.net.listener = false;
-  b.net.host = "127.0.0.1";
-  b.net.port = port;
-
-  int pipe_a[2] = {-1, -1};
-  int pipe_b[2] = {-1, -1};
-  if (::pipe(pipe_a) != 0 || ::pipe(pipe_b) != 0) {
-    out.error = "federate: pipe failed";
-    xclose(listen_fd);
-    if (pipe_a[0] >= 0) {
-      xclose(pipe_a[0]);
-      xclose(pipe_a[1]);
-    }
-    return out;
-  }
-
-  const pid_t pid_a = ::fork();
-  if (pid_a == 0) {
-    xclose(pipe_a[0]);
-    xclose(pipe_b[0]);
-    xclose(pipe_b[1]);
-    child_main(program, seeds, a, pipe_a[1]);
-  }
-  const pid_t pid_b = ::fork();
-  if (pid_b == 0) {
-    xclose(pipe_b[0]);
-    xclose(pipe_a[0]);
-    xclose(pipe_a[1]);
-    xclose(listen_fd);  // only the listener half needs it
-    child_main(program, seeds, b, pipe_b[1]);
-  }
-  xclose(pipe_a[1]);
-  xclose(pipe_b[1]);
-  xclose(listen_fd);
-  if (pid_a < 0 || pid_b < 0) {
-    out.error = "federate: fork failed";
-    if (pid_a > 0) ::kill(pid_a, SIGKILL);
-    if (pid_b > 0) ::kill(pid_b, SIGKILL);
-  }
-
-  const std::string text_a = read_all(pipe_a[0]);
-  const std::string text_b = read_all(pipe_b[0]);
-  xclose(pipe_a[0]);
-  xclose(pipe_b[0]);
-
-  int status = 0;
-  if (pid_a > 0) (void)xwaitpid(pid_a, &status, 0);
-  if (pid_b > 0) (void)xwaitpid(pid_b, &status, 0);
-  if (!out.error.empty()) return out;
-
-  if (!decode_half_report(text_a, &out.a)) {
-    out.error = "federate: half A produced no report";
-    return out;
-  }
-  if (!decode_half_report(text_b, &out.b)) {
-    out.error = "federate: half B produced no report";
-    return out;
-  }
-  if (!out.a.ok) {
-    out.error = "federate: half A failed: " + out.a.error;
-    return out;
-  }
-  if (!out.b.ok) {
-    out.error = "federate: half B failed: " + out.b.error;
-    return out;
-  }
-
-  std::set<u32> bugs(out.a.bug_ids.begin(), out.a.bug_ids.end());
-  bugs.insert(out.b.bug_ids.begin(), out.b.bug_ids.end());
-  out.found_bug_ids.assign(bugs.begin(), bugs.end());
-  std::set<u64> hashes(out.a.stack_hashes.begin(), out.a.stack_hashes.end());
-  hashes.insert(out.b.stack_hashes.begin(), out.b.stack_hashes.end());
-  out.found_stack_hashes.assign(hashes.begin(), hashes.end());
-  out.total_execs = out.a.total_execs + out.b.total_execs;
-  out.total_interesting = out.a.total_interesting + out.b.total_interesting;
-  out.total_crashes = out.a.total_crashes + out.b.total_crashes;
-  out.all_completed = out.a.all_completed && out.b.all_completed;
-  out.ok = true;
-  return out;
-}
-
-StarResult run_federated_star(const Program& program,
-                              const std::vector<Input>& seeds,
-                              std::vector<procfleet::ProcFleetConfig> nodes) {
-  StarResult out;
-  if (nodes.size() < 2) {
-    out.error = "federate: a star needs a hub and at least one spoke";
-    return out;
-  }
-  ignore_sigpipe();
-  const usize spokes = nodes.size() - 1;
-
-  // Shared session identity across the whole star, derived (like the pair
-  // runner) from config the nodes genuinely have in common — seeds and
-  // worker counts legitimately differ per node.
-  bool any_fp = false;
-  for (const procfleet::ProcFleetConfig& n : nodes) {
-    any_fp = any_fp || n.net.session_fingerprint != 0;
-  }
-  if (!any_fp) {
-    u64 h = 0x73746172ull;  // "star"
-    for (u64 v :
-         {nodes[0].base.max_execs, static_cast<u64>(nodes[0].base.scheme),
-          static_cast<u64>(nodes[0].base.metric),
-          static_cast<u64>(nodes[0].base.map.map_size)}) {
-      h = (h ^ v) * 0x100000001b3ull;
-    }
-    for (procfleet::ProcFleetConfig& n : nodes) {
-      n.net.session_fingerprint = h;
-    }
-  }
-
-  // One pre-bound listener per spoke: every port is known before any
-  // child exists. The hub's `net` field is the per-link template; the hub
-  // itself runs on mesh_links only.
-  std::vector<int> listen_fds(spokes, -1);
-  auto close_listeners = [&] {
-    for (int fd : listen_fds) {
-      if (fd >= 0) xclose(fd);
-    }
-  };
-  for (usize i = 0; i < spokes; ++i) {
-    u16 port = 0;
-    std::string err;
-    listen_fds[i] = tcp_listen("127.0.0.1", &port, &err);
-    if (listen_fds[i] < 0) {
-      out.error = "federate: " + err;
-      close_listeners();
-      return out;
-    }
-    netfleet::NetPeerConfig link = nodes[0].net;
-    link.enabled = true;
-    link.listener = true;
-    link.listen_fd = listen_fds[i];
-    link.port = port;
-    nodes[0].mesh_links.push_back(link);
-
-    nodes[i + 1].net.enabled = true;
-    nodes[i + 1].net.listener = false;
-    nodes[i + 1].net.host = "127.0.0.1";
-    nodes[i + 1].net.port = port;
-  }
-  nodes[0].net.enabled = false;  // hub: mesh_links only
-
-  std::vector<std::array<int, 2>> pipes(nodes.size(), {-1, -1});
-  auto close_pipes = [&] {
-    for (auto& p : pipes) {
-      if (p[0] >= 0) xclose(p[0]);
-      if (p[1] >= 0) xclose(p[1]);
-    }
-  };
-  for (auto& p : pipes) {
-    if (::pipe(p.data()) != 0) {
-      out.error = "federate: pipe failed";
-      close_pipes();
-      close_listeners();
-      return out;
-    }
-  }
-
-  std::vector<pid_t> pids(nodes.size(), -1);
-  for (usize i = 0; i < nodes.size(); ++i) {
-    pids[i] = ::fork();
-    if (pids[i] == 0) {
-      for (usize j = 0; j < pipes.size(); ++j) {
-        xclose(pipes[j][0]);
-        if (j != i) xclose(pipes[j][1]);
-      }
-      // Only the hub holds listening sockets (via mesh_links).
-      if (i != 0) close_listeners();
-      child_main(program, seeds, nodes[i], pipes[i][1]);
-    }
-  }
-  for (auto& p : pipes) {
-    xclose(p[1]);
-    p[1] = -1;
-  }
-  close_listeners();
-  bool fork_failed = false;
-  for (pid_t pid : pids) fork_failed = fork_failed || pid < 0;
-  if (fork_failed) {
-    out.error = "federate: fork failed";
-    for (pid_t pid : pids) {
-      if (pid > 0) ::kill(pid, SIGKILL);
-    }
-  }
-
-  std::vector<std::string> texts(nodes.size());
-  for (usize i = 0; i < nodes.size(); ++i) {
-    texts[i] = read_all(pipes[i][0]);
-    xclose(pipes[i][0]);
-    pipes[i][0] = -1;
-  }
-  int status = 0;
-  for (pid_t pid : pids) {
-    if (pid > 0) (void)xwaitpid(pid, &status, 0);
-  }
-  if (!out.error.empty()) return out;
-
-  out.nodes.resize(nodes.size());
-  std::set<u32> bugs;
-  std::set<u64> hashes;
-  for (usize i = 0; i < nodes.size(); ++i) {
-    HalfReport& r = out.nodes[i];
-    const std::string who =
-        i == 0 ? std::string("hub") : "spoke " + std::to_string(i);
-    if (!decode_half_report(texts[i], &r)) {
-      out.error = "federate: " + who + " produced no report";
-      return out;
-    }
-    if (!r.ok) {
-      out.error = "federate: " + who + " failed: " + r.error;
-      return out;
-    }
-    bugs.insert(r.bug_ids.begin(), r.bug_ids.end());
-    hashes.insert(r.stack_hashes.begin(), r.stack_hashes.end());
-    out.total_execs += r.total_execs;
-    out.total_interesting += r.total_interesting;
-    out.total_crashes += r.total_crashes;
-  }
-  out.found_bug_ids.assign(bugs.begin(), bugs.end());
-  out.found_stack_hashes.assign(hashes.begin(), hashes.end());
-  out.all_completed = true;
-  for (const HalfReport& r : out.nodes) {
-    out.all_completed = out.all_completed && r.all_completed;
-  }
-  out.ok = true;
-  return out;
-}
-
-FailoverStarResult run_failover_star(
-    const Program& program, const std::vector<Input>& seeds,
-    std::vector<procfleet::ProcFleetConfig> nodes,
-    const FailoverDrillOpts& opts) {
-  FailoverStarResult out;
+FederationResult run_federation(const Program& program,
+                                const std::vector<Input>& seeds,
+                                std::vector<procfleet::ProcFleetConfig> nodes,
+                                const FederationPlan& plan) {
+  FederationResult out;
   const usize n = nodes.size();
   if (n < 2) {
-    out.error = "failover: need at least two ranks";
+    out.error = "federation: need at least two ranks";
     return out;
   }
-  if (opts.kill_rank != FailoverDrillOpts::kNoKill && opts.kill_rank >= n) {
-    out.error = "failover: kill_rank out of range";
+  const u32 kill_rank = plan.kill_rank;
+  if (kill_rank != FederationPlan::kNoKill && kill_rank >= n) {
+    out.error = "federation: kill_rank out of range";
     return out;
   }
   ignore_sigpipe();
 
-  // Shared session identity (same derivation as the star runner: only
-  // config the ranks genuinely have in common).
+  // Shared session identity, derived from config the ranks genuinely have
+  // in common — seeds and worker counts legitimately differ per rank, so
+  // the coordinator's per-fleet auto-fingerprint would spuriously
+  // mismatch.
   bool any_fp = false;
   for (const procfleet::ProcFleetConfig& c : nodes) {
-    any_fp = any_fp || c.failover.link.session_fingerprint != 0;
+    any_fp = any_fp || c.federation.link.session_fingerprint != 0;
   }
   if (!any_fp) {
-    u64 h = 0x6661696cull;  // "fail"
+    u64 h = 0x66656465ull;  // "fede"
     for (u64 v :
          {nodes[0].base.max_execs, static_cast<u64>(nodes[0].base.scheme),
           static_cast<u64>(nodes[0].base.metric),
@@ -553,14 +194,15 @@ FailoverStarResult run_failover_star(
       h = (h ^ v) * 0x100000001b3ull;
     }
     for (procfleet::ProcFleetConfig& c : nodes) {
-      c.failover.link.session_fingerprint = h;
+      c.federation.link.session_fingerprint = h;
     }
   }
 
-  // The full listener matrix: fds[h][s] is the socket rank s dials when
-  // rank h leads, bound in the parent so every future leadership already
-  // has its wiring. The parent keeps every fd open for the whole drill —
-  // a resurrected rank re-inherits its row on re-fork.
+  // The listener matrix: fds[h][s] is the socket rank s dials when rank h
+  // leads, bound in the parent so every leadership already has its wiring
+  // (without failover only rank 0 ever leads). The parent keeps every fd
+  // open for the whole run — a resurrected rank re-inherits its row on
+  // re-fork.
   std::vector<std::vector<int>> fds(n, std::vector<int>(n, -1));
   std::vector<std::vector<u16>> ports(n, std::vector<u16>(n, 0));
   auto close_matrix = [&] {
@@ -571,13 +213,13 @@ FailoverStarResult run_failover_star(
       }
     }
   };
-  for (usize h = 0; h < n; ++h) {
+  for (usize h = 0; h < n && (plan.failover || h == 0); ++h) {
     for (usize s = 0; s < n; ++s) {
       if (h == s) continue;
       std::string err;
       fds[h][s] = tcp_listen("127.0.0.1", &ports[h][s], &err);
       if (fds[h][s] < 0) {
-        out.error = "failover: " + err;
+        out.error = "federation: " + err;
         close_matrix();
         return out;
       }
@@ -585,40 +227,33 @@ FailoverStarResult run_failover_star(
   }
 
   for (usize i = 0; i < n; ++i) {
-    procfleet::ProcFleetConfig& c = nodes[i];
-    c.net.enabled = false;
-    c.mesh_links.clear();
-    c.failover.enabled = true;
-    c.failover.rank = static_cast<u32>(i);
-    c.failover.num_nodes = static_cast<u32>(n);
-    c.failover.initial_leader = 0;
-    if (c.failover.initial_epoch == 0) c.failover.initial_epoch = 1;
-    c.failover.link.node_id = i;
-    c.failover.listen_fds.assign(n, -1);
-    c.failover.dial_ports.assign(n, 0);
+    FederationConfig& f = nodes[i].federation;
+    f.failover = plan.failover;
+    f.rank = static_cast<u32>(i);
+    f.num_nodes = static_cast<u32>(n);
+    f.initial_leader = 0;
+    if (f.initial_epoch == 0) f.initial_epoch = 1;
+    f.link.node_id = i;
+    f.listen_fds.assign(n, -1);
+    f.dial_ports.assign(n, 0);
     for (usize j = 0; j < n; ++j) {
       if (j == i) continue;
-      c.failover.listen_fds[j] = fds[i][j];
-      c.failover.dial_ports[j] = ports[j][i];
+      f.listen_fds[j] = fds[i][j];
+      f.dial_ports[j] = ports[j][i];
     }
   }
 
-  std::vector<std::array<int, 2>> pipes(n, {-1, -1});
+  // Report pipes: read ends stay in the parent, drained while ranks run
+  // (a report can outgrow the pipe buffer, and a child blocked on its
+  // write would never exit).
+  std::vector<int> pipe_rd(n, -1);
+  std::vector<std::string> texts(n);
   auto close_pipes = [&] {
-    for (auto& p : pipes) {
-      if (p[0] >= 0) xclose(p[0]);
-      if (p[1] >= 0) xclose(p[1]);
-      p = {-1, -1};
+    for (int& fd : pipe_rd) {
+      if (fd >= 0) xclose(fd);
+      fd = -1;
     }
   };
-  for (auto& p : pipes) {
-    if (::pipe(p.data()) != 0) {
-      out.error = "failover: pipe failed";
-      close_pipes();
-      close_matrix();
-      return out;
-    }
-  }
 
   // Forks rank i into its OWN process group, so one SIGKILL(-pgid) later
   // takes the coordinator AND every worker it forked — exactly how a host
@@ -626,74 +261,100 @@ FailoverStarResult run_failover_star(
   // processes accepting one listening socket would steal each other's
   // connections) and every pipe but its own write end.
   auto spawn = [&](usize i) -> pid_t {
+    int p[2] = {-1, -1};
+    if (::pipe(p) != 0) return -1;
     const pid_t pid = ::fork();
     if (pid == 0) {
       (void)::setpgid(0, 0);
-      for (usize j = 0; j < pipes.size(); ++j) {
-        if (pipes[j][0] >= 0) xclose(pipes[j][0]);
-        if (j != i && pipes[j][1] >= 0) xclose(pipes[j][1]);
+      xclose(p[0]);
+      for (int fd : pipe_rd) {
+        if (fd >= 0) xclose(fd);
       }
       for (usize h = 0; h < n; ++h) {
         if (h == i) continue;
-        for (usize s = 0; s < n; ++s) {
-          if (fds[h][s] >= 0) xclose(fds[h][s]);
+        for (int fd : fds[h]) {
+          if (fd >= 0) xclose(fd);
         }
       }
-      child_main(program, seeds, nodes[i], pipes[i][1]);
+      child_main(program, seeds, nodes[i], p[1]);
     }
-    if (pid > 0) (void)::setpgid(pid, pid);
+    xclose(p[1]);
+    if (pid < 0) {
+      xclose(p[0]);
+      return -1;
+    }
+    (void)::setpgid(pid, pid);
+    pipe_rd[i] = p[0];
+    texts[i].clear();
     return pid;
   };
 
   std::vector<pid_t> pids(n, -1);
   std::vector<bool> alive(n, false);
-  bool fork_failed = false;
+  auto kill_all = [&] {
+    for (usize i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      ::kill(-pids[i], SIGKILL);
+      int st = 0;
+      (void)xwaitpid(pids[i], &st, 0);
+      alive[i] = false;
+    }
+  };
   for (usize i = 0; i < n; ++i) {
     pids[i] = spawn(i);
     alive[i] = pids[i] > 0;
-    fork_failed = fork_failed || pids[i] < 0;
-  }
-  for (auto& p : pipes) {
-    xclose(p[1]);
-    p[1] = -1;
-  }
-  if (fork_failed) {
-    out.error = "failover: fork failed";
-    for (pid_t pid : pids) {
-      if (pid > 0) ::kill(-pid, SIGKILL);
+    if (!alive[i]) {
+      out.error = "federation: fork failed";
+      kill_all();
+      close_pipes();
+      close_matrix();
+      return out;
     }
-    for (pid_t pid : pids) {
-      int st = 0;
-      if (pid > 0) (void)xwaitpid(pid, &st, 0);
-    }
-    close_pipes();
-    close_matrix();
-    return out;
   }
 
-  // Event loop: reap naturally-exiting ranks, fire the kill at its
-  // deadline, re-fork the victim at the resurrection deadline.
-  const u32 kill_rank = opts.kill_rank;
-  bool kill_pending = kill_rank != FailoverDrillOpts::kNoKill;
+  // Event loop: drain report pipes (the bounded poll is the loop's tick),
+  // reap naturally-exiting ranks, fire the kill at its deadline, re-fork
+  // the victim at the resurrection deadline.
+  bool kill_pending = kill_rank != FederationPlan::kNoKill;
   bool resurrect_pending =
-      kill_pending && opts.resurrect != FailoverDrillOpts::Resurrect::kNone;
+      kill_pending && plan.resurrect != FederationPlan::Resurrect::kNone;
   bool was_killed = false;
-  u64 elapsed_ms = 0;
+  const u64 start_ns = monotonic_ns();
   const u64 resurrect_at_ms =
-      static_cast<u64>(opts.kill_after_ms) + opts.resurrect_after_ms;
+      static_cast<u64>(plan.kill_after_ms) + plan.resurrect_after_ms;
+  std::vector<pollfd> pfds;
+  std::vector<usize> pfd_rank;
   for (;;) {
-    bool any_alive = false;
+    pfds.clear();
+    pfd_rank.clear();
     for (usize i = 0; i < n; ++i) {
-      if (!alive[i]) continue;
-      int st = 0;
-      const pid_t r = ::waitpid(pids[i], &st, WNOHANG);
-      if (r == pids[i]) {
-        alive[i] = false;
+      if (pipe_rd[i] < 0) continue;
+      pfds.push_back(pollfd{pipe_rd[i], POLLIN, 0});
+      pfd_rank.push_back(i);
+    }
+    (void)::poll(pfds.data(), pfds.size(), 5);
+    for (usize k = 0; k < pfds.size(); ++k) {
+      if (pfds[k].revents == 0) continue;
+      const usize i = pfd_rank[k];
+      char buf[4096];
+      const ssize_t r = xread(pipe_rd[i], buf, sizeof(buf));
+      if (r > 0) {
+        texts[i].append(buf, static_cast<usize>(r));
       } else {
-        any_alive = true;
+        xclose(pipe_rd[i]);  // EOF: the rank and all its workers are gone
+        pipe_rd[i] = -1;
       }
     }
-    if (kill_pending && elapsed_ms >= opts.kill_after_ms) {
+    bool any_open = false;
+    for (usize i = 0; i < n; ++i) {
+      if (alive[i]) {
+        int st = 0;
+        if (::waitpid(pids[i], &st, WNOHANG) == pids[i]) alive[i] = false;
+      }
+      any_open = any_open || alive[i] || pipe_rd[i] >= 0;
+    }
+    const u64 elapsed_ms = (monotonic_ns() - start_ns) / kMsNs;
+    if (kill_pending && elapsed_ms >= plan.kill_after_ms) {
       kill_pending = false;
       if (alive[kill_rank]) {
         ::kill(-pids[kill_rank], SIGKILL);
@@ -702,76 +363,52 @@ FailoverStarResult run_failover_star(
         alive[kill_rank] = false;
         was_killed = true;
       }
+      resurrect_pending = resurrect_pending && was_killed;
     }
     if (resurrect_pending && !kill_pending && elapsed_ms >= resurrect_at_ms) {
       resurrect_pending = false;
-      // Drain the dead generation's (empty or partial) report and give
-      // the resurrection a fresh pipe.
-      (void)read_all(pipes[kill_rank][0]);
-      xclose(pipes[kill_rank][0]);
-      if (::pipe(pipes[kill_rank].data()) != 0) {
-        out.error = "failover: resurrection pipe failed";
-        break;
-      }
+      // The dead generation's (empty or partial) report is discarded; the
+      // resurrection gets a fresh pipe.
+      if (pipe_rd[kill_rank] >= 0) xclose(pipe_rd[kill_rank]);
+      pipe_rd[kill_rank] = -1;
       procfleet::ProcFleetConfig& c = nodes[kill_rank];
       c.resume = true;
-      c.failover.resume_probe = true;
-      c.failover.stale_fatal =
-          opts.resurrect == FailoverDrillOpts::Resurrect::kStale;
+      c.federation.resume_probe = true;
+      c.federation.stale_fatal =
+          plan.resurrect == FederationPlan::Resurrect::kStale;
       pids[kill_rank] = spawn(kill_rank);
-      xclose(pipes[kill_rank][1]);
-      pipes[kill_rank][1] = -1;
       if (pids[kill_rank] < 0) {
-        out.error = "failover: resurrection fork failed";
+        out.error = "federation: resurrection fork failed";
         break;
       }
       alive[kill_rank] = true;
-      any_alive = true;
+      any_open = true;
     }
-    if (!any_alive && !kill_pending && !resurrect_pending) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    elapsed_ms += 5;
+    if (!any_open && !kill_pending && !resurrect_pending) break;
   }
-  if (!out.error.empty()) {
-    for (usize i = 0; i < n; ++i) {
-      if (alive[i]) {
-        ::kill(-pids[i], SIGKILL);
-        int st = 0;
-        (void)xwaitpid(pids[i], &st, 0);
-      }
-    }
-    close_pipes();
-    close_matrix();
-    return out;
-  }
-
-  std::vector<std::string> texts(n);
-  for (usize i = 0; i < n; ++i) {
-    texts[i] = read_all(pipes[i][0]);
-    xclose(pipes[i][0]);
-    pipes[i][0] = -1;
-  }
+  kill_all();
+  close_pipes();
   close_matrix();
+  if (!out.error.empty()) return out;
 
   out.nodes.resize(n);
   std::set<u32> bugs;
   std::set<u64> hashes;
-  bool all_completed = true;
+  out.all_completed = true;
   for (usize i = 0; i < n; ++i) {
-    HalfReport& r = out.nodes[i];
-    const std::string who = "rank " + std::to_string(i);
+    NodeReport& r = out.nodes[i];
+    const std::string who = "federation: rank " + std::to_string(i);
     if (i == kill_rank && was_killed &&
-        opts.resurrect == FailoverDrillOpts::Resurrect::kNone) {
-      r.ok = false;
+        plan.resurrect == FederationPlan::Resurrect::kNone) {
       r.error = "killed (no resurrection)";
-      continue;  // dead forever by design; not a drill failure
+      continue;  // dead forever by design; not a run failure
     }
-    if (!decode_half_report(texts[i], &r)) {
-      out.error = "failover: " + who + " produced no report";
+    if (!decode_node_report(texts[i], &r)) {
+      out.error = who + " produced no report";
       return out;
     }
     if (!r.ok) {
-      out.error = "failover: " + who + " failed: " + r.error;
+      out.error = who + " failed: " + r.error;
       return out;
     }
     bugs.insert(r.bug_ids.begin(), r.bug_ids.end());
@@ -779,11 +416,10 @@ FailoverStarResult run_failover_star(
     out.total_execs += r.total_execs;
     out.total_interesting += r.total_interesting;
     out.total_crashes += r.total_crashes;
-    all_completed = all_completed && r.all_completed;
+    out.all_completed = out.all_completed && r.all_completed;
   }
   out.found_bug_ids.assign(bugs.begin(), bugs.end());
   out.found_stack_hashes.assign(hashes.begin(), hashes.end());
-  out.all_completed = all_completed;
   out.ok = true;
   return out;
 }

@@ -1,15 +1,15 @@
-// Two-coordinator federation harness: runs a pair of process-fleet
-// coordinators in forked child processes, joined by a PeerLink over
-// loopback TCP, and merges their results.
+// Federation harness: runs an N-rank federation of process-fleet
+// coordinators, each in its own forked process group on loopback, and
+// merges their results.
 //
-// This is how the net-chaos drill builds a "two hosts" topology on one
-// machine: each half is a full run_process_fleet (its own shm segment,
-// workers, persistence, chaos schedule), the only shared state is the
-// socket. The parent binds the listener before forking so the connector
-// half knows the port with no handshake file; each child reports its
-// result over a pipe as plain key-value text, and the parent computes the
+// This is how the net and failover chaos drills build "N hosts" on one
+// machine: each rank is a full run_process_fleet (its own shm segment,
+// workers, persistence, chaos schedule); the only shared state is the
+// sockets. The parent binds every listener before forking, so every rank
+// knows every port with no handshake file; each child reports its result
+// over a pipe as plain key-value text, and the parent computes the
 // federation union — found bugs, stack hashes, exec totals — which the
-// drill compares against a single-fleet baseline.
+// drills compare against a single-fleet baseline.
 #pragma once
 
 #include <string>
@@ -20,10 +20,11 @@
 
 namespace bigmap::netfleet {
 
-// One node's reported outcome (parsed from its pipe). For a star hub,
-// `net` is the sum over its spoke links and `oracle` the aggregate
-// novelty-oracle accounting (zeroed when the oracle was off).
-struct HalfReport {
+// One rank's reported outcome (parsed from its pipe). `net` carries the
+// link counters summed over the rank's links (the per-link cursor and
+// state fields are not reported) and `oracle` the novelty-oracle
+// accounting (zeroed when the oracle was off).
+struct NodeReport {
   bool ok = false;
   std::string error;
   std::vector<u32> bug_ids;
@@ -34,66 +35,20 @@ struct HalfReport {
   bool all_completed = false;
   LinkStats net;
   corpus::OracleStats oracle;
-  // Self-healing federation accounting (zeroed unless the node ran a
-  // FailoverMesh; its nested net/oracle fields stay zeroed here — the two
-  // members above carry them).
+  // Election accounting (zeroed without failover; its nested net/oracle
+  // fields stay zeroed here — the two members above carry them).
   FailoverStats failover;
 };
 
-struct FederatedResult {
-  bool ok = false;        // both halves ran and reported
-  std::string error;
-  HalfReport a;           // listener half
-  HalfReport b;           // connector half
-
-  // Federation union / totals (the drill's comparison keys).
-  std::vector<u32> found_bug_ids;
-  std::vector<u64> found_stack_hashes;
-  u64 total_execs = 0;
-  u64 total_interesting = 0;
-  u64 total_crashes = 0;
-  bool all_completed = false;
-};
-
-// Runs `a` (listener) and `b` (connector) as forked coordinator processes
-// federated over loopback. net.enabled / roles / host / port / listen_fd
-// are filled in here; everything else in the two configs is the caller's.
-// Blocks until both halves exit.
-FederatedResult run_federated_pair(const Program& program,
-                                   const std::vector<Input>& seeds,
-                                   procfleet::ProcFleetConfig a,
-                                   procfleet::ProcFleetConfig b);
-
-// N-node star federation: nodes[0] is the hub, the rest are spokes.
-struct StarResult {
-  bool ok = false;            // every node ran and reported
-  std::string error;
-  std::vector<HalfReport> nodes;  // [0] = hub, then spokes in order
-
-  // Federation union / totals across every node.
-  std::vector<u32> found_bug_ids;
-  std::vector<u64> found_stack_hashes;
-  u64 total_execs = 0;
-  u64 total_interesting = 0;
-  u64 total_crashes = 0;
-  bool all_completed = false;
-};
-
-// Runs nodes[0] as the star hub (one pre-bound listener link per spoke,
-// via mesh_links) and nodes[1..] as connector spokes, all forked
-// coordinator processes on loopback. The hub's `net` field serves as the
-// template for its per-spoke links (liveness/backoff tuning); roles,
-// ports, and listener fds are filled in here. Blocks until every node
-// exits. Requires at least two nodes.
-StarResult run_federated_star(const Program& program,
-                              const std::vector<Input>& seeds,
-                              std::vector<procfleet::ProcFleetConfig> nodes);
-
-// Chaos control for the self-healing federation drill: which rank to
-// SIGKILL (whole process group: coordinator + its workers), when, and
-// whether/how it comes back.
-struct FailoverDrillOpts {
+// Topology and chaos for one run: which gateway every rank runs, which
+// rank to SIGKILL (whole process group: coordinator + its workers), when,
+// and whether/how it comes back.
+struct FederationPlan {
   static constexpr u32 kNoKill = 0xFFFFFFFFu;
+
+  // Every rank runs a FailoverMesh (self-healing) instead of a static
+  // MeshHub around rank 0.
+  bool failover = false;
 
   u32 kill_rank = kNoKill;
   u32 kill_after_ms = 0;
@@ -108,13 +63,13 @@ struct FailoverDrillOpts {
   u32 resurrect_after_ms = 0;  // measured from the kill
 };
 
-struct FailoverStarResult {
-  bool ok = false;  // every (surviving or resurrected) node reported
+struct FederationResult {
+  bool ok = false;  // every (surviving or resurrected) rank reported
   std::string error;
-  std::vector<HalfReport> nodes;  // by rank; a never-resurrected killed
+  std::vector<NodeReport> nodes;  // by rank; a never-resurrected killed
                                   // rank reports ok=false, error "killed"
 
-  // Federation union / totals across every reporting node.
+  // Federation union / totals across every reporting rank.
   std::vector<u32> found_bug_ids;
   std::vector<u64> found_stack_hashes;
   u64 total_execs = 0;
@@ -123,20 +78,24 @@ struct FailoverStarResult {
   bool all_completed = false;
 };
 
-// N-rank self-healing federation: every node runs a FailoverMesh; rank 0
-// leads epoch 1 initially. The parent pre-binds the full listener matrix
-// L[h][s] (the socket rank s dials when rank h leads) so ANY rank can be
-// promoted without coordination, forks each node into its own process
-// group, and applies `opts` (SIGKILL mid-campaign, optional resurrection
-// with resume + probe). Blocks until every live node exits.
-FailoverStarResult run_failover_star(
-    const Program& program, const std::vector<Input>& seeds,
-    std::vector<procfleet::ProcFleetConfig> nodes,
-    const FailoverDrillOpts& opts);
+// Runs nodes[r] as rank r of one federation; rank 0 leads (epoch 1 with
+// failover on). Each node's `federation.link` serves as its link template
+// (liveness/backoff tuning) and, with failover on, its election and delta
+// tuning applies; the rank table, wiring, fingerprint and `failover` are
+// filled in here. The parent pre-binds the listener matrix — L[h][s], the
+// socket rank s dials when rank h leads; only rank 0's row without
+// failover — so with failover ANY rank can be promoted without
+// coordination. Report pipes are drained while the ranks run; `plan`'s
+// kill and resurrection (resume + probe) fire on their deadlines. Blocks
+// until every live rank exits. Requires at least two nodes.
+FederationResult run_federation(const Program& program,
+                                const std::vector<Input>& seeds,
+                                std::vector<procfleet::ProcFleetConfig> nodes,
+                                const FederationPlan& plan = {});
 
 // Serialization used across the child pipe (exposed for tests).
-std::string encode_half_report(const procfleet::ProcFleetResult& r,
-                               bool ok, const std::string& error);
-bool decode_half_report(const std::string& text, HalfReport* out);
+std::string encode_node_report(const procfleet::ProcFleetResult& r, bool ok,
+                               const std::string& error);
+bool decode_node_report(const std::string& text, NodeReport* out);
 
 }  // namespace bigmap::netfleet

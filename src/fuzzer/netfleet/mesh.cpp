@@ -46,34 +46,31 @@ LinkStats sum_link_stats(const LinkStats& a, const LinkStats& b) {
   return s;
 }
 
-MeshHub::MeshHub(SyncEndpoint* inner, u32 gateway_instance)
-    : inner_(inner), gateway_(gateway_instance) {}
+NetPeerConfig federation_link(const FederationConfig& cfg, bool listener,
+                              u32 remote_rank, u64 epoch) {
+  NetPeerConfig c = cfg.link;
+  c.epoch = epoch;
+  c.rank = cfg.rank;
+  c.listener = listener;
+  if (listener) {
+    c.listen_fd = remote_rank < cfg.listen_fds.size()
+                      ? cfg.listen_fds[remote_rank]
+                      : -1;
+    c.port = 0;
+  } else {
+    c.listen_fd = -1;
+    c.port = remote_rank < cfg.dial_ports.size()
+                 ? cfg.dial_ports[remote_rank]
+                 : 0;
+  }
+  return c;
+}
 
 void MeshHub::add_link(std::unique_ptr<PeerLink> link,
                        std::unique_ptr<corpus::NoveltyOracle> oracle) {
   std::lock_guard<std::mutex> lock(mu_);
   peers_.push_back(Peer{std::move(link), std::move(oracle)});
 }
-
-u32 MeshHub::num_instances() const noexcept {
-  return inner_->num_instances();
-}
-
-bool MeshHub::publish(u32 instance, Input input) {
-  return inner_->publish(instance, std::move(input));
-}
-
-std::vector<Input> MeshHub::fetch_new(u32 instance) {
-  return inner_->fetch_new(instance);
-}
-
-void MeshHub::reset_cursor(u32 instance) {
-  inner_->reset_cursor(instance);
-}
-
-u64 MeshHub::total_published() const { return inner_->total_published(); }
-
-SyncHubStats MeshHub::stats() const { return inner_->stats(); }
 
 void MeshHub::export_to(Peer& peer, const Input& in) {
   // The oracle verdict also advances the remote model: a shipped entry is
@@ -82,88 +79,57 @@ void MeshHub::export_to(Peer& peer, const Input& in) {
   peer.link->offer(in);
 }
 
-void MeshHub::pump(u64 now_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Export: everything workers published since the last pump goes to every
-  // spoke (fetch_new on the gateway id excludes the gateway's own imports,
-  // so relayed entries are not re-exported here).
+void MeshHub::export_local() {
+  // fetch_new on the gateway id excludes the gateway's own imports, so
+  // relayed entries are not re-exported here.
   for (Input& in : inner_->fetch_new(gateway_)) {
     for (Peer& p : peers_) export_to(p, in);
   }
-  for (Peer& p : peers_) p.link->pump(now_ns);
-  // Import: accepted entries become local publishes under the gateway
-  // identity AND are relayed to the other spokes — the hub hop that makes
-  // a star behave like a full mesh.
-  for (usize i = 0; i < peers_.size(); ++i) {
-    for (Input& in : peers_[i].link->take_received()) {
-      if (peers_[i].oracle != nullptr) {
-        // The source peer evidently has this entry: fold it into that
-        // peer's remote model so we never ship its coverage back.
-        (void)peers_[i].oracle->admit(in);
-      }
+}
+
+void MeshHub::import_from(usize i, bool relay) {
+  for (Input& in : peers_[i].link->take_received()) {
+    // The source peer evidently has this entry: fold it into that peer's
+    // remote model so we never ship its coverage back.
+    if (peers_[i].oracle != nullptr) (void)peers_[i].oracle->admit(in);
+    if (relay) {
       for (usize j = 0; j < peers_.size(); ++j) {
         if (j != i) export_to(peers_[j], in);
       }
-      inner_->publish(gateway_, std::move(in));
     }
+    inner_->publish(gateway_, std::move(in));
   }
+}
+
+void MeshHub::pump(u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  export_local();
+  for (Peer& p : peers_) p.link->pump(now_ns);
+  // Accepted entries become local publishes under the gateway identity
+  // AND are relayed to the other peers — the leader hop that makes a
+  // star behave like a full mesh.
+  for (usize i = 0; i < peers_.size(); ++i) import_from(i, /*relay=*/true);
 }
 
 void MeshHub::shutdown(u64 now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   // One last export sweep so finds from the final sync interval still
-  // reach every spoke before the goodbyes.
-  for (Input& in : inner_->fetch_new(gateway_)) {
-    for (Peer& p : peers_) export_to(p, in);
-  }
+  // reach every peer before the goodbyes.
+  export_local();
   for (Peer& p : peers_) p.link->shutdown(now_ns);
   // Entries that arrived during the drain still reach local workers; the
-  // links are closed, so there is no spoke relay for them anymore.
-  for (Peer& p : peers_) {
-    for (Input& in : p.link->take_received()) {
-      inner_->publish(gateway_, std::move(in));
-    }
-  }
+  // links are closed, so there is no relay for them anymore.
+  for (usize i = 0; i < peers_.size(); ++i) import_from(i, /*relay=*/false);
 }
 
-usize MeshHub::link_count() const {
+FailoverStats MeshHub::failover_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return peers_.size();
-}
-
-LinkStats MeshHub::link_stats(usize i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peers_[i].link->stats();
-}
-
-corpus::OracleStats MeshHub::oracle_stats(usize i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peers_[i].oracle != nullptr ? peers_[i].oracle->stats()
-                                     : corpus::OracleStats{};
-}
-
-LinkStats MeshHub::aggregate_link_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LinkStats out;
-  for (const Peer& p : peers_) out = sum_link_stats(out, p.link->stats());
-  return out;
-}
-
-corpus::OracleStats MeshHub::aggregate_oracle_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  corpus::OracleStats out;
+  FailoverStats s;
   for (const Peer& p : peers_) {
-    if (p.oracle == nullptr) continue;
-    const corpus::OracleStats& os = p.oracle->stats();
-    out.checked += os.checked;
-    out.accepted += os.accepted;
-    out.rejected += os.rejected;
-    out.deltas_exported += os.deltas_exported;
-    out.cells_exported += os.cells_exported;
-    out.deltas_applied += os.deltas_applied;
-    out.cells_applied += os.cells_applied;
+    s.net = sum_link_stats(s.net, p.link->stats());
+    if (p.oracle != nullptr) s.oracle += p.oracle->stats();
   }
-  return out;
+  return s;
 }
 
 }  // namespace bigmap::netfleet

@@ -19,7 +19,6 @@
 #include "corpus/novelty.h"
 #include "fuzzer/netfleet/failover.h"
 #include "fuzzer/netfleet/mesh.h"
-#include "fuzzer/netfleet/nethub.h"
 #include "fuzzer/procfleet/shm.h"
 #include "fuzzer/procfleet/shm_hub.h"
 #include "fuzzer/procfleet/worker.h"
@@ -93,26 +92,14 @@ ProcFleetResult run_process_fleet(const Program& program,
         "run_process_fleet: persist_dir is required (crash isolation "
         "without durable state would lose every unsynced find)");
   }
-  if (config.net.enabled && !config.mesh_links.empty()) {
+  const netfleet::FederationConfig& fed = config.federation;
+  if (fed.num_nodes > 0 &&
+      (fed.num_nodes < 2 || fed.rank >= fed.num_nodes ||
+       fed.initial_leader >= fed.num_nodes || fed.initial_epoch == 0 ||
+       fed.listen_fds.size() != fed.num_nodes ||
+       fed.dial_ports.size() != fed.num_nodes)) {
     throw std::invalid_argument(
-        "run_process_fleet: net.enabled and mesh_links are mutually "
-        "exclusive (a coordinator is a spoke or the hub, not both)");
-  }
-  if (config.failover.enabled &&
-      (config.net.enabled || !config.mesh_links.empty())) {
-    throw std::invalid_argument(
-        "run_process_fleet: failover is mutually exclusive with net / "
-        "mesh_links (the FailoverMesh subsumes both roles)");
-  }
-  if (config.failover.enabled &&
-      (config.failover.num_nodes < 2 ||
-       config.failover.rank >= config.failover.num_nodes ||
-       config.failover.initial_leader >= config.failover.num_nodes ||
-       config.failover.initial_epoch == 0 ||
-       config.failover.listen_fds.size() != config.failover.num_nodes ||
-       config.failover.dial_ports.size() != config.failover.num_nodes)) {
-    throw std::invalid_argument(
-        "run_process_fleet: malformed failover config (need >= 2 nodes, "
+        "run_process_fleet: malformed federation config (need >= 2 nodes, "
         "rank/leader in range, epoch >= 1, and num_nodes-sized "
         "listen_fds/dial_ports)");
   }
@@ -161,8 +148,7 @@ ProcFleetResult run_process_fleet(const Program& program,
   // (the gateway) so imports flow to workers through ordinary fetch_new
   // and exports are exactly what the gateway's own fetch_new returns. The
   // gateway slot is shared by all links — a star hub still reserves one.
-  const bool net_enabled = config.net.enabled || !config.mesh_links.empty() ||
-                           config.failover.enabled;
+  const bool net_enabled = fed.num_nodes > 0;
   const u32 gateway_id = config.num_workers;
 
   ShmGeometry geom;
@@ -176,34 +162,6 @@ ProcFleetResult run_process_fleet(const Program& program,
   // the gateway's publish/fetch traffic.
   ShmHub hub(&segment, hub_opts, nullptr);
 
-  // Applies the shared peer-config defaults: fingerprint from the fleet
-  // identity (both sides of a correctly-configured federation derive the
-  // same value) and the entry-size clamp.
-  auto fill_net_defaults = [&](netfleet::NetPeerConfig net_cfg) {
-    if (net_cfg.session_fingerprint == 0) {
-      u64 h = 0xb1674a95ull;
-      for (u64 v : {static_cast<u64>(fp.num_instances), fp.base_seed,
-                    fp.seed_stride, fp.max_execs, static_cast<u64>(fp.scheme),
-                    static_cast<u64>(fp.metric), fp.map_size}) {
-        h = (h ^ v) * 0x100000001b3ull;
-      }
-      net_cfg.session_fingerprint = h;
-    }
-    if (net_cfg.max_entry_size > config.sync_max_input_size) {
-      net_cfg.max_entry_size = config.sync_max_input_size;
-    }
-    return net_cfg;
-  };
-  // Builds one gateway link from a peer config.
-  auto make_link = [&](const netfleet::NetPeerConfig& net_cfg) {
-    auto link = std::make_unique<netfleet::PeerLink>(
-        fill_net_defaults(net_cfg), coord_fault, gateway_id,
-        fleet != nullptr ? &fleet->registry() : nullptr);
-    if (!link->ok()) {
-      throw std::runtime_error("run_process_fleet: " + link->error());
-    }
-    return link;
-  };
   // One remote model per link: the oracle re-executes each candidate and
   // ships it only when it flips virgin bits the peer has not covered.
   auto make_oracle = [&]() -> std::unique_ptr<corpus::NoveltyOracle> {
@@ -218,29 +176,51 @@ ProcFleetResult run_process_fleet(const Program& program,
     return corpus::make_novelty_oracle(program, oc);
   };
 
-  std::unique_ptr<netfleet::NetHub> nethub;
-  std::unique_ptr<netfleet::MeshHub> meshhub;
-  std::unique_ptr<netfleet::FailoverMesh> fomesh;
-  if (config.failover.enabled) {
-    netfleet::FailoverNodeConfig fo = config.failover;
-    fo.link = fill_net_defaults(fo.link);
-    if (fo.wal_path.empty()) {
-      fo.wal_path = persist::federation_wal_path(config.persist_dir);
+  std::unique_ptr<netfleet::Gateway> gateway;
+  if (net_enabled) {
+    netfleet::FederationConfig fc = fed;
+    // Link defaults: fingerprint from the fleet identity (both sides of a
+    // correctly-configured federation derive the same value) and the
+    // entry-size clamp.
+    if (fc.link.session_fingerprint == 0) {
+      u64 h = 0xb1674a95ull;
+      for (u64 v : {static_cast<u64>(fp.num_instances), fp.base_seed,
+                    fp.seed_stride, fp.max_execs, static_cast<u64>(fp.scheme),
+                    static_cast<u64>(fp.metric), fp.map_size}) {
+        h = (h ^ v) * 0x100000001b3ull;
+      }
+      fc.link.session_fingerprint = h;
     }
-    netfleet::FailoverMesh::OracleFactory factory;
-    if (config.net_virgin_oracle) factory = make_oracle;
-    fomesh = std::make_unique<netfleet::FailoverMesh>(
-        &hub, gateway_id, std::move(fo), std::move(factory), coord_fault,
-        fleet != nullptr ? &fleet->registry() : nullptr);
-  } else if (!config.mesh_links.empty()) {
-    meshhub = std::make_unique<netfleet::MeshHub>(&hub, gateway_id);
-    for (const netfleet::NetPeerConfig& ml : config.mesh_links) {
-      meshhub->add_link(make_link(ml), make_oracle());
+    fc.link.max_entry_size =
+        std::min<usize>(fc.link.max_entry_size, config.sync_max_input_size);
+    telemetry::MetricRegistry* reg =
+        fleet != nullptr ? &fleet->registry() : nullptr;
+    if (fc.failover) {
+      if (fc.wal_path.empty()) {
+        fc.wal_path = persist::federation_wal_path(config.persist_dir);
+      }
+      netfleet::FailoverMesh::OracleFactory factory;
+      if (config.net_virgin_oracle) factory = make_oracle;
+      gateway = std::make_unique<netfleet::FailoverMesh>(
+          &hub, gateway_id, std::move(fc), std::move(factory), coord_fault,
+          reg);
+    } else {
+      // Static topology: the leader listens for every other rank, each
+      // follower dials the leader. Epoch 0: nothing to fence.
+      auto mesh = std::make_unique<netfleet::MeshHub>(&hub, gateway_id);
+      const bool leads = fc.rank == fc.initial_leader;
+      for (u32 r = 0; r < fc.num_nodes; ++r) {
+        if (r == fc.rank || (!leads && r != fc.initial_leader)) continue;
+        auto link = std::make_unique<netfleet::PeerLink>(
+            netfleet::federation_link(fc, leads, r, /*epoch=*/0), coord_fault,
+            gateway_id, reg);
+        if (!link->ok()) {
+          throw std::runtime_error("run_process_fleet: " + link->error());
+        }
+        mesh->add_link(std::move(link), make_oracle());
+      }
+      gateway = std::move(mesh);
     }
-  } else if (net_enabled) {
-    nethub = std::make_unique<netfleet::NetHub>(&hub, gateway_id,
-                                                make_link(config.net));
-    if (config.net_virgin_oracle) nethub->set_oracle(make_oracle());
   }
 
   const u64 start_ns = monotonic_ns();
@@ -796,32 +776,17 @@ ProcFleetResult run_process_fleet(const Program& program,
       }
     }
 
-    if (nethub) nethub->pump(now);
-    if (meshhub) meshhub->pump(now);
-    if (fomesh) fomesh->pump(now);
+    if (gateway) gateway->pump(now);
 
     if (unfinished == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(config.poll_ms));
   }
 
-  if (nethub) {
-    // Drain the link before tallying: ship the final sync interval's
+  if (gateway) {
+    // Drain the links before tallying: ship the final sync interval's
     // finds, deliver the backlog, say goodbye.
-    nethub->shutdown(monotonic_ns());
-    out.net = nethub->link_stats();
-    out.oracle = nethub->oracle_stats();
-  }
-  if (meshhub) {
-    meshhub->shutdown(monotonic_ns());
-    out.net = meshhub->aggregate_link_stats();
-    out.oracle = meshhub->aggregate_oracle_stats();
-    for (usize i = 0; i < meshhub->link_count(); ++i) {
-      out.mesh.push_back(meshhub->link_stats(i));
-    }
-  }
-  if (fomesh) {
-    fomesh->shutdown(monotonic_ns());
-    out.failover = fomesh->failover_stats();
+    gateway->shutdown(monotonic_ns());
+    out.failover = gateway->failover_stats();
     out.net = out.failover.net;
     out.oracle = out.failover.oracle;
   }

@@ -46,8 +46,7 @@
 
 #include "corpus/novelty.h"
 #include "fuzzer/campaign.h"
-#include "fuzzer/netfleet/failover.h"
-#include "fuzzer/netfleet/link.h"
+#include "fuzzer/netfleet/mesh.h"
 #include "fuzzer/sync.h"
 #include "persist/checkpoint.h"
 #include "target/program.h"
@@ -117,33 +116,22 @@ struct ProcFleetConfig {
   // cooperative stop, then a SIGKILL grace period.
   double max_wall_seconds = 0.0;
 
-  // Federation (src/fuzzer/netfleet): when net.enabled, the coordinator
-  // reserves one extra hub instance as the remote peer's gateway identity
-  // and pumps a PeerLink from its event loop — workers never know the
-  // difference; remote finds arrive through their ordinary fetch_new.
-  netfleet::NetPeerConfig net;
-
-  // Hub role of a star topology: one link per spoke, all sharing the
-  // single gateway instance, with spoke-to-spoke relay through the hub
-  // (netfleet/mesh.h). Mutually exclusive with net.enabled — a coordinator
-  // is either a spoke (one link) or the hub (many).
-  std::vector<netfleet::NetPeerConfig> mesh_links;
+  // Federation (src/fuzzer/netfleet): with federation.num_nodes > 0 the
+  // coordinator reserves one extra hub instance as the federation's
+  // gateway identity and pumps a netfleet::Gateway from its event loop —
+  // workers never know the difference; remote finds arrive through their
+  // ordinary fetch_new. federation.failover picks the gateway: a static
+  // MeshHub around initial_leader, or a self-healing FailoverMesh whose
+  // wal_path defaults to <persist_dir>/federation.wal.
+  netfleet::FederationConfig federation;
 
   // Upgrades every gateway link's novelty gate from content-hash to
   // virgin-map semantics: a per-link corpus::NoveltyOracle re-executes
   // each candidate against a model of that peer's coverage and ships it
-  // only when it would flip virgin bits there. Opt-in so oracle-free
-  // federation runs stay bit-identical.
+  // only when it would flip virgin bits there (with failover on, the
+  // models also drive delta sync). Opt-in so oracle-free federation runs
+  // stay bit-identical.
   bool net_virgin_oracle = false;
-
-  // Self-healing federation node (netfleet/failover.h): elects a new hub
-  // when the current one dies, fences stale epochs, syncs oracle state by
-  // delta. Mutually exclusive with net.enabled and mesh_links — the
-  // FailoverMesh subsumes both roles and switches between them at
-  // runtime. Its wal_path defaults to <persist_dir>/federation.wal; with
-  // net_virgin_oracle set its models are built by make_novelty_oracle
-  // exactly like the mesh's.
-  netfleet::FailoverNodeConfig failover;
 };
 
 enum class WorkerState : u8 {
@@ -194,18 +182,16 @@ struct ProcFleetResult {
   persist::PersistStats persist;
   bool resumed = false;
 
-  // Federation link accounting (zeroed when no link was configured). For
-  // a star hub this is the sum over every spoke link; `mesh` then carries
-  // the per-link breakdown.
+  // Federation link accounting, summed over every gateway link (zeroed
+  // without a federation).
   netfleet::LinkStats net;
-  std::vector<netfleet::LinkStats> mesh;
 
-  // Gateway novelty-oracle accounting, aggregated over every link (zeroed
-  // unless net_virgin_oracle was set).
+  // Gateway novelty-oracle accounting, aggregated over every model
+  // (zeroed unless net_virgin_oracle was set).
   corpus::OracleStats oracle;
 
-  // Self-healing federation accounting (zeroed unless failover.enabled;
-  // its net/oracle fields are also copied into the two members above).
+  // Election accounting (zeroed unless federation.failover; its net/oracle
+  // fields are also copied into the two members above).
   netfleet::FailoverStats failover;
 
   // Final fleet-level telemetry snapshot (zeroed without telemetry).
@@ -223,8 +209,8 @@ struct ProcFleetResult {
 // `program`/`seeds` in forked processes. Blocks until every worker
 // completes, fails, or is quarantined. Throws std::invalid_argument on a
 // malformed config (no persist_dir, zero workers with resume, telemetry
-// too small) and std::runtime_error when the fleet store refuses the
-// directory.
+// too small, a malformed federation rank table) and std::runtime_error
+// when the fleet store refuses the directory.
 ProcFleetResult run_process_fleet(const Program& program,
                                   const std::vector<Input>& seeds,
                                   const ProcFleetConfig& config);
