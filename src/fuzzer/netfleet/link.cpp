@@ -285,6 +285,21 @@ void PeerLink::handle_frame(const Frame& f, u64 now_ns) {
             observed_rank_ = h.rank;
           }
           stats_.epoch_ahead_seen++;
+          // This side must close, but hand over our own hello first. A
+          // side that reads the newer hello in the pump that establishes
+          // (a dialer whose connect just completed, a listener whose
+          // accept found the peer's hello waiting) has not flushed yet,
+          // and drop_connection clears the outbox: the newer side would
+          // never see the older epoch it must fence. Before the
+          // handshake the outbox holds only the preamble and hello, which
+          // a fresh socket takes whole; best effort, no injected chaos.
+          if (!outbox_.empty()) {
+            const ssize_t r = sock_send(fd_, outbox_.data(), outbox_.size());
+            if (r > 0) {
+              stats_.bytes_sent += static_cast<u64>(r);
+              bump(c_bytes_sent_, static_cast<u64>(r));
+            }
+          }
           drop_connection(now_ns, "epoch ahead", /*count_error=*/false);
           return;
         }
