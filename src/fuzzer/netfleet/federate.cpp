@@ -175,6 +175,13 @@ FederationResult run_federation(const Program& program,
     out.error = "federation: kill_rank out of range";
     return out;
   }
+  const bool failover = nodes[0].federation.failover;
+  for (const procfleet::ProcFleetConfig& c : nodes) {
+    if (c.federation.failover != failover) {
+      out.error = "federation: ranks disagree on federation.failover";
+      return out;
+    }
+  }
   ignore_sigpipe();
 
   // Shared session identity, derived from config the ranks genuinely have
@@ -213,7 +220,7 @@ FederationResult run_federation(const Program& program,
       }
     }
   };
-  for (usize h = 0; h < n && (plan.failover || h == 0); ++h) {
+  for (usize h = 0; h < n && (failover || h == 0); ++h) {
     for (usize s = 0; s < n; ++s) {
       if (h == s) continue;
       std::string err;
@@ -228,7 +235,6 @@ FederationResult run_federation(const Program& program,
 
   for (usize i = 0; i < n; ++i) {
     FederationConfig& f = nodes[i].federation;
-    f.failover = plan.failover;
     f.rank = static_cast<u32>(i);
     f.num_nodes = static_cast<u32>(n);
     f.initial_leader = 0;

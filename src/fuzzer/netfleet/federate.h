@@ -40,15 +40,10 @@ struct NodeReport {
   FailoverStats failover;
 };
 
-// Topology and chaos for one run: which gateway every rank runs, which
-// rank to SIGKILL (whole process group: coordinator + its workers), when,
-// and whether/how it comes back.
+// Chaos for one run: which rank to SIGKILL (whole process group:
+// coordinator + its workers), when, and whether/how it comes back.
 struct FederationPlan {
   static constexpr u32 kNoKill = 0xFFFFFFFFu;
-
-  // Every rank runs a FailoverMesh (self-healing) instead of a static
-  // MeshHub around rank 0.
-  bool failover = false;
 
   u32 kill_rank = kNoKill;
   u32 kill_after_ms = 0;
@@ -81,13 +76,15 @@ struct FederationResult {
 // Runs nodes[r] as rank r of one federation; rank 0 leads (epoch 1 with
 // failover on). Each node's `federation.link` serves as its link template
 // (liveness/backoff tuning) and, with failover on, its election and delta
-// tuning applies; the rank table, wiring, fingerprint and `failover` are
-// filled in here. The parent pre-binds the listener matrix — L[h][s], the
-// socket rank s dials when rank h leads; only rank 0's row without
-// failover — so with failover ANY rank can be promoted without
-// coordination. Report pipes are drained while the ranks run; `plan`'s
-// kill and resurrection (resume + probe) fire on their deadlines. Blocks
-// until every live rank exits. Requires at least two nodes.
+// tuning applies; the rank table, wiring and fingerprint are filled in
+// here. `federation.failover` picks the gateway and must be the same on
+// every rank (a mismatch returns !ok with an error). The parent pre-binds
+// the listener matrix — L[h][s], the socket rank s dials when rank h
+// leads; only rank 0's row without failover — so with failover ANY rank
+// can be promoted without coordination. Report pipes are drained while
+// the ranks run; `plan`'s kill and resurrection (resume + probe) fire on
+// their deadlines. Blocks until every live rank exits. Requires at least
+// two nodes.
 FederationResult run_federation(const Program& program,
                                 const std::vector<Input>& seeds,
                                 std::vector<procfleet::ProcFleetConfig> nodes,

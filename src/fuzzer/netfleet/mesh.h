@@ -77,8 +77,6 @@ struct FederationConfig {
   // Self-healing (FailoverMesh): elections, epoch fencing, oracle delta
   // sync, resume probing and the federation WAL. Off: a static MeshHub
   // around initial_leader, and every field below is ignored.
-  // run_federation overwrites this (like the rank table and wiring above)
-  // with FederationPlan::failover, so one choice covers every rank.
   bool failover = false;
 
   // Leader-link silence (never established) before a spoke declares the

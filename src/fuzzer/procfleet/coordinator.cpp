@@ -285,7 +285,17 @@ ProcFleetResult run_process_fleet(const Program& program,
     ev.segment_max_execs = s.goal;
     ev.checkpoint_seq = store.instance_store(s.id).newest_seq_on_disk();
     std::string err;
-    (void)store.append_event(ev, &err);
+    if (!store.append_event(ev, &err) || coord_fault == nullptr) return;
+    // Progress-keyed kill point for the coordinator itself, on its own
+    // fault key so no worker trigger can land here.
+    u64 checkpoints = 0;
+    u32 unfinished = 0;
+    for (const auto& sp : slots) {
+      checkpoints += store.instance_store(sp->id).newest_seq_on_disk();
+      unfinished += sp->phase != Slot::Phase::kFinished;
+    }
+    coord_fault->set_unfinished(unfinished);
+    coord_fault->commit_point(kCoordinatorFaultInstance, checkpoints);
   };
 
   // Durable truth for a worker that did not hand over a clean result: its

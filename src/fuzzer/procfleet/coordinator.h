@@ -56,6 +56,13 @@
 
 namespace bigmap::procfleet {
 
+// Fault-injector instance key of the coordinator's own kill point: a
+// FaultSite::kSelfKill commit point right after each fleet-journal append
+// (its marker's checkpoints= sums the workers' newest snapshot sequence
+// numbers). Workers key on their ids and the gateway on num_workers, so a
+// trigger on this key fires in the coordinator only.
+inline constexpr u32 kCoordinatorFaultInstance = 0xFFFFFFFEu;
+
 struct ProcFleetConfig {
   u32 num_workers = 4;
 

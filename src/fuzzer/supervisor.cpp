@@ -228,6 +228,15 @@ SupervisorResult run_supervised_campaign(const Program& program,
     }
   }
 
+  // Instances still owed work, for the kSelfKill marker line.
+  auto report_unfinished = [&] {
+    if (config.fault == nullptr) return;
+    u32 n = 0;
+    for (const auto& sp : slots) n += sp->phase != Slot::Phase::kFinished;
+    config.fault->set_unfinished(n);
+  };
+  report_unfinished();
+
   // Appends this slot's current accounting to the fleet journal. Failures
   // (real or injected) are non-fatal: the run continues, a future resume
   // just sees a slightly staler event.
@@ -334,6 +343,7 @@ SupervisorResult run_supervised_campaign(const Program& program,
   auto finish = [&](Slot& s, InstanceState state) {
     s.phase = Slot::Phase::kFinished;
     s.health.state = state;
+    report_unfinished();
     journal_event(s, state == InstanceState::kCompleted
                          ? persist::kEventCompleted
                          : persist::kEventFailed);

@@ -105,6 +105,10 @@ bool CheckpointStore::save(const CampaignSnapshot& s, u32 keep,
   }
   checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   checkpoint_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  // Progress-keyed kill point: snapshot `seq` is committed and newest.
+  if (fault_.injector != nullptr) {
+    fault_.injector->commit_point(fault_.instance, seq);
+  }
 
   // Prune oldest snapshots beyond the retention window. Failures here are
   // ignorable: extra old snapshots cost disk, not correctness.

@@ -58,7 +58,8 @@ class CheckpointStore {
   // Encodes and atomically commits `s` as the next snapshot, then prunes
   // old ones down to `keep`. Returns false (with *err) on real or injected
   // I/O failure; previously committed snapshots are never damaged by a
-  // failed save.
+  // failed save. A committed save is a FaultSite::kSelfKill commit point
+  // (FaultInjector::commit_point), consulted before the prune.
   bool save(const CampaignSnapshot& s, u32 keep, std::string* err);
 
   struct LoadOutcome {

@@ -1,5 +1,9 @@
 #include "util/fault.h"
 
+#include <signal.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <string>
 
 #include "util/hash.h"
@@ -32,8 +36,19 @@ const char* fault_site_name(FaultSite site) noexcept {
     case FaultSite::kNetShortWrite: return "net-short-write";
     case FaultSite::kNetConnReset: return "net-conn-reset";
     case FaultSite::kNetPartition: return "net-partition";
+    case FaultSite::kSelfKill: return "self-kill";
+    case FaultSite::kCount: break;
   }
   return "unknown";
+}
+
+FaultPlan FaultPlan::without(FaultSite site) const {
+  FaultPlan out = *this;
+  std::erase_if(out.triggers,
+                [site](const FaultTrigger& t) { return t.site == site; });
+  std::erase_if(out.rates,
+                [site](const FaultRate& r) { return r.site == site; });
+  return out;
 }
 
 u64 FaultStats::checked_total() const noexcept {
@@ -93,6 +108,21 @@ bool FaultInjector::fire(FaultSite site, u32 instance) {
     if (reg_injected_[si] != nullptr) reg_injected_[si]->add();
   }
   return hit;
+}
+
+void FaultInjector::commit_point(u32 instance, u64 checkpoints) {
+  if (!fire(FaultSite::kSelfKill, instance)) return;
+  char line[128];
+  const int n = std::snprintf(
+      line, sizeof(line),
+      "self-kill: instance=%u checkpoints=%llu unfinished=%u\n", instance,
+      static_cast<unsigned long long>(checkpoints),
+      unfinished_.load(std::memory_order_relaxed));
+  // One write(2), so the marker is never interleaved or left in a buffer
+  // the kill throws away.
+  std::fflush(stdout);
+  (void)!::write(STDERR_FILENO, line, static_cast<usize>(n));
+  ::kill(::getpid(), SIGKILL);
 }
 
 void FaultInjector::set_registry(telemetry::MetricRegistry* reg) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -57,8 +58,14 @@ enum class FaultSite : u8 {
   kNetShortWrite,  // the connection tears mid-frame (peer sees a torn record)
   kNetConnReset,   // the connection is reset abruptly (RST / peer crash)
   kNetPartition,   // the link is cut for a while (switch died / net split)
+  // Progress-keyed process death: consulted right after a durable commit
+  // (a CheckpointStore snapshot, a coordinator fleet-journal record), so a
+  // drill can kill a run at an exact point of its progress instead of
+  // racing a wall-clock timer. See FaultInjector::commit_point.
+  kSelfKill,
+  kCount,  // number of sites; keep last
 };
-inline constexpr usize kNumFaultSites = 18;
+inline constexpr usize kNumFaultSites = static_cast<usize>(FaultSite::kCount);
 
 const char* fault_site_name(FaultSite site) noexcept;
 
@@ -86,6 +93,10 @@ struct FaultPlan {
   // Duration of injected kTransientHang stalls. The hang polls the
   // campaign's stop flag, so a watchdog can always cut it short.
   u32 hang_ms = 50;
+
+  // This plan minus every trigger and rate on `site`. A run resumed after
+  // a kSelfKill keeps the rest of its schedule but must not die again.
+  FaultPlan without(FaultSite site) const;
 };
 
 struct FaultStats {
@@ -110,6 +121,21 @@ class FaultInjector {
   bool fire(FaultSite site, u32 instance);
 
   u32 hang_ms() const noexcept { return plan_.hang_ms; }
+
+  // Durable-commit point for FaultSite::kSelfKill; call it right after a
+  // commit is on disk. When the site fires for `instance`, writes one
+  // marker line to stderr,
+  //   self-kill: instance=<i> checkpoints=<n> unfinished=<u>
+  // and SIGKILLs the whole process; otherwise returns. `checkpoints` is
+  // the snapshot progress the caller knows to be on disk, `unfinished` the
+  // value last passed to set_unfinished().
+  void commit_point(u32 instance, u64 checkpoints);
+
+  // Instances (or workers) of the run not yet completed, reported by the
+  // kSelfKill marker. The supervisor and the coordinator keep it current.
+  void set_unfinished(u32 n) noexcept {
+    unfinished_.store(n, std::memory_order_relaxed);
+  }
 
   FaultStats stats() const;
   // Faults delivered to one instance, across all sites.
@@ -169,6 +195,7 @@ class FaultInjector {
   std::unordered_map<u64, u64> counters_;          // (instance,site) -> n
   std::unordered_map<u64, u64> injected_by_key_;   // (instance,site) -> hits
   FaultStats stats_;
+  std::atomic<u32> unfinished_{0};
   // Telemetry mirrors (null when no registry attached); written under mu_.
   std::array<telemetry::Counter*, kNumFaultSites> reg_checked_{};
   std::array<telemetry::Counter*, kNumFaultSites> reg_injected_{};

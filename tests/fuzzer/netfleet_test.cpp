@@ -1036,5 +1036,31 @@ TEST(RunFederationTest, StarMatchesSingleFleet) {
   expect_federation_matches_single_fleet(3);
 }
 
+// federation.failover picks every rank's gateway; ranks that disagree
+// cannot form one federation, so the harness refuses before forking.
+TEST(RunFederationTest, FailoverMismatchIsRejected) {
+  GeneratorParams gp;
+  gp.seed = 33;
+  gp.live_blocks = 200;
+  const GeneratedTarget target = generate_target(gp);
+  const std::vector<Input> seeds = make_seed_corpus(target, 4, 1);
+  const std::string root =
+      std::filesystem::temp_directory_path() /
+      ("bigmap_run_federation_mismatch_" + std::to_string(::getpid()));
+  std::vector<procfleet::ProcFleetConfig> nodes;
+  for (u32 r = 0; r < 3; ++r) {
+    nodes.push_back(
+        drill_config(root + "/r" + std::to_string(r), 2, 501 + 2 * r));
+    nodes.back().federation.failover = true;
+  }
+  nodes[2].federation.failover = false;
+  const FederationResult fed = run_federation(target.program, seeds, nodes);
+  EXPECT_FALSE(fed.ok);
+  EXPECT_NE(fed.error.find("failover"), std::string::npos) << fed.error;
+  EXPECT_TRUE(fed.nodes.empty());
+  // Refused before any rank ran: nothing was written.
+  EXPECT_FALSE(std::filesystem::exists(root));
+}
+
 }  // namespace
 }  // namespace bigmap::netfleet

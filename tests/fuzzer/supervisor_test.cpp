@@ -10,9 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "target/generator.h"
 
@@ -229,6 +237,87 @@ TEST(SupervisorTest, WholeProcessResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.found_stack_hashes, baseline.found_stack_hashes);
   EXPECT_GE(resumed.persist.checkpoints_loaded, 1u);
   EXPECT_GE(resumed.persist.journal_events, 1u);
+}
+
+// Runs `body` in a forked child with stderr in `log` and returns its wait
+// status: a kSelfKill kills the whole process, so it cannot run in the
+// test process itself.
+template <typename Body>
+int run_in_child(const std::string& log, Body body) {
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) ::dup2(fd, STDERR_FILENO);
+    ::_exit(body());
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return status;
+}
+
+// The progress-keyed kill: {kSelfKill, instance 1, nth 2} SIGKILLs the
+// whole process right after instance 1's third snapshot commit, and a
+// resume of that wreckage without the trigger reproduces an uninterrupted
+// run exactly.
+TEST(SupervisorTest, SelfKillAfterNthCommitResumesToTheBaseline) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+  auto baseline = run_supervised_campaign(target.program, seeds,
+                                          make_config());
+  ASSERT_TRUE(baseline.all_completed());
+
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kSelfKill, 1, 2});
+  TempDir dir("selfkill");
+  SupervisorConfig sc = make_config();
+  sc.stall_deadline_ms = 2000;
+  sc.persist_dir = dir.path;
+  sc.checkpoint_interval = 512;
+  const std::string log = dir.path + ".log";
+
+  const int killed = run_in_child(log, [&] {
+    FaultInjector inj(77, plan);
+    sc.fault = &inj;
+    (void)run_supervised_campaign(target.program, seeds, sc);
+    return 0;
+  });
+  ASSERT_TRUE(WIFSIGNALED(killed) && WTERMSIG(killed) == SIGKILL)
+      << "wait status " << killed;
+  std::ifstream in(log);
+  const std::string marker((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(marker.find("self-kill: instance=1 checkpoints=3 unfinished="),
+            std::string::npos)
+      << marker;
+  // Killed after the rename committed snapshot 3, before anything newer.
+  u64 newest = 0;
+  for (const auto& f :
+       std::filesystem::directory_iterator(dir.path + "/instance-1")) {
+    const std::string name = f.path().filename().string();
+    if (name.rfind("snap-", 0) == 0 && f.path().extension() == ".bms") {
+      newest = std::max<u64>(newest, std::stoull(name.substr(5)));
+    }
+  }
+  EXPECT_EQ(newest, 3u);
+
+  // The resume keeps the plan minus the trigger; a re-fire would SIGKILL
+  // this child too.
+  const int resumed = run_in_child(log, [&] {
+    FaultInjector inj(77, plan.without(FaultSite::kSelfKill));
+    sc.fault = &inj;
+    sc.resume = true;
+    const SupervisorResult r =
+        run_supervised_campaign(target.program, seeds, sc);
+    if (!r.resumed || !r.all_completed()) return 1;
+    if (r.found_bug_ids != baseline.found_bug_ids) return 2;
+    if (r.found_stack_hashes != baseline.found_stack_hashes) return 3;
+    return r.total_execs == baseline.total_execs ? 0 : 4;
+  });
+  std::filesystem::remove(log);
+  ASSERT_FALSE(WIFSIGNALED(resumed)) << "the resume re-fired the self-kill";
+  // 1: not resumed/completed, 2: bug_ids, 3: stack_hashes, 4: total_execs
+  EXPECT_EQ(WEXITSTATUS(resumed), 0);
 }
 
 // Resuming against a directory written by a differently configured fleet

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <new>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +90,34 @@ TEST(FaultInjectorTest, StatsAndPerInstanceAccounting) {
   EXPECT_EQ(inj.injected_for(0), 1u);
   EXPECT_EQ(inj.injected_for(1), 1u);
   EXPECT_EQ(inj.injected_for(2), 0u);
+}
+
+// kNumFaultSites sizes every per-site array (FaultStats, the telemetry
+// mirrors, the shm occurrence mirror); each site below it must be a real,
+// named site, so a new one cannot be left out of the count.
+TEST(FaultInjectorTest, EverySiteHasAName) {
+  std::set<std::string> names;
+  for (usize si = 0; si < kNumFaultSites; ++si) {
+    const std::string name = fault_site_name(static_cast<FaultSite>(si));
+    EXPECT_NE(name, "unknown") << "site " << si;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  EXPECT_STREQ(fault_site_name(FaultSite::kSelfKill), "self-kill");
+  EXPECT_STREQ(fault_site_name(FaultSite::kCount), "unknown");
+}
+
+TEST(FaultInjectorTest, WithoutDropsOnlyTheNamedSite) {
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kSelfKill, 1, 2});
+  plan.triggers.push_back({FaultSite::kProcKill, 1, 2});
+  plan.rates.push_back({FaultSite::kSelfKill, 1000000});
+  plan.rates.push_back({FaultSite::kNetDrop, 1000});
+  const FaultPlan rest = plan.without(FaultSite::kSelfKill);
+  ASSERT_EQ(rest.triggers.size(), 1u);
+  EXPECT_EQ(rest.triggers[0].site, FaultSite::kProcKill);
+  ASSERT_EQ(rest.rates.size(), 1u);
+  EXPECT_EQ(rest.rates[0].site, FaultSite::kNetDrop);
+  EXPECT_EQ(rest.hang_ms, plan.hang_ms);
 }
 
 TEST(FaultInjectorTest, ScopedBindingInjectsAllocationFailure) {
