@@ -168,7 +168,7 @@ void run_real_process_section() {
     fc.base.sync_interval = 1024;
     fc.poll_ms = 2;
     fc.stall_deadline_ms = 5000;
-    fc.max_restarts_per_worker = 10;
+    fc.max_restarts = 10;
     fc.backoff_initial_ms = 5;
     fc.backoff_cap_ms = 50;
     fc.checkpoint_interval = 4096;

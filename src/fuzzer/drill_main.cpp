@@ -415,7 +415,7 @@ procfleet::ProcFleetConfig fleet_config(const Stage& st, const std::string& dir,
   fc.base = campaign(st, seed);
   fc.poll_ms = 2;
   fc.stall_deadline_ms = 600;
-  fc.max_restarts_per_worker = 10;
+  fc.max_restarts = 10;
   fc.backoff_initial_ms = 5;
   fc.backoff_cap_ms = 50;
   fc.checkpoint_interval = 512;
@@ -509,7 +509,7 @@ Outcome run_threads(const Stage& st, const std::string& dir,
   sc.base = campaign(st, 501);
   sc.poll_ms = 2;
   sc.stall_deadline_ms = 2000;
-  sc.max_restarts_per_instance = 3;
+  sc.max_restarts = 3;
   sc.backoff_initial_ms = 5;
   sc.backoff_cap_ms = 50;
   sc.checkpoint_interval = 512;

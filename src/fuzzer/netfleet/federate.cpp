@@ -110,8 +110,8 @@ std::string encode_node_report(const procfleet::ProcFleetResult& r, bool ok,
   n.total_interesting = r.total_interesting;
   n.total_crashes = r.total_crashes;
   n.all_completed = r.all_completed();
-  n.net = r.net;
-  n.oracle = r.oracle;
+  n.net = r.failover.net;
+  n.oracle = r.failover.oracle;
   n.failover = r.failover;
 
   std::ostringstream os;

@@ -6,23 +6,23 @@
 // worker that SIGKILLs itself, wedges, or corrupts its own heap cannot
 // take the fleet down — the blast radius of any failure is one process.
 //
-// The coordinator is a single-threaded event loop:
+// The restart policy (stall deadline, retry budget, backoff, wall stop,
+// journal, find union) is the shared Lifecycle core (fuzzer/lifecycle.h);
+// this single-threaded driver adds the process mechanism:
 //
-//  - heartbeat monitor: each worker's campaign bumps the CampaignControl
-//    progress word in its ShmWorkerBlock; a worker whose word has not
-//    moved within stall_deadline_ms is hang-killed (SIGKILL) — this is
-//    what catches SIGSTOP'd, swapped-out, or livelocked workers that a
-//    cooperative stop flag can never reach;
+//  - heartbeat kill: a worker whose ShmWorkerBlock progress word stalls is
+//    SIGKILLed — this catches SIGSTOP'd, swapped-out, or livelocked
+//    workers that a cooperative stop flag can never reach — and so is one
+//    that ignores the wall-clock stop;
 //  - exit-status triage: waitpid distinguishes clean completion, the
 //    worker exit codes (OOM / shm attach failure / error / injected
 //    kill / died-mid-publish), coordinator-initiated hang kills, and
 //    genuine crash signals — each triaged into its own counter;
-//  - restarts: exponential backoff under a per-worker retry budget.
-//    Restarts are *warm*: the replacement process resumes from the
-//    worker's last checkpoint (PR5), continues the same budget segment,
-//    and advances its fresh fault injector to the chaos-site occurrence
-//    counts mirrored in shared memory, so seeded fault schedules stay
-//    cumulative across process generations;
+//  - warm restarts: the replacement process resumes from the worker's
+//    last checkpoint, continues the same budget segment, and advances its
+//    fresh fault injector to the chaos-site occurrence counts mirrored in
+//    shared memory, so seeded fault schedules stay cumulative across
+//    process generations;
 //  - quarantine: a worker that dies abnormally quarantine_deaths times
 //    within quarantine_window_ms is parked instead of restarted. Its
 //    durable progress (last checkpoint) is kept, and the undone part of
@@ -44,11 +44,10 @@
 #include <string>
 #include <vector>
 
-#include "corpus/novelty.h"
 #include "fuzzer/campaign.h"
+#include "fuzzer/lifecycle.h"
 #include "fuzzer/netfleet/mesh.h"
 #include "fuzzer/sync.h"
-#include "persist/checkpoint.h"
 #include "target/program.h"
 #include "telemetry/sink.h"
 #include "util/fault.h"
@@ -63,24 +62,22 @@ namespace bigmap::procfleet {
 // trigger on this key fires in the coordinator only.
 inline constexpr u32 kCoordinatorFaultInstance = 0xFFFFFFFEu;
 
-struct ProcFleetConfig {
+// Restart policy defaults: stall 1 s, 8 restarts, backoff 5 ms doubling to
+// 500 ms. A stalled worker is SIGKILLed; one that ignores the wall stop is
+// SIGKILLed after twice the stall deadline.
+struct ProcFleetConfig : RestartPolicy {
+  ProcFleetConfig()
+      : RestartPolicy{.stall_deadline_ms = 1000,
+                      .max_restarts = 8,
+                      .backoff_initial_ms = 5,
+                      .backoff_cap_ms = 500} {}
+
   u32 num_workers = 4;
 
   // Template for every worker; per-worker fields (seed, sync, control,
   // persistence, fault wiring) are filled in by the worker itself.
   CampaignConfig base;
   u64 instance_seed_stride = 1;
-
-  // Heartbeat monitor: poll every poll_ms; SIGKILL a worker whose
-  // progress word has not moved within stall_deadline_ms.
-  u32 poll_ms = 5;
-  u32 stall_deadline_ms = 1000;
-
-  // Restart policy (per worker, exponential backoff).
-  u32 max_restarts_per_worker = 8;
-  u32 backoff_initial_ms = 5;
-  double backoff_multiplier = 2.0;
-  u32 backoff_cap_ms = 500;
 
   // Quarantine: park a worker that dies abnormally `quarantine_deaths`
   // times within `quarantine_window_ms` (0 deaths disables quarantine).
@@ -117,11 +114,6 @@ struct ProcFleetConfig {
   // live in the coordinator: per-worker execs are fed from the shm
   // heartbeat (monotone deltas), fleet counters from the triage loop.
   telemetry::FleetTelemetry* telemetry = nullptr;
-  u32 fleet_stamp_ms = 100;
-
-  // Safety net: when > 0 and the fleet exceeds this, every worker gets a
-  // cooperative stop, then a SIGKILL grace period.
-  double max_wall_seconds = 0.0;
 
   // Federation (src/fuzzer/netfleet): with federation.num_nodes > 0 the
   // coordinator reserves one extra hub instance as the federation's
@@ -141,17 +133,9 @@ struct ProcFleetConfig {
   bool net_virgin_oracle = false;
 };
 
-enum class WorkerState : u8 {
-  kCompleted,    // delivered its full exec budget
-  kFailed,       // retry budget exhausted / wall-clock stop
-  kQuarantined,  // parked after repeated abnormal deaths
-};
+using WorkerState = InstanceState;
 
-struct WorkerHealth {
-  u32 id = 0;
-  WorkerState state = WorkerState::kCompleted;
-  u32 attempts = 0;       // processes forked (>= 1)
-  u32 restarts = 0;
+struct WorkerHealth : InstanceStatus {
   u32 hang_kills = 0;     // coordinator SIGKILLs after heartbeat deadline
   u32 crash_signals = 0;  // abnormal signal deaths not initiated by us
   u32 oom_kills = 0;      // kExitOom exits
@@ -159,50 +143,24 @@ struct WorkerHealth {
   u32 error_exits = 0;    // kExitError + kExitMidPublish exits
   u32 kills = 0;          // injected kInstanceKill (kExitFaultKill exits)
   int last_signal = 0;    // most recent crash signal number
-  u64 execs = 0;          // durable lifetime execs (budget segment total)
-  u64 interesting = 0;
-  u64 crashes_total = 0;
   u64 goal = 0;           // final exec budget (base + quarantine grants)
-  std::string last_error;
 };
 
-struct ProcFleetResult {
+// found_bug_ids / found_stack_hashes: the union across every worker's
+// durable state (final snapshots), which the chaos drill compares.
+struct ProcFleetResult : FleetResult {
   std::vector<WorkerHealth> workers;
 
-  // Union across every worker's durable state (final snapshots) — the
-  // cross-instance crash metric the chaos drill compares.
-  std::vector<u32> found_bug_ids;
-  std::vector<u64> found_stack_hashes;
-
-  u64 total_execs = 0;
-  u64 total_interesting = 0;
-  u64 total_crashes = 0;
-  u64 total_restarts = 0;
   u32 quarantined = 0;
   // Budget that could not be redistributed because no live worker was
   // left to absorb it (every survivor quarantined/failed).
   u64 unassigned_budget = 0;
-  double wall_seconds = 0.0;
-  double aggregate_throughput = 0.0;
 
-  SyncHubStats sync;
-  persist::PersistStats persist;
-  bool resumed = false;
-
-  // Federation link accounting, summed over every gateway link (zeroed
-  // without a federation).
-  netfleet::LinkStats net;
-
-  // Gateway novelty-oracle accounting, aggregated over every model
-  // (zeroed unless net_virgin_oracle was set).
-  corpus::OracleStats oracle;
-
-  // Election accounting (zeroed unless federation.failover; its net/oracle
-  // fields are also copied into the two members above).
+  // Gateway accounting (zeroed without a federation): link stats summed
+  // over every gateway link in failover.net, novelty-oracle stats in
+  // failover.oracle (zeroed unless net_virgin_oracle), and the election
+  // counters (zeroed unless federation.failover).
   netfleet::FailoverStats failover;
-
-  // Final fleet-level telemetry snapshot (zeroed without telemetry).
-  telemetry::StatsSnapshot fleet_total;
 
   bool all_completed() const noexcept {
     for (const WorkerHealth& h : workers) {

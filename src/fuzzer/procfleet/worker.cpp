@@ -2,8 +2,6 @@
 
 #include <signal.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <new>
 #include <optional>
@@ -145,17 +143,6 @@ int worker_main(const WorkerParams& p) {
 
     blk->state.store(kWorkerRunning, std::memory_order_release);
     const CampaignResult r = run_campaign(*p.program, *p.seeds, c);
-    if (::getenv("BIGMAP_FLEET_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "[worker %u] execs=%llu resumed=%d from=%llu "
-                   "interesting=%llu fault_aborted=%d max_execs=%llu\n",
-                   p.id, static_cast<unsigned long long>(r.execs),
-                   r.resumed ? 1 : 0,
-                   static_cast<unsigned long long>(r.resumed_from_execs),
-                   static_cast<unsigned long long>(r.interesting),
-                   r.fault_aborted ? 1 : 0,
-                   static_cast<unsigned long long>(c.max_execs));
-    }
 
     blk->result_execs.store(r.execs, std::memory_order_relaxed);
     blk->result_interesting.store(r.interesting, std::memory_order_relaxed);

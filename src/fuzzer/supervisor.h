@@ -4,15 +4,18 @@
 // survives a 24 h run; real campaigns don't — instances stall on
 // pathological inputs, die to resource exhaustion, and lose their corpus
 // state. run_supervised_campaign() runs N run_campaign instances on real
-// std::threads against a shared SyncHub and keeps the campaign alive:
+// std::threads against a shared SyncHub and keeps the campaign alive. The
+// restart policy (stall deadline, retry budget, backoff, wall stop,
+// journal) is the shared Lifecycle core (fuzzer/lifecycle.h); this driver
+// adds the thread mechanism:
 //
 //  - watchdog: each instance publishes an exec-count heartbeat through
-//    CampaignControl; an instance with no progress within
-//    stall_deadline_ms gets a cooperative stop request and is restarted;
-//  - restarts: exponential backoff (initial * multiplier^k, capped) with a
-//    per-instance retry budget; a restarted instance re-runs from scratch
-//    with its original seed and full exec budget, and its SyncHub cursor is
-//    rewound so it re-imports everything still retained;
+//    CampaignControl; a stalled instance gets a cooperative stop request
+//    and is restarted;
+//  - budget segments: a cold restart (no persist_dir) opens a new segment
+//    that owes only the execs still outstanding, so the fleet total stays
+//    exactly N * max_execs; its SyncHub cursor is rewound so it re-imports
+//    everything still retained;
 //  - no lost finds: the partial result of every attempt — a stalled stop, a
 //    kInstanceKill death, a clean finish — has its found_bug_ids /
 //    found_stack_hashes unioned into the supervisor result before the
@@ -32,8 +35,8 @@
 #include <vector>
 
 #include "fuzzer/campaign.h"
+#include "fuzzer/lifecycle.h"
 #include "fuzzer/sync.h"
-#include "persist/checkpoint.h"
 #include "target/program.h"
 #include "telemetry/sink.h"
 #include "util/fault.h"
@@ -41,7 +44,9 @@
 
 namespace bigmap {
 
-struct SupervisorConfig {
+// Restart policy: the RestartPolicy defaults (stall 500 ms, 3 restarts,
+// backoff 10 ms doubling to 1 s).
+struct SupervisorConfig : RestartPolicy {
   u32 num_instances = 4;
 
   // Template for every instance; per-instance fields (seed, sync_id,
@@ -49,17 +54,6 @@ struct SupervisorConfig {
   // Instance i runs with seed = base.seed + i * instance_seed_stride.
   CampaignConfig base;
   u64 instance_seed_stride = 1;
-
-  // Watchdog: poll heartbeats every poll_ms; restart an instance whose
-  // exec count has not moved within stall_deadline_ms.
-  u32 poll_ms = 5;
-  u32 stall_deadline_ms = 500;
-
-  // Restart policy.
-  u32 max_restarts_per_instance = 3;
-  u32 backoff_initial_ms = 10;
-  double backoff_multiplier = 2.0;
-  u32 backoff_cap_ms = 1000;
 
   // Shared hub sizing (see SyncHubOptions).
   usize sync_max_records = 1u << 14;
@@ -91,69 +85,25 @@ struct SupervisorConfig {
   // telemetry->registry(), and stamps a fleet-level snapshot every
   // fleet_stamp_ms plus once at the end.
   telemetry::FleetTelemetry* telemetry = nullptr;
-  u32 fleet_stamp_ms = 100;
-
-  // Safety net for tests: when > 0 and the whole supervised run exceeds
-  // this, all instances get a stop request and the run winds down.
-  double max_wall_seconds = 0.0;
 };
 
-enum class InstanceState : u8 {
-  kCompleted,  // final attempt ran to its own stop condition
-  kFailed,     // retry budget exhausted (or wall-clock safety stop)
-};
-
-struct InstanceHealth {
-  u32 id = 0;
-  InstanceState state = InstanceState::kCompleted;
-  u32 attempts = 0;        // campaign runs started (>= 1)
-  u32 restarts = 0;        // attempts - successful completions
+struct InstanceHealth : InstanceStatus {
   u32 stalls = 0;          // watchdog-triggered stops
   u32 kills = 0;           // kInstanceKill deaths observed
   u32 alloc_failures = 0;  // attempts lost to std::bad_alloc
-  u64 execs = 0;           // summed across attempts
-  u64 interesting = 0;
-  u64 crashes_total = 0;
-  u64 faulted_execs = 0;
+  u64 faulted_execs = 0;   // summed across attempts
   u64 injected_hangs = 0;
   u64 faults_injected = 0;  // all faults delivered to this instance
   u32 warm_restarts = 0;    // restarts that resumed from a checkpoint
-  std::string last_error;   // last exception message, if any
 };
 
-struct SupervisorResult {
+struct SupervisorResult : FleetResult {
   std::vector<InstanceHealth> instances;
-
-  // Union across every attempt of every instance (the Figure 9/10
-  // cross-instance crash metric).
-  std::vector<u32> found_bug_ids;
-  std::vector<u64> found_stack_hashes;
-
-  u64 total_execs = 0;
-  u64 total_interesting = 0;
-  u64 total_crashes = 0;
-  u64 total_restarts = 0;
-  double wall_seconds = 0.0;
-  double aggregate_throughput = 0.0;  // total_execs / wall_seconds
 
   // Fault accounting: faults delivered overall, and the subset delivered
   // to instances that nevertheless completed (i.e. survived faults).
   u64 faults_injected = 0;
   u64 faults_survived = 0;
-
-  SyncHubStats sync;
-
-  // Persistence accounting (all zero without persist_dir): checkpoints
-  // written/loaded, bytes committed, recoveries by cause, journal replay.
-  persist::PersistStats persist;
-  // True when this run resumed a previous process's fleet journal.
-  bool resumed = false;
-
-  // Final fleet-level telemetry snapshot (zero-initialized when the run
-  // had no FleetTelemetry attached). fleet_total.execs equals the summed
-  // lifetime execs of every instance sink — the cross-check the fig9 bench
-  // reports against total_execs.
-  telemetry::StatsSnapshot fleet_total;
 
   bool all_completed() const noexcept {
     for (const InstanceHealth& h : instances) {

@@ -861,51 +861,59 @@ TEST(FederateTest, NodeReportRoundTrips) {
       {"total_execs", &r.total_execs, &h.total_execs},
       {"total_interesting", &r.total_interesting, &h.total_interesting},
       {"total_crashes", &r.total_crashes, &h.total_crashes},
-      {"bytes_sent", &r.net.bytes_sent, &h.net.bytes_sent},
-      {"bytes_received", &r.net.bytes_received, &h.net.bytes_received},
-      {"records_sent", &r.net.records_sent, &h.net.records_sent},
-      {"records_received", &r.net.records_received, &h.net.records_received},
-      {"deltas_sent", &r.net.deltas_sent, &h.net.deltas_sent},
-      {"deltas_received", &r.net.deltas_received, &h.net.deltas_received},
-      {"entries_offered", &r.net.entries_offered, &h.net.entries_offered},
-      {"novelty_filtered", &r.net.novelty_filtered, &h.net.novelty_filtered},
-      {"duplicates_dropped", &r.net.duplicates_dropped,
+      {"bytes_sent", &r.failover.net.bytes_sent, &h.net.bytes_sent},
+      {"bytes_received", &r.failover.net.bytes_received, &h.net.bytes_received},
+      {"records_sent", &r.failover.net.records_sent, &h.net.records_sent},
+      {"records_received", &r.failover.net.records_received,
+       &h.net.records_received},
+      {"deltas_sent", &r.failover.net.deltas_sent, &h.net.deltas_sent},
+      {"deltas_received", &r.failover.net.deltas_received,
+       &h.net.deltas_received},
+      {"entries_offered", &r.failover.net.entries_offered,
+       &h.net.entries_offered},
+      {"novelty_filtered", &r.failover.net.novelty_filtered,
+       &h.net.novelty_filtered},
+      {"duplicates_dropped", &r.failover.net.duplicates_dropped,
        &h.net.duplicates_dropped},
-      {"out_of_order_dropped", &r.net.out_of_order_dropped,
+      {"out_of_order_dropped", &r.failover.net.out_of_order_dropped,
        &h.net.out_of_order_dropped},
-      {"rewinds", &r.net.rewinds, &h.net.rewinds},
-      {"connects", &r.net.connects, &h.net.connects},
-      {"reconnects", &r.net.reconnects, &h.net.reconnects},
-      {"heartbeat_timeouts", &r.net.heartbeat_timeouts,
+      {"rewinds", &r.failover.net.rewinds, &h.net.rewinds},
+      {"connects", &r.failover.net.connects, &h.net.connects},
+      {"reconnects", &r.failover.net.reconnects, &h.net.reconnects},
+      {"heartbeat_timeouts", &r.failover.net.heartbeat_timeouts,
        &h.net.heartbeat_timeouts},
-      {"conn_errors", &r.net.conn_errors, &h.net.conn_errors},
-      {"hello_rejected", &r.net.hello_rejected, &h.net.hello_rejected},
-      {"injected_drops", &r.net.injected_drops, &h.net.injected_drops},
-      {"injected_delays", &r.net.injected_delays, &h.net.injected_delays},
-      {"injected_short_writes", &r.net.injected_short_writes,
+      {"conn_errors", &r.failover.net.conn_errors, &h.net.conn_errors},
+      {"hello_rejected", &r.failover.net.hello_rejected, &h.net.hello_rejected},
+      {"injected_drops", &r.failover.net.injected_drops, &h.net.injected_drops},
+      {"injected_delays", &r.failover.net.injected_delays,
+       &h.net.injected_delays},
+      {"injected_short_writes", &r.failover.net.injected_short_writes,
        &h.net.injected_short_writes},
-      {"injected_resets", &r.net.injected_resets, &h.net.injected_resets},
-      {"injected_partitions", &r.net.injected_partitions,
+      {"injected_resets", &r.failover.net.injected_resets,
+       &h.net.injected_resets},
+      {"injected_partitions", &r.failover.net.injected_partitions,
        &h.net.injected_partitions},
-      {"partition_ms_total", &r.net.partition_ms_total,
+      {"partition_ms_total", &r.failover.net.partition_ms_total,
        &h.net.partition_ms_total},
-      {"log_evicted", &r.net.log_evicted, &h.net.log_evicted},
-      {"lost_to_eviction", &r.net.lost_to_eviction, &h.net.lost_to_eviction},
-      {"resyncs_sent", &r.net.resyncs_sent, &h.net.resyncs_sent},
-      {"resync_skipped", &r.net.resync_skipped, &h.net.resync_skipped},
-      {"stale_hellos_dropped", &r.net.stale_hellos_dropped,
+      {"log_evicted", &r.failover.net.log_evicted, &h.net.log_evicted},
+      {"lost_to_eviction", &r.failover.net.lost_to_eviction,
+       &h.net.lost_to_eviction},
+      {"resyncs_sent", &r.failover.net.resyncs_sent, &h.net.resyncs_sent},
+      {"resync_skipped", &r.failover.net.resync_skipped, &h.net.resync_skipped},
+      {"stale_hellos_dropped", &r.failover.net.stale_hellos_dropped,
        &h.net.stale_hellos_dropped},
-      {"epoch_ahead_seen", &r.net.epoch_ahead_seen, &h.net.epoch_ahead_seen},
-      {"oracle.checked", &r.oracle.checked, &h.oracle.checked},
-      {"oracle.accepted", &r.oracle.accepted, &h.oracle.accepted},
-      {"oracle.rejected", &r.oracle.rejected, &h.oracle.rejected},
-      {"oracle.deltas_exported", &r.oracle.deltas_exported,
+      {"epoch_ahead_seen", &r.failover.net.epoch_ahead_seen,
+       &h.net.epoch_ahead_seen},
+      {"oracle.checked", &r.failover.oracle.checked, &h.oracle.checked},
+      {"oracle.accepted", &r.failover.oracle.accepted, &h.oracle.accepted},
+      {"oracle.rejected", &r.failover.oracle.rejected, &h.oracle.rejected},
+      {"oracle.deltas_exported", &r.failover.oracle.deltas_exported,
        &h.oracle.deltas_exported},
-      {"oracle.cells_exported", &r.oracle.cells_exported,
+      {"oracle.cells_exported", &r.failover.oracle.cells_exported,
        &h.oracle.cells_exported},
-      {"oracle.deltas_applied", &r.oracle.deltas_applied,
+      {"oracle.deltas_applied", &r.failover.oracle.deltas_applied,
        &h.oracle.deltas_applied},
-      {"oracle.cells_applied", &r.oracle.cells_applied,
+      {"oracle.cells_applied", &r.failover.oracle.cells_applied,
        &h.oracle.cells_applied},
       {"failover.epoch", &r.failover.epoch, &h.failover.epoch},
       {"failover.elections", &r.failover.elections, &h.failover.elections},
@@ -973,7 +981,7 @@ procfleet::ProcFleetConfig drill_config(const std::string& dir, u32 workers,
   fc.base.deterministic_timing = true;
   fc.poll_ms = 2;
   fc.stall_deadline_ms = 600;
-  fc.max_restarts_per_worker = 10;
+  fc.max_restarts = 10;
   fc.backoff_initial_ms = 5;
   fc.backoff_cap_ms = 50;
   fc.checkpoint_interval = 512;

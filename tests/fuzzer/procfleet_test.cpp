@@ -64,7 +64,7 @@ ProcFleetConfig make_config(const std::string& dir) {
   fc.base.deterministic_timing = true;
   fc.poll_ms = 2;
   fc.stall_deadline_ms = 600;
-  fc.max_restarts_per_worker = 10;
+  fc.max_restarts = 10;
   fc.backoff_initial_ms = 5;
   fc.backoff_cap_ms = 50;
   fc.checkpoint_interval = 512;

@@ -49,7 +49,7 @@ SupervisorConfig make_config() {
   sc.base.deterministic_timing = true;
   sc.poll_ms = 2;
   sc.stall_deadline_ms = 400;
-  sc.max_restarts_per_instance = 3;
+  sc.max_restarts = 3;
   sc.backoff_initial_ms = 5;
   sc.backoff_cap_ms = 50;
   return sc;
@@ -205,7 +205,7 @@ TEST(SupervisorTest, WholeProcessResumeMatchesUninterruptedRun) {
   TempDir dir("resume");
   SupervisorConfig sc = make_config();
   sc.fault = &inj;
-  sc.max_restarts_per_instance = 0;  // die in place, like a dead process
+  sc.max_restarts = 0;  // die in place, like a dead process
   // With no retries a spurious stall is fatal, so keep the watchdog
   // deadline above sanitizer-slowed exec + checkpoint-write pauses.
   sc.stall_deadline_ms = 2000;
@@ -373,7 +373,7 @@ TEST(SupervisorTest, RetryBudgetExhaustionMarksInstanceFailed) {
 
   SupervisorConfig sc = make_config();
   sc.num_instances = 2;
-  sc.max_restarts_per_instance = 1;
+  sc.max_restarts = 1;
   sc.fault = &inj;
   auto r = run_supervised_campaign(target.program, seeds, sc);
 
