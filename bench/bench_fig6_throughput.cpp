@@ -1,11 +1,21 @@
 // Figure 6: test-case generation throughput of AFL vs. BigMap at 64kB,
 // 256kB, 2MB, and 8MB maps across the 19 benchmarks, plus the average
 // speedup line the paper headlines (0.98x / 1.4x / 4.5x / 33.1x).
+//
+// A second table runs BigMap with checkpoints every 1024 execs at 64kB,
+// 2MB and 8MB on a fixed exec budget: snapshots encode only the live
+// [0, used_key) prefix, so exec/s and snapshot bytes should not move with
+// the map size.
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
+#include <string>
 
 #include "bench_common.h"
+#include "persist/checkpoint.h"
 
 using namespace bigmap;
 
@@ -60,5 +70,46 @@ int main(int argc, char** argv) {
                  paper[si]});
   }
   bench::emit("averages", avg);
+
+  std::printf("\nBigMap with checkpoints every 1024 execs:\n");
+  TableWriter ckpt({"Benchmark", "Map", "exec/s", "vs 64kB", "Checkpoints",
+                    "Snapshot bytes"});
+  const usize ckpt_sizes[] = {64u << 10, 2u << 20, 8u << 20};
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("bigmap_fig6_ckpt_" + std::to_string(::getpid())))
+          .string();
+  for (const BenchmarkInfo& info : full_table2_suite()) {
+    if (info.name != "zlib" && info.name != "libpng" &&
+        info.name != "proj4") {
+      continue;
+    }
+    auto target = build_benchmark(info);
+    auto seeds = bench::capped_seeds(target, info);
+    double base = 0;
+    for (const usize size : ckpt_sizes) {
+      persist::CheckpointStore store(dir, persist::FaultCtx{},
+                                     /*fresh=*/true);
+      CampaignConfig c = bench::throughput_config(MapScheme::kTwoLevel, size,
+                                                  0.0, /*seed=*/1);
+      c.max_execs = bench::scaled_execs(40000);
+      c.deterministic_timing = true;  // same finds, so same bytes
+      c.checkpoint = &store;
+      c.checkpoint_interval = 1024;
+      auto r = run_campaign(target.program, seeds, c);
+      const double tput = r.steady_throughput();
+      if (size == ckpt_sizes[0]) base = tput;
+      const persist::PersistStats ps = store.stats();
+      const u64 mean_bytes = ps.checkpoints_written > 0
+                                 ? ps.checkpoint_bytes / ps.checkpoints_written
+                                 : 0;
+      ckpt.add_row({info.name, fmt_bytes(size), fmt_double(tput, 0),
+                    fmt_double(base > 0 ? tput / base : 0, 2) + "x",
+                    std::to_string(ps.checkpoints_written),
+                    std::to_string(mean_bytes)});
+    }
+  }
+  std::filesystem::remove_all(dir);
+  bench::emit("checkpointed", ckpt);
   return bench::finish();
 }

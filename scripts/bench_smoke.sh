@@ -68,13 +68,36 @@ def load(name, expect_bench, expect_tables):
     return doc
 
 
-fig6 = load("BENCH_fig6.json", "fig6", ["throughput", "averages"])
+fig6 = load("BENCH_fig6.json", "fig6",
+            ["throughput", "averages", "checkpointed"])
 fig9 = load("BENCH_fig9.json", "fig9",
             ["normalized_throughput", "speedup_vs_afl",
              "real_thread_scaling", "telemetry_consistency",
              "real_process_degradation"])
 tracing = load("BENCH_tracing.json", "tracing",
                ["tracing_ratio", "speedup"])
+
+# Two-level checkpoints encode only the live [0, used_key) prefix: for every
+# benchmark the 8 MB snapshots may exceed the 64 kB ones by a few KB at most
+# (a whole-map encoding is ~128x larger).
+ckpt = next(t for t in fig6["tables"] if t["name"] == "checkpointed")
+cols = ckpt["columns"]
+check(len(ckpt["rows"]) > 0, "fig6: empty checkpointed table")
+snap_bytes = {}
+for row in ckpt["rows"]:
+    check(int(row[cols.index("Checkpoints")]) > 0,
+          f"fig6: checkpointed row wrote no checkpoint: {row}")
+    snap_bytes[(row[cols.index("Benchmark")], row[cols.index("Map")])] = \
+        int(row[cols.index("Snapshot bytes")])
+for (bench, size), small in snap_bytes.items():
+    if size != "64k":
+        continue
+    big = snap_bytes.get((bench, "8M"))
+    check(big is not None, f"fig6: no 8MB checkpointed row for {bench}")
+    if big is not None:
+        check(big <= small + 4096,
+              f"fig6: {bench} 8MB snapshots are {big} B against {small} B "
+              "at 64kB (live-prefix encoding lost?)")
 
 # Every report must record which whole-map kernel produced it, so perf
 # trajectories in committed BENCH_*.json artifacts are attributable.

@@ -89,12 +89,6 @@ class CoverageMapVariant {
         [&](const auto& m) { m.export_state(index, used_key, saturated); },
         map_);
   }
-  bool import_state(std::span<const u32> index, u32 used_key,
-                    u64 saturated) {
-    return std::visit(
-        [&](auto& m) { return m.import_state(index, used_key, saturated); },
-        map_);
-  }
 
   // Concrete access for scheme-specific introspection.
   FlatCoverageMap* as_flat() noexcept {

@@ -76,21 +76,15 @@ class FlatCoverageMap {
 
   // --- persistence ----------------------------------------------------------
 
-  // Symmetric with TwoLevelCoverageMap's hooks so map-generic persistence
-  // code compiles for both schemes. The flat map has no campaign-lifetime
-  // state of its own (the trace is per-exec scratch; global coverage lives
-  // in the virgin maps), so the export is empty and the import only
-  // validates that the snapshot agrees.
+  // Symmetric with TwoLevelCoverageMap::export_state so map-generic code
+  // compiles for both schemes. The flat map has no campaign-lifetime state
+  // of its own (the trace is per-exec scratch; global coverage lives in the
+  // virgin maps), so the export is empty.
   void export_state(std::vector<u32>* index, u32* used_key,
                     u64* saturated) const {
     index->clear();
     *used_key = 0;
     *saturated = 0;
-  }
-  bool import_state(std::span<const u32> index, u32 used_key,
-                    u64 saturated) {
-    (void)saturated;
-    return index.empty() && used_key == 0;
   }
 
  private:

@@ -11,6 +11,8 @@ TwoLevelCoverageMap::TwoLevelCoverageMap(const MapOptions& opt)
              opt.backing()),
       coverage_(opt.condensed_size == 0 ? opt.map_size : opt.condensed_size,
                 opt.backing()),
+      key_log_(opt.map_size * sizeof(u32)),
+      key_log_data_(reinterpret_cast<u32*>(key_log_.data())),
       kernel_(&kernels::resolve_kernel(opt.kernel)),
       index_data_(reinterpret_cast<u32*>(index_.data())),
       index_size_(opt.map_size),
@@ -25,6 +27,8 @@ TwoLevelCoverageMap::TwoLevelCoverageMap(const MapOptions& opt)
 }
 
 u32 TwoLevelCoverageMap::allocate_slot(u32* slot) noexcept {
+  key_log_data_[used_key_ + saturated_] =
+      static_cast<u32>(slot - index_data_);
   u32 k;
   if (used_key_ < coverage_.size()) {
     k = used_key_++;
@@ -85,24 +89,17 @@ void TwoLevelCoverageMap::export_state(std::vector<u32>* index, u32* used_key,
   *saturated = saturated_;
 }
 
-bool TwoLevelCoverageMap::import_state(std::span<const u32> index,
-                                       u32 used_key, u64 saturated) {
-  if (index.size() != index_size_ || used_key > coverage_.size()) {
-    return false;
+bool TwoLevelCoverageMap::import_slot_keys(std::span<const u32> keys) {
+  if (used_key_ != 0 || saturated_ != 0) return false;
+  for (usize i = 0; i < keys.size(); ++i) {
+    if (keys[i] >= index_size_ || index_data_[keys[i]] != kUnassigned) {
+      for (usize j = 0; j < i; ++j) index_data_[keys[j]] = kUnassigned;
+      used_key_ = 0;
+      saturated_ = 0;
+      return false;
+    }
+    allocate_slot(index_data_ + keys[i]);
   }
-  // Every assigned entry must point below the allocator's high-water mark
-  // (or at the aliasing slot when the bitmap saturated). A snapshot that
-  // violates this would let update() write past used_key and corrupt the
-  // prefix invariant every whole-map operation depends on.
-  const u32 limit = saturated > 0 ? static_cast<u32>(coverage_.size())
-                                  : used_key;
-  for (u32 entry : index) {
-    if (entry != kUnassigned && entry >= limit) return false;
-  }
-  std::memcpy(index_data_, index.data(), index.size() * sizeof(u32));
-  used_key_ = used_key;
-  saturated_ = saturated;
-  kernel_->reset(coverage_.data(), used_key_);
   return true;
 }
 

@@ -6,6 +6,8 @@
 //                   slot. kUnassigned (-1) until the key is first seen.
 //   coverage_bitmap condensed hit counts, densely packed from slot 0.
 //   used_key        bump allocator: the next free condensed slot.
+//   slot_keys       append-only log of the key each allocation assigned,
+//                   in order; written only on the cold first-touch path.
 //
 // Update (Listing 2):
 //   if (index_bitmap[E] == -1) index_bitmap[E] = used_key++;
@@ -123,25 +125,39 @@ class TwoLevelCoverageMap {
 
   // --- persistence ------------------------------------------------------------
 
-  // Copies the campaign-lifetime map state (the stable index assignment and
-  // the bump allocator) into `index`/`used_key`/`saturated` for
-  // checkpointing. The coverage bitmap is per-exec scratch and is not part
-  // of the persistent state.
+  // The campaign-lifetime map state (the stable index assignment) as the
+  // key of every slot allocation in order: slot i for i < used_key, then
+  // the keys that aliased the final slot once the bitmap saturated. It
+  // has used_key + saturated_updates entries, so exporting it costs what
+  // the edges found cost, not what the map size does. The coverage bitmap
+  // is per-exec scratch and not part of the persistent state.
+  std::span<const u32> slot_keys() const noexcept {
+    return {key_log_data_, static_cast<usize>(used_key_ + saturated_)};
+  }
+
+  // Copies the whole index table into `index` (map_size entries) with the
+  // allocator state; O(map_size), for tools that want the table itself.
   void export_state(std::vector<u32>* index, u32* used_key,
                     u64* saturated) const;
 
-  // Restores state captured by export_state into a freshly constructed map
-  // of the same geometry. Returns false (leaving the map untouched) when
-  // the state is inconsistent: wrong index size, used_key beyond the
-  // condensed bitmap, or an index entry pointing at an unallocated slot.
-  bool import_state(std::span<const u32> index, u32 used_key, u64 saturated);
+  // Rebuilds the state captured by slot_keys() in a freshly constructed
+  // map of the same geometry by replaying the allocations. Returns false
+  // (leaving the map fresh) when the map is not fresh or a key is outside
+  // the map or repeated.
+  bool import_slot_keys(std::span<const u32> keys);
 
  private:
-  // Cold path of update(): assigns the next condensed slot to *slot.
+  // Cold path of update(): assigns the next condensed slot to *slot and
+  // logs the key.
   u32 allocate_slot(u32* slot) noexcept;
 
   PageBuffer index_;      // map_size u32 entries, init 0xFFFFFFFF
   PageBuffer coverage_;   // condensed hit counts
+  // map_size u32 entries (at most one allocation per key). Never
+  // pre-touched: pages fault in as the log grows, so its resident cost
+  // follows used_key.
+  PageBuffer key_log_;
+  u32* key_log_data_;     // == reinterpret_cast<u32*>(key_log_.data())
   const kernels::KernelOps* kernel_;
   u32* index_data_;       // == reinterpret_cast<u32*>(index_.data())
   usize index_size_;      // entries in index_

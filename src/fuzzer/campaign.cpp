@@ -208,7 +208,10 @@ class Campaign {
 
   // Serializes the full resumable state: identity, lifetime counters, RNG
   // streams, seed queue + top_rated metadata, virgin maps, two-level index
-  // state, and crash-triage identities.
+  // state, and crash-triage identities. Copies only what the encoding
+  // holds: per-position arrays over their live prefix — [0, used_key) on
+  // two-level maps, which never touch a position past it — and no bytes
+  // for entries that go out as store refs.
   persist::CampaignSnapshot build_snapshot() const {
     persist::CampaignSnapshot s;
     s.scheme = static_cast<u32>(Map::kScheme);
@@ -237,31 +240,41 @@ class Campaign {
     s.rng_state = rng_.state();
     s.mutator_rng_state = mut_.rng().state();
 
+    usize live = ex_.virgin_positions();
+    if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+      const TwoLevelCoverageMap& m = ex_.map();
+      s.has_two_level = true;
+      s.used_key = m.used_key();
+      s.saturated_updates = m.saturated_updates();
+      s.map_keys.assign(m.slot_keys().begin(), m.slot_keys().end());
+      live = m.used_key();
+    }
+
     const SeedQueue::ExportedState q = queue_.export_state();
-    s.entries.reserve(q.entries.size());
+    s.entries.resize(q.entries.size());
     for (usize i = 0; i < q.entries.size(); ++i) {
-      const QueueEntry* e = q.entries[i];
-      persist::QueueEntrySnap snap;
-      snap.data = e->data;
-      snap.exec_ns = e->exec_ns;
-      snap.bitmap_hash = e->bitmap_hash;
-      snap.depth = e->depth;
-      snap.favored = e->favored;
-      snap.was_fuzzed = e->was_fuzzed;
-      snap.times_selected = e->times_selected;
+      const QueueEntry& e = *q.entries[i];
+      persist::QueueEntrySnap& snap = s.entries[i];
+      snap.exec_ns = e.exec_ns;
+      snap.bitmap_hash = e.bitmap_hash;
+      snap.depth = e.depth;
+      snap.favored = e.favored;
+      snap.was_fuzzed = e.was_fuzzed;
+      snap.times_selected = e.times_selected;
       // Durable store entries shrink to refs; anything the store has not
       // safely journaled stays inline so the checkpoint remains
       // self-sufficient under injected WAL faults.
       if (cfg_.corpus != nullptr && i < entry_hash_.size() &&
           entry_hash_[i] != 0 && cfg_.corpus->durable(entry_hash_[i])) {
         snap.content_hash = entry_hash_[i];
-        snap.stored_len = e->data.size();
+        snap.stored_len = e.data.size();
         snap.in_store = true;
+      } else {
+        snap.data = e.data;
       }
-      s.entries.push_back(std::move(snap));
     }
-    s.top_entry.assign(q.top_entry.begin(), q.top_entry.end());
-    s.top_factor.assign(q.top_factor.begin(), q.top_factor.end());
+    s.top_entry.assign(q.top_entry.begin(), q.top_entry.begin() + live);
+    s.top_factor.assign(q.top_factor.begin(), q.top_factor.begin() + live);
     s.top_covered = q.top_covered;
 
     s.in_cycle = in_cycle_;
@@ -269,16 +282,12 @@ class Campaign {
     s.cycle_len = cycle_len_;
     s.cycle_avg_ns = cycle_avg_ns_;
 
-    const auto span_of = [](const VirginMap& v) {
-      return std::vector<u8>(v.data(), v.data() + v.size());
+    const auto prefix_of = [live](const VirginMap& v) {
+      return std::vector<u8>(v.data(), v.data() + live);
     };
-    s.virgin_queue = span_of(ex_.virgin_queue());
-    s.virgin_crash = span_of(ex_.virgin_crash());
-    s.virgin_hang = span_of(ex_.virgin_hang());
-
-    s.has_two_level = Map::kScheme == MapScheme::kTwoLevel;
-    ex_.map().export_state(&s.index_bitmap, &s.used_key,
-                           &s.saturated_updates);
+    s.virgin_queue = prefix_of(ex_.virgin_queue());
+    s.virgin_crash = prefix_of(ex_.virgin_crash());
+    s.virgin_hang = prefix_of(ex_.virgin_hang());
 
     s.bug_ids.assign(triage_.bug_ids().begin(), triage_.bug_ids().end());
     s.stack_hashes.assign(triage_.stack_hashes().begin(),
@@ -373,8 +382,16 @@ class Campaign {
     }
     // A snapshot with no queue entries cannot make progress after restore
     // (the main loop needs something to fuzz); treat it as unusable and
-    // cold-start instead.
-    if (s.entries.empty()) return false;
+    // cold-start instead. So is one whose cycle cursor is out of range:
+    // cycle_qi == cycle_len is legal (snapshot from finalize after the
+    // budget ran out mid-cycle). Both are checked before any live state
+    // changes.
+    if (s.entries.empty() ||
+        s.has_two_level != (Map::kScheme == MapScheme::kTwoLevel) ||
+        (s.in_cycle &&
+         (s.cycle_qi > s.cycle_len || s.cycle_len > s.entries.size()))) {
+      return false;
+    }
 
     // Resolve store refs to bytes BEFORE touching live state, so a
     // missing/mismatched corpus entry rejects the snapshot cleanly (the
@@ -408,14 +425,17 @@ class Campaign {
                              s.top_covered)) {
       return false;
     }
-    if (!ex_.map().import_state(s.index_bitmap, s.used_key,
-                                s.saturated_updates)) {
-      // The queue was already replaced; rebuild it empty so the cold-start
-      // path seeds from scratch instead of fuzzing half-restored state.
-      queue_ = SeedQueue(ex_.virgin_positions());
-      return false;
+    if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+      if (!ex_.map().import_slot_keys(s.map_keys)) {
+        // The queue was already replaced; rebuild it empty so the
+        // cold-start path seeds from scratch instead of fuzzing
+        // half-restored state. A failed import leaves the map fresh.
+        queue_ = SeedQueue(ex_.virgin_positions());
+        return false;
+      }
     }
 
+    // The live prefixes; the fresh maps already hold 0xFF past them.
     std::memcpy(ex_.mutable_virgin_queue().data(), s.virgin_queue.data(),
                 s.virgin_queue.size());
     std::memcpy(ex_.mutable_virgin_crash().data(), s.virgin_crash.data(),
@@ -429,14 +449,8 @@ class Campaign {
     mut_.rng().set_state(s.mutator_rng_state);
 
     // Cycle cursor: re-enter the main loop exactly where the snapshot was
-    // taken. cycle_qi == cycle_len is legal (snapshot from finalize after
-    // the budget ran out mid-cycle); anything out of range is damage. A
-    // pre-cursor snapshot leaves in_cycle false — cycle-restart semantics.
-    if (s.in_cycle &&
-        (s.cycle_qi > s.cycle_len || s.cycle_len > queue_.size())) {
-      queue_ = SeedQueue(ex_.virgin_positions());
-      return false;
-    }
+    // taken. A pre-cursor snapshot leaves in_cycle false — cycle-restart
+    // semantics.
     in_cycle_ = s.in_cycle;
     cycle_qi_ = static_cast<usize>(s.cycle_qi);
     cycle_len_ = static_cast<usize>(s.cycle_len);

@@ -32,14 +32,13 @@ void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
   auto visit = [&](usize i) {
     if (top_entry_[i] == kNoEntry) {
       ++top_covered_;
-      top_entry_[i] = idx32;
-      top_factor_[i] = factor;
-      cull_pending_ = true;
-    } else if (factor < top_factor_[i]) {
-      top_entry_[i] = idx32;
-      top_factor_[i] = factor;
-      cull_pending_ = true;
+      top_end_ = std::max(top_end_, i + 1);
+    } else if (factor >= top_factor_[i]) {
+      return;
     }
+    top_entry_[i] = idx32;
+    top_factor_[i] = factor;
+    cull_pending_ = true;
   };
 
   // The flat scheme passes the full (mostly zero) map: skip zero words and
@@ -72,7 +71,7 @@ void SeedQueue::cull() {
   // by marking winners directly — every top_rated winner is favored. The
   // favored set is slightly larger than AFL's minimal cover but has the
   // same growth behavior.
-  for (usize i = 0; i < top_entry_.size(); ++i) {
+  for (usize i = 0; i < top_end_; ++i) {
     if (top_entry_[i] != kNoEntry) entries_[top_entry_[i]]->favored = true;
   }
 }
@@ -124,29 +123,24 @@ usize SeedQueue::favored_count() const noexcept {
 }
 
 SeedQueue::ExportedState SeedQueue::export_state() const {
-  ExportedState out;
-  out.entries.reserve(entries_.size());
-  for (const auto& e : entries_) out.entries.push_back(e.get());
-  out.top_entry = top_entry_;
-  out.top_factor = top_factor_;
-  out.top_covered = top_covered_;
-  return out;
+  return {entries_, top_entry_, top_factor_, top_covered_};
 }
 
 bool SeedQueue::import_state(std::vector<QueueEntry> entries,
                              std::span<const u32> top_entry,
                              std::span<const u64> top_factor,
                              usize top_covered) {
-  if (top_entry.size() != top_entry_.size() ||
-      top_factor.size() != top_factor_.size() ||
-      top_covered > top_entry.size()) {
+  if (top_entry.size() > top_entry_.size() ||
+      top_factor.size() != top_entry.size()) {
     return false;
   }
   usize covered = 0;
-  for (u32 idx : top_entry) {
-    if (idx == kNoEntry) continue;
-    if (idx >= entries.size()) return false;
+  usize end = 0;
+  for (usize i = 0; i < top_entry.size(); ++i) {
+    if (top_entry[i] == kNoEntry) continue;
+    if (top_entry[i] >= entries.size()) return false;
     ++covered;
+    end = i + 1;
   }
   if (covered != top_covered) return false;
 
@@ -155,9 +149,13 @@ bool SeedQueue::import_state(std::vector<QueueEntry> entries,
   for (QueueEntry& e : entries) {
     entries_.push_back(std::make_unique<QueueEntry>(std::move(e)));
   }
+  // Clear the old winners, then copy the prefix: O(prefix + old top_end_).
+  std::fill_n(top_entry_.begin(), top_end_, kNoEntry);
+  std::fill_n(top_factor_.begin(), top_end_, 0);
   std::copy(top_entry.begin(), top_entry.end(), top_entry_.begin());
   std::copy(top_factor.begin(), top_factor.end(), top_factor_.begin());
   top_covered_ = top_covered;
+  top_end_ = end;
   // Favored flags were persisted per entry, but recompute anyway so the
   // favored set always agrees with the restored top_rated winners.
   cull_pending_ = true;

@@ -56,7 +56,8 @@ class SeedQueue {
   void update_scores(usize entry_idx, std::span<const u8> trace);
 
   // AFL's cull_queue: recompute the favored set. Cheap relative to
-  // update_scores; call before each queue cycle.
+  // update_scores; call before each queue cycle. Walks only the positions
+  // below the highest one ever won, so on BigMap it is bounded by used_key.
   void cull();
 
   // AFL's calculate_score, condensed: multiplier for havoc iterations.
@@ -72,9 +73,10 @@ class SeedQueue {
 
   // --- persistence ----------------------------------------------------------
 
-  // Snapshot of one entry plus the top_rated arrays, checkpoint-shaped.
+  // Borrowed views of the entries and the top_rated arrays,
+  // checkpoint-shaped; valid until the queue is next modified.
   struct ExportedState {
-    std::vector<const QueueEntry*> entries;  // borrowed, queue order
+    std::span<const std::unique_ptr<QueueEntry>> entries;  // queue order
     std::span<const u32> top_entry;
     std::span<const u64> top_factor;
     usize top_covered = 0;
@@ -82,10 +84,11 @@ class SeedQueue {
   ExportedState export_state() const;
 
   // Rebuilds the queue from snapshot data. `entries` become the corpus in
-  // order; `top_entry`/`top_factor` must match this queue's position count
-  // and reference only valid entry indices (or kNoEntry). Returns false
-  // (leaving the queue empty) on any inconsistency. Marks culling pending
-  // so the favored set is recomputed before the next cycle.
+  // order; `top_entry`/`top_factor` are a prefix of the top_rated arrays
+  // (no longer than this queue's position count; later positions have no
+  // winner) and reference only valid entry indices (or kNoEntry). Returns
+  // false (leaving the queue unchanged) on any inconsistency. Marks culling
+  // pending so the favored set is recomputed before the next cycle.
   bool import_state(std::vector<QueueEntry> entries,
                     std::span<const u32> top_entry,
                     std::span<const u64> top_factor, usize top_covered);
@@ -99,6 +102,7 @@ class SeedQueue {
   std::vector<u32> top_entry_;   // per-position winning entry
   std::vector<u64> top_factor_;  // per-position winning fav factor
   usize top_covered_ = 0;
+  usize top_end_ = 0;  // one past the highest position with a winner
   bool cull_pending_ = false;
 };
 

@@ -96,9 +96,7 @@ std::string CheckpointStore::snap_path(u64 seq) const {
 bool CheckpointStore::save(const CampaignSnapshot& s, u32 keep,
                            std::string* err) {
   const u64 seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  CampaignSnapshot stamped = s;
-  stamped.checkpoint_seq = seq;
-  const std::vector<u8> bytes = encode_snapshot(stamped);
+  const std::vector<u8> bytes = encode_snapshot(s, seq);
   if (!write_file_atomic(snap_path(seq), bytes, fault_, err)) {
     save_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;

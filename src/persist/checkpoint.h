@@ -55,7 +55,8 @@ class CheckpointStore {
 
   const std::string& dir() const noexcept { return dir_; }
 
-  // Encodes and atomically commits `s` as the next snapshot, then prunes
+  // Encodes and atomically commits `s` as the next snapshot, stamped with
+  // the next sequence number (s.checkpoint_seq is not read), then prunes
   // old ones down to `keep`. Returns false (with *err) on real or injected
   // I/O failure; previously committed snapshots are never damaged by a
   // failed save. A committed save is a FaultSite::kSelfKill commit point

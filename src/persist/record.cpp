@@ -32,6 +32,9 @@ const char* record_type_name(RecordType t) noexcept {
     case RecordType::kTracingState: return "tracing-state";
     case RecordType::kFederationEpoch: return "federation-epoch";
     case RecordType::kVirginDelta: return "virgin-delta";
+    case RecordType::kTopRatedPrefix: return "top-rated-prefix";
+    case RecordType::kVirginPrefix: return "virgin-prefix";
+    case RecordType::kMapKeys: return "map-keys";
   }
   return "unknown";
 }
@@ -63,21 +66,9 @@ bool PayloadReader::get_u8(u8* v) {
   return true;
 }
 
-bool PayloadReader::get_u32(u32* v) {
-  if (pos_ + 4 > data_.size()) return false;
-  *v = read_u32_le(data_.data() + pos_);
-  pos_ += 4;
-  return true;
-}
+bool PayloadReader::get_u32(u32* v) { return get_le_array(1, v); }
 
-bool PayloadReader::get_u64(u64* v) {
-  if (pos_ + 8 > data_.size()) return false;
-  const u8* p = data_.data() + pos_;
-  *v = static_cast<u64>(read_u32_le(p)) |
-       (static_cast<u64>(read_u32_le(p + 4)) << 32);
-  pos_ += 8;
-  return true;
-}
+bool PayloadReader::get_u64(u64* v) { return get_le_array(1, v); }
 
 bool PayloadReader::get_f64(double* v) {
   u64 bits;

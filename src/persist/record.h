@@ -21,6 +21,8 @@
 // a torn tail simply drops the last partial event.
 #pragma once
 
+#include <bit>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,16 +41,18 @@ inline constexpr usize kFileHeaderSize = bmsp::kFileHeaderSize;
 inline constexpr usize kRecordHeaderSize = bmsp::kRecordHeaderSize;
 inline constexpr usize kRecordTrailerSize = bmsp::kRecordTrailerSize;
 
-// Record types (v1). Values are part of the on-disk format — append only.
+// Record types. Values are part of the on-disk format — append only.
+// kTopRated, kVirginMap and kMapState are the v1 snapshot layout's
+// whole-map records: decoded, never written (snapshot.h).
 enum class RecordType : u32 {
   kCampaignHeader = 1,  // scheme/metric/seed/map geometry/sequence number
   kCounters = 2,        // resumable CampaignResult counters
   kRngState = 3,        // campaign + mutator xoshiro256 streams
   kQueueMeta = 4,       // entry count, top_rated geometry
   kQueueEntry = 5,      // one SeedQueue entry (repeated)
-  kTopRated = 6,        // per-position top_entry/top_factor arrays
-  kVirginMap = 7,       // one virgin map (queue/crash/hang; repeated)
-  kMapState = 8,        // two-level index bitmap + used_key/saturated
+  kTopRated = 6,        // v1: whole-map top_entry/top_factor arrays
+  kVirginMap = 7,       // v1: one whole virgin map (repeated)
+  kMapState = 8,        // v1: two-level index bitmap + used_key/saturated
   kTriage = 9,          // found bug ids + crashwalk stack hashes
   kCommit = 10,         // snapshot completeness marker (always last)
   kFleetHeader = 11,    // fleet journal: config fingerprint
@@ -62,6 +66,9 @@ enum class RecordType : u32 {
   kTracingState = 19,   // snapshot: coverage-guided tracing lifetime counters
   kFederationEpoch = 20,  // federation WAL: epoch transition (election/rejoin)
   kVirginDelta = 21,    // federation WAL: one oracle virgin-map delta record
+  kTopRatedPrefix = 22,  // snapshot v2: top_entry/top_factor over [0, live)
+  kVirginPrefix = 23,   // snapshot v2: one virgin map over [0, live)
+  kMapKeys = 24,        // snapshot v2: two-level slot->key log
 };
 
 const char* record_type_name(RecordType t) noexcept;
@@ -84,21 +91,27 @@ const char* load_status_name(LoadStatus s) noexcept;
 
 // --- encoding ---------------------------------------------------------------
 
+// The format is little-endian and so is every supported host: integers
+// and integer arrays are copied as raw bytes, one bulk copy per array.
+static_assert(std::endian::native == std::endian::little);
+
 // Append-only little-endian payload builder.
 class PayloadWriter {
  public:
   explicit PayloadWriter(std::vector<u8>& out) : out_(out) {}
 
   void put_u8(u8 v) { out_.push_back(v); }
-  void put_u32(u32 v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  void put_u64(u64 v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
+  void put_u32(u32 v) { put_le_array(std::span<const u32>(&v, 1)); }
+  void put_u64(u64 v) { put_le_array(std::span<const u64>(&v, 1)); }
   void put_f64(double v);
   void put_bytes(std::span<const u8> b) {
     out_.insert(out_.end(), b.begin(), b.end());
+  }
+  // The elements of `v` back to back, little-endian, in one copy.
+  template <class T>
+  void put_le_array(std::span<const T> v) {
+    const u8* p = reinterpret_cast<const u8*>(v.data());
+    out_.insert(out_.end(), p, p + v.size_bytes());
   }
 
  private:
@@ -117,6 +130,16 @@ class PayloadReader {
   bool get_u64(u64* v);
   bool get_f64(double* v);
   bool get_bytes(usize n, std::span<const u8>* out);
+  // Reads n little-endian elements into out[0, n) in one copy; false (out
+  // untouched) when fewer than n * sizeof(T) bytes remain.
+  template <class T>
+  bool get_le_array(usize n, T* out) {
+    if (n > remaining() / sizeof(T)) return false;
+    if (n == 0) return true;  // `out` may be null
+    std::memcpy(out, data_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+    return true;
+  }
   bool done() const noexcept { return pos_ == data_.size(); }
   usize remaining() const noexcept { return data_.size() - pos_; }
 

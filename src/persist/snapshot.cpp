@@ -1,55 +1,83 @@
 #include "persist/snapshot.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace bigmap::persist {
 namespace {
 
-// Virgin-map subtype tags inside kVirginMap records.
-enum class VirginKind : u8 { kQueue = 0, kCrash = 1, kHang = 2 };
+constexpr u32 kUnassigned = 0xFFFFFFFFu;  // TwoLevelCoverageMap::kUnassigned
 
-void put_u32_vec(PayloadWriter& w, const std::vector<u32>& v) {
+// Virgin-map subtype tags inside kVirginMap / kVirginPrefix records.
+constexpr u8 kVirginKinds = 3;  // queue, crash, hang
+
+template <class T>
+void put_vec(PayloadWriter& w, std::span<const T> v) {
   w.put_u64(v.size());
-  for (u32 x : v) w.put_u32(x);
+  w.put_le_array(v);
 }
 
-void put_u64_vec(PayloadWriter& w, const std::vector<u64>& v) {
-  w.put_u64(v.size());
-  for (u64 x : v) w.put_u64(x);
-}
-
-bool get_u32_vec(PayloadReader& r, std::vector<u32>* out) {
+// A u64 count then that many elements. The count is bounded by what is
+// left of the payload before anything is allocated.
+template <class T>
+bool get_vec(PayloadReader& r, std::vector<T>* out) {
   u64 n;
-  if (!r.get_u64(&n) || n * 4 > r.remaining()) return false;
+  if (!r.get_u64(&n) || n > r.remaining() / sizeof(T)) return false;
   out->resize(static_cast<usize>(n));
-  for (u32& x : *out) {
-    if (!r.get_u32(&x)) return false;
-  }
-  return true;
+  return r.get_le_array(out->size(), out->data());
 }
 
-bool get_u64_vec(PayloadReader& r, std::vector<u64>* out) {
-  u64 n;
-  if (!r.get_u64(&n) || n * 8 > r.remaining()) return false;
-  out->resize(static_cast<usize>(n));
-  for (u64& x : *out) {
-    if (!r.get_u64(&x)) return false;
+// Rebuilds the slot->key log from a whole key->slot table: slot i's key at
+// position i, then the keys a saturated map aliased onto its last slot in
+// key order (their allocation order is not recorded, and replaying them in
+// any order rebuilds the same table). Empty when the table is not one a
+// TwoLevelCoverageMap can reach.
+std::optional<std::vector<u32>> keys_from_index(std::span<const u32> index,
+                                                u32 used_key, u64 saturated) {
+  std::vector<u32> keys(used_key, kUnassigned);
+  std::vector<u32> aliased;
+  for (usize key = 0; key < index.size(); ++key) {
+    const u32 slot = index[key];
+    if (slot == kUnassigned) continue;
+    if (slot >= used_key) return std::nullopt;
+    if (keys[slot] == kUnassigned) {
+      keys[slot] = static_cast<u32>(key);
+    } else if (saturated > 0 && slot + 1 == used_key) {
+      aliased.push_back(static_cast<u32>(key));
+    } else {
+      return std::nullopt;
+    }
   }
-  return true;
+  if (aliased.size() != saturated ||
+      std::find(keys.begin(), keys.end(), kUnassigned) != keys.end()) {
+    return std::nullopt;
+  }
+  keys.insert(keys.end(), aliased.begin(), aliased.end());
+  return keys;
 }
 
-bool get_byte_vec(PayloadReader& r, std::vector<u8>* out) {
-  u64 n;
-  if (!r.get_u64(&n) || n > r.remaining()) return false;
-  std::span<const u8> bytes;
-  if (!r.get_bytes(static_cast<usize>(n), &bytes)) return false;
-  out->assign(bytes.begin(), bytes.end());
-  return true;
+// The slot->key log is one a TwoLevelCoverageMap of this geometry can hold:
+// used_key slots plus `saturated` aliases (only once every slot is taken),
+// distinct keys inside the map.
+bool map_keys_valid(const CampaignSnapshot& s) {
+  if (s.used_key > s.virgin_size || s.map_keys.size() < s.used_key ||
+      s.map_keys.size() - s.used_key != s.saturated_updates ||
+      (s.saturated_updates > 0 && s.used_key != s.virgin_size)) {
+    return false;
+  }
+  std::vector<u32> sorted = s.map_keys;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end() &&
+         (sorted.empty() || sorted.back() < s.map_size);
 }
 
 }  // namespace
 
 std::vector<u8> encode_snapshot(const CampaignSnapshot& s) {
+  return encode_snapshot(s, s.checkpoint_seq);
+}
+
+std::vector<u8> encode_snapshot(const CampaignSnapshot& s,
+                                u64 checkpoint_seq) {
   RecordWriter rw;
 
   rw.append(RecordType::kCampaignHeader, [&](PayloadWriter& w) {
@@ -59,7 +87,7 @@ std::vector<u8> encode_snapshot(const CampaignSnapshot& s) {
     w.put_u32(s.instance_id);
     w.put_u64(s.map_size);
     w.put_u64(s.virgin_size);
-    w.put_u64(s.checkpoint_seq);
+    w.put_u64(checkpoint_seq);
   });
 
   rw.append(RecordType::kCounters, [&](PayloadWriter& w) {
@@ -129,37 +157,48 @@ std::vector<u8> encode_snapshot(const CampaignSnapshot& s) {
     });
   }
 
-  rw.append(RecordType::kTopRated, [&](PayloadWriter& w) {
-    put_u32_vec(w, s.top_entry);
-    put_u64_vec(w, s.top_factor);
+  // Per-position arrays go out as their live prefix, each behind the full
+  // size it is a prefix of: the file grows with coverage, not map size.
+  rw.append(RecordType::kTopRatedPrefix, [&](PayloadWriter& w) {
+    w.put_u64(s.virgin_size);
+    put_vec<u32>(w, s.top_entry);
+    put_vec<u64>(w, s.top_factor);
   });
 
-  const std::vector<u8>* virgins[3] = {&s.virgin_queue, &s.virgin_crash,
-                                       &s.virgin_hang};
-  for (u8 kind = 0; kind < 3; ++kind) {
-    rw.append(RecordType::kVirginMap, [&](PayloadWriter& w) {
+  const std::vector<u8>* virgins[kVirginKinds] = {
+      &s.virgin_queue, &s.virgin_crash, &s.virgin_hang};
+  for (u8 kind = 0; kind < kVirginKinds; ++kind) {
+    rw.append(RecordType::kVirginPrefix, [&](PayloadWriter& w) {
       w.put_u8(kind);
-      w.put_u64(virgins[kind]->size());
-      w.put_bytes(*virgins[kind]);
+      w.put_u64(s.virgin_size);
+      put_vec<u8>(w, *virgins[kind]);
     });
   }
 
-  rw.append(RecordType::kMapState, [&](PayloadWriter& w) {
+  rw.append(RecordType::kMapKeys, [&](PayloadWriter& w) {
     w.put_u8(s.has_two_level ? 1 : 0);
-    if (s.has_two_level) {
-      w.put_u32(s.used_key);
-      w.put_u64(s.saturated_updates);
-      put_u32_vec(w, s.index_bitmap);
+    if (!s.has_two_level) return;
+    w.put_u32(s.used_key);
+    w.put_u64(s.saturated_updates);
+    // A whole-map index goes out as the slot->key log it implies; one no
+    // map can reach as an empty log, which decoding rejects unless the map
+    // is empty.
+    if (s.map_keys.empty() && s.index_bitmap.size() == s.map_size) {
+      put_vec<u32>(w, keys_from_index(s.index_bitmap, s.used_key,
+                                      s.saturated_updates)
+                          .value_or(std::vector<u32>{}));
+    } else {
+      put_vec<u32>(w, s.map_keys);
     }
   });
 
   rw.append(RecordType::kTriage, [&](PayloadWriter& w) {
-    put_u32_vec(w, s.bug_ids);
-    put_u64_vec(w, s.stack_hashes);
+    put_vec<u32>(w, s.bug_ids);
+    put_vec<u64>(w, s.stack_hashes);
   });
 
   rw.append(RecordType::kCommit, [&](PayloadWriter& w) {
-    w.put_u64(s.checkpoint_seq);
+    w.put_u64(checkpoint_seq);
   });
 
   return rw.finish();
@@ -179,7 +218,11 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
   }
 
   CampaignSnapshot s;
+  std::vector<u8>* virgins[kVirginKinds] = {
+      &s.virgin_queue, &s.virgin_crash, &s.virgin_hang};
   bool saw_header = false;
+  bool saw_v1 = false;
+  bool saw_v2 = false;
   u64 declared_entries = 0;
   auto fail = [&] {
     out.status = LoadStatus::kBadPayload;
@@ -234,7 +277,9 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
             !r.get_u64(&s.top_covered)) {
           return fail();
         }
-        s.entries.reserve(static_cast<usize>(declared_entries));
+        // Every entry is a record of its own, which bounds the count.
+        s.entries.reserve(static_cast<usize>(
+            std::min<u64>(declared_entries, parsed.records.size())));
         break;
       }
       case RecordType::kQueueEntry: {
@@ -280,36 +325,72 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
         break;
       }
       case RecordType::kTopRated: {
-        if (!get_u32_vec(r, &s.top_entry) ||
-            !get_u64_vec(r, &s.top_factor)) {
+        saw_v1 = true;
+        if (!get_vec(r, &s.top_entry) || !get_vec(r, &s.top_factor)) {
           return fail();
         }
         break;
       }
       case RecordType::kVirginMap: {
+        saw_v1 = true;
         u8 kind;
-        if (!r.get_u8(&kind) || kind > 2) return fail();
-        std::vector<u8>* dst = kind == 0   ? &s.virgin_queue
-                               : kind == 1 ? &s.virgin_crash
-                                           : &s.virgin_hang;
-        if (!get_byte_vec(r, dst)) return fail();
+        if (!r.get_u8(&kind) || kind >= kVirginKinds ||
+            !get_vec(r, virgins[kind])) {
+          return fail();
+        }
         break;
       }
       case RecordType::kMapState: {
+        saw_v1 = true;
         u8 two;
         if (!r.get_u8(&two)) return fail();
         s.has_two_level = two != 0;
         if (s.has_two_level) {
+          std::vector<u32> index;
           if (!r.get_u32(&s.used_key) || !r.get_u64(&s.saturated_updates) ||
-              !get_u32_vec(r, &s.index_bitmap)) {
+              !get_vec(r, &index) || index.size() != s.map_size) {
             return fail();
           }
+          std::optional<std::vector<u32>> keys =
+              keys_from_index(index, s.used_key, s.saturated_updates);
+          if (!keys) return fail();
+          s.map_keys = std::move(*keys);
+        }
+        break;
+      }
+      case RecordType::kTopRatedPrefix: {
+        saw_v2 = true;
+        u64 full;
+        if (!r.get_u64(&full) || full != s.virgin_size ||
+            !get_vec(r, &s.top_entry) || !get_vec(r, &s.top_factor)) {
+          return fail();
+        }
+        break;
+      }
+      case RecordType::kVirginPrefix: {
+        saw_v2 = true;
+        u8 kind;
+        u64 full;
+        if (!r.get_u8(&kind) || kind >= kVirginKinds || !r.get_u64(&full) ||
+            full != s.virgin_size || !get_vec(r, virgins[kind])) {
+          return fail();
+        }
+        break;
+      }
+      case RecordType::kMapKeys: {
+        saw_v2 = true;
+        u8 two;
+        if (!r.get_u8(&two)) return fail();
+        s.has_two_level = two != 0;
+        if (s.has_two_level &&
+            (!r.get_u32(&s.used_key) || !r.get_u64(&s.saturated_updates) ||
+             !get_vec(r, &s.map_keys))) {
+          return fail();
         }
         break;
       }
       case RecordType::kTriage: {
-        if (!get_u32_vec(r, &s.bug_ids) ||
-            !get_u64_vec(r, &s.stack_hashes)) {
+        if (!get_vec(r, &s.bug_ids) || !get_vec(r, &s.stack_hashes)) {
           return fail();
         }
         break;
@@ -336,19 +417,22 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
   }
 
   // Structural cross-checks: the snapshot must be internally consistent
-  // before any of it is copied into live campaign state.
-  if (!saw_header || s.entries.size() != declared_entries ||
-      s.top_entry.size() != s.top_factor.size() ||
-      s.virgin_queue.size() != s.virgin_size ||
-      s.virgin_crash.size() != s.virgin_size ||
-      s.virgin_hang.size() != s.virgin_size ||
+  // before any of it is copied into live campaign state. The virgin maps
+  // share one live prefix (a v1 file holds whole maps), the top arrays
+  // another.
+  const usize live = s.virgin_queue.size();
+  if (!saw_header || (saw_v1 && saw_v2) ||
+      (saw_v1 ? live != s.virgin_size : live > s.virgin_size) ||
+      s.virgin_crash.size() != live || s.virgin_hang.size() != live ||
+      s.entries.size() != declared_entries ||
+      s.top_factor.size() != s.top_entry.size() ||
       s.top_covered > s.top_entry.size() ||
-      (s.has_two_level && (s.index_bitmap.size() != s.map_size ||
-                           s.used_key > s.virgin_size))) {
+      (s.has_two_level && !map_keys_valid(s))) {
     out.status = LoadStatus::kBadPayload;
     return out;
   }
 
+  out.layout = saw_v1 ? SnapshotLayout::kV1 : SnapshotLayout::kV2;
   out.snapshot = std::move(s);
   return out;
 }

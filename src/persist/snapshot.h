@@ -4,10 +4,16 @@
 // A snapshot captures everything a warm restart needs to continue a
 // campaign exactly where it stopped instead of re-running from scratch:
 // the seed queue with its top_rated/favored scheduling metadata, all three
-// virgin maps, the BigMap index bitmap + used_key bump allocator, both RNG
-// stream positions, the crash-triage identity sets, and the lifetime
-// result counters the exec budget is charged against. The struct is plain
-// data so tests can build arbitrary states and round-trip them.
+// virgin maps, the BigMap index + used_key bump allocator, both RNG stream
+// positions, the crash-triage identity sets, and the lifetime result
+// counters the exec budget is charged against. The struct is plain data so
+// tests can build arbitrary states and round-trip them.
+//
+// Live prefix (BigMap §IV applied to checkpoints). A two-level campaign
+// only ever writes positions [0, used_key) of its virgin maps and
+// top_rated arrays, so the snapshot carries just that prefix plus the
+// used_key slot->key assignments: its size follows the edges found, not
+// the map size. A flat map has no such bound and carries whole arrays.
 #pragma once
 
 #include <array>
@@ -78,6 +84,12 @@ struct CampaignSnapshot {
 
   // --- seed queue ----------------------------------------------------------
   std::vector<QueueEntrySnap> entries;
+  // Per-position arrays: top_entry/top_factor and the three virgin maps
+  // below each hold a prefix [0, live) of the virgin_size positions (one
+  // length for the pair, one for the three maps); every position past it
+  // holds its initial value (kNoEntry / 0 / 0xFF). A checkpoint writes
+  // live = used_key on two-level maps and virgin_size on flat ones;
+  // virgin maps decoded from the v1 layout are whole.
   std::vector<u32> top_entry;   // per-position winner (kNoEntry when none)
   std::vector<u64> top_factor;  // per-position winning fav factor
   u64 top_covered = 0;
@@ -99,6 +111,14 @@ struct CampaignSnapshot {
   std::vector<u8> virgin_crash;
   std::vector<u8> virgin_hang;
   bool has_two_level = false;
+  // The two-level index as its slot->key log (TwoLevelCoverageMap::
+  // slot_keys()): the key of each slot allocation in order, used_key +
+  // saturated_updates entries. Restore replays it to rebuild the index.
+  std::vector<u32> map_keys;
+  // The same index as a whole key->slot table (map_size entries), for
+  // callers that export it with TwoLevelCoverageMap::export_state. The
+  // encoder derives map_keys from it when map_keys is empty; decoding
+  // never fills it.
   std::vector<u32> index_bitmap;
   u32 used_key = 0;
   u64 saturated_updates = 0;
@@ -108,16 +128,26 @@ struct CampaignSnapshot {
   std::vector<u64> stack_hashes;
 };
 
-// Serializes the snapshot into the v1 record format (file header, records,
-// trailing commit marker).
+// Serializes the snapshot in the v2 layout (file header, records, trailing
+// commit marker): per-position arrays as kTopRatedPrefix/kVirginPrefix
+// records over [0, live), the index as a kMapKeys record. The second form
+// stamps `checkpoint_seq` in place of s.checkpoint_seq.
 std::vector<u8> encode_snapshot(const CampaignSnapshot& s);
+std::vector<u8> encode_snapshot(const CampaignSnapshot& s,
+                                u64 checkpoint_seq);
 
-// Decodes a snapshot file. Any damage — bad magic/version, torn tail, CRC
-// mismatch, structurally invalid payload, missing commit — yields a status
-// other than kOk and no snapshot. Never reads out of bounds.
+// Which per-position records a snapshot file holds: v1's whole-map
+// kTopRated/kVirginMap/kMapState (decode-only) or v2's live prefixes.
+enum class SnapshotLayout : u8 { kV1 = 1, kV2 = 2 };
+
+// Decodes a snapshot file of either layout. Any damage — bad
+// magic/version, torn tail, CRC mismatch, structurally invalid payload,
+// missing commit — yields a status other than kOk and no snapshot. Never
+// reads out of bounds. A v1 index is converted to map_keys.
 struct DecodeResult {
   LoadStatus status = LoadStatus::kOk;
   std::optional<CampaignSnapshot> snapshot;
+  SnapshotLayout layout = SnapshotLayout::kV2;
 };
 
 DecodeResult decode_snapshot(std::span<const u8> file);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/classify.h"
@@ -199,6 +200,65 @@ TEST(TwoLevelMapTest, UsedKeyNeverExceedsDistinctKeys) {
   const usize distinct =
       std::unique(keys.begin(), keys.end()) - keys.begin();
   EXPECT_EQ(m.used_key(), distinct);
+}
+
+// The slot->key log records every allocation in order — aliasing keys of
+// a saturated bitmap included — and never a repeated touch.
+TEST(TwoLevelMapTest, SlotKeysLogAllocationsInOrder) {
+  TwoLevelCoverageMap m(opts(1u << 10, /*condensed=*/8));
+  const std::vector<u32> keys = {500, 10, 900, 10, 3,   77, 500,
+                                 1023, 42, 8,  9,  600, 9};
+  for (u32 k : keys) m.update(k);
+  EXPECT_EQ(m.used_key(), 8u);
+  EXPECT_EQ(m.saturated_updates(), 2u);
+  const std::span<const u32> log = m.slot_keys();
+  EXPECT_EQ(std::vector<u32>(log.begin(), log.end()),
+            (std::vector<u32>{500, 10, 900, 3, 77, 1023, 42, 8, 9, 600}));
+  // Keys wrap modulo the map size, as update() sees them.
+  TwoLevelCoverageMap w(opts(1u << 10));
+  w.update(1024 + 5);
+  EXPECT_EQ(std::vector<u32>(w.slot_keys().begin(), w.slot_keys().end()),
+            (std::vector<u32>{5}));
+}
+
+// Replaying the log into a fresh map rebuilds the same index, allocator
+// and log, saturated or not.
+TEST(TwoLevelMapTest, ImportSlotKeysRebuildsIndex) {
+  for (usize condensed : {usize{0}, usize{16}}) {
+    TwoLevelCoverageMap m(opts(1u << 10, condensed));
+    Xoshiro256 rng(condensed + 3);
+    for (int i = 0; i < 300; ++i) m.update(rng.below(1u << 10));
+    TwoLevelCoverageMap r(opts(1u << 10, condensed));
+    ASSERT_TRUE(r.import_slot_keys(m.slot_keys()));
+    EXPECT_EQ(r.used_key(), m.used_key());
+    EXPECT_EQ(r.saturated_updates(), m.saturated_updates());
+    for (u32 k = 0; k < (1u << 10); ++k) {
+      ASSERT_EQ(r.slot_of(k), m.slot_of(k)) << k;
+    }
+    EXPECT_TRUE(std::equal(r.slot_keys().begin(), r.slot_keys().end(),
+                           m.slot_keys().begin(), m.slot_keys().end()));
+  }
+}
+
+// A log no map can hold is rejected and leaves the map fresh; so is any
+// import into a map that already allocated.
+TEST(TwoLevelMapTest, ImportSlotKeysRejectsBadLogs) {
+  const std::vector<std::vector<u32>> bad = {{4, 9, 4}, {4, 1024}};
+  for (const std::vector<u32>& keys : bad) {
+    TwoLevelCoverageMap m(opts(1u << 10));
+    EXPECT_FALSE(m.import_slot_keys(keys));
+    EXPECT_EQ(m.used_key(), 0u);
+    EXPECT_TRUE(m.slot_keys().empty());
+    for (u32 k : {4u, 9u}) {
+      EXPECT_EQ(m.slot_of(k), TwoLevelCoverageMap::kUnassigned);
+    }
+    ASSERT_TRUE(m.import_slot_keys(std::vector<u32>{9, 4}));
+    EXPECT_EQ(m.slot_of(9), 0u);
+  }
+  TwoLevelCoverageMap used(opts(1u << 10));
+  used.update(7);
+  EXPECT_FALSE(used.import_slot_keys(std::vector<u32>{9}));
+  EXPECT_EQ(used.slot_of(9), TwoLevelCoverageMap::kUnassigned);
 }
 
 }  // namespace

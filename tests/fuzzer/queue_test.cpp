@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace bigmap {
@@ -212,6 +213,76 @@ TEST(SeedQueueTest, CullIsIdempotent) {
   const usize favored = q.favored_count();
   q.cull();  // no pending changes: must not alter anything
   EXPECT_EQ(q.favored_count(), favored);
+}
+
+// cull() walks only up to the highest position ever won; the favored set
+// must equal the one a walk over every position gives.
+TEST(SeedQueueTest, CullMatchesWholeMapWalk) {
+  SeedQueue q(4096);
+  u64 state = 7;
+  const auto next = [&] { return state = state * 6364136223846793005ull + 1; };
+  for (int round = 0; round < 40; ++round) {
+    std::vector<u8> trace(64 + static_cast<usize>(round) * 8, 0);
+    for (int hits = 0; hits < 6; ++hits) {
+      trace[(next() >> 33) % trace.size()] = 1;
+    }
+    q.update_scores(q.add(bytes(1 + (next() >> 60)), 1 + (next() >> 50), 0, 0),
+                    trace);
+    q.cull();
+    const SeedQueue::ExportedState st = q.export_state();
+    std::vector<bool> want(q.size(), false);
+    for (u32 winner : st.top_entry) {
+      if (winner != SeedQueue::kNoEntry) want[winner] = true;
+    }
+    for (usize i = 0; i < q.size(); ++i) {
+      ASSERT_EQ(q.entry(i).favored, want[i]) << "round " << round;
+    }
+  }
+}
+
+// Importing just the live prefix of the top_rated arrays restores the same
+// queue as importing the whole arrays.
+TEST(SeedQueueTest, ImportPrefixMatchesWholeImport) {
+  SeedQueue src(256);
+  std::vector<u8> trace(40, 0);
+  for (usize i : {0u, 5u, 17u, 33u}) trace[i] = 1;
+  src.update_scores(src.add(bytes(4), 10, 0, 0), trace);
+  trace.assign(40, 0);
+  for (usize i : {5u, 20u}) trace[i] = 1;
+  src.update_scores(src.add(bytes(2), 10, 0, 0), trace);
+  const SeedQueue::ExportedState st = src.export_state();
+
+  const auto entries = [&] {
+    std::vector<QueueEntry> out;
+    for (usize i = 0; i < src.size(); ++i) out.push_back(src.entry(i));
+    return out;
+  };
+  SeedQueue whole(256);
+  SeedQueue prefix(256);
+  ASSERT_TRUE(whole.import_state(entries(), st.top_entry, st.top_factor,
+                                 st.top_covered));
+  ASSERT_TRUE(prefix.import_state(entries(), st.top_entry.first(40),
+                                  st.top_factor.first(40), st.top_covered));
+  whole.cull();
+  prefix.cull();
+  const SeedQueue::ExportedState a = whole.export_state();
+  const SeedQueue::ExportedState b = prefix.export_state();
+  EXPECT_TRUE(std::equal(a.top_entry.begin(), a.top_entry.end(),
+                         b.top_entry.begin(), b.top_entry.end()));
+  EXPECT_TRUE(std::equal(a.top_factor.begin(), a.top_factor.end(),
+                         b.top_factor.begin(), b.top_factor.end()));
+  EXPECT_EQ(whole.top_rated_positions(), prefix.top_rated_positions());
+  for (usize i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(whole.entry(i).favored, prefix.entry(i).favored) << i;
+  }
+
+  // A prefix longer than the queue's positions, or top arrays of different
+  // lengths, are rejected.
+  SeedQueue small(16);
+  EXPECT_FALSE(small.import_state(entries(), st.top_entry.first(40),
+                                  st.top_factor.first(40), st.top_covered));
+  EXPECT_FALSE(prefix.import_state(entries(), st.top_entry.first(40),
+                                   st.top_factor.first(39), st.top_covered));
 }
 
 }  // namespace

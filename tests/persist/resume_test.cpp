@@ -11,8 +11,10 @@
 
 #include "fuzzer/campaign.h"
 #include "persist/checkpoint.h"
+#include "persist/io.h"
 #include "target/generator.h"
 #include "telemetry/sink.h"
+#include "util/fault.h"
 
 namespace bigmap {
 namespace {
@@ -207,6 +209,210 @@ TEST(CampaignResumeTest, TelemetryRestorePrimesLifetimeCounters) {
   // exec counter matches the lifetime result, not just this segment.
   EXPECT_EQ(sink.execs.get(), r2.execs);
   EXPECT_EQ(sink.checkpoints_loaded.get(), 1u);
+}
+
+// Size in bytes of the newest snapshot in `dir`.
+u64 newest_snapshot_bytes(const std::string& dir) {
+  u64 newest = 0, bytes = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("snap-", 0) != 0) continue;
+    const u64 seq = std::stoull(name.substr(5));
+    if (seq >= newest) {
+      newest = seq;
+      bytes = fs::file_size(e.path());
+    }
+  }
+  return bytes;
+}
+
+// Checkpoints follow coverage, not map size: the same two-level campaign
+// in a 64 kB and in an 8 MB map writes snapshots within a few KB of each
+// other (a whole-map encoding would be ~1.2 MB against ~160 MB).
+TEST(CampaignResumeTest, TwoLevelSnapshotBytesFollowCoverageNotMapSize) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+  u64 bytes[2] = {0, 0};
+  u32 used_key[2] = {0, 0};
+  const usize sizes[2] = {64u << 10, 8u << 20};
+  for (int i = 0; i < 2; ++i) {
+    TempDir dir(i == 0 ? "bytes64k" : "bytes8m");
+    persist::CheckpointStore store(dir.path, persist::FaultCtx{}, true);
+    CampaignConfig c = make_config();
+    c.map.map_size = sizes[i];
+    c.checkpoint = &store;
+    c.checkpoint_interval = 1024;
+    auto r = run_campaign(target.program, seeds, c);
+    ASSERT_GE(r.checkpoints_written, 4u);
+    bytes[i] = newest_snapshot_bytes(dir.path);
+    used_key[i] = r.used_key;
+  }
+  EXPECT_GT(used_key[0], 0u);
+  EXPECT_LT(bytes[1], 64u << 10);
+  EXPECT_LE(std::max(bytes[0], bytes[1]) - std::min(bytes[0], bytes[1]),
+            4096u)
+      << "64 kB: " << bytes[0] << " B, 8 MB: " << bytes[1] << " B";
+}
+
+// Kills a checkpointing campaign at exec `kill_at` and returns the result
+// of resuming it from its newest snapshot, after `rewrite` has had a go
+// at the snapshot directory.
+template <class Rewrite>
+CampaignResult killed_then_resumed(const GeneratedTarget& target,
+                                   const std::vector<Input>& seeds,
+                                   const CampaignConfig& base,
+                                   const std::string& dir, u64 kill_at,
+                                   Rewrite&& rewrite) {
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kInstanceKill, 0, kill_at});
+  FaultInjector injector(1, plan);
+  persist::CheckpointStore store1(dir, persist::FaultCtx{}, true);
+  CampaignConfig c1 = base;
+  c1.checkpoint = &store1;
+  c1.fault = &injector;
+  auto died = run_campaign(target.program, seeds, c1);
+  EXPECT_TRUE(died.fault_aborted);
+  EXPECT_GT(died.checkpoints_written, 0u);
+  rewrite(store1.newest_seq_on_disk());
+
+  persist::CheckpointStore store2(dir, persist::FaultCtx{}, false);
+  CampaignConfig c2 = base;
+  c2.checkpoint = &store2;
+  c2.resume_from_checkpoint = true;
+  auto r = run_campaign(target.program, seeds, c2);
+  EXPECT_TRUE(r.resumed);
+  EXPECT_LT(r.resumed_from_execs, kill_at);
+  return r;
+}
+
+void expect_same_stream(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_EQ(a.execs, b.execs);
+  EXPECT_EQ(a.interesting, b.interesting);
+  EXPECT_EQ(a.used_key, b.used_key);
+  EXPECT_EQ(a.covered_positions, b.covered_positions);
+  // Identity sets: a restored triage set lists them in another order.
+  const auto sorted = [](auto v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  EXPECT_EQ(sorted(a.found_bug_ids), sorted(b.found_bug_ids));
+  EXPECT_EQ(sorted(a.found_stack_hashes), sorted(b.found_stack_hashes));
+  EXPECT_EQ(a.corpus, b.corpus);
+}
+
+CampaignConfig stream_config(usize map_size) {
+  CampaignConfig c = make_config();
+  c.map.map_size = map_size;
+  c.max_execs = 6000;
+  c.checkpoint_interval = 1024;
+  c.keep_corpus = true;
+  return c;
+}
+
+// An 8 MB two-level campaign killed mid-run resumes from its live-prefix
+// snapshot onto exactly the stream of an uninterrupted run.
+TEST(CampaignResumeTest, EightMegabyteTwoLevelResumeIsStreamExact) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+  const CampaignConfig base = stream_config(8u << 20);
+  TempDir straight_dir("straight8m");
+  persist::CheckpointStore straight_store(straight_dir.path,
+                                          persist::FaultCtx{}, true);
+  CampaignConfig sc = base;
+  sc.checkpoint = &straight_store;
+  const CampaignResult straight = run_campaign(target.program, seeds, sc);
+
+  TempDir dir("killed8m");
+  const CampaignResult resumed =
+      killed_then_resumed(target, seeds, base, dir.path, 3500, [](u64) {});
+  expect_same_stream(straight, resumed);
+}
+
+// Rewrites snapshot `path` in the v1 layout: whole-map kTopRated and
+// kVirginMap records (prefixes padded with kNoEntry/0 and 0xFF) and a
+// kMapState index built from the slot->key log.
+void rewrite_as_v1(const std::string& path) {
+  std::vector<u8> bytes;
+  std::string err;
+  ASSERT_TRUE(persist::read_file(path, &bytes, persist::FaultCtx{}, &err));
+  const persist::DecodeResult dec = persist::decode_snapshot(bytes);
+  ASSERT_EQ(dec.status, persist::LoadStatus::kOk);
+  const persist::CampaignSnapshot& s = *dec.snapshot;
+  ASSERT_EQ(s.saturated_updates, 0u);
+  const usize n = static_cast<usize>(s.virgin_size);
+
+  persist::RecordWriter rw;
+  for (const persist::RecordView& r : persist::parse_records(bytes).records) {
+    using persist::RecordType;
+    const auto put_u32s = [](persist::PayloadWriter& w,
+                             const std::vector<u32>& v) {
+      w.put_u64(v.size());
+      for (u32 x : v) w.put_u32(x);
+    };
+    switch (r.type) {
+      case RecordType::kTopRatedPrefix:
+        rw.append(RecordType::kTopRated, [&](persist::PayloadWriter& w) {
+          std::vector<u32> top = s.top_entry;
+          top.resize(n, 0xFFFFFFFFu);  // kNoEntry
+          put_u32s(w, top);
+          std::vector<u64> factor = s.top_factor;
+          factor.resize(n, 0);
+          w.put_u64(n);
+          for (u64 x : factor) w.put_u64(x);
+        });
+        break;
+      case RecordType::kVirginPrefix:
+        rw.append(RecordType::kVirginMap, [&](persist::PayloadWriter& w) {
+          w.put_u8(r.payload[0]);
+          const std::vector<u8>* v = r.payload[0] == 0   ? &s.virgin_queue
+                                     : r.payload[0] == 1 ? &s.virgin_crash
+                                                         : &s.virgin_hang;
+          std::vector<u8> whole = *v;
+          whole.resize(n, 0xFF);
+          w.put_u64(n);
+          w.put_bytes(whole);
+        });
+        break;
+      case RecordType::kMapKeys:
+        rw.append(RecordType::kMapState, [&](persist::PayloadWriter& w) {
+          std::vector<u32> index(static_cast<usize>(s.map_size), 0xFFFFFFFFu);
+          for (usize i = 0; i < s.map_keys.size(); ++i) {
+            index[s.map_keys[i]] = static_cast<u32>(i);
+          }
+          w.put_u8(1);
+          w.put_u32(s.used_key);
+          w.put_u64(s.saturated_updates);
+          put_u32s(w, index);
+        });
+        break;
+      default:
+        rw.append(r.type,
+                  [&](persist::PayloadWriter& w) { w.put_bytes(r.payload); });
+    }
+  }
+  const std::vector<u8> v1 = rw.finish();
+  const persist::DecodeResult again = persist::decode_snapshot(v1);
+  ASSERT_EQ(again.status, persist::LoadStatus::kOk);
+  ASSERT_EQ(again.layout, persist::SnapshotLayout::kV1);
+  ASSERT_TRUE(persist::write_file_atomic(path, v1, persist::FaultCtx{}, &err));
+}
+
+// A campaign resumed from a v1 (whole-map) snapshot continues exactly like
+// one resumed from the v2 snapshot it was converted from.
+TEST(CampaignResumeTest, V1SnapshotResumesLikeItsV2Twin) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+  const CampaignConfig base = stream_config(64u << 10);
+  TempDir v2_dir("twin_v2");
+  const CampaignResult from_v2 =
+      killed_then_resumed(target, seeds, base, v2_dir.path, 3500, [](u64) {});
+  TempDir v1_dir("twin_v1");
+  const CampaignResult from_v1 = killed_then_resumed(
+      target, seeds, base, v1_dir.path, 3500, [&](u64 seq) {
+        rewrite_as_v1(v1_dir.path + "/snap-" + std::to_string(seq) + ".bms");
+      });
+  EXPECT_EQ(from_v1.resumed_from_execs, from_v2.resumed_from_execs);
+  expect_same_stream(from_v2, from_v1);
 }
 
 }  // namespace

@@ -1,18 +1,94 @@
 // Snapshot format tests: round-trip property over randomized states, a
-// golden pin of the v1 layout, and byte-flip corruption drills (any
-// single-byte flip anywhere must be recovered or rejected cleanly — never
-// decoded into a different state, never UB; the ASan CI job runs these).
+// committed v1 file that must keep decoding, a golden pin of the v2 layout,
+// and byte-flip corruption drills (any single-byte flip anywhere must be
+// recovered or rejected cleanly — never decoded into a different state,
+// never UB; the ASan CI job runs these).
 #include "persist/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <numeric>
+#include <optional>
 #include <random>
 
+#include "persist/io.h"
+#include "persist/statecheck.h"
 #include "util/hash.h"
 
 namespace bigmap::persist {
 namespace {
 
+constexpr u32 kNone = 0xFFFFFFFFu;  // kNoEntry / kUnassigned
+
+// The v1 encoding of small_snapshot() (whole-map kTopRated, kVirginMap and
+// kMapState records), as the v1 writer produced it. Committed so every
+// later reader is checked against real v1 bytes.
+const u8 kV1SmallSnapshot[] = {
+    0x42, 0x4d, 0x53, 0x50, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x2c, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xf5, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x13, 0xa2, 0xf3, 0xd1, 0x02, 0x00, 0x00, 0x00, 0x58, 0x00, 0x00, 0x00,
+    0x10, 0x27, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+    0x22, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x38, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x15, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x10, 0x65, 0x8a, 0x6a, 0x13, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x28, 0x23, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x40, 0xe2, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xc8, 0x36, 0xcf, 0xc0, 0x03, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x29, 0xe2, 0xc3, 0x39, 0x04, 0x00, 0x00, 0x00,
+    0x18, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x62, 0x58, 0x41, 0x69, 0x12, 0x00, 0x00, 0x00,
+    0x19, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x56, 0x1f, 0x3e, 0x2d, 0x05, 0x00, 0x00,
+    0x00, 0x24, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xde, 0xad, 0xb0, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xcd,
+    0xab, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x01, 0x07, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x63, 0x5a, 0x00, 0x06, 0x00, 0x00,
+    0x00, 0x40, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00,
+    0x00, 0xff, 0xff, 0xff, 0xff, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x86, 0xad, 0x67,
+    0xf8, 0x07, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xfe, 0xff, 0x7f, 0x4a, 0x12,
+    0x9a, 0x0b, 0x07, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x01, 0x04,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xd8,
+    0x22, 0x76, 0x3a, 0x07, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x02,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+    0x16, 0x4e, 0xbc, 0x87, 0x08, 0x00, 0x00, 0x00, 0x35, 0x00, 0x00, 0x00,
+    0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0x13, 0x26, 0x8a, 0x06, 0x09, 0x00, 0x00,
+    0x00, 0x20, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x44, 0x33, 0x33, 0x22, 0x22, 0x11,
+    0x11, 0xce, 0x95, 0x5d, 0x1f, 0x0a, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x80, 0x8b,
+    0x90
+};
+
+// A two-level state whose arrays span the whole (4-position) map: the
+// value kV1SmallSnapshot decodes to.
 CampaignSnapshot small_snapshot() {
   CampaignSnapshot s;
   s.scheme = 1;
@@ -55,8 +131,7 @@ CampaignSnapshot small_snapshot() {
   s.virgin_crash = {0xFF, 0xFF, 0xFF, 0xFF};
   s.virgin_hang = {0xFF, 0xFF, 0xFF, 0xFF};
   s.has_two_level = true;
-  s.index_bitmap = {0, 0xFFFFFFFFu, 1, 0xFFFFFFFFu,
-                    0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu};
+  s.map_keys = {0, 2};  // key 0 -> slot 0, key 2 -> slot 1
   s.used_key = 2;
   s.saturated_updates = 0;
   s.bug_ids = {3, 17};
@@ -66,6 +141,69 @@ CampaignSnapshot small_snapshot() {
   s.cycle_len = 1;
   s.cycle_avg_ns = 1200;
   return s;
+}
+
+// The same campaign as a checkpoint writes it: per-position arrays over
+// the live prefix [0, used_key) only.
+CampaignSnapshot small_live_snapshot() {
+  CampaignSnapshot s = small_snapshot();
+  s.top_entry = {0, kNone};
+  s.top_factor = {100, 0};
+  s.top_covered = 1;
+  s.virgin_queue = {0xFF, 0xFE};
+  s.virgin_crash = {0xFF, 0xFF};
+  s.virgin_hang = {0xFF, 0xFF};
+  return s;
+}
+
+// A two-level map whose condensed bitmap filled up: every slot is taken
+// and two more keys aliased onto the last one.
+CampaignSnapshot saturated_snapshot() {
+  CampaignSnapshot s = small_live_snapshot();
+  s.map_size = 16;
+  s.map_keys = {9, 3, 14, 0, 7, 12};
+  s.used_key = 4;
+  s.saturated_updates = 2;
+  s.top_entry = {0, kNone, 0, 0};
+  s.top_factor = {100, 0, 60, 70};
+  s.top_covered = 3;
+  s.virgin_queue = {0xFF, 0xFE, 0x7F, 0xFD};
+  s.virgin_crash = {0xFF, 0xFF, 0xFF, 0xFF};
+  s.virgin_hang = {0xFF, 0xFF, 0xFF, 0xFB};
+  return s;
+}
+
+std::vector<u8> v1_small_bytes() {
+  return {std::begin(kV1SmallSnapshot), std::end(kV1SmallSnapshot)};
+}
+
+// Re-frames `file` with its first `type` record replaced by an `as` record
+// that `fill` writes (fresh CRC), so a test can plant a structurally bad
+// but checksum-clean record in either layout.
+template <class Fill>
+std::vector<u8> with_record(std::span<const u8> file, RecordType type,
+                            Fill&& fill, std::optional<RecordType> as = {}) {
+  ParsedFile parsed = parse_records(file);
+  EXPECT_EQ(parsed.status, LoadStatus::kOk);
+  RecordWriter rw;
+  bool replaced = false;
+  for (const RecordView& r : parsed.records) {
+    if (r.type == type && !replaced) {
+      rw.append(as.value_or(type), fill);
+      replaced = true;
+    } else {
+      rw.append(r.type, [&](PayloadWriter& w) { w.put_bytes(r.payload); });
+    }
+  }
+  EXPECT_TRUE(replaced) << record_type_name(type);
+  return rw.finish();
+}
+
+// Every file the corruption drills run over: both layouts, and a
+// saturated map.
+std::vector<std::vector<u8>> drill_files() {
+  return {v1_small_bytes(), encode_snapshot(small_live_snapshot()),
+          encode_snapshot(saturated_snapshot())};
 }
 
 void expect_equal(const CampaignSnapshot& a, const CampaignSnapshot& b) {
@@ -115,6 +253,7 @@ void expect_equal(const CampaignSnapshot& a, const CampaignSnapshot& b) {
   EXPECT_EQ(a.virgin_crash, b.virgin_crash);
   EXPECT_EQ(a.virgin_hang, b.virgin_hang);
   EXPECT_EQ(a.has_two_level, b.has_two_level);
+  EXPECT_EQ(a.map_keys, b.map_keys);
   EXPECT_EQ(a.index_bitmap, b.index_bitmap);
   EXPECT_EQ(a.used_key, b.used_key);
   EXPECT_EQ(a.saturated_updates, b.saturated_updates);
@@ -123,11 +262,20 @@ void expect_equal(const CampaignSnapshot& a, const CampaignSnapshot& b) {
 }
 
 TEST(SnapshotFormatTest, SmallSnapshotRoundTrips) {
-  const CampaignSnapshot s = small_snapshot();
-  DecodeResult d = decode_snapshot(encode_snapshot(s));
-  ASSERT_EQ(d.status, LoadStatus::kOk);
-  ASSERT_TRUE(d.snapshot.has_value());
-  expect_equal(s, *d.snapshot);
+  // Top arrays and virgin maps hold prefixes of their own lengths: a
+  // snapshot with no top_rated state and whole virgin maps is valid.
+  CampaignSnapshot no_top = small_snapshot();
+  no_top.top_entry.clear();
+  no_top.top_factor.clear();
+  no_top.top_covered = 0;
+  for (const CampaignSnapshot& s : {small_snapshot(), small_live_snapshot(),
+                                    saturated_snapshot(), no_top}) {
+    DecodeResult d = decode_snapshot(encode_snapshot(s));
+    ASSERT_EQ(d.status, LoadStatus::kOk);
+    ASSERT_TRUE(d.snapshot.has_value());
+    EXPECT_EQ(d.layout, SnapshotLayout::kV2);
+    expect_equal(s, *d.snapshot);
+  }
 }
 
 // Property: any structurally valid snapshot round-trips exactly. States are
@@ -177,27 +325,37 @@ TEST(SnapshotFormatTest, RandomizedStatesRoundTrip) {
       s.entries.push_back(std::move(e));
     }
 
-    const usize positions = pick(32);
-    s.top_entry.resize(positions);
-    s.top_factor.resize(positions);
-    for (usize i = 0; i < positions; ++i) {
+    // Two-level states hold a reachable slot->key log (saturated on every
+    // third seed) and the live prefix [0, used_key); flat states hold
+    // whole arrays.
+    s.has_two_level = pick(2) != 0;
+    usize live = static_cast<usize>(s.virgin_size);
+    if (s.has_two_level) {
+      s.map_size = s.virgin_size + pick(64);
+      const u64 n = seed % 3 == 0 ? std::min(s.map_size, s.virgin_size + 3)
+                                  : pick(s.virgin_size + 1);
+      std::vector<u32> keys(static_cast<usize>(s.map_size));
+      std::iota(keys.begin(), keys.end(), 0u);
+      std::shuffle(keys.begin(), keys.end(), rng);
+      keys.resize(static_cast<usize>(n));
+      s.map_keys = keys;
+      s.used_key = static_cast<u32>(std::min(n, s.virgin_size));
+      s.saturated_updates = n - s.used_key;
+      live = s.used_key;
+    }
+
+    s.top_entry.resize(live);
+    s.top_factor.resize(live);
+    for (usize i = 0; i < live; ++i) {
       s.top_entry[i] = pick(2) != 0 ? static_cast<u32>(pick(num_entries + 1))
-                                    : 0xFFFFFFFFu;
+                                    : kNone;
       s.top_factor[i] = rng();
     }
-    s.top_covered = pick(positions + 1);
+    s.top_covered = pick(live + 1);
 
     for (auto* v : {&s.virgin_queue, &s.virgin_crash, &s.virgin_hang}) {
-      v->resize(static_cast<usize>(s.virgin_size));
+      v->resize(live);
       for (u8& b : *v) b = static_cast<u8>(rng());
-    }
-
-    s.has_two_level = pick(2) != 0;
-    if (s.has_two_level) {
-      s.index_bitmap.resize(static_cast<usize>(s.map_size));
-      for (u32& v : s.index_bitmap) v = static_cast<u32>(rng());
-      s.used_key = static_cast<u32>(pick(s.virgin_size + 1));
-      s.saturated_updates = pick(10);
     }
 
     s.bug_ids.resize(pick(8));
@@ -219,11 +377,11 @@ TEST(SnapshotFormatTest, RandomizedStatesRoundTrip) {
   }
 }
 
-// Golden pin of the v1 layout: record sequence, file size, and a CRC over
-// the whole encoding of a fixed snapshot. Any change to the wire format
-// trips this test — bump kFormatVersion and re-pin deliberately.
+// The committed v1 file keeps decoding: record sequence, size and CRC pin
+// the fixture itself, and it decodes to small_snapshot() with the whole-map
+// index turned into the slot->key log.
 TEST(SnapshotFormatTest, GoldenV1Layout) {
-  const std::vector<u8> bytes = encode_snapshot(small_snapshot());
+  const std::vector<u8> bytes = v1_small_bytes();
 
   ParsedFile parsed = parse_records(bytes);
   ASSERT_EQ(parsed.status, LoadStatus::kOk);
@@ -240,9 +398,89 @@ TEST(SnapshotFormatTest, GoldenV1Layout) {
   for (usize i = 0; i < parsed.records.size(); ++i) {
     EXPECT_EQ(parsed.records[i].type, expected_sequence[i]) << i;
   }
-
   EXPECT_EQ(bytes.size(), 685u);
   EXPECT_EQ(crc32({bytes.data(), bytes.size()}), 0x75811041u);
+
+  DecodeResult d = decode_snapshot(bytes);
+  ASSERT_EQ(d.status, LoadStatus::kOk);
+  ASSERT_TRUE(d.snapshot.has_value());
+  EXPECT_EQ(d.layout, SnapshotLayout::kV1);
+  expect_equal(small_snapshot(), *d.snapshot);
+}
+
+// Golden pin of the v2 layout: record sequence, file size, and a CRC over
+// the whole encoding of a fixed snapshot. Any change to the encoding trips
+// this test — keep the old layout decodable and re-pin deliberately.
+TEST(SnapshotFormatTest, GoldenV2Layout) {
+  const std::vector<u8> bytes = encode_snapshot(small_live_snapshot());
+
+  ParsedFile parsed = parse_records(bytes);
+  ASSERT_EQ(parsed.status, LoadStatus::kOk);
+  const RecordType expected_sequence[] = {
+      RecordType::kCampaignHeader,  RecordType::kCounters,
+      RecordType::kTracingState,    RecordType::kRngState,
+      RecordType::kQueueMeta,       RecordType::kCycleCursor,
+      RecordType::kQueueEntry,      RecordType::kTopRatedPrefix,
+      RecordType::kVirginPrefix,    RecordType::kVirginPrefix,
+      RecordType::kVirginPrefix,    RecordType::kMapKeys,
+      RecordType::kTriage,          RecordType::kCommit,
+  };
+  ASSERT_EQ(parsed.records.size(), std::size(expected_sequence));
+  for (usize i = 0; i < parsed.records.size(); ++i) {
+    EXPECT_EQ(parsed.records[i].type, expected_sequence[i]) << i;
+  }
+
+  // The per-position records: [u64 full][u64 n][n u32][u64 n][n u64] and
+  // [u8 kind][u64 full][u64 n][n bytes]; the index is [u8 two-level]
+  // [u32 used_key][u64 saturated][u64 n][n u32 keys].
+  EXPECT_EQ(parsed.records[7].payload.size(), 8u + 8 + 2 * 4 + 8 + 2 * 8);
+  EXPECT_EQ(parsed.records[8].payload.size(), 1u + 8 + 8 + 2);
+  EXPECT_EQ(parsed.records[11].payload.size(), 1u + 4 + 8 + 8 + 2 * 4);
+
+  EXPECT_EQ(bytes.size(), 663u);
+  EXPECT_EQ(crc32({bytes.data(), bytes.size()}), 0x93659b10u);
+}
+
+// A two-level checkpoint's size follows its live prefix, not the map: the
+// same coverage in a 64x larger map encodes to the same number of bytes.
+TEST(SnapshotFormatTest, TwoLevelSizeIsIndependentOfMapSize) {
+  CampaignSnapshot big = small_live_snapshot();
+  big.map_size = 8u << 20;
+  big.virgin_size = 8u << 20;
+  EXPECT_EQ(encode_snapshot(big).size(),
+            encode_snapshot(small_live_snapshot()).size());
+  DecodeResult d = decode_snapshot(encode_snapshot(big));
+  ASSERT_EQ(d.status, LoadStatus::kOk);
+  expect_equal(big, *d.snapshot);
+}
+
+// The stamped form writes the given sequence number in place of the
+// struct's, and leaves every other byte alone.
+TEST(SnapshotFormatTest, StampedEncodingOverridesSequence) {
+  CampaignSnapshot s = small_live_snapshot();
+  const std::vector<u8> stamped = encode_snapshot(s, 42);
+  s.checkpoint_seq = 42;
+  EXPECT_EQ(stamped, encode_snapshot(s));
+}
+
+// A whole-map index (TwoLevelCoverageMap::export_state) encodes as the
+// slot->key log it implies; one no map can reach encodes as an empty log
+// and is rejected on decode.
+TEST(SnapshotFormatTest, WholeIndexEncodesAsSlotKeys) {
+  CampaignSnapshot s = saturated_snapshot();
+  s.map_keys.clear();
+  s.index_bitmap.assign(16, kNone);
+  const u32 order[] = {9, 3, 14, 0, 7, 12};  // allocation order
+  for (u32 i = 0; i < 6; ++i) s.index_bitmap[order[i]] = std::min(i, 3u);
+  DecodeResult d = decode_snapshot(encode_snapshot(s));
+  ASSERT_EQ(d.status, LoadStatus::kOk);
+  // Slot order first, then the aliased keys in key order.
+  EXPECT_EQ(d.snapshot->map_keys, (std::vector<u32>{9, 3, 14, 0, 7, 12}));
+  EXPECT_TRUE(d.snapshot->index_bitmap.empty());
+
+  s.index_bitmap[1] = 1;  // a second key on a non-final slot
+  EXPECT_EQ(decode_snapshot(encode_snapshot(s)).status,
+            LoadStatus::kBadPayload);
 }
 
 // Golden pin of the kTracingState record itself (the PR's additive record,
@@ -312,54 +550,160 @@ TEST(SnapshotFormatTest, MissingTracingStateRecordDecodesAsZeros) {
 // yield a clean rejection (status != kOk, no snapshot) — the CRC per
 // record plus the header checks leave no byte uncovered.
 TEST(SnapshotFormatTest, FlipAnyByteRejectsCleanly) {
-  const std::vector<u8> base = encode_snapshot(small_snapshot());
-  for (usize i = 0; i < base.size(); ++i) {
-    std::vector<u8> corrupt = base;
-    corrupt[i] ^= 0xFF;
-    DecodeResult d = decode_snapshot(corrupt);
-    EXPECT_NE(d.status, LoadStatus::kOk) << "byte " << i;
-    EXPECT_FALSE(d.snapshot.has_value()) << "byte " << i;
+  for (const std::vector<u8>& base : drill_files()) {
+    for (usize i = 0; i < base.size(); ++i) {
+      std::vector<u8> corrupt = base;
+      corrupt[i] ^= 0xFF;
+      DecodeResult d = decode_snapshot(corrupt);
+      EXPECT_NE(d.status, LoadStatus::kOk) << "byte " << i;
+      EXPECT_FALSE(d.snapshot.has_value()) << "byte " << i;
+    }
   }
 }
 
 // Truncation drill: every prefix of the file must be rejected cleanly —
 // a torn write can stop after any byte.
 TEST(SnapshotFormatTest, EveryTruncationRejectsCleanly) {
-  const std::vector<u8> base = encode_snapshot(small_snapshot());
-  for (usize len = 0; len < base.size(); ++len) {
-    DecodeResult d = decode_snapshot({base.data(), len});
-    EXPECT_NE(d.status, LoadStatus::kOk) << "len " << len;
-    EXPECT_FALSE(d.snapshot.has_value()) << "len " << len;
+  for (const std::vector<u8>& base : drill_files()) {
+    for (usize len = 0; len < base.size(); ++len) {
+      DecodeResult d = decode_snapshot({base.data(), len});
+      EXPECT_NE(d.status, LoadStatus::kOk) << "len " << len;
+      EXPECT_FALSE(d.snapshot.has_value()) << "len " << len;
+    }
   }
 }
 
 // Cross-check drills: internally inconsistent snapshots are rejected as
 // bad payloads even though every record checksums cleanly.
 TEST(SnapshotFormatTest, StructuralMismatchesAreBadPayload) {
+  const auto bad = [](const CampaignSnapshot& s) {
+    return decode_snapshot(encode_snapshot(s)).status ==
+           LoadStatus::kBadPayload;
+  };
   {
     CampaignSnapshot s = small_snapshot();
-    s.virgin_crash.push_back(0xFF);  // virgin size disagrees with header
-    EXPECT_EQ(decode_snapshot(encode_snapshot(s)).status,
-              LoadStatus::kBadPayload);
+    s.virgin_crash.push_back(0xFF);  // virgin longer than the map
+    EXPECT_TRUE(bad(s));
+  }
+  {
+    CampaignSnapshot s = small_live_snapshot();
+    s.virgin_hang.pop_back();  // live prefixes disagree
+    EXPECT_TRUE(bad(s));
   }
   {
     CampaignSnapshot s = small_snapshot();
     s.top_factor.pop_back();  // top arrays disagree
-    EXPECT_EQ(decode_snapshot(encode_snapshot(s)).status,
-              LoadStatus::kBadPayload);
+    EXPECT_TRUE(bad(s));
   }
   {
     CampaignSnapshot s = small_snapshot();
     s.used_key = static_cast<u32>(s.virgin_size) + 1;  // bump past the map
-    EXPECT_EQ(decode_snapshot(encode_snapshot(s)).status,
-              LoadStatus::kBadPayload);
+    EXPECT_TRUE(bad(s));
   }
   {
-    CampaignSnapshot s = small_snapshot();
-    s.index_bitmap.pop_back();  // index does not cover the map
-    EXPECT_EQ(decode_snapshot(encode_snapshot(s)).status,
-              LoadStatus::kBadPayload);
+    CampaignSnapshot s = small_live_snapshot();
+    s.map_keys = {0, 8};  // key outside the map
+    EXPECT_TRUE(bad(s));
   }
+  {
+    CampaignSnapshot s = small_live_snapshot();
+    s.map_keys = {2, 2};  // one key allocated twice
+    EXPECT_TRUE(bad(s));
+  }
+  {
+    CampaignSnapshot s = small_live_snapshot();
+    s.map_keys = {0, 2, 5};  // log longer than used_key + saturated
+    EXPECT_TRUE(bad(s));
+  }
+  {
+    CampaignSnapshot s = saturated_snapshot();
+    s.used_key = 3;  // aliasing before the bitmap is full
+    s.saturated_updates = 3;
+    EXPECT_TRUE(bad(s));
+  }
+  const std::vector<u8> v2 = encode_snapshot(small_live_snapshot());
+  // A prefix record whose full size disagrees with the header.
+  EXPECT_EQ(decode_snapshot(with_record(v2, RecordType::kVirginPrefix,
+                                        [](PayloadWriter& w) {
+                                          w.put_u8(0);
+                                          w.put_u64(5);
+                                          w.put_u64(2);
+                                          w.put_bytes({{0xFF, 0xFE}});
+                                        }))
+                .status,
+            LoadStatus::kBadPayload);
+  // v1 and v2 per-position records mixed in one file: a whole-map v1
+  // kTopRated in place of the prefix record.
+  EXPECT_EQ(decode_snapshot(with_record(
+                                v2, RecordType::kTopRatedPrefix,
+                                [](PayloadWriter& w) {
+                                  w.put_u64(4);
+                                  for (u32 v : {0u, kNone, kNone, kNone}) {
+                                    w.put_u32(v);
+                                  }
+                                  w.put_u64(4);
+                                  for (u64 v : {100u, 0u, 0u, 0u}) {
+                                    w.put_u64(v);
+                                  }
+                                },
+                                RecordType::kTopRated))
+                .status,
+            LoadStatus::kBadPayload);
+  // A v1 index that does not cover the map, and one no map can reach (two
+  // keys on one slot).
+  const auto v1_index = [](std::vector<u32> index) {
+    return decode_snapshot(
+               with_record(v1_small_bytes(), RecordType::kMapState,
+                           [&](PayloadWriter& w) {
+                             w.put_u8(1);
+                             w.put_u32(2);
+                             w.put_u64(0);
+                             w.put_u64(index.size());
+                             for (u32 v : index) w.put_u32(v);
+                           }))
+        .status;
+  };
+  EXPECT_EQ(v1_index({0, kNone, 1, kNone, kNone, kNone, kNone, kNone}),
+            LoadStatus::kOk);
+  EXPECT_EQ(v1_index({0, kNone, 1, kNone, kNone, kNone, kNone}),
+            LoadStatus::kBadPayload);
+  EXPECT_EQ(v1_index({0, 0, 1, kNone, kNone, kNone, kNone, kNone}),
+            LoadStatus::kBadPayload);
+  EXPECT_EQ(v1_index({0, kNone, 2, kNone, kNone, kNone, kNone, kNone}),
+            LoadStatus::kBadPayload);
+}
+
+// Element counts are bounded by the bytes left in the payload before
+// anything is allocated: a CRC-valid record declaring 2^62 + 1 elements is
+// a bad payload, not a length_error or an out-of-memory abort.
+TEST(SnapshotFormatTest, HugeElementCountsAreBadPayload) {
+  const std::vector<u8> v2 = encode_snapshot(small_live_snapshot());
+  const u64 huge = 0x4000000000000001ull;
+  EXPECT_EQ(decode_snapshot(with_record(v2, RecordType::kTriage,
+                                        [&](PayloadWriter& w) {
+                                          w.put_u64(huge);
+                                          w.put_u32(3);
+                                        }))
+                .status,
+            LoadStatus::kBadPayload);
+  EXPECT_EQ(decode_snapshot(with_record(v2, RecordType::kMapKeys,
+                                        [&](PayloadWriter& w) {
+                                          w.put_u8(1);
+                                          w.put_u32(2);
+                                          w.put_u64(0);
+                                          w.put_u64(huge);
+                                          w.put_u32(0);
+                                        }))
+                .status,
+            LoadStatus::kBadPayload);
+  EXPECT_EQ(decode_snapshot(with_record(v2, RecordType::kQueueMeta,
+                                        [&](PayloadWriter& w) {
+                                          w.put_u64(huge);
+                                          w.put_u64(2);
+                                          w.put_u64(1);
+                                        }))
+                .status,
+            LoadStatus::kBadPayload);
 }
 
 // A snapshot without its commit marker — torn between the last record and
@@ -376,6 +720,37 @@ TEST(SnapshotFormatTest, MissingCommitIsRejected) {
   DecodeResult d = decode_snapshot({whole.data(), commit_start});
   EXPECT_EQ(d.status, LoadStatus::kNoCommit);
   EXPECT_FALSE(d.snapshot.has_value());
+}
+
+// statecheck validates both layouts and reports which one a file uses and
+// its live length.
+TEST(StatecheckTest, ValidatesBothLayoutsAndPrintsLive) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bigmap_statecheck_" + std::to_string(::getpid()) + ".bms"))
+          .string();
+  const auto check = [&](const std::vector<u8>& bytes, bool* ok) {
+    std::string err;
+    EXPECT_TRUE(write_file_atomic(path, bytes, FaultCtx{}, &err)) << err;
+    testing::internal::CaptureStdout();
+    *ok = check_snapshot_file(path, /*dump=*/true);
+    return testing::internal::GetCapturedStdout();
+  };
+  bool ok = false;
+  std::string out = check(v1_small_bytes(), &ok);
+  EXPECT_TRUE(ok) << out;
+  EXPECT_NE(out.find("layout=v1 live=4 of 4 positions"), std::string::npos)
+      << out;
+  out = check(encode_snapshot(small_live_snapshot()), &ok);
+  EXPECT_TRUE(ok) << out;
+  EXPECT_NE(out.find("layout=v2 live=2 of 4 positions"), std::string::npos)
+      << out;
+  CampaignSnapshot dup = small_live_snapshot();
+  dup.map_keys = {2, 2};
+  out = check(encode_snapshot(dup), &ok);
+  EXPECT_FALSE(ok) << out;
+  EXPECT_NE(out.find("INVALID (bad-payload)"), std::string::npos) << out;
+  std::filesystem::remove(path);
 }
 
 }  // namespace
