@@ -20,23 +20,6 @@ using persist::RecordType;
 constexpr u8 kCrashEvent = 0;
 constexpr u8 kCrashRow = 1;
 
-// One framed record with no file header — the unit the WAL appends.
-std::vector<u8> frame_record(RecordType type, std::span<const u8> payload) {
-  std::vector<u8> out;
-  bmsp::put_u32_le(out, static_cast<u32>(type));
-  bmsp::put_u32_le(out, static_cast<u32>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  bmsp::put_u32_le(out, bmsp::frame_crc(out.data(), payload.size()));
-  return out;
-}
-
-std::vector<u8> file_header() {
-  std::vector<u8> out;
-  bmsp::put_u32_le(out, bmsp::kMagic);
-  bmsp::put_u32_le(out, bmsp::kFormatVersion);
-  return out;
-}
-
 void bump(telemetry::Counter* c, u64 n = 1) {
   if (c != nullptr) c->add(n);
 }
@@ -60,12 +43,24 @@ bool entry_meta_less(const CorpusEntry& a, const CorpusEntry& b) noexcept {
   return a.positions < b.positions;
 }
 
+// The kCorpusEntry payload, shared by the WAL record and the pack record.
+void put_entry(PayloadWriter& w, const CorpusEntry& e) {
+  w.put_u64(e.content_hash);
+  w.put_u64(e.exec_ns);
+  w.put_u32(e.bitmap_hash);
+  w.put_u32(e.depth);
+  w.put_u32(static_cast<u32>(e.positions.size()));
+  w.put_le_array(std::span<const u32>(e.positions));
+  w.put_u64(e.data.size());
+  w.put_bytes(e.data);
+}
+
 }  // namespace
 
 CorpusStore::CorpusStore(std::string dir, persist::FaultCtx fault)
-    : dir_(std::move(dir)), fault_(fault) {}
+    : dir_(std::move(dir)), fault_(fault), wal_(dir_ + "/corpus.wal", fault) {}
 
-std::string CorpusStore::wal_path() const { return dir_ + "/corpus.wal"; }
+std::string CorpusStore::wal_path() const { return wal_.path(); }
 std::string CorpusStore::pack_path() const { return dir_ + "/corpus.pack"; }
 
 void CorpusStore::set_registry(telemetry::MetricRegistry* reg) {
@@ -110,42 +105,24 @@ OpenReport CorpusStore::open(bool fresh) {
   std::vector<u8> bytes;
   std::string err;
   if (persist::read_file(pack_path(), &bytes, fault_, &err)) {
-    persist::LoadStatus st = persist::LoadStatus::kOk;
-    usize valid = 0;
-    if (!replay_file(bytes, /*is_pack=*/true, &st, &valid, &rep.error)) {
-      rep.pack_status = st;
+    if (!replay_file(persist::parse_records(bytes), /*is_pack=*/true,
+                     &rep.pack_status, &rep.error)) {
       return rep;
     }
-    rep.pack_status = st;
     stats_.pack_entries_loaded = entries_.size();
   }
 
   // WAL tail. Torn or checksum-damaged tails are truncated away — the
   // valid prefix is the journal.
-  bytes.clear();
-  if (!persist::read_file(wal_path(), &bytes, fault_, &err) ||
-      bytes.empty()) {
-    if (!persist::write_file_atomic(wal_path(), file_header(), fault_,
-                                    &rep.error)) {
-      return rep;
-    }
-  } else {
-    persist::LoadStatus st = persist::LoadStatus::kOk;
-    usize valid = 0;
-    if (!replay_file(bytes, /*is_pack=*/false, &st, &valid, &rep.error)) {
-      rep.wal_status = st;
-      return rep;
-    }
-    rep.wal_status = st;
-    if (st == persist::LoadStatus::kTruncatedTail ||
-        st == persist::LoadStatus::kBadCrc) {
-      fs::resize_file(wal_path(), valid, ec);
-      if (ec) {
-        rep.error = "truncate " + wal_path() + ": " + ec.message();
-        return rep;
-      }
-      ++stats_.torn_tail_truncations;
-    }
+  const persist::JournalReplay wal = wal_.open();
+  rep.wal_status = wal.status;
+  if (!wal.ok()) {
+    rep.error = "wal: " + wal.error;
+    return rep;
+  }
+  if (wal.truncated_bytes > 0) ++stats_.torn_tail_truncations;
+  if (!replay_file(wal, /*is_pack=*/false, &rep.wal_status, &rep.error)) {
+    return rep;
   }
 
   opened_ = true;
@@ -155,12 +132,10 @@ OpenReport CorpusStore::open(bool fresh) {
   return rep;
 }
 
-bool CorpusStore::replay_file(std::span<const u8> bytes, bool is_pack,
-                              persist::LoadStatus* status, usize* valid_bytes,
+bool CorpusStore::replay_file(const persist::ParsedFile& parsed,
+                              bool is_pack, persist::LoadStatus* status,
                               std::string* err) {
-  persist::ParsedFile parsed = persist::parse_records(bytes);
   *status = parsed.status;
-  *valid_bytes = parsed.valid_bytes;
   if (parsed.status == persist::LoadStatus::kBadMagic ||
       parsed.status == persist::LoadStatus::kBadVersion) {
     *err = std::string(is_pack ? "pack: " : "wal: ") +
@@ -228,12 +203,9 @@ bool CorpusStore::apply_entry_record(PayloadReader& r, bool from_pack) {
       !r.get_u32(&npos)) {
     return false;
   }
-  e.positions.reserve(npos);
-  for (u32 i = 0; i < npos; ++i) {
-    u32 p = 0;
-    if (!r.get_u32(&p)) return false;
-    e.positions.push_back(p);
-  }
+  if (npos > r.remaining() / sizeof(u32)) return false;
+  e.positions.resize(npos);
+  if (!r.get_le_array(npos, e.positions.data())) return false;
   if (!r.get_u64(&data_len) || !r.get_bytes(data_len, &raw) || !r.done()) {
     return false;
   }
@@ -320,50 +292,45 @@ bool CorpusStore::apply_tombstone_record(PayloadReader& r) {
   return true;
 }
 
-std::vector<u8> CorpusStore::encode_entry_record(const CorpusEntry& e) const {
-  std::vector<u8> payload;
-  PayloadWriter w(payload);
-  w.put_u64(e.content_hash);
-  w.put_u64(e.exec_ns);
-  w.put_u32(e.bitmap_hash);
-  w.put_u32(e.depth);
-  w.put_u32(static_cast<u32>(e.positions.size()));
-  for (u32 p : e.positions) w.put_u32(p);
-  w.put_u64(e.data.size());
-  w.put_bytes(e.data);
-  return frame_record(RecordType::kCorpusEntry, payload);
-}
-
-std::vector<u8> CorpusStore::encode_crash_event(const CrashRow& row,
-                                                u32 instance, u64 exec_seq,
-                                                bool with_witness) const {
-  std::vector<u8> payload;
-  PayloadWriter w(payload);
-  w.put_u8(kCrashEvent);
-  w.put_u64(row.stack_hash);
-  w.put_u32(row.bug_id);
-  w.put_u32(instance);
-  w.put_u64(exec_seq);
-  if (with_witness) {
-    w.put_u64(row.witness.size());
-    w.put_bytes(row.witness);
-  } else {
-    w.put_u64(0);
-  }
-  return frame_record(RecordType::kCorpusCrash, payload);
-}
-
-bool CorpusStore::append_wal_locked(const std::vector<u8>& record,
+template <class Fill>
+bool CorpusStore::append_wal_locked(RecordType type, Fill&& fill,
                                     std::string* err) {
-  if (!persist::append_file(wal_path(), record, fault_, err)) {
+  usize bytes = 0;
+  if (!wal_.append(type, std::forward<Fill>(fill), err, &bytes)) {
     ++stats_.wal_append_failures;
     return false;
   }
   ++stats_.wal_appends;
-  stats_.wal_bytes += record.size();
+  stats_.wal_bytes += bytes;
   bump(c_wal_appends_);
-  bump(c_wal_bytes_, record.size());
+  bump(c_wal_bytes_, bytes);
   return true;
+}
+
+bool CorpusStore::append_entry_locked(const CorpusEntry& e, std::string* err) {
+  return append_wal_locked(RecordType::kCorpusEntry,
+                           [&](PayloadWriter& w) { put_entry(w, e); }, err);
+}
+
+// A WAL crash event carries the reporting instance's own witness bytes
+// (empty: none), not the row's current winner, so replay reproduces the
+// smallest-instance rule.
+bool CorpusStore::append_crash_locked(u64 stack_hash, u32 bug_id,
+                                      u32 instance, u64 exec_seq,
+                                      std::span<const u8> witness,
+                                      std::string* err) {
+  return append_wal_locked(
+      RecordType::kCorpusCrash,
+      [&](PayloadWriter& w) {
+        w.put_u8(kCrashEvent);
+        w.put_u64(stack_hash);
+        w.put_u32(bug_id);
+        w.put_u32(instance);
+        w.put_u64(exec_seq);
+        w.put_u64(witness.size());
+        w.put_bytes(witness);
+      },
+      err);
 }
 
 bool CorpusStore::add_entry(std::span<const u8> data, u64 exec_ns,
@@ -391,20 +358,18 @@ bool CorpusStore::add_entry(std::span<const u8> data, u64 exec_ns,
     // Min-merge duplicate observations (see entry_meta_less): the winning
     // metadata is WAL-journaled so replay converges to the same row.
     if (entry_meta_less(e, it->second)) {
-      const std::vector<u8> record = encode_entry_record(e);
       it->second = std::move(e);
       std::string err;
-      if (!append_wal_locked(record, &err)) {
+      if (!append_entry_locked(it->second, &err)) {
         pending_entries_.push_back(hash);
         if (durable_out != nullptr) *durable_out = false;
       }
     }
     return false;
   }
-  const std::vector<u8> record = encode_entry_record(e);
-  entries_.emplace(hash, std::move(e));
+  it = entries_.emplace(hash, std::move(e)).first;
   std::string err;
-  if (!append_wal_locked(record, &err)) {
+  if (!append_entry_locked(it->second, &err)) {
     pending_entries_.push_back(hash);
     if (durable_out != nullptr) *durable_out = false;
   }
@@ -441,18 +406,10 @@ bool CorpusStore::record_crash(u64 stack_hash, u32 bug_id, u32 instance,
     row.witness_instance = instance;
     row.witness.assign(witness.begin(), witness.end());
   }
-  std::vector<u8> record;
-  {
-    // The event must carry THIS instance's witness bytes, not the row's
-    // current winner, so replay reproduces the smallest-instance rule.
-    CrashRow tmp;
-    tmp.stack_hash = stack_hash;
-    tmp.bug_id = bug_id;
-    tmp.witness.assign(witness.begin(), witness.end());
-    record = encode_crash_event(tmp, instance, exec_seq, with_witness);
-  }
   std::string err;
-  if (!append_wal_locked(record, &err)) {
+  if (!append_crash_locked(stack_hash, bug_id, instance, exec_seq,
+                           with_witness ? witness : std::span<const u8>(),
+                           &err)) {
     pending_crashes_.push_back(
         PendingCrash{stack_hash, instance, exec_seq, with_witness});
     if (durable_out != nullptr) *durable_out = false;
@@ -488,7 +445,7 @@ bool CorpusStore::flush_pending(std::string* err) {
   for (u64 hash : pending_entries_) {
     auto it = entries_.find(hash);
     if (it == entries_.end()) continue;  // trimmed while pending
-    if (!append_wal_locked(encode_entry_record(it->second), err)) {
+    if (!append_entry_locked(it->second, err)) {
       still_entries.push_back(hash);
     }
   }
@@ -497,17 +454,14 @@ bool CorpusStore::flush_pending(std::string* err) {
   for (const PendingCrash& p : pending_crashes_) {
     auto it = crashes_.find(p.stack_hash);
     if (it == crashes_.end()) continue;
-    CrashRow tmp;
-    tmp.stack_hash = p.stack_hash;
-    tmp.bug_id = it->second.bug_id;
-    if (p.with_witness && it->second.has_witness &&
-        it->second.witness_instance == p.instance) {
-      tmp.witness = it->second.witness;
-    }
-    if (!append_wal_locked(
-            encode_crash_event(tmp, p.instance, p.exec_seq,
-                               !tmp.witness.empty()),
-            err)) {
+    const CrashRow& row = it->second;
+    const bool own_witness = p.with_witness && row.has_witness &&
+                             row.witness_instance == p.instance;
+    if (!append_crash_locked(p.stack_hash, row.bug_id, p.instance,
+                             p.exec_seq,
+                             own_witness ? std::span<const u8>(row.witness)
+                                         : std::span<const u8>(),
+                             err)) {
       still_crashes.push_back(p);
     }
   }
@@ -556,11 +510,9 @@ TrimReport CorpusStore::trim(const std::unordered_set<u64>& pinned) {
       ++rep.kept;
       continue;
     }
-    std::vector<u8> payload;
-    PayloadWriter w(payload);
-    w.put_u64(hash);
     std::string err;
-    if (!append_wal_locked(frame_record(RecordType::kCorpusTombstone, payload),
+    if (!append_wal_locked(RecordType::kCorpusTombstone,
+                           [&](PayloadWriter& w) { w.put_u64(hash); },
                            &err)) {
       // Without a durable tombstone the entry would resurrect on replay —
       // keep it and let a later pass retry.
@@ -588,16 +540,8 @@ std::vector<u8> CorpusStore::build_pack_locked(u64 generation) const {
   std::sort(hashes.begin(), hashes.end());
   for (u64 hash : hashes) {
     const CorpusEntry& e = entries_.at(hash);
-    rw.append(RecordType::kCorpusEntry, [&](PayloadWriter& w) {
-      w.put_u64(e.content_hash);
-      w.put_u64(e.exec_ns);
-      w.put_u32(e.bitmap_hash);
-      w.put_u32(e.depth);
-      w.put_u32(static_cast<u32>(e.positions.size()));
-      for (u32 p : e.positions) w.put_u32(p);
-      w.put_u64(e.data.size());
-      w.put_bytes(e.data);
-    });
+    rw.append(RecordType::kCorpusEntry,
+              [&](PayloadWriter& w) { put_entry(w, e); });
   }
   std::vector<u64> stacks;
   stacks.reserve(crashes_.size());
@@ -643,7 +587,7 @@ bool CorpusStore::compact(std::string* err) {
     if (err != nullptr) *err = "compaction aborted before wal reset";
     return false;
   }
-  if (!persist::write_file_atomic(wal_path(), file_header(), fault_, err)) {
+  if (!wal_.reset(err)) {
     return false;
   }
   ++generation_;
@@ -675,10 +619,9 @@ FsckReport CorpusStore::fsck() {
   std::string err;
   if (persist::read_file(pack_path(), &bytes, fault_, &err)) {
     rep.pack_present = true;
-    usize valid = 0;
     std::string perr;
-    if (!replay_file(bytes, /*is_pack=*/true, &rep.pack_status, &valid,
-                     &perr)) {
+    if (!replay_file(persist::parse_records(bytes), /*is_pack=*/true,
+                     &rep.pack_status, &perr)) {
       rep.errors.push_back(perr);
     }
   }
@@ -688,14 +631,13 @@ FsckReport CorpusStore::fsck() {
   if (persist::read_file(wal_path(), &bytes, fault_, &err) &&
       !bytes.empty()) {
     rep.wal_present = true;
-    usize valid = 0;
+    const persist::ParsedFile parsed = persist::parse_records(bytes);
     std::string werr;
-    if (!replay_file(bytes, /*is_pack=*/false, &rep.wal_status, &valid,
-                     &werr)) {
+    if (!replay_file(parsed, /*is_pack=*/false, &rep.wal_status, &werr)) {
       rep.errors.push_back(werr);
-    } else if (valid < bytes.size()) {
+    } else if (parsed.valid_bytes < bytes.size()) {
       // Recoverable by design: open() would truncate this tail away.
-      rep.torn_tail_bytes = bytes.size() - valid;
+      rep.torn_tail_bytes = bytes.size() - parsed.valid_bytes;
     }
   }
   rep.wal_records = stats_.wal_records_replayed - wal_before;

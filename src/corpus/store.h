@@ -9,10 +9,10 @@
 //                 Because the encoding is a pure function of the live set,
 //                 two stores holding the same corpus produce byte-identical
 //                 packs — the property the corpus chaos drill checks.
-//   corpus.wal    append-only journal of everything since the last
-//                 compaction: new entries, crash events, trim tombstones.
-//                 A torn tail is physically truncated on open, exactly like
-//                 the fleet journal.
+//   corpus.wal    append-only journal (persist/journal.h) of everything
+//                 since the last compaction: new entries, crash events,
+//                 trim tombstones. A torn tail is physically truncated on
+//                 open, exactly like the fleet journal and federation WAL.
 //
 // Recovery = load pack, replay WAL. Every WAL record is idempotent under
 // replay, which is what makes the two-file commit protocol safe:
@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "persist/io.h"
+#include "persist/journal.h"
 #include "persist/record.h"
 #include "telemetry/registry.h"
 #include "util/types.h"
@@ -238,20 +239,23 @@ class CorpusStore {
   std::string pack_path() const;
 
  private:
-  bool append_wal_locked(const std::vector<u8>& record, std::string* err);
+  template <class Fill>
+  bool append_wal_locked(persist::RecordType type, Fill&& fill,
+                         std::string* err);
+  bool append_entry_locked(const CorpusEntry& e, std::string* err);
+  bool append_crash_locked(u64 stack_hash, u32 bug_id, u32 instance,
+                           u64 exec_seq, std::span<const u8> witness,
+                           std::string* err);
   bool apply_entry_record(persist::PayloadReader& r, bool from_pack);
   bool apply_crash_record(persist::PayloadReader& r);
   bool apply_tombstone_record(persist::PayloadReader& r);
-  std::vector<u8> encode_entry_record(const CorpusEntry& e) const;
-  std::vector<u8> encode_crash_event(const CrashRow& row, u32 instance,
-                                     u64 exec_seq, bool with_witness) const;
   std::vector<u8> build_pack_locked(u64 generation) const;
-  bool replay_file(std::span<const u8> bytes, bool is_pack,
-                   persist::LoadStatus* status, usize* valid_bytes,
-                   std::string* err);
+  bool replay_file(const persist::ParsedFile& parsed, bool is_pack,
+                   persist::LoadStatus* status, std::string* err);
 
   std::string dir_;
   persist::FaultCtx fault_;
+  persist::Journal wal_;
   mutable std::mutex mu_;
 
   std::unordered_map<u64, CorpusEntry> entries_;

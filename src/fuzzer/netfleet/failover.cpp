@@ -4,40 +4,12 @@
 #include <utility>
 
 #include "persist/federation.h"
-#include "persist/io.h"
 #include "util/hash.h"
 
 namespace bigmap::netfleet {
 namespace {
 
 constexpr u64 kMsNs = 1'000'000ull;
-
-// One record (header + payload + CRC) with no file header, for appending
-// to an already initialized journal (same shape as the fleet journal's).
-template <class Fill>
-std::vector<u8> bare_record(persist::RecordType type, Fill&& fill) {
-  std::vector<u8> buf;
-  persist::PayloadWriter w(buf);
-  w.put_u32(static_cast<u32>(type));
-  w.put_u32(0);
-  const usize payload_start = buf.size();
-  fill(w);
-  const u32 len = static_cast<u32>(buf.size() - payload_start);
-  buf[4] = static_cast<u8>(len);
-  buf[5] = static_cast<u8>(len >> 8);
-  buf[6] = static_cast<u8>(len >> 16);
-  buf[7] = static_cast<u8>(len >> 24);
-  const u32 crc = crc32({buf.data(), buf.size()});
-  w.put_u32(crc);
-  return buf;
-}
-
-std::vector<u8> wal_header() {
-  std::vector<u8> out;
-  bmsp::put_u32_le(out, bmsp::kMagic);
-  bmsp::put_u32_le(out, bmsp::kFormatVersion);
-  return out;
-}
 
 }  // namespace
 
@@ -77,50 +49,45 @@ std::unique_ptr<corpus::NoveltyOracle> FailoverMesh::make_model() const {
 
 void FailoverMesh::load_wal() {
   if (cfg_.wal_path.empty()) return;
-  const persist::FaultCtx fault{};  // the federation WAL is not a chaos site
-  std::vector<u8> bytes;
-  std::string err;
-  if (persist::read_file(cfg_.wal_path, &bytes, fault, &err)) {
-    // Resume: the last journaled transition is this node's epoch reality.
-    const persist::ParsedFile parsed = persist::parse_records(bytes);
-    for (const persist::RecordView& r : parsed.records) {
-      if (r.type != persist::RecordType::kFederationEpoch) continue;
-      persist::FederationEpochRecord rec;
-      if (persist::parse_federation_epoch(r.payload, &rec)) {
-        epoch_ = std::max(epoch_, rec.epoch);
-        leader_ = rec.leader;
-      }
+  // The federation WAL is not a chaos site. A foreign file, or a torn
+  // tail that cannot be truncated, leaves the node unjournaled rather
+  // than appending behind bytes no reader gets past.
+  persist::Journal wal(cfg_.wal_path, persist::FaultCtx{});
+  const persist::JournalReplay replay = wal.open();
+  if (!replay.ok()) return;
+  // Resume: the last journaled transition is this node's epoch reality.
+  for (const persist::RecordView& r : replay.records) {
+    if (r.type != persist::RecordType::kFederationEpoch) continue;
+    persist::FederationEpochRecord rec;
+    if (persist::parse_federation_epoch(r.payload, &rec)) {
+      epoch_ = std::max(epoch_, rec.epoch);
+      leader_ = rec.leader;
     }
-    wal_ready_ = true;
-    return;
   }
-  wal_ready_ =
-      persist::write_file_atomic(cfg_.wal_path, wal_header(), fault, &err);
+  wal_.emplace(std::move(wal));
 }
 
 void FailoverMesh::journal_epoch(u8 reason) {
-  if (!wal_ready_) return;
+  if (!wal_) return;
   persist::FederationEpochRecord rec;
   rec.epoch = epoch_;
   rec.leader = leader_;
   rec.rank = cfg_.rank;
   rec.reason = reason;
-  const std::vector<u8> bytes =
-      bare_record(persist::RecordType::kFederationEpoch,
-                  [&](persist::PayloadWriter& w) {
-                    persist::put_federation_epoch(w, rec);
-                  });
   std::string err;
-  (void)persist::append_file(cfg_.wal_path, bytes, persist::FaultCtx{}, &err);
+  (void)wal_->append(persist::RecordType::kFederationEpoch,
+                     [&](persist::PayloadWriter& w) {
+                       persist::put_federation_epoch(w, rec);
+                     },
+                     &err);
 }
 
 void FailoverMesh::journal_delta(const Input& blob) {
-  if (!wal_ready_) return;
-  const std::vector<u8> bytes = bare_record(
-      persist::RecordType::kVirginDelta,
-      [&](persist::PayloadWriter& w) { w.put_bytes(blob); });
+  if (!wal_) return;
   std::string err;
-  (void)persist::append_file(cfg_.wal_path, bytes, persist::FaultCtx{}, &err);
+  (void)wal_->append(persist::RecordType::kVirginDelta,
+                     [&](persist::PayloadWriter& w) { w.put_bytes(blob); },
+                     &err);
 }
 
 // ---- Role transitions ----------------------------------------------------

@@ -44,8 +44,10 @@
 //   same way MeshHub's do.
 //
 //   Journal.  Epoch transitions and delta records are appended to a
-//   federation WAL (persist/federation.h) for resume (a restarted node
-//   recovers its last epoch) and for statecheck's post-drill audit.
+//   federation WAL (a persist::Journal of persist/federation.h records)
+//   for resume (a restarted node recovers its last epoch) and for
+//   statecheck's post-drill audit. A torn tail is truncated on open; a
+//   foreign file leaves the node unjournaled.
 //
 // Thread-safety: like MeshHub — endpoint calls pass through to the inner
 // hub; offer/take/pump/shutdown serialize behind one mutex.
@@ -54,6 +56,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -61,6 +64,7 @@
 #include "fuzzer/netfleet/link.h"
 #include "fuzzer/netfleet/mesh.h"
 #include "fuzzer/sync.h"
+#include "persist/journal.h"
 
 namespace bigmap::netfleet {
 
@@ -143,7 +147,7 @@ class FailoverMesh final : public Gateway {
   u64 last_leader_seen_ns_ = 0;
   u64 last_delta_ns_ = 0;
   u64 probe_deadline_ns_ = 0;
-  bool wal_ready_ = false;
+  std::optional<persist::Journal> wal_;  // set when the WAL opened cleanly
   bool started_ = false;
 
   // Accounting of links/models already destroyed by role transitions, so

@@ -1,12 +1,8 @@
 #include "fuzzer/netfleet/wire.h"
 
 #include "persist/record.h"
-#include "util/hash.h"
 
 namespace bigmap::netfleet {
-
-using bmsp::put_u32_le;
-using bmsp::read_u32_le;
 
 const char* net_msg_name(NetMsg m) noexcept {
   switch (m) {
@@ -20,45 +16,37 @@ const char* net_msg_name(NetMsg m) noexcept {
   return "unknown";
 }
 
-void append_preamble(std::vector<u8>& out) {
-  put_u32_le(out, persist::kMagic);
-  put_u32_le(out, persist::kFormatVersion);
-}
+void append_preamble(std::vector<u8>& out) { bmsp::append_header(out); }
 
 void append_frame(std::vector<u8>& out, NetMsg type,
                   std::span<const u8> payload) {
-  const usize header_start = out.size();
-  put_u32_le(out, static_cast<u32>(type));
-  put_u32_le(out, static_cast<u32>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  // Same rule as persist::RecordWriter: CRC over type + len + payload.
-  const u32 crc = bmsp::frame_crc(out.data() + header_start, payload.size());
-  put_u32_le(out, crc);
+  bmsp::append_frame(out, static_cast<u32>(type),
+                     [&](persist::PayloadWriter& w) { w.put_bytes(payload); });
 }
 
 void append_hello(std::vector<u8>& out, const HelloMsg& hello) {
-  std::vector<u8> payload;
-  persist::PayloadWriter w(payload);
-  w.put_u32(hello.proto_version);
-  w.put_u64(hello.fingerprint);
-  w.put_u64(hello.node_id);
-  w.put_u64(hello.recv_cursor);
-  w.put_u64(hello.epoch);
-  w.put_u32(hello.rank);
-  w.put_u64(hello.log_base);
-  append_frame(out, NetMsg::kHello, payload);
+  bmsp::append_frame(out, static_cast<u32>(NetMsg::kHello),
+                     [&](persist::PayloadWriter& w) {
+                       w.put_u32(hello.proto_version);
+                       w.put_u64(hello.fingerprint);
+                       w.put_u64(hello.node_id);
+                       w.put_u64(hello.recv_cursor);
+                       w.put_u64(hello.epoch);
+                       w.put_u32(hello.rank);
+                       w.put_u64(hello.log_base);
+                     });
 }
 
 namespace {
 
 void append_seq_blob(std::vector<u8>& out, NetMsg type, u64 seq,
                      std::span<const u8> data) {
-  std::vector<u8> payload;
-  persist::PayloadWriter w(payload);
-  w.put_u64(seq);
-  w.put_u32(static_cast<u32>(data.size()));
-  w.put_bytes(data);
-  append_frame(out, type, payload);
+  bmsp::append_frame(out, static_cast<u32>(type),
+                     [&](persist::PayloadWriter& w) {
+                       w.put_u64(seq);
+                       w.put_u32(static_cast<u32>(data.size()));
+                       w.put_bytes(data);
+                     });
 }
 
 bool parse_seq_blob(std::span<const u8> payload, u64* seq, Input* data) {
@@ -86,10 +74,8 @@ void append_delta(std::vector<u8>& out, u64 seq, std::span<const u8> data) {
 }
 
 void append_cursor(std::vector<u8>& out, NetMsg type, u64 cursor) {
-  std::vector<u8> payload;
-  persist::PayloadWriter w(payload);
-  w.put_u64(cursor);
-  append_frame(out, type, payload);
+  bmsp::append_frame(out, static_cast<u32>(type),
+                     [&](persist::PayloadWriter& w) { w.put_u64(cursor); });
 }
 
 bool parse_hello(std::span<const u8> payload, HelloMsg* out) {
@@ -136,45 +122,36 @@ void FrameDecoder::feed(std::span<const u8> bytes) {
 std::optional<Frame> FrameDecoder::next() {
   if (broken_) return std::nullopt;
   if (!preamble_done_) {
-    if (buf_.size() - pos_ < persist::kFileHeaderSize) return std::nullopt;
-    const u8* p = buf_.data() + pos_;
-    if (read_u32_le(p) != persist::kMagic) {
-      fail("stream preamble: bad magic");
-      return std::nullopt;
+    switch (bmsp::check_header({buf_.data() + pos_, buf_.size() - pos_})) {
+      case bmsp::HeaderStatus::kIncomplete: return std::nullopt;
+      case bmsp::HeaderStatus::kBadMagic:
+        fail("stream preamble: bad magic");
+        return std::nullopt;
+      case bmsp::HeaderStatus::kBadVersion:
+        fail("stream preamble: unsupported format version");
+        return std::nullopt;
+      case bmsp::HeaderStatus::kOk: break;
     }
-    if (read_u32_le(p + 4) != persist::kFormatVersion) {
-      fail("stream preamble: unsupported format version");
-      return std::nullopt;
-    }
-    pos_ += persist::kFileHeaderSize;
+    pos_ += bmsp::kFileHeaderSize;
     preamble_done_ = true;
   }
 
-  const usize avail = buf_.size() - pos_;
-  if (avail < persist::kRecordHeaderSize) return std::nullopt;
-  const u8* p = buf_.data() + pos_;
-  const u32 type = read_u32_le(p);
-  const u32 len = read_u32_le(p + 4);
-  if (len > max_payload_) {
-    fail("frame length " + std::to_string(len) + " exceeds limit");
-    return std::nullopt;
+  bmsp::FrameView f;
+  switch (bmsp::parse_frame({buf_.data() + pos_, buf_.size() - pos_}, &f,
+                            max_payload_)) {
+    case bmsp::FrameStatus::kIncomplete: return std::nullopt;
+    case bmsp::FrameStatus::kTooLong:
+      fail("frame length " + std::to_string(f.payload_len) +
+           " exceeds limit");
+      return std::nullopt;
+    case bmsp::FrameStatus::kBadCrc:
+      fail("frame crc mismatch");
+      return std::nullopt;
+    case bmsp::FrameStatus::kComplete: break;
   }
-  const usize total = persist::kRecordHeaderSize + len +
-                      persist::kRecordTrailerSize;
-  if (avail < total) return std::nullopt;
-  const u32 stored_crc =
-      read_u32_le(p + persist::kRecordHeaderSize + len);
-  const u32 actual_crc = bmsp::frame_crc(p, len);
-  if (stored_crc != actual_crc) {
-    fail("frame crc mismatch");
-    return std::nullopt;
-  }
-  Frame f;
-  f.type = static_cast<NetMsg>(type);
-  f.payload.assign(p + persist::kRecordHeaderSize,
-                   p + persist::kRecordHeaderSize + len);
-  pos_ += total;
-  return f;
+  pos_ += f.size();
+  return Frame{static_cast<NetMsg>(f.type),
+               std::vector<u8>(f.payload.begin(), f.payload.end())};
 }
 
 void FrameDecoder::reset() {

@@ -2,33 +2,11 @@
 
 #include <filesystem>
 
-#include "util/hash.h"
-
 namespace bigmap::persist {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-// One record (header + payload + CRC) with no file header, for appending
-// to an already initialized journal.
-template <class Fill>
-std::vector<u8> encode_bare_record(RecordType type, Fill&& fill) {
-  std::vector<u8> buf;
-  PayloadWriter w(buf);
-  w.put_u32(static_cast<u32>(type));
-  w.put_u32(0);
-  const usize payload_start = buf.size();
-  fill(w);
-  const u32 len = static_cast<u32>(buf.size() - payload_start);
-  buf[4] = static_cast<u8>(len);
-  buf[5] = static_cast<u8>(len >> 8);
-  buf[6] = static_cast<u8>(len >> 16);
-  buf[7] = static_cast<u8>(len >> 24);
-  const u32 crc = crc32({buf.data(), buf.size()});
-  w.put_u32(crc);
-  return buf;
-}
 
 void put_fingerprint(PayloadWriter& w, const FleetFingerprint& fp) {
   w.put_u32(fp.num_instances);
@@ -38,13 +16,6 @@ void put_fingerprint(PayloadWriter& w, const FleetFingerprint& fp) {
   w.put_u32(fp.scheme);
   w.put_u32(fp.metric);
   w.put_u64(fp.map_size);
-}
-
-bool get_fingerprint(PayloadReader& r, FleetFingerprint* fp) {
-  return r.get_u32(&fp->num_instances) && r.get_u64(&fp->base_seed) &&
-         r.get_u64(&fp->seed_stride) && r.get_u64(&fp->max_execs) &&
-         r.get_u32(&fp->scheme) && r.get_u32(&fp->metric) &&
-         r.get_u64(&fp->map_size);
 }
 
 void put_event(PayloadWriter& w, const InstanceEvent& ev) {
@@ -70,7 +41,19 @@ void put_event(PayloadWriter& w, const InstanceEvent& ev) {
   w.put_u64(ev.checkpoint_seq);
 }
 
-bool get_event(PayloadReader& r, InstanceEvent* ev) {
+}  // namespace
+
+bool decode_fleet_fingerprint(std::span<const u8> payload,
+                              FleetFingerprint* fp) {
+  PayloadReader r(payload);
+  return r.get_u32(&fp->num_instances) && r.get_u64(&fp->base_seed) &&
+         r.get_u64(&fp->seed_stride) && r.get_u64(&fp->max_execs) &&
+         r.get_u32(&fp->scheme) && r.get_u32(&fp->metric) &&
+         r.get_u64(&fp->map_size);
+}
+
+bool decode_instance_event(std::span<const u8> payload, InstanceEvent* ev) {
+  PayloadReader r(payload);
   if (!(r.get_u32(&ev->instance) && r.get_u32(&ev->final_state) &&
         r.get_u32(&ev->attempts) && r.get_u32(&ev->restarts) &&
         r.get_u32(&ev->stalls) && r.get_u32(&ev->kills) &&
@@ -90,22 +73,15 @@ bool get_event(PayloadReader& r, InstanceEvent* ev) {
   return true;
 }
 
-}  // namespace
-
-bool decode_fleet_fingerprint(std::span<const u8> payload,
-                              FleetFingerprint* fp) {
-  PayloadReader r(payload);
-  return get_fingerprint(r, fp);
-}
-
-bool decode_instance_event(std::span<const u8> payload, InstanceEvent* ev) {
-  PayloadReader r(payload);
-  return get_event(r, ev);
-}
-
 FleetStore::FleetStore(std::string dir, FleetFingerprint fp, FaultCtx fault,
                        bool resume)
-    : dir_(std::move(dir)), fp_(fp), fault_(fault) {
+    : dir_(std::move(dir)),
+      fp_(fp),
+      fault_(fault),
+      journal_(dir_ + "/fleet.journal", fault, [fp](RecordWriter& rw) {
+        rw.append(RecordType::kFleetHeader,
+                  [&](PayloadWriter& w) { put_fingerprint(w, fp); });
+      }) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (resume) {
@@ -115,66 +91,54 @@ FleetStore::FleetStore(std::string dir, FleetFingerprint fp, FaultCtx fault,
   }
 }
 
+// Removes everything a previous fleet left behind except the journal.
+void FleetStore::wipe_instances() {
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    if (entry.path() == fs::path(journal_.path())) continue;
+    fs::remove_all(entry.path(), ec);
+  }
+}
+
 void FleetStore::open_fresh() {
   // Wipe everything a previous fleet left behind, then lay down the
   // journal header + fingerprint as one atomic commit.
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    fs::remove_all(entry.path(), ec);
-  }
+  wipe_instances();
   fresh_stores_ = true;
-
-  RecordWriter rw;
-  rw.append(RecordType::kFleetHeader,
-            [&](PayloadWriter& w) { put_fingerprint(w, fp_); });
   std::string err;
-  if (!write_file_atomic(journal_path(), rw.finish(), fault_, &err)) {
+  if (!journal_.reset(&err)) {
     error_ = "fleet journal init: " + err;
   }
 }
 
 void FleetStore::open_resume() {
   fresh_stores_ = false;
-  std::vector<u8> bytes;
-  std::string err;
-  if (!read_file(journal_path(), &bytes, fault_, &err)) {
-    // Nothing to resume from: degrade to a cold start with a fresh
-    // journal. The per-instance directories may still hold snapshots, but
-    // without budget accounting they cannot be trusted — wipe them too.
+  const JournalReplay replay = journal_.open();
+  if (!replay.ok()) {
+    error_ = "fleet journal: " + replay.error;
+    return;
+  }
+  if (replay.truncated_bytes > 0) ++journal_tail_dropped_;
+  if (replay.created) {
+    // Nothing to resume from: the journal was started afresh. The
+    // per-instance directories may still hold snapshots, but without
+    // budget accounting they cannot be trusted — wipe them too.
     ++journal_cold_starts_;
-    open_fresh();
+    wipe_instances();
+    fresh_stores_ = true;
     return;
   }
-
-  ParsedFile parsed = parse_records(bytes);
-  if (parsed.status == LoadStatus::kBadMagic ||
-      parsed.status == LoadStatus::kBadVersion) {
-    error_ = std::string("fleet journal: ") +
-             load_status_name(parsed.status);
-    return;
-  }
-  if (parsed.status != LoadStatus::kOk) {
-    // Torn or corrupt tail: keep the valid prefix, drop the rest. Truncate
-    // the file so future appends continue from a clean boundary.
-    ++journal_tail_dropped_;
-    std::error_code ec;
-    fs::resize_file(journal_path(), parsed.valid_bytes, ec);
-  }
-
-  if (parsed.records.empty() ||
-      parsed.records.front().type != RecordType::kFleetHeader) {
+  if (replay.records.empty() ||
+      replay.records.front().type != RecordType::kFleetHeader) {
     ++journal_cold_starts_;
     open_fresh();
     return;
   }
 
   FleetFingerprint on_disk;
-  {
-    PayloadReader r(parsed.records.front().payload);
-    if (!get_fingerprint(r, &on_disk)) {
-      error_ = "fleet journal: bad fingerprint payload";
-      return;
-    }
+  if (!decode_fleet_fingerprint(replay.records.front().payload, &on_disk)) {
+    error_ = "fleet journal: bad fingerprint payload";
+    return;
   }
   if (!(on_disk == fp_)) {
     error_ =
@@ -183,11 +147,10 @@ void FleetStore::open_resume() {
     return;
   }
 
-  for (usize i = 1; i < parsed.records.size(); ++i) {
-    if (parsed.records[i].type != RecordType::kFleetEvent) continue;
+  for (usize i = 1; i < replay.records.size(); ++i) {
+    if (replay.records[i].type != RecordType::kFleetEvent) continue;
     InstanceEvent ev;
-    PayloadReader r(parsed.records[i].payload);
-    if (!get_event(r, &ev)) continue;
+    if (!decode_instance_event(replay.records[i].payload, &ev)) continue;
     last_events_[ev.instance] = ev;
     ++journal_events_;
   }
@@ -201,9 +164,8 @@ std::optional<InstanceEvent> FleetStore::last_event(u32 instance) const {
 }
 
 bool FleetStore::append_event(const InstanceEvent& ev, std::string* err) {
-  const std::vector<u8> rec = encode_bare_record(
-      RecordType::kFleetEvent, [&](PayloadWriter& w) { put_event(w, ev); });
-  return append_file(journal_path(), rec, fault_, err);
+  return journal_.append(RecordType::kFleetEvent,
+                         [&](PayloadWriter& w) { put_event(w, ev); }, err);
 }
 
 CheckpointStore& FleetStore::instance_store(u32 instance) {

@@ -23,6 +23,7 @@
 
 #include "persist/checkpoint.h"
 #include "persist/io.h"
+#include "persist/journal.h"
 #include "persist/record.h"
 #include "util/types.h"
 
@@ -94,10 +95,11 @@ bool decode_instance_event(std::span<const u8> payload, InstanceEvent* ev);
 class FleetStore {
  public:
   // Fresh open wipes the directory and writes a new journal header.
-  // Resume open replays the existing journal (tolerating a torn tail) and
-  // verifies the fingerprint; a missing or unreadable journal degrades to
-  // a cold start, but a fingerprint from a different fleet shape is an
-  // error (ok() == false) — resuming it would corrupt budget accounting.
+  // Resume open replays the existing journal (truncating a torn tail) and
+  // verifies the fingerprint; a missing, unreadable or empty journal
+  // degrades to a cold start. A fingerprint from a different fleet shape,
+  // a foreign file, or a torn tail that cannot be truncated is an error
+  // (ok() == false) — resuming would corrupt budget accounting.
   FleetStore(std::string dir, FleetFingerprint fp, FaultCtx fault,
              bool resume);
 
@@ -125,13 +127,14 @@ class FleetStore {
   const std::string& dir() const noexcept { return dir_; }
 
  private:
-  std::string journal_path() const { return dir_ + "/fleet.journal"; }
   void open_fresh();
   void open_resume();
+  void wipe_instances();
 
   std::string dir_;
   FleetFingerprint fp_;
   FaultCtx fault_;
+  Journal journal_;
   bool fresh_stores_ = true;
   bool resumed_ = false;
   std::string error_;

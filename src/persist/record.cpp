@@ -1,13 +1,8 @@
 #include "persist/record.h"
 
-#include <bit>
 #include <cstring>
 
-#include "util/hash.h"
-
 namespace bigmap::persist {
-
-using bmsp::read_u32_le;
 
 const char* record_type_name(RecordType t) noexcept {
   switch (t) {
@@ -54,12 +49,6 @@ const char* load_status_name(LoadStatus s) noexcept {
   return "unknown";
 }
 
-void PayloadWriter::put_f64(double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
-
 bool PayloadReader::get_u8(u8* v) {
   if (pos_ + 1 > data_.size()) return false;
   *v = data_[pos_++];
@@ -84,75 +73,37 @@ bool PayloadReader::get_bytes(usize n, std::span<const u8>* out) {
   return true;
 }
 
-RecordWriter::RecordWriter() {
-  PayloadWriter w(buf_);
-  w.put_u32(kMagic);
-  w.put_u32(kFormatVersion);
-}
-
-void RecordWriter::begin_record(RecordType type) {
-  header_start_ = buf_.size();
-  PayloadWriter w(buf_);
-  w.put_u32(static_cast<u32>(type));
-  w.put_u32(0);  // payload_len backpatched in end_record
-  payload_start_ = buf_.size();
-}
-
-void RecordWriter::end_record() {
-  const usize len = buf_.size() - payload_start_;
-  const u32 len32 = static_cast<u32>(len);
-  buf_[header_start_ + 4] = static_cast<u8>(len32);
-  buf_[header_start_ + 5] = static_cast<u8>(len32 >> 8);
-  buf_[header_start_ + 6] = static_cast<u8>(len32 >> 16);
-  buf_[header_start_ + 7] = static_cast<u8>(len32 >> 24);
-  // CRC covers type + payload_len + payload.
-  const u32 crc = bmsp::frame_crc(buf_.data() + header_start_, len);
-  PayloadWriter w(buf_);
-  w.put_u32(crc);
-}
-
 ParsedFile parse_records(std::span<const u8> file) {
   ParsedFile out;
-  if (file.size() < kFileHeaderSize) {
-    out.status = LoadStatus::kBadMagic;
-    return out;
-  }
-  if (read_u32_le(file.data()) != kMagic) {
-    out.status = LoadStatus::kBadMagic;
-    return out;
-  }
-  if (read_u32_le(file.data() + 4) != kFormatVersion) {
-    out.status = LoadStatus::kBadVersion;
-    return out;
+  switch (bmsp::check_header(file)) {
+    case bmsp::HeaderStatus::kOk: break;
+    case bmsp::HeaderStatus::kBadVersion:
+      out.status = LoadStatus::kBadVersion;
+      return out;
+    case bmsp::HeaderStatus::kIncomplete:
+    case bmsp::HeaderStatus::kBadMagic:
+      out.status = LoadStatus::kBadMagic;
+      return out;
   }
   usize pos = kFileHeaderSize;
   out.valid_bytes = pos;
   while (pos < file.size()) {
-    if (pos + kRecordHeaderSize > file.size()) {
-      out.status = LoadStatus::kTruncatedTail;
-      return out;
+    bmsp::FrameView f;
+    switch (bmsp::parse_frame(file.subspan(pos), &f)) {
+      case bmsp::FrameStatus::kComplete: break;
+      case bmsp::FrameStatus::kBadCrc:
+        out.status = LoadStatus::kBadCrc;
+        return out;
+      case bmsp::FrameStatus::kIncomplete:
+      case bmsp::FrameStatus::kTooLong:
+        // A length that runs past the buffer is indistinguishable from a
+        // torn write of a longer record.
+        out.status = LoadStatus::kTruncatedTail;
+        return out;
     }
-    const u32 type = read_u32_le(file.data() + pos);
-    const u32 len = read_u32_le(file.data() + pos + 4);
-    // A length that runs past the buffer is indistinguishable from a torn
-    // write of a longer record.
-    const usize total = kRecordHeaderSize + static_cast<usize>(len) +
-                        kRecordTrailerSize;
-    if (len > file.size() || pos + total > file.size()) {
-      out.status = LoadStatus::kTruncatedTail;
-      return out;
-    }
-    const u32 stored_crc =
-        read_u32_le(file.data() + pos + kRecordHeaderSize + len);
-    const u32 actual_crc = bmsp::frame_crc(file.data() + pos, len);
-    if (stored_crc != actual_crc) {
-      out.status = LoadStatus::kBadCrc;
-      return out;
-    }
-    out.records.push_back(RecordView{
-        static_cast<RecordType>(type),
-        file.subspan(pos + kRecordHeaderSize, len)});
-    pos += total;
+    out.records.push_back(
+        RecordView{static_cast<RecordType>(f.type), f.payload});
+    pos += f.size();
     out.valid_bytes = pos;
   }
   return out;

@@ -1,18 +1,19 @@
 // Crash-consistent on-disk record format for campaign persistence.
 //
-// Every persisted file — per-instance checkpoint snapshots and the fleet
-// journal — is a sequence of self-checking records behind a fixed file
-// header, in the style of CalicoDB/RocksDB WALs:
+// Every persisted file — per-instance checkpoint snapshots, the corpus
+// pack and the three journals (persist/journal.h) — is a sequence of
+// self-checking records behind a fixed file header, in the style of
+// CalicoDB/RocksDB WALs:
 //
 //   file   := [u32 magic "BMSP"][u32 format_version] record*
 //   record := [u32 type][u32 payload_len][payload][u32 crc]
 //
-// All integers are little-endian. The CRC-32 (IEEE, the same crc32() the
-// coverage maps use) covers type, payload_len, and the payload, so a torn
-// or bit-flipped record can never be mistaken for a valid one. Readers
-// stop at the first incomplete or corrupt record and report how far the
-// valid prefix reached — the "truncated tail" recovery rule: everything
-// before the damage is usable, everything after is discarded.
+// The framing and the CRC rule are the BMSP codec in persist/framing.h;
+// this header adds the record types, the payload builder/reader, and the
+// whole-file writer and parser built on that codec. Readers stop at the
+// first incomplete or corrupt record and report how far the valid prefix
+// reached — the "truncated tail" recovery rule: everything before the
+// damage is usable, everything after is discarded.
 //
 // Snapshot files additionally end with a kCommit record; a snapshot whose
 // valid prefix lacks the commit marker was torn mid-write and is rejected
@@ -21,7 +22,6 @@
 // a torn tail simply drops the last partial event.
 #pragma once
 
-#include <bit>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -33,10 +33,8 @@
 
 namespace bigmap::persist {
 
-// The framing itself (magic, version, header/trailer sizes, byte helpers)
+// The framing itself (magic, version, header/trailer sizes, CRC rule)
 // lives in persist/framing.h and is shared with the netfleet wire format.
-inline constexpr u32 kMagic = bmsp::kMagic;
-inline constexpr u32 kFormatVersion = bmsp::kFormatVersion;
 inline constexpr usize kFileHeaderSize = bmsp::kFileHeaderSize;
 inline constexpr usize kRecordHeaderSize = bmsp::kRecordHeaderSize;
 inline constexpr usize kRecordTrailerSize = bmsp::kRecordTrailerSize;
@@ -91,32 +89,8 @@ const char* load_status_name(LoadStatus s) noexcept;
 
 // --- encoding ---------------------------------------------------------------
 
-// The format is little-endian and so is every supported host: integers
-// and integer arrays are copied as raw bytes, one bulk copy per array.
-static_assert(std::endian::native == std::endian::little);
-
-// Append-only little-endian payload builder.
-class PayloadWriter {
- public:
-  explicit PayloadWriter(std::vector<u8>& out) : out_(out) {}
-
-  void put_u8(u8 v) { out_.push_back(v); }
-  void put_u32(u32 v) { put_le_array(std::span<const u32>(&v, 1)); }
-  void put_u64(u64 v) { put_le_array(std::span<const u64>(&v, 1)); }
-  void put_f64(double v);
-  void put_bytes(std::span<const u8> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-  // The elements of `v` back to back, little-endian, in one copy.
-  template <class T>
-  void put_le_array(std::span<const T> v) {
-    const u8* p = reinterpret_cast<const u8*>(v.data());
-    out_.insert(out_.end(), p, p + v.size_bytes());
-  }
-
- private:
-  std::vector<u8>& out_;
-};
+// The append-only little-endian payload builder frames are filled with.
+using bmsp::PayloadWriter;
 
 // Bounds-checked little-endian payload reader. Every getter returns false
 // (and leaves the output untouched) past the end — decoding never reads out
@@ -152,27 +126,19 @@ class PayloadReader {
 // header. finish() returns the buffer; the writer is then exhausted.
 class RecordWriter {
  public:
-  RecordWriter();
+  RecordWriter() { bmsp::append_header(buf_); }
 
   // Appends one record; `fill` receives a PayloadWriter positioned at the
   // record's payload.
   template <class Fill>
   void append(RecordType type, Fill&& fill) {
-    begin_record(type);
-    PayloadWriter w(buf_);
-    fill(w);
-    end_record();
+    bmsp::append_frame(buf_, static_cast<u32>(type), fill);
   }
 
   std::vector<u8> finish() { return std::move(buf_); }
 
  private:
-  void begin_record(RecordType type);
-  void end_record();
-
   std::vector<u8> buf_;
-  usize payload_start_ = 0;  // offset of current record's payload
-  usize header_start_ = 0;   // offset of current record's type field
 };
 
 struct RecordView {

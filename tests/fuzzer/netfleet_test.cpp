@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,10 @@
 #include "fuzzer/netfleet/transport.h"
 #include "fuzzer/netfleet/wire.h"
 #include "fuzzer/sync.h"
+#include "persist/federation.h"
+#include "persist/io.h"
+#include "persist/record.h"
+#include "persist/snapshot.h"
 #include "target/generator.h"
 #include "util/fault.h"
 
@@ -154,6 +159,182 @@ TEST(WireTest, BadPreambleAndOversizeLengthAreRejected) {
   small.feed(bytes);
   EXPECT_FALSE(small.next().has_value());
   EXPECT_TRUE(small.broken());
+}
+
+std::vector<u8> unhex(const char* s) {
+  std::vector<u8> out;
+  for (; s[0] != '\0' && s[1] != '\0'; s += 2) {
+    out.push_back(static_cast<u8>(std::stoi(std::string(s, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(WireTest, FrameBytesArePinned) {
+  std::vector<u8> bytes;
+  append_preamble(bytes);
+  EXPECT_EQ(bytes, unhex("424d535001000000"));
+
+  HelloMsg hello;
+  hello.fingerprint = 0xDEADBEEFu;
+  hello.node_id = 7;
+  hello.recv_cursor = 42;
+  hello.epoch = 3;
+  hello.rank = 2;
+  hello.log_base = 17;
+  bytes.clear();
+  append_hello(bytes, hello);
+  EXPECT_EQ(bytes, unhex("010000003000000002000000efbeadde"
+                         "0000000007000000000000002a000000"
+                         "00000000030000000000000002000000"
+                         "1100000000000000585dcff6"));
+  bytes.clear();
+  append_entry(bytes, 9, Input{1, 2, 3});
+  EXPECT_EQ(bytes, unhex("020000000f0000000900000000000000"
+                         "030000000102039e35ce31"));
+  bytes.clear();
+  append_delta(bytes, 10, Input{0xD0, 0xD1});
+  EXPECT_EQ(bytes, unhex("050000000e0000000a00000000000000"
+                         "02000000d0d164089e15"));
+  bytes.clear();
+  append_cursor(bytes, NetMsg::kHeartbeat, 13);
+  EXPECT_EQ(bytes, unhex("03000000080000000d00000000000000"
+                         "889c7a58"));
+}
+
+// What FrameDecoder made of one stream: the frames, how many bytes they
+// (and the preamble) covered, and whether the stream broke.
+struct Decoded {
+  std::vector<std::pair<u32, std::vector<u8>>> frames;
+  usize consumed = 0;  // preamble included
+  bool broken = false;
+  std::string error;
+};
+
+Decoded decode_in_chunks(std::span<const u8> bytes, usize split,
+                         usize chunk) {
+  FrameDecoder dec(std::numeric_limits<usize>::max());
+  Decoded out;
+  auto drain = [&] {
+    while (auto f = dec.next()) {
+      out.consumed += persist::kRecordHeaderSize + f->payload.size() +
+                      persist::kRecordTrailerSize;
+      out.frames.emplace_back(static_cast<u32>(f->type),
+                              std::move(f->payload));
+    }
+  };
+  dec.feed(bytes.first(split));
+  drain();
+  for (usize pos = split; pos < bytes.size(); pos += chunk) {
+    dec.feed(bytes.subspan(pos, std::min(chunk, bytes.size() - pos)));
+    drain();
+  }
+  out.broken = dec.broken();
+  out.error = dec.error();
+  // Only read for streams whose preamble is valid.
+  out.consumed += persist::kFileHeaderSize;
+  return out;
+}
+
+// FrameDecoder and parse_records share one frame parser: on every stream
+// they must agree on the frames, their order, and where and why parsing
+// stopped. The decoder is fed byte by byte, and in two chunks split at
+// every `split_stride`-th offset.
+void expect_same_frames(std::span<const u8> bytes, const std::string& what,
+                        usize split_stride) {
+  const persist::ParsedFile parsed = persist::parse_records(bytes);
+  std::vector<std::pair<u32, std::vector<u8>>> want;
+  for (const persist::RecordView& r : parsed.records) {
+    want.emplace_back(static_cast<u32>(r.type),
+                      std::vector<u8>(r.payload.begin(), r.payload.end()));
+  }
+  std::vector<Decoded> runs;
+  for (usize split = 0; split <= bytes.size(); split += split_stride) {
+    runs.push_back(decode_in_chunks(bytes, split, bytes.size()));
+  }
+  runs.push_back(decode_in_chunks(bytes, 0, 1));
+  for (usize i = 0; i < runs.size(); ++i) {
+    const Decoded& d = runs[i];
+    SCOPED_TRACE(what + ", run " + std::to_string(i));
+    ASSERT_EQ(d.frames, want);
+    switch (parsed.status) {
+      case persist::LoadStatus::kOk:
+      case persist::LoadStatus::kTruncatedTail:
+        EXPECT_FALSE(d.broken) << d.error;
+        EXPECT_EQ(d.consumed, parsed.valid_bytes);
+        break;
+      case persist::LoadStatus::kBadCrc:
+        EXPECT_TRUE(d.broken);
+        EXPECT_NE(d.error.find("crc"), std::string::npos) << d.error;
+        EXPECT_EQ(d.consumed, parsed.valid_bytes);
+        break;
+      case persist::LoadStatus::kBadMagic:
+        // A too-short buffer is a bad file but an unfinished stream.
+        EXPECT_EQ(d.broken, bytes.size() >= persist::kFileHeaderSize);
+        break;
+      case persist::LoadStatus::kBadVersion:
+        EXPECT_TRUE(d.broken);
+        break;
+      default:
+        ADD_FAILURE() << persist::load_status_name(parsed.status);
+    }
+  }
+}
+
+TEST(WireTest, DecoderAgreesWithParseRecordsOnTornAndFlippedStreams) {
+  persist::CampaignSnapshot snap;
+  snap.scheme = 1;
+  snap.seed = 9;
+  snap.map_size = 4;
+  snap.virgin_size = 4;
+  snap.execs = 700;
+  snap.virgin_queue.assign(4, 0xFF);
+  snap.virgin_crash.assign(4, 0xFF);
+  snap.virgin_hang.assign(4, 0xFF);
+  snap.has_two_level = true;
+  snap.index_bitmap.assign(4, 0xFFFFFFFFu);
+  snap.bug_ids = {3};
+
+  persist::RecordWriter journal;
+  journal.append(persist::RecordType::kFederationEpoch,
+                 [](persist::PayloadWriter& w) {
+                   persist::put_federation_epoch(w, {2, 1, 0, 1});
+                 });
+  journal.append(persist::RecordType::kVirginDelta,
+                 [](persist::PayloadWriter& w) { w.put_u64(0xABCD); });
+  journal.append(persist::RecordType::kFleetEvent,
+                 [](persist::PayloadWriter&) {});
+
+  std::vector<u8> wire;
+  append_preamble(wire);
+  append_hello(wire, HelloMsg{});
+  append_entry(wire, 4, Input{9, 8, 7});
+  append_delta(wire, 5, Input{});
+  append_cursor(wire, NetMsg::kBye, 6);
+
+  const std::pair<const char*, std::vector<u8>> streams[] = {
+      {"snapshot", persist::encode_snapshot(snap)},
+      {"journal", journal.finish()},
+      {"wire", wire},
+  };
+  // Every split of the whole streams; a sparser stride (on top of the
+  // byte-by-byte feed) keeps the damaged variants quadratic, not cubic.
+  constexpr usize kDamagedSplitStride = 13;
+  for (const auto& [name, base] : streams) {
+    expect_same_frames(base, name, 1);
+    // Torn: every prefix. Flipped: one bit at every byte.
+    for (usize cut = 0; cut < base.size(); ++cut) {
+      expect_same_frames({base.data(), cut},
+                         std::string(name) + " cut " + std::to_string(cut),
+                         kDamagedSplitStride);
+    }
+    for (usize at = 0; at < base.size(); ++at) {
+      std::vector<u8> flipped = base;
+      flipped[at] ^= static_cast<u8>(1u << (at % 8));
+      expect_same_frames(flipped,
+                         std::string(name) + " flip " + std::to_string(at),
+                         kDamagedSplitStride);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- link --
@@ -841,6 +1022,90 @@ TEST(FailoverTest, ResumeProbeFindsUnchangedLeaderAndRejoinsQuietly) {
   auto at0 = ring.meshes[0]->fetch_new(0);
   ASSERT_EQ(at0.size(), 1u);
   EXPECT_EQ(at0[0], (Input{0x11, 0x22}));
+}
+
+// One FailoverMesh alone in its federation, journaling to `wal`: its
+// first pump journals kInit and its founding promotion.
+struct LoneNode {
+  SyncHub hub{2};
+  std::unique_ptr<FailoverMesh> mesh;
+
+  explicit LoneNode(const std::string& wal) {
+    FederationConfig fc;
+    fc.failover = true;
+    fc.num_nodes = 1;
+    fc.listen_fds.assign(1, -1);
+    fc.dial_ports.assign(1, 0);
+    fc.link.session_fingerprint = 77;
+    fc.wal_path = wal;
+    mesh = std::make_unique<FailoverMesh>(&hub, 1, fc, nullptr, nullptr,
+                                          nullptr);
+    mesh->pump(1 * kMs);
+  }
+};
+
+std::vector<u8> wal_bytes(const std::string& path) {
+  std::vector<u8> out;
+  std::string err;
+  EXPECT_TRUE(persist::read_file(path, &out, persist::FaultCtx{}, &err))
+      << err;
+  return out;
+}
+
+std::string wal_dir(const char* tag) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       (std::string("bigmap_fedwal_") + tag + "_" +
+        std::to_string(static_cast<unsigned>(::getpid()))))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(FailoverTest, TornWalTailIsTruncatedSoNewTransitionsStayReadable) {
+  const std::string dir = wal_dir("torn");
+  const std::string wal = persist::federation_wal_path(dir);
+  persist::RecordWriter rw;
+  for (u64 epoch : {4, 5}) {
+    rw.append(persist::RecordType::kFederationEpoch,
+              [&](persist::PayloadWriter& w) {
+                persist::put_federation_epoch(w, {epoch, 0, 0, 1});
+              });
+  }
+  std::vector<u8> bytes = rw.finish();
+  bytes.resize(bytes.size() - 3);  // tear the epoch-5 record
+  std::string err;
+  ASSERT_TRUE(persist::write_file_atomic(wal, bytes, persist::FaultCtx{},
+                                         &err))
+      << err;
+
+  LoneNode node(wal);
+  EXPECT_EQ(node.mesh->failover_stats().epoch, 4u);  // resumed, torn dropped
+  const std::vector<u8> after = wal_bytes(wal);
+  const persist::ParsedFile parsed = persist::parse_records(after);
+  EXPECT_EQ(parsed.status, persist::LoadStatus::kOk);
+  ASSERT_GE(parsed.records.size(), 2u);
+  persist::FederationEpochRecord last;
+  ASSERT_TRUE(persist::parse_federation_epoch(parsed.records[1].payload,
+                                              &last));
+  EXPECT_EQ(last.epoch, 4u);
+  EXPECT_EQ(last.reason, static_cast<u8>(persist::EpochReason::kInit));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FailoverTest, ForeignWalIsNeverAppendedTo) {
+  const std::string dir = wal_dir("foreign");
+  const std::string wal = persist::federation_wal_path(dir);
+  const std::vector<u8> foreign{'n', 'o', 't', ' ', 'b', 'm', 's', 'p', 1, 2};
+  std::string err;
+  ASSERT_TRUE(persist::write_file_atomic(wal, foreign, persist::FaultCtx{},
+                                         &err))
+      << err;
+  LoneNode node(wal);
+  EXPECT_EQ(node.mesh->failover_stats().role, 0u);  // still leads
+  EXPECT_EQ(wal_bytes(wal), foreign);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------ federate --
