@@ -3,9 +3,13 @@
 // speedup line the paper headlines (0.98x / 1.4x / 4.5x / 33.1x).
 //
 // A second table runs BigMap with checkpoints every 1024 execs at 64kB,
-// 2MB and 8MB on a fixed exec budget: snapshots encode only the live
+// 2MB, 8MB and 32MB on a fixed exec budget: snapshots encode only the live
 // [0, used_key) prefix, so exec/s and snapshot bytes should not move with
-// the map size.
+// the map size. Each of its rows runs in a forked child, and the peak RSS
+// column is that child's: only the index (4 B per map position) should
+// grow with the map.
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -18,6 +22,60 @@
 #include "persist/checkpoint.h"
 
 using namespace bigmap;
+
+namespace {
+
+struct CheckpointedRow {
+  double execs_per_s = 0;
+  u64 checkpoints = 0;
+  u64 mean_snapshot_bytes = 0;
+  double peak_rss_mb = 0;
+};
+
+// One checkpointed two-level campaign in a forked child. The child sends
+// its numbers back through a pipe; wait4 reports its peak RSS.
+CheckpointedRow run_checkpointed(const Program& program,
+                                 const std::vector<Input>& seeds, usize size,
+                                 const std::string& dir) {
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    persist::CheckpointStore store(dir, persist::FaultCtx{}, /*fresh=*/true);
+    CampaignConfig c = bench::throughput_config(MapScheme::kTwoLevel, size,
+                                                0.0, /*seed=*/1);
+    c.max_execs = bench::scaled_execs(40000);
+    c.deterministic_timing = true;  // same finds, so same bytes
+    c.checkpoint = &store;
+    c.checkpoint_interval = 1024;
+    const CampaignResult r = run_campaign(program, seeds, c);
+    const persist::PersistStats ps = store.stats();
+    CheckpointedRow row;
+    row.execs_per_s = r.steady_throughput();
+    row.checkpoints = ps.checkpoints_written;
+    row.mean_snapshot_bytes = ps.checkpoints_written > 0
+                                  ? ps.checkpoint_bytes / ps.checkpoints_written
+                                  : 0;
+    const bool sent = ::write(fds[1], &row, sizeof row) == sizeof row;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  CheckpointedRow row;
+  const bool got = pid > 0 && ::read(fds[0], &row, sizeof row) == sizeof row;
+  ::close(fds[0]);
+  int status = 0;
+  rusage ru{};
+  if (pid > 0 && ::wait4(pid, &status, 0, &ru) == pid && got &&
+      WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+    row.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+    return row;
+  }
+  std::fprintf(stderr, "fig6: checkpointed child for %zu B failed\n", size);
+  return {};
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bench::init(argc, argv, "fig6");
@@ -73,8 +131,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nBigMap with checkpoints every 1024 execs:\n");
   TableWriter ckpt({"Benchmark", "Map", "exec/s", "vs 64kB", "Checkpoints",
-                    "Snapshot bytes"});
-  const usize ckpt_sizes[] = {64u << 10, 2u << 20, 8u << 20};
+                    "Snapshot bytes", "Peak RSS MB"});
+  const usize ckpt_sizes[] = {64u << 10, 2u << 20, 8u << 20, 32u << 20};
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("bigmap_fig6_ckpt_" + std::to_string(::getpid())))
@@ -88,25 +146,14 @@ int main(int argc, char** argv) {
     auto seeds = bench::capped_seeds(target, info);
     double base = 0;
     for (const usize size : ckpt_sizes) {
-      persist::CheckpointStore store(dir, persist::FaultCtx{},
-                                     /*fresh=*/true);
-      CampaignConfig c = bench::throughput_config(MapScheme::kTwoLevel, size,
-                                                  0.0, /*seed=*/1);
-      c.max_execs = bench::scaled_execs(40000);
-      c.deterministic_timing = true;  // same finds, so same bytes
-      c.checkpoint = &store;
-      c.checkpoint_interval = 1024;
-      auto r = run_campaign(target.program, seeds, c);
-      const double tput = r.steady_throughput();
-      if (size == ckpt_sizes[0]) base = tput;
-      const persist::PersistStats ps = store.stats();
-      const u64 mean_bytes = ps.checkpoints_written > 0
-                                 ? ps.checkpoint_bytes / ps.checkpoints_written
-                                 : 0;
-      ckpt.add_row({info.name, fmt_bytes(size), fmt_double(tput, 0),
-                    fmt_double(base > 0 ? tput / base : 0, 2) + "x",
-                    std::to_string(ps.checkpoints_written),
-                    std::to_string(mean_bytes)});
+      const CheckpointedRow r =
+          run_checkpointed(target.program, seeds, size, dir);
+      if (size == ckpt_sizes[0]) base = r.execs_per_s;
+      ckpt.add_row({info.name, fmt_bytes(size), fmt_double(r.execs_per_s, 0),
+                    fmt_double(base > 0 ? r.execs_per_s / base : 0, 2) + "x",
+                    std::to_string(r.checkpoints),
+                    std::to_string(r.mean_snapshot_bytes),
+                    fmt_double(r.peak_rss_mb, 1)});
     }
   }
   std::filesystem::remove_all(dir);

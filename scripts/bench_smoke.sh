@@ -99,6 +99,26 @@ for (bench, size), small in snap_bytes.items():
               f"fig6: {bench} 8MB snapshots are {big} B against {small} B "
               "at 64kB (live-prefix encoding lost?)")
 
+# Two-level memory follows coverage: per benchmark, the 32 MB row's peak
+# RSS may exceed the 64 kB row's only by the index (4 B per map position)
+# plus 8 MB. Whole-map coverage, virgin and top_rated buffers would add
+# ~16 B per position (~500 MB) on top.
+rss = {}
+for row in ckpt["rows"]:
+    rss[(row[cols.index("Benchmark")], row[cols.index("Map")])] = \
+        float(row[cols.index("Peak RSS MB")])
+for (bench, size), small in rss.items():
+    if size != "64k":
+        continue
+    big = rss.get((bench, "32M"))
+    check(big is not None, f"fig6: no 32MB checkpointed row for {bench}")
+    check(small > 0, f"fig6: {bench} 64kB row reported no peak RSS")
+    if big is not None:
+        bound = small + 4 * 32 + 8
+        check(big <= bound,
+              f"fig6: {bench} 32MB peak RSS {big} MB exceeds {bound} MB "
+              f"(64kB row {small} MB + 128 MB index + 8 MB)")
+
 # Every report must record which whole-map kernel produced it, so perf
 # trajectories in committed BENCH_*.json artifacts are attributable.
 for name, doc in (("BENCH_fig6.json", fig6), ("BENCH_fig9.json", fig9),

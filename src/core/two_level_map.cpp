@@ -9,8 +9,7 @@ namespace bigmap {
 TwoLevelCoverageMap::TwoLevelCoverageMap(const MapOptions& opt)
     : index_((validate_map_options(opt), opt.map_size * sizeof(u32)),
              opt.backing()),
-      coverage_(opt.condensed_size == 0 ? opt.map_size : opt.condensed_size,
-                opt.backing()),
+      coverage_(opt.condensed_size == 0 ? opt.map_size : opt.condensed_size),
       key_log_(opt.map_size * sizeof(u32)),
       key_log_data_(reinterpret_cast<u32*>(key_log_.data())),
       kernel_(&kernels::resolve_kernel(opt.kernel)),
@@ -18,12 +17,10 @@ TwoLevelCoverageMap::TwoLevelCoverageMap(const MapOptions& opt)
       index_size_(opt.map_size),
       mask_(static_cast<u32>(opt.map_size - 1)),
       merged_classify_compare_(opt.merged_classify_compare) {
-  // The one-time full-map initialization (§IV-B): index entries to -1,
-  // coverage to zero (the kernel already zeroes fresh anonymous pages, but
-  // we touch the map anyway to fault it in deterministically, exactly like
-  // the paper's single full-map pass).
+  // The one-time full-map initialization (§IV-B): index entries to -1.
+  // The coverage bitmap needs none: its fresh pages read as zero and fault
+  // in only as used_key grows over them.
   std::memset(index_.data(), 0xFF, index_.size());
-  std::memset(coverage_.data(), 0, coverage_.size());
 }
 
 u32 TwoLevelCoverageMap::allocate_slot(u32* slot) noexcept {

@@ -151,8 +151,12 @@ class TwoLevelCoverageMap {
   // logs the key.
   u32 allocate_slot(u32* slot) noexcept;
 
-  PageBuffer index_;      // map_size u32 entries, init 0xFFFFFFFF
-  PageBuffer coverage_;   // condensed hit counts
+  // map_size u32 entries, init 0xFFFFFFFF. The one randomly accessed
+  // buffer, so the one on huge pages (§IV-E) when MapOptions asks.
+  PageBuffer index_;
+  // Condensed hit counts on plain pages: every access lands in
+  // [0, used_key), so only that prefix ever becomes resident.
+  PageBuffer coverage_;
   // map_size u32 entries (at most one allocation per key). Never
   // pre-touched: pages fault in as the log grows, so its resident cost
   // follows used_key.

@@ -98,7 +98,9 @@ class OracleImpl final : public NoveltyOracle {
         // Force a condensed slot for the original position. The scratch
         // count this bumps is reset before any run; the slot assignment
         // itself is the importer's own, which is all admit() depends on.
+        // A fresh slot may lie past the virgin maps' filled prefix.
         ex_.map().update(c.pos);
+        ex_.sync_virgin();
         const u32 slot = ex_.map().slot_of(c.pos);
         v.data()[slot] &= c.value;
       } else {

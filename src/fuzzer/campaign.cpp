@@ -8,8 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include <cstring>
-
 #include "core/flat_map.h"
 #include "core/two_level_map.h"
 #include "corpus/store.h"
@@ -250,7 +248,7 @@ class Campaign {
       live = m.used_key();
     }
 
-    const SeedQueue::ExportedState q = queue_.export_state();
+    SeedQueue::ExportedState q = queue_.export_state(live);
     s.entries.resize(q.entries.size());
     for (usize i = 0; i < q.entries.size(); ++i) {
       const QueueEntry& e = *q.entries[i];
@@ -273,8 +271,8 @@ class Campaign {
         snap.data = e.data;
       }
     }
-    s.top_entry.assign(q.top_entry.begin(), q.top_entry.begin() + live);
-    s.top_factor.assign(q.top_factor.begin(), q.top_factor.begin() + live);
+    s.top_entry = std::move(q.top_entry);
+    s.top_factor = std::move(q.top_factor);
     s.top_covered = q.top_covered;
 
     s.in_cycle = in_cycle_;
@@ -435,13 +433,12 @@ class Campaign {
       }
     }
 
-    // The live prefixes; the fresh maps already hold 0xFF past them.
-    std::memcpy(ex_.mutable_virgin_queue().data(), s.virgin_queue.data(),
-                s.virgin_queue.size());
-    std::memcpy(ex_.mutable_virgin_crash().data(), s.virgin_crash.data(),
-                s.virgin_crash.size());
-    std::memcpy(ex_.mutable_virgin_hang().data(), s.virgin_hang.data(),
-                s.virgin_hang.size());
+    // The live prefixes; the fresh maps already hold 0xFF past them once
+    // the slot-key import's used_key growth is synced into them.
+    ex_.sync_virgin();
+    ex_.mutable_virgin_queue().restore_prefix(s.virgin_queue);
+    ex_.mutable_virgin_crash().restore_prefix(s.virgin_crash);
+    ex_.mutable_virgin_hang().restore_prefix(s.virgin_hang);
 
     triage_.restore(s.bug_ids, s.stack_hashes, s.crashes_total,
                     s.crashes_afl_unique);

@@ -28,6 +28,7 @@
 #include "instrumentation/metrics.h"
 #include "target/interpreter.h"
 #include "target/program.h"
+#include "util/alloc.h"
 #include "util/timing.h"
 #include "util/types.h"
 
@@ -49,9 +50,9 @@ class Executor {
       : prog_(&prog),
         map_(opts),
         metric_(ids),
-        virgin_queue_(virgin_positions_of(map_), opts.backing()),
-        virgin_crash_(virgin_positions_of(map_), opts.backing()),
-        virgin_hang_(virgin_positions_of(map_), opts.backing()),
+        virgin_queue_(make_virgin(map_, opts)),
+        virgin_crash_(make_virgin(map_, opts)),
+        virgin_hang_(make_virgin(map_, opts)),
         interp_(step_budget, work_per_block),
         merged_(opts.merged_classify_compare) {}
 
@@ -86,6 +87,7 @@ class Executor {
       out.exec_ns = monotonic_ns() - start;
       timing.add(MapOp::kExecution, out.exec_ns);
     }
+    sync_virgin();
 
     switch (out.exec.outcome) {
       case ExecResult::Outcome::kOk: {
@@ -157,7 +159,7 @@ class Executor {
     // two-level keys; flat maps never touch it.
     const u32 spare = static_cast<u32>(virgin_positions());
     if (oracle_counts_.empty()) {
-      oracle_counts_.assign(virgin_positions() + 1, 0);
+      oracle_counts_ = PageBuffer::plain(virgin_positions() + 1);
       oracle_touched_.reserve(1024);
     }
     const u64 start = monotonic_ns();
@@ -226,6 +228,7 @@ class Executor {
         map_.update(metric_.visit(block_index));
       });
     }
+    sync_virgin();
     {
       ScopedOpTimer t(timing, MapOp::kClassify);
       map_.classify();
@@ -260,13 +263,29 @@ class Executor {
   const VirginMap& virgin_crash() const noexcept { return virgin_crash_; }
   const VirginMap& virgin_hang() const noexcept { return virgin_hang_; }
 
-  // Mutable access for checkpoint restore: a snapshot overwrites the
-  // virgin bytes wholesale to resume accumulated global coverage.
+  // Mutable access for checkpoint restore and oracle deltas, which write
+  // virgin bytes directly. Call sync_virgin() first whenever used_key may
+  // have grown since the last run.
   VirginMap& mutable_virgin_queue() noexcept { return virgin_queue_; }
   VirginMap& mutable_virgin_crash() noexcept { return virgin_crash_; }
   VirginMap& mutable_virgin_hang() noexcept { return virgin_hang_; }
 
   Interpreter& interpreter() noexcept { return interp_; }
+
+  // The virgin invariant: all three virgin maps are valid over
+  // [0, used_key) (two-level maps fill them lazily; flat maps are filled
+  // whole at construction). run() and run_for_hash() restore it after the
+  // execution that may allocate slots; code that grows used_key another
+  // way (a slot-key import, a forced map update) calls this before it
+  // reads or writes a virgin byte.
+  void sync_virgin() noexcept {
+    if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+      const usize used = map_.used_key();
+      virgin_queue_.fill_to(used);
+      virgin_crash_.fill_to(used);
+      virgin_hang_.fill_to(used);
+    }
+  }
 
  private:
   // Call/return notifications for context-aware metrics; compiles to
@@ -282,11 +301,14 @@ class Executor {
     }
   }
 
-  static usize virgin_positions_of(const Map& m) noexcept {
+  // Two-level virgin maps are only ever touched over [0, used_key): plain
+  // pages, filled as it grows. Flat maps scan every byte: filled up front,
+  // on huge pages when the options ask.
+  static VirginMap make_virgin(const Map& m, const MapOptions& opts) {
     if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-      return m.condensed_size();
+      return VirginMap::lazy(m.condensed_size());
     } else {
-      return m.map_size();
+      return VirginMap(m.map_size(), opts.backing());
     }
   }
 
@@ -316,9 +338,10 @@ class Executor {
   Interpreter interp_;
   bool merged_;
   // Untraced-mode scratch: per-exec u8 hit counts per virgin position
-  // (lazily allocated on the first run_untraced) and the positions touched
-  // this run, for sparse reset.
-  std::vector<u8> oracle_counts_;
+  // plus the spare slot (mapped on the first run_untraced; only touched
+  // pages become resident) and the positions touched this run, for sparse
+  // reset.
+  PageBuffer oracle_counts_;
   std::vector<u32> oracle_touched_;
 };
 

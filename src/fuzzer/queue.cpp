@@ -10,7 +10,8 @@ namespace bigmap {
 static_assert(std::endian::native == std::endian::little);
 
 SeedQueue::SeedQueue(usize map_positions)
-    : top_entry_(map_positions, kNoEntry), top_factor_(map_positions, 0) {}
+    : top_entry_(PageBuffer::plain(map_positions * sizeof(u32))),
+      top_factor_(PageBuffer::plain(map_positions * sizeof(u64))) {}
 
 usize SeedQueue::add(Input data, u64 exec_ns, u32 bitmap_hash, u32 depth) {
   auto e = std::make_unique<QueueEntry>();
@@ -29,15 +30,17 @@ void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
       std::max<u64>(1, e.exec_ns) * std::max<usize>(1, e.data.size());
 
   const u32 idx32 = static_cast<u32>(entry_idx);
+  u32* const top = winners();
+  u64* const fav = factors();
   auto visit = [&](usize i) {
-    if (top_entry_[i] == kNoEntry) {
+    if (fav[i] == 0) {
       ++top_covered_;
       top_end_ = std::max(top_end_, i + 1);
-    } else if (factor >= top_factor_[i]) {
+    } else if (factor >= fav[i]) {
       return;
     }
-    top_entry_[i] = idx32;
-    top_factor_[i] = factor;
+    top[i] = idx32;
+    fav[i] = factor;
     cull_pending_ = true;
   };
 
@@ -71,8 +74,10 @@ void SeedQueue::cull() {
   // by marking winners directly — every top_rated winner is favored. The
   // favored set is slightly larger than AFL's minimal cover but has the
   // same growth behavior.
+  const u32* const top = winners();
+  const u64* const fav = factors();
   for (usize i = 0; i < top_end_; ++i) {
-    if (top_entry_[i] != kNoEntry) entries_[top_entry_[i]]->favored = true;
+    if (fav[i] != 0) entries_[top[i]]->favored = true;
   }
 }
 
@@ -122,15 +127,25 @@ usize SeedQueue::favored_count() const noexcept {
   return n;
 }
 
-SeedQueue::ExportedState SeedQueue::export_state() const {
-  return {entries_, top_entry_, top_factor_, top_covered_};
+SeedQueue::ExportedState SeedQueue::export_state(usize prefix) const {
+  ExportedState out{entries_, std::vector<u32>(prefix, kNoEntry),
+                    std::vector<u64>(prefix, 0), top_covered_};
+  // No position at or past top_end_ has a winner.
+  const u32* const top = winners();
+  const u64* const fav = factors();
+  for (usize i = 0; i < std::min(prefix, top_end_); ++i) {
+    if (fav[i] == 0) continue;
+    out.top_entry[i] = top[i];
+    out.top_factor[i] = fav[i];
+  }
+  return out;
 }
 
 bool SeedQueue::import_state(std::vector<QueueEntry> entries,
                              std::span<const u32> top_entry,
                              std::span<const u64> top_factor,
                              usize top_covered) {
-  if (top_entry.size() > top_entry_.size() ||
+  if (top_entry.size() > top_factor_.size() / sizeof(u64) ||
       top_factor.size() != top_entry.size()) {
     return false;
   }
@@ -138,7 +153,7 @@ bool SeedQueue::import_state(std::vector<QueueEntry> entries,
   usize end = 0;
   for (usize i = 0; i < top_entry.size(); ++i) {
     if (top_entry[i] == kNoEntry) continue;
-    if (top_entry[i] >= entries.size()) return false;
+    if (top_entry[i] >= entries.size() || top_factor[i] == 0) return false;
     ++covered;
     end = i + 1;
   }
@@ -149,11 +164,16 @@ bool SeedQueue::import_state(std::vector<QueueEntry> entries,
   for (QueueEntry& e : entries) {
     entries_.push_back(std::make_unique<QueueEntry>(std::move(e)));
   }
-  // Clear the old winners, then copy the prefix: O(prefix + old top_end_).
-  std::fill_n(top_entry_.begin(), top_end_, kNoEntry);
-  std::fill_n(top_factor_.begin(), top_end_, 0);
-  std::copy(top_entry.begin(), top_entry.end(), top_entry_.begin());
-  std::copy(top_factor.begin(), top_factor.end(), top_factor_.begin());
+  // Clear the old winners, then copy the new ones: O(prefix + old
+  // top_end_), writing no position past either.
+  u32* const top = winners();
+  u64* const fav = factors();
+  std::fill_n(fav, top_end_, u64{0});
+  for (usize i = 0; i < end; ++i) {
+    if (top_entry[i] == kNoEntry) continue;
+    top[i] = top_entry[i];
+    fav[i] = top_factor[i];
+  }
   top_covered_ = top_covered;
   top_end_ = end;
   // Favored flags were persisted per entry, but recompute anyway so the

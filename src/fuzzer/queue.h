@@ -8,7 +8,9 @@
 //    in AFL — scans the whole trace bitmap for interesting entries. Under
 //    the flat scheme that scan covers the full map; under BigMap only the
 //    used region (the paper's "rank update" §IV-B). The caller passes the
-//    span to scan, so the asymmetry falls out naturally.
+//    span to scan, so the asymmetry falls out naturally. The arrays live on
+//    zero-filled lazily faulted pages, so only positions ever won cost
+//    resident memory: [0, used_key) under BigMap.
 //  - cull(): marks the minimal favored set covering all seen positions.
 //  - perf_score(): AFL's calculate_score flavor — rewards fast, small,
 //    deep entries with more havoc iterations.
@@ -18,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "util/alloc.h"
 #include "util/types.h"
 
 namespace bigmap {
@@ -73,21 +76,24 @@ class SeedQueue {
 
   // --- persistence ----------------------------------------------------------
 
-  // Borrowed views of the entries and the top_rated arrays,
-  // checkpoint-shaped; valid until the queue is next modified.
+  // Checkpoint-shaped state: a borrowed view of the entries (valid until
+  // the queue is next modified) and copies of the top_rated arrays over
+  // [0, prefix), kNoEntry / 0 where a position has no winner. `prefix` is
+  // at most the position count; the copy costs O(prefix).
   struct ExportedState {
     std::span<const std::unique_ptr<QueueEntry>> entries;  // queue order
-    std::span<const u32> top_entry;
-    std::span<const u64> top_factor;
+    std::vector<u32> top_entry;
+    std::vector<u64> top_factor;
     usize top_covered = 0;
   };
-  ExportedState export_state() const;
+  ExportedState export_state(usize prefix) const;
 
   // Rebuilds the queue from snapshot data. `entries` become the corpus in
   // order; `top_entry`/`top_factor` are a prefix of the top_rated arrays
   // (no longer than this queue's position count; later positions have no
   // winner) and reference only valid entry indices (or kNoEntry). Returns
-  // false (leaving the queue unchanged) on any inconsistency. Marks culling
+  // false (leaving the queue unchanged) on any inconsistency, including a
+  // winner with fav factor 0 (real factors are >= 1). Marks culling
   // pending so the favored set is recomputed before the next cycle.
   bool import_state(std::vector<QueueEntry> entries,
                     std::span<const u32> top_entry,
@@ -96,11 +102,34 @@ class SeedQueue {
   // One slot per coverage position. kNoEntry when never covered.
   static constexpr u32 kNoEntry = 0xFFFFFFFFu;
 
+  // The pages backing the two top_rated arrays, for residency checks.
+  std::span<const u8> top_entry_pages() const noexcept {
+    return top_entry_.span();
+  }
+  std::span<const u8> top_factor_pages() const noexcept {
+    return top_factor_.span();
+  }
+
  private:
+  u32* winners() noexcept {
+    return reinterpret_cast<u32*>(top_entry_.data());
+  }
+  const u32* winners() const noexcept {
+    return reinterpret_cast<const u32*>(top_entry_.data());
+  }
+  u64* factors() noexcept {
+    return reinterpret_cast<u64*>(top_factor_.data());
+  }
+  const u64* factors() const noexcept {
+    return reinterpret_cast<const u64*>(top_factor_.data());
+  }
 
   std::vector<std::unique_ptr<QueueEntry>> entries_;
-  std::vector<u32> top_entry_;   // per-position winning entry
-  std::vector<u64> top_factor_;  // per-position winning fav factor
+  // Per-position winning entry and its fav factor. A factor of 0 means no
+  // winner (a real factor is >= 1), so fresh zero pages need no fill and
+  // the entry slot is meaningful only where the factor is non-zero.
+  PageBuffer top_entry_;   // u32 per position
+  PageBuffer top_factor_;  // u64 per position
   usize top_covered_ = 0;
   usize top_end_ = 0;  // one past the highest position with a winner
   bool cull_pending_ = false;

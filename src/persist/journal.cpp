@@ -24,6 +24,24 @@ JournalReplay Journal::open() const {
     return out;
   }
   if (out.valid_bytes < out.bytes.size()) {
+    // The damage may be on disk or only in the buffer a faulty read
+    // returned. Read again: cut the file only when both reads agree on
+    // where the valid prefix ends; otherwise replay the read that got
+    // further and leave the file alone.
+    std::vector<u8> again;
+    if (!read_file(path_, &again, fault_, &err)) {
+      out.error = err;
+      return out;
+    }
+    const ParsedFile second = parse_records(again);
+    if (second.valid_bytes != out.valid_bytes ||
+        again.size() != out.bytes.size()) {
+      if (second.valid_bytes > out.valid_bytes) {
+        out.bytes = std::move(again);
+        static_cast<ParsedFile&>(out) = parse_records(out.bytes);
+      }
+      return out;
+    }
     std::error_code ec;
     std::filesystem::resize_file(path_, out.valid_bytes, ec);
     if (ec) {

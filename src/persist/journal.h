@@ -7,8 +7,11 @@
 // open() reads the file and returns the records of its valid prefix
 // (persist/record.h). A torn or checksum-damaged tail is physically
 // truncated to that prefix, so later appends continue from a clean record
-// boundary instead of landing behind bytes no reader gets past. A missing
-// or empty file is created atomically as the header plus the seed records.
+// boundary instead of landing behind bytes no reader gets past. The cut
+// is made only when a second read finds the same valid prefix, so damage
+// that a read fault put into the buffer alone never costs a durable
+// record. A missing or empty file is created atomically as the header
+// plus the seed records.
 // A file with a bad magic or another format version is refused without
 // writing a byte. append() frames one record and hands it to exactly one
 // append_file; reset() atomically rewrites the file to the header plus the
@@ -34,7 +37,7 @@ namespace bigmap::persist {
 // reading them.
 struct JournalReplay : ParsedFile {
   // Non-empty when the journal is unusable: a bad magic or version (the
-  // file was left untouched), or a failed create or truncate.
+  // file was left untouched), or a failed create, re-read or truncate.
   std::string error;
   bool created = false;        // missing or empty: header + seed written
   usize truncated_bytes = 0;   // torn or bad-CRC tail cut off the file

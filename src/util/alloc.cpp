@@ -29,6 +29,16 @@ PageBuffer::PageBuffer(usize size, PageBacking backing) {
   // Deterministic allocation-failure injection (supervisor robustness
   // tests); inert unless a FaultInjector is bound to this thread.
   if (FaultInjector::fire_alloc()) throw std::bad_alloc();
+  map(size, backing);
+}
+
+PageBuffer PageBuffer::plain(usize size) {
+  PageBuffer b;
+  if (size != 0) b.map(size, PageBacking::kNormal);
+  return b;
+}
+
+void PageBuffer::map(usize size, PageBacking backing) {
   size_ = size;
 
   if (backing == PageBacking::kHugeIfAvailable && size >= kHugePageSize) {

@@ -42,6 +42,12 @@ class PageBuffer {
                       PageBacking backing = PageBacking::kNormal);
   ~PageBuffer();
 
+  // Plain zero-filled pages for bookkeeping that grows with coverage: a
+  // page becomes resident only when first written. Unlike the constructor
+  // this is not a kAllocFail injection site, so such storage leaves every
+  // allocation-failure schedule where it was.
+  static PageBuffer plain(usize size);
+
   PageBuffer(PageBuffer&& other) noexcept;
   PageBuffer& operator=(PageBuffer&& other) noexcept;
   PageBuffer(const PageBuffer&) = delete;
@@ -61,6 +67,7 @@ class PageBuffer {
   PageBackingResult backing() const noexcept { return backing_; }
 
  private:
+  void map(usize size, PageBacking backing);
   void release() noexcept;
 
   u8* data_ = nullptr;

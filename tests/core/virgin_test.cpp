@@ -43,6 +43,46 @@ TEST(VirginMapTest, CountCoveredTracksClearedBytes) {
   EXPECT_EQ(v.count_covered(), 0u);
 }
 
+// A lazy map stores only the prefix fill_to() reached, in whole pages;
+// every byte past it is virgin by definition.
+TEST(VirginMapTest, LazyMapFillsWholePagesOnDemand) {
+  VirginMap v = VirginMap::lazy(5 * 4096 + 100);
+  EXPECT_EQ(v.filled(), 0u);
+  EXPECT_EQ(v.count_covered(), 0u);
+  v.fill_to(1);
+  EXPECT_EQ(v.filled(), 4096u);
+  v.fill_to(4096);
+  EXPECT_EQ(v.filled(), 4096u);
+  v.fill_to(4097);
+  EXPECT_EQ(v.filled(), 2 * 4096u);
+  for (usize i = 0; i < v.filled(); ++i) ASSERT_EQ(v.data()[i], 0xFF) << i;
+  v.fill_to(v.size());
+  EXPECT_EQ(v.filled(), v.size());  // the last page is partial
+
+  VirginMap w = VirginMap::lazy(5 * 4096);
+  w.data()[7] = 0;
+  w.fill_to(8);  // a byte written before the fill is overwritten by it
+  EXPECT_EQ(w.count_covered(), 0u);
+  w.data()[7] = 0;
+  w.data()[3 * 4096] = 0x12;  // past the filled prefix: not counted
+  EXPECT_EQ(w.count_covered(), 1u);
+  w.reset();
+  EXPECT_EQ(w.count_covered(), 0u);
+}
+
+// restore_prefix() makes the restored bytes part of the stored prefix.
+TEST(VirginMapTest, RestorePrefixExtendsTheFilledPrefix) {
+  VirginMap v = VirginMap::lazy(4 * 4096);
+  const std::vector<u8> bytes(4096 + 10, 0x0F);
+  v.restore_prefix(bytes);
+  EXPECT_EQ(v.filled(), 2 * 4096u);
+  EXPECT_EQ(v.count_covered(), bytes.size());
+  EXPECT_EQ(std::memcmp(v.data(), bytes.data(), bytes.size()), 0);
+  for (usize i = bytes.size(); i < v.filled(); ++i) {
+    ASSERT_EQ(v.data()[i], 0xFF) << i;
+  }
+}
+
 TEST(CompareVirginTest, EmptyTraceIsNone) {
   std::vector<u8> trace(64, 0);
   VirginMap virgin(64);

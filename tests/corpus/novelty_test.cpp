@@ -205,6 +205,54 @@ TEST(OracleDeltaTest, DeltaRebuiltOracleMatchesFromScratch) {
   }
 }
 
+// apply_delta forces condensed slots for positions nothing has executed,
+// far past the two-level model's filled virgin prefix. Its state must end
+// up exactly where a flat model's (whose virgin maps are filled whole up
+// front) does: positions correspond one to one, so export_full() and every
+// later verdict agree.
+TEST(OracleDeltaTest, ApplyPastFilledPrefixMatchesEagerModel) {
+  const u64 seed = 5;
+  const GeneratedTarget t = small_target(seed);
+  OracleConfig two = oracle_config(seed);
+  two.map.map_size = 1u << 16;
+  OracleConfig flat = two;
+  flat.scheme = MapScheme::kFlat;
+  auto lazy = make_novelty_oracle(t.program, two);
+  auto eager = make_novelty_oracle(t.program, flat);
+  const std::vector<std::vector<u8>> stream = candidate_stream(t, seed);
+  const usize half = stream.size() / 2;
+  for (usize i = 0; i < half; ++i) {
+    EXPECT_EQ(lazy->admit(stream[i]), eager->admit(stream[i])) << i;
+  }
+
+  for (u8 kind = 0; kind <= OracleDelta::kHang; ++kind) {
+    OracleDelta d;
+    d.map_kind = kind;
+    for (u32 i = 0; i < 9000; ++i) {
+      const u8 value = i % 5 == 0 ? 0 : static_cast<u8>(~(1u << (i % 8)));
+      d.cells.push_back({7 * i + kind, value});
+    }
+    ASSERT_TRUE(lazy->apply_delta(d));
+    ASSERT_TRUE(eager->apply_delta(d));
+  }
+  EXPECT_EQ(lazy->covered(), eager->covered());
+
+  const std::vector<OracleDelta> a = lazy->export_full();
+  const std::vector<OracleDelta> b = eager->export_full();
+  ASSERT_EQ(a.size(), b.size());
+  for (usize k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].map_kind, b[k].map_kind);
+    ASSERT_EQ(a[k].cells.size(), b[k].cells.size()) << "kind " << k;
+    for (usize i = 0; i < a[k].cells.size(); ++i) {
+      ASSERT_EQ(a[k].cells[i].pos, b[k].cells[i].pos) << k << "/" << i;
+      ASSERT_EQ(a[k].cells[i].value, b[k].cells[i].value) << k << "/" << i;
+    }
+  }
+  for (usize i = half; i < stream.size(); ++i) {
+    EXPECT_EQ(lazy->admit(stream[i]), eager->admit(stream[i])) << i;
+  }
+}
+
 TEST(OracleDeltaTest, ApplyIsIdempotentAndAtomicOnMalformed) {
   const GeneratedTarget t = small_target(3);
   auto a = make_novelty_oracle(t.program, oracle_config(3));

@@ -1,7 +1,17 @@
-// Tests for the executor: the per-test-case map-operation pipeline.
+// Tests for the executor: the per-test-case map-operation pipeline, the
+// lazily filled two-level virgin maps against eager ones, and the resident
+// footprint of the per-position buffers.
 #include "fuzzer/executor.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/flat_map.h"
 #include "core/two_level_map.h"
@@ -153,6 +163,181 @@ TEST(ExecutorTest, ContextMetricHooksEngage) {
   auto out = ex.run(Input{}, t);
   EXPECT_EQ(out.exec.outcome, ExecResult::Outcome::kOk);
   EXPECT_GT(ex.map().used_key(), 0u);
+}
+
+// A chain of `n` fallthrough blocks, then branch(input[0]==7) -> bug :
+// exit. One run allocates about n condensed slots: several pages of every
+// per-position buffer.
+Program chain_program(u32 n) {
+  Program p;
+  p.name = "chain";
+  p.blocks.resize(n + 3);
+  for (u32 i = 0; i < n; ++i) {
+    p.blocks[i].kind = BlockKind::kFallthrough;
+    p.blocks[i].targets = {i + 1};
+  }
+  p.blocks[n].kind = BlockKind::kBranch;
+  p.blocks[n].pred = CmpPred::kEq;
+  p.blocks[n].expected = 7;
+  p.blocks[n].targets = {n + 1, n + 2};
+  p.blocks[n + 1].kind = BlockKind::kBug;
+  p.blocks[n + 2].kind = BlockKind::kExit;
+  p.num_bugs = 1;
+  p.validate();
+  return p;
+}
+
+constexpr u32 kChain = 12000;
+
+// One step of a scripted run: traced or untraced, and what it observed,
+// including the covered positions of all three virgin maps afterwards.
+struct Observation {
+  int outcome = 0;
+  int new_bits = 0;
+  int outcome_new_bits = 0;
+  bool fired = false;
+  usize covered[3] = {0, 0, 0};
+  bool operator==(const Observation&) const = default;
+};
+
+// Runs `script` ('T' = traced run, 'U' = untraced run, each on the paired
+// input) on an executor over the chain program.
+template <class Map>
+std::vector<Observation> run_script(const std::string& script,
+                                    const std::vector<Input>& inputs,
+                                    u64 budget) {
+  const Program prog = chain_program(kChain);
+  BlockIdTable ids(prog.blocks.size(), 1u << 16, 31);
+  Executor<Map, EdgeMetric> ex(prog, opts(1u << 16), ids, budget);
+  OpTimeBreakdown t;
+  std::vector<Observation> out;
+  for (usize i = 0; i < script.size(); ++i) {
+    Observation o;
+    if (script[i] == 'T') {
+      const auto r = ex.run(inputs[i], t);
+      o.outcome = static_cast<int>(r.exec.outcome);
+      o.new_bits = static_cast<int>(r.new_bits);
+      o.outcome_new_bits = static_cast<int>(r.outcome_new_bits);
+    } else {
+      const auto r = ex.run_untraced(inputs[i], t);
+      o.outcome = static_cast<int>(r.exec.outcome);
+      o.fired = r.fired;
+    }
+    o.covered[0] = ex.virgin_queue().count_covered();
+    o.covered[1] = ex.virgin_crash().count_covered();
+    o.covered[2] = ex.virgin_hang().count_covered();
+    out.push_back(o);
+  }
+  if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+    EXPECT_GT(ex.map().used_key(), 2 * 4096u);  // the prefix spans pages
+  }
+  return out;
+}
+
+// Two-level virgin maps are filled lazily as used_key grows; the flat
+// scheme's are filled whole up front. Positions correspond one to one
+// (both key a position by key & mask), so every verdict and every covered
+// count must agree. A crash-only first exec grows used_key while comparing
+// against the crash map alone; the untraced oracle then reads the queue
+// map over those slots, and must find them virgin.
+TEST(ExecutorTest, LazyVirginMatchesEagerAfterCrashOnlyGrowth) {
+  const Input crash{7}, ok{0};
+  const std::string script = "TUUTUUT";
+  const std::vector<Input> inputs = {crash, crash, ok, ok, ok, crash, crash};
+  const auto eager = run_script<FlatCoverageMap>(script, inputs, 1u << 16);
+  const auto lazy = run_script<TwoLevelCoverageMap>(script, inputs, 1u << 16);
+  ASSERT_EQ(lazy.size(), eager.size());
+  for (usize i = 0; i < eager.size(); ++i) {
+    EXPECT_EQ(lazy[i], eager[i]) << "step " << i;
+  }
+  EXPECT_TRUE(eager[1].fired);  // the crash path is new to the queue map
+  EXPECT_FALSE(eager[4].fired);
+}
+
+// The same with hang-only growth: a budget that ends the run mid-chain.
+TEST(ExecutorTest, LazyVirginMatchesEagerAfterHangOnlyGrowth) {
+  const Input ok{0};
+  const std::string script = "TUTU";
+  const std::vector<Input> inputs(script.size(), ok);
+  const u64 budget = kChain * 3 / 4;
+  const auto eager = run_script<FlatCoverageMap>(script, inputs, budget);
+  const auto lazy = run_script<TwoLevelCoverageMap>(script, inputs, budget);
+  ASSERT_EQ(lazy.size(), eager.size());
+  for (usize i = 0; i < eager.size(); ++i) {
+    EXPECT_EQ(lazy[i], eager[i]) << "step " << i;
+  }
+  EXPECT_EQ(eager[0].outcome, static_cast<int>(ExecResult::Outcome::kHang));
+  EXPECT_TRUE(eager[1].fired);
+}
+
+// --- residency --------------------------------------------------------------
+
+// On a two-level map every per-position buffer except the index keeps
+// resident pages only over the [0, used_key) prefix a campaign touches.
+// Counted with mincore(2) on the process's own buffers.
+
+constexpr usize kPage = 4096;
+
+usize resident_pages(std::span<const u8> buf) {
+  const auto start = reinterpret_cast<uintptr_t>(buf.data());
+  EXPECT_EQ(start % kPage, 0u);
+  const usize pages = (buf.size() + kPage - 1) / kPage;
+  std::vector<unsigned char> vec(pages);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(start), pages * kPage,
+                      vec.data()),
+            0);
+  usize n = 0;
+  for (unsigned char v : vec) n += v & 1;
+  return n;
+}
+
+// With transparent huge pages on for every mapping, the kernel may back
+// the first touch of any buffer with a 2 MB page.
+bool thp_always() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  return std::getline(f, line) && line.find("[always]") != std::string::npos;
+}
+
+TEST(ResidencyTest, TwoLevelBuffersFollowUsedKey) {
+  if (thp_always()) GTEST_SKIP() << "THP is 'always' on this host";
+  const Program prog = chain_program(9000);
+  MapOptions o;
+  o.map_size = 8u << 20;
+  o.huge_pages = false;
+  BlockIdTable ids(prog.blocks.size(), o.map_size, 13);
+  Executor<TwoLevelCoverageMap, EdgeMetric> ex(prog, o, ids, 1u << 16);
+  SeedQueue queue(ex.virgin_positions());
+  OpTimeBreakdown t;
+  for (const Input& in : {Input{0}, Input{7}, Input{0}, Input{3}}) {
+    const auto out = ex.run(in, t);
+    if (out.interesting()) {
+      const usize idx = queue.add(in, out.exec_ns, out.hash, 0);
+      queue.update_scores(idx, ex.last_trace());
+    }
+    ex.run_untraced(in, t);
+  }
+  queue.cull();
+
+  const usize used = ex.map().used_key();
+  ASSERT_GT(used, 2 * kPage);
+  ASSERT_GT(queue.top_rated_positions(), 0u);
+  const auto bound = [used](usize width) {
+    return (used * width + kPage - 1) / kPage + 1;
+  };
+  const auto virgin = [](const VirginMap& v) {
+    return std::span<const u8>(v.data(), v.size());
+  };
+  EXPECT_LE(resident_pages(ex.map().full_coverage()), bound(1));
+  EXPECT_LE(resident_pages(virgin(ex.virgin_queue())), bound(1));
+  EXPECT_LE(resident_pages(virgin(ex.virgin_crash())), bound(1));
+  EXPECT_LE(resident_pages(virgin(ex.virgin_hang())), bound(1));
+  EXPECT_LE(resident_pages(queue.top_entry_pages()), bound(sizeof(u32)));
+  EXPECT_LE(resident_pages(queue.top_factor_pages()), bound(sizeof(u64)));
+  // The buffers are real: their used prefix is resident.
+  EXPECT_GE(resident_pages(virgin(ex.virgin_queue())), used / kPage);
+  EXPECT_GE(resident_pages(queue.top_factor_pages()),
+            used * sizeof(u64) / kPage);
 }
 
 TEST(ExecutorTest, IdenticalPathsIdenticalHashesAcrossUsedKeyGrowth) {

@@ -161,11 +161,9 @@ TEST(SeedQueueTest, UpdateScoresMatchesBytewiseAcrossWordBoundaries) {
       q.update_scores(idx, trace);
       ref.update(static_cast<u32>(idx), exec_ns * 4, trace);
 
-      const SeedQueue::ExportedState st = q.export_state();
-      EXPECT_EQ(std::vector<u32>(st.top_entry.begin(), st.top_entry.end()),
-                ref.top_entry);
-      EXPECT_EQ(std::vector<u64>(st.top_factor.begin(), st.top_factor.end()),
-                ref.top_factor);
+      const SeedQueue::ExportedState st = q.export_state(len);
+      EXPECT_EQ(st.top_entry, ref.top_entry);
+      EXPECT_EQ(st.top_factor, ref.top_factor);
       EXPECT_EQ(q.top_rated_positions(), ref.covered);
       q.cull();
       EXPECT_EQ(!q.entry(probe).favored, ref.pending);
@@ -229,7 +227,7 @@ TEST(SeedQueueTest, CullMatchesWholeMapWalk) {
     q.update_scores(q.add(bytes(1 + (next() >> 60)), 1 + (next() >> 50), 0, 0),
                     trace);
     q.cull();
-    const SeedQueue::ExportedState st = q.export_state();
+    const SeedQueue::ExportedState st = q.export_state(4096);
     std::vector<bool> want(q.size(), false);
     for (u32 winner : st.top_entry) {
       if (winner != SeedQueue::kNoEntry) want[winner] = true;
@@ -250,7 +248,9 @@ TEST(SeedQueueTest, ImportPrefixMatchesWholeImport) {
   trace.assign(40, 0);
   for (usize i : {5u, 20u}) trace[i] = 1;
   src.update_scores(src.add(bytes(2), 10, 0, 0), trace);
-  const SeedQueue::ExportedState st = src.export_state();
+  const SeedQueue::ExportedState st = src.export_state(256);
+  const std::span<const u32> top(st.top_entry);
+  const std::span<const u64> factor(st.top_factor);
 
   const auto entries = [&] {
     std::vector<QueueEntry> out;
@@ -259,18 +259,15 @@ TEST(SeedQueueTest, ImportPrefixMatchesWholeImport) {
   };
   SeedQueue whole(256);
   SeedQueue prefix(256);
-  ASSERT_TRUE(whole.import_state(entries(), st.top_entry, st.top_factor,
-                                 st.top_covered));
-  ASSERT_TRUE(prefix.import_state(entries(), st.top_entry.first(40),
-                                  st.top_factor.first(40), st.top_covered));
+  ASSERT_TRUE(whole.import_state(entries(), top, factor, st.top_covered));
+  ASSERT_TRUE(prefix.import_state(entries(), top.first(40), factor.first(40),
+                                  st.top_covered));
   whole.cull();
   prefix.cull();
-  const SeedQueue::ExportedState a = whole.export_state();
-  const SeedQueue::ExportedState b = prefix.export_state();
-  EXPECT_TRUE(std::equal(a.top_entry.begin(), a.top_entry.end(),
-                         b.top_entry.begin(), b.top_entry.end()));
-  EXPECT_TRUE(std::equal(a.top_factor.begin(), a.top_factor.end(),
-                         b.top_factor.begin(), b.top_factor.end()));
+  const SeedQueue::ExportedState a = whole.export_state(256);
+  const SeedQueue::ExportedState b = prefix.export_state(256);
+  EXPECT_EQ(a.top_entry, b.top_entry);
+  EXPECT_EQ(a.top_factor, b.top_factor);
   EXPECT_EQ(whole.top_rated_positions(), prefix.top_rated_positions());
   for (usize i = 0; i < src.size(); ++i) {
     EXPECT_EQ(whole.entry(i).favored, prefix.entry(i).favored) << i;
@@ -279,10 +276,17 @@ TEST(SeedQueueTest, ImportPrefixMatchesWholeImport) {
   // A prefix longer than the queue's positions, or top arrays of different
   // lengths, are rejected.
   SeedQueue small(16);
-  EXPECT_FALSE(small.import_state(entries(), st.top_entry.first(40),
-                                  st.top_factor.first(40), st.top_covered));
-  EXPECT_FALSE(prefix.import_state(entries(), st.top_entry.first(40),
-                                   st.top_factor.first(39), st.top_covered));
+  EXPECT_FALSE(small.import_state(entries(), top.first(40), factor.first(40),
+                                  st.top_covered));
+  EXPECT_FALSE(prefix.import_state(entries(), top.first(40), factor.first(39),
+                                   st.top_covered));
+
+  // A winner needs a real fav factor (>= 1): 0 is how the queue marks a
+  // position without one.
+  std::vector<u64> zeroed(factor.begin(), factor.begin() + 40);
+  zeroed[5] = 0;
+  EXPECT_FALSE(prefix.import_state(entries(), top.first(40), zeroed,
+                                   st.top_covered));
 }
 
 }  // namespace

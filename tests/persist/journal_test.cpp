@@ -1,5 +1,6 @@
 // Journal tests: creation of missing and empty files, torn and bad-CRC
-// tail truncation, refusal of foreign files without writing, one framed
+// tail truncation (and none for damage a read fault put only in the
+// buffer), refusal of foreign files without writing, one framed
 // record per append, reset — and the open errors a journal's users must
 // surface (an untruncatable torn tail). Also pins the fleet journal's
 // exact bytes.
@@ -14,7 +15,9 @@
 #include <filesystem>
 #include <functional>
 
+#include "corpus/store.h"
 #include "persist/fleet.h"
+#include "util/fault.h"
 
 namespace bigmap::persist {
 namespace {
@@ -221,6 +224,84 @@ TEST(JournalTest, UntruncatableTornTailIsAnOpenError) {
   ASSERT_NE(code, 99) << "could not drop privileges";
   EXPECT_EQ(code, 0);
   EXPECT_EQ(file_bytes(path), before);
+}
+
+// A read fault flips a byte in the returned buffer only. The bad CRC it
+// produces must not be taken for damage on disk: open re-reads, finds the
+// file whole, replays it and truncates nothing.
+TEST(JournalTest, CorruptReadLeavesDurableRecordsInPlace) {
+  TempDir dir("corruptread");
+  const std::string path = dir.path + "/j";
+  Journal clean(path, FaultCtx{}, tag_seed(1));
+  ASSERT_TRUE(clean.open().ok());
+  for (u64 v = 0; v < 20; ++v) ASSERT_TRUE(append_u64(clean, v));
+  const std::vector<u8> before = file_bytes(path);
+
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kCorruptRead, 0, 0});
+  FaultInjector inj(3, plan);
+  Journal faulty(path, FaultCtx{&inj, 0}, tag_seed(1));
+  const JournalReplay rep = faulty.open();
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  EXPECT_EQ(inj.stats().injected[static_cast<usize>(FaultSite::kCorruptRead)], 1u);
+  EXPECT_EQ(rep.status, LoadStatus::kOk);
+  EXPECT_EQ(rep.truncated_bytes, 0u);
+  ASSERT_EQ(rep.records.size(), 21u);
+  for (u64 v = 0; v < 20; ++v) EXPECT_EQ(payload_u64(rep.records[v + 1]), v);
+  EXPECT_EQ(file_bytes(path), before);
+}
+
+// The corpus WAL under the same fault: 20 add_entry calls, then a reopen
+// whose WAL read comes back flipped. Every entry survives that open and a
+// fault-free one after it.
+TEST(JournalTest, CorruptReadKeepsEveryCorpusWalEntry) {
+  TempDir dir("corruptwal");
+  const auto blob = [](u32 i) {
+    return std::vector<u8>{static_cast<u8>(i), static_cast<u8>(i >> 8), 7};
+  };
+  {
+    corpus::CorpusStore store(dir.path);
+    ASSERT_TRUE(store.open(/*fresh=*/true).ok);
+    for (u32 i = 0; i < 20; ++i) {
+      ASSERT_TRUE(store.add_entry(blob(i), 100 + i, 0, 0,
+                                  std::vector<u32>{i}));
+    }
+  }
+  const std::vector<u8> wal_before =
+      file_bytes(corpus::CorpusStore(dir.path).wal_path());
+
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kCorruptRead, 0, 0});
+  FaultInjector inj(9, plan);
+  corpus::CorpusStore faulty(dir.path, FaultCtx{&inj, 0});
+  const corpus::OpenReport rep = faulty.open(/*fresh=*/false);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(inj.stats().injected[static_cast<usize>(FaultSite::kCorruptRead)], 1u);
+  EXPECT_EQ(rep.entries, 20u);
+  EXPECT_EQ(file_bytes(faulty.wal_path()), wal_before);
+
+  corpus::CorpusStore reopened(dir.path);
+  ASSERT_TRUE(reopened.open(/*fresh=*/false).ok);
+  EXPECT_EQ(reopened.size(), 20u);
+}
+
+// Damage that both reads see is real: it is still cut off.
+TEST(JournalTest, DamageSeenByBothReadsIsTruncated) {
+  TempDir dir("bothreads");
+  const std::string path = dir.path + "/j";
+  Journal j(path, FaultCtx{}, tag_seed(1));
+  ASSERT_TRUE(j.open().ok());
+  for (u64 v = 0; v < 4; ++v) ASSERT_TRUE(append_u64(j, v));
+  std::vector<u8> bytes = file_bytes(path);
+  bytes.back() ^= 0x01;  // last record's checksum
+  put_file(path, bytes);
+
+  const JournalReplay rep = j.open();
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  EXPECT_EQ(rep.status, LoadStatus::kBadCrc);
+  EXPECT_EQ(rep.records.size(), 4u);
+  EXPECT_GT(rep.truncated_bytes, 0u);
+  EXPECT_EQ(file_bytes(path).size(), bytes.size() - rep.truncated_bytes);
 }
 
 // --- fleet journal ----------------------------------------------------------

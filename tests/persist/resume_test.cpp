@@ -12,6 +12,7 @@
 #include "fuzzer/campaign.h"
 #include "persist/checkpoint.h"
 #include "persist/io.h"
+#include "persist/snapshot.h"
 #include "target/generator.h"
 #include "telemetry/sink.h"
 #include "util/fault.h"
@@ -211,19 +212,26 @@ TEST(CampaignResumeTest, TelemetryRestorePrimesLifetimeCounters) {
   EXPECT_EQ(sink.checkpoints_loaded.get(), 1u);
 }
 
-// Size in bytes of the newest snapshot in `dir`.
-u64 newest_snapshot_bytes(const std::string& dir) {
-  u64 newest = 0, bytes = 0;
+// Bytes of the newest snapshot in `dir`.
+std::vector<u8> newest_snapshot(const std::string& dir) {
+  u64 newest = 0;
   for (const auto& e : fs::directory_iterator(dir)) {
     const std::string name = e.path().filename().string();
-    if (name.rfind("snap-", 0) != 0) continue;
-    const u64 seq = std::stoull(name.substr(5));
-    if (seq >= newest) {
-      newest = seq;
-      bytes = fs::file_size(e.path());
+    if (name.rfind("snap-", 0) == 0) {
+      newest = std::max<u64>(newest, std::stoull(name.substr(5)));
     }
   }
+  std::vector<u8> bytes;
+  std::string err;
+  EXPECT_TRUE(persist::read_file(
+      dir + "/snap-" + std::to_string(newest) + ".bms", &bytes,
+      persist::FaultCtx{}, &err))
+      << err;
   return bytes;
+}
+
+u64 newest_snapshot_bytes(const std::string& dir) {
+  return newest_snapshot(dir).size();
 }
 
 // Checkpoints follow coverage, not map size: the same two-level campaign
@@ -326,6 +334,52 @@ TEST(CampaignResumeTest, EightMegabyteTwoLevelResumeIsStreamExact) {
   const CampaignResult resumed =
       killed_then_resumed(target, seeds, base, dir.path, 3500, [](u64) {});
   expect_same_stream(straight, resumed);
+}
+
+// Restoring a snapshot and building one again gives the same bytes: the
+// virgin prefixes, top_rated arrays and slot keys come back exactly, with
+// a used_key that spans more than one page of the lazily filled virgin
+// maps. A
+// campaign resumed at its spent budget restores and then writes its final
+// snapshot straight away.
+TEST(CampaignResumeTest, RestoredSnapshotRebuildsByteIdentically) {
+  GeneratorParams gp;
+  gp.seed = 41;
+  gp.live_blocks = 4000;
+  gp.num_bugs = 3;
+  auto target = generate_target(gp);
+  auto seeds = make_seed_corpus(target, 8, 1);
+  TempDir dir("rebuild");
+  CampaignConfig c = make_config();
+  c.map.map_size = 1u << 20;
+  c.metric = MetricKind::kNGram;
+  c.max_execs = 3000;
+  c.checkpoint_interval = 1024;
+
+  persist::CheckpointStore store1(dir.path, persist::FaultCtx{}, true);
+  c.checkpoint = &store1;
+  const CampaignResult r1 = run_campaign(target.program, seeds, c);
+  ASSERT_GT(r1.used_key, 4096u);
+  const std::vector<u8> written = newest_snapshot(dir.path);
+
+  persist::CheckpointStore store2(dir.path, persist::FaultCtx{}, false);
+  c.checkpoint = &store2;
+  c.resume_from_checkpoint = true;
+  const CampaignResult r2 = run_campaign(target.program, seeds, c);
+  ASSERT_TRUE(r2.resumed);
+  EXPECT_EQ(r2.execs, r1.execs);
+  EXPECT_EQ(r2.used_key, r1.used_key);
+  EXPECT_EQ(r2.covered_positions, r1.covered_positions);
+  const std::vector<u8> rebuilt = newest_snapshot(dir.path);
+  // The store stamps each file with its own sequence number; restamp the
+  // rebuilt snapshot with the written one's before comparing bytes.
+  const persist::DecodeResult w = persist::decode_snapshot(written);
+  const persist::DecodeResult r = persist::decode_snapshot(rebuilt);
+  ASSERT_TRUE(w.snapshot.has_value());
+  ASSERT_TRUE(r.snapshot.has_value());
+  EXPECT_EQ(r.snapshot->checkpoint_seq, w.snapshot->checkpoint_seq + 1);
+  EXPECT_TRUE(persist::encode_snapshot(*r.snapshot,
+                                       w.snapshot->checkpoint_seq) == written);
 }
 
 // Rewrites snapshot `path` in the v1 layout: whole-map kTopRated and
