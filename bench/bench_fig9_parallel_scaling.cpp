@@ -348,8 +348,8 @@ void run_federated_section() {
                   fmt_count(n.duplicates_dropped), fmt_count(n.reconnects),
                   fmt_count(n.bytes_sent)});
   };
-  add_link("rank 0 (listener)", fed.nodes[0].net);
-  add_link("rank 1 (dialer)", fed.nodes[1].net);
+  add_link("rank 0 (listener)", fed.nodes[0].failover.net);
+  add_link("rank 1 (dialer)", fed.nodes[1].failover.net);
   bench::emit("federated_link", link);
 
   std::printf(
@@ -362,7 +362,9 @@ void run_federated_section() {
 void run_star_section() {
   std::printf(
       "\n(f) Three-node star federation (hub + 2 spokes, measured): "
-      "virgin-map novelty oracle vs content-hash-only filtering:\n");
+      "virgin-map novelty oracle vs content-hash-only filtering, and the "
+      "oracle kept up by MeshHub's admit-folding vs FailoverMesh's delta "
+      "sync (failover on, no kill):\n");
 
   GeneratorParams gp;
   gp.seed = 33;
@@ -379,7 +381,8 @@ void run_star_section() {
       std::filesystem::temp_directory_path() /
       ("bigmap_fig9_star_" + std::to_string(::getpid()));
 
-  const auto make_node = [&](const std::string& dir, u64 seed, bool oracle) {
+  const auto make_node = [&](const std::string& dir, u64 seed, bool oracle,
+                             bool failover) {
     procfleet::ProcFleetConfig fc;
     fc.num_workers = 2;
     fc.base.scheme = MapScheme::kTwoLevel;
@@ -395,13 +398,14 @@ void run_star_section() {
     fc.persist_dir = dir;
     fc.quarantine_deaths = 0;
     fc.net_virgin_oracle = oracle;
+    fc.federation.failover = failover;
     return fc;
   };
 
   // Reference: one fleet of the federation's total width (6 workers) over
   // the same seed ladder — the drill-pinned union/budget baseline.
   std::filesystem::remove_all(root);
-  auto single_cfg = make_node(root + "/single", 501, false);
+  auto single_cfg = make_node(root + "/single", 501, false, false);
   single_cfg.num_workers = 6;
   const u64 t0 = monotonic_ns();
   const auto single =
@@ -409,12 +413,12 @@ void run_star_section() {
   const double single_secs =
       static_cast<double>(monotonic_ns() - t0) / 1e9;
 
-  const auto run_star = [&](const char* tag, bool oracle,
+  const auto run_star = [&](const char* tag, bool oracle, bool failover,
                             double* secs) -> netfleet::FederationResult {
     std::vector<procfleet::ProcFleetConfig> nodes;
     for (u64 r = 0; r < 3; ++r) {
       nodes.push_back(make_node(root + "/" + tag + "_r" + std::to_string(r),
-                                501 + 2 * r, oracle));
+                                501 + 2 * r, oracle, failover));
     }
     const u64 start = monotonic_ns();
     auto r = netfleet::run_federation(target.program, seeds, nodes);
@@ -422,14 +426,16 @@ void run_star_section() {
     return r;
   };
 
-  double hash_secs = 0, oracle_secs = 0;
-  const auto hash_only = run_star("hash", false, &hash_secs);
-  const auto with_oracle = run_star("oracle", true, &oracle_secs);
+  double hash_secs = 0, oracle_secs = 0, delta_secs = 0;
+  const auto hash_only = run_star("hash", false, false, &hash_secs);
+  const auto with_oracle = run_star("oracle", true, false, &oracle_secs);
+  const auto delta_sync = run_star("delta", true, true, &delta_secs);
   std::filesystem::remove_all(root);
 
-  if (!hash_only.ok || !with_oracle.ok) {
-    std::printf("WARNING: star federation failed: %s%s\n",
-                hash_only.error.c_str(), with_oracle.error.c_str());
+  if (!hash_only.ok || !with_oracle.ok || !delta_sync.ok) {
+    std::printf("WARNING: star federation failed: %s%s%s\n",
+                hash_only.error.c_str(), with_oracle.error.c_str(),
+                delta_sync.error.c_str());
     return;
   }
 
@@ -465,6 +471,8 @@ void run_star_section() {
       hash_secs);
   add("star, virgin oracle", with_oracle.found_bug_ids,
       with_oracle.total_execs, oracle_secs);
+  add("star, virgin oracle, delta sync", delta_sync.found_bug_ids,
+      delta_sync.total_execs, delta_secs);
   bench::emit("star_federation", table);
 
   // Filtering economics: of every candidate transmission the gateways
@@ -472,16 +480,18 @@ void run_star_section() {
   // The hash filter only suppresses literal duplicates; the oracle
   // additionally rejects distinct inputs that flip no virgin bits in its
   // model of the receiving side (rejections include inbound model updates
-  // that pin down "never echo this back").
-  TableWriter filt({"Mode", "records sent", "hash-filtered",
-                    "oracle rejected", "bytes tx", "novelty reject ratio"});
+  // that pin down "never echo this back"). Delta sync sends its model
+  // updates as extra delta records and runs the oracle fewer times.
+  TableWriter filt({"Mode", "records sent", "deltas sent", "hash-filtered",
+                    "oracle checked", "oracle rejected", "bytes tx",
+                    "novelty reject ratio"});
   const auto add_filt = [&](const char* mode,
                             const netfleet::FederationResult& r) {
     netfleet::LinkStats net;
     corpus::OracleStats oc;
     for (const netfleet::NodeReport& n : r.nodes) {
-      net = netfleet::sum_link_stats(net, n.net);
-      oc += n.oracle;
+      net = netfleet::sum_link_stats(net, n.failover.net);
+      oc += n.failover.oracle;
     }
     const u64 suppressed = net.novelty_filtered + oc.rejected;
     const double ratio =
@@ -490,18 +500,22 @@ void run_star_section() {
                   static_cast<double>(suppressed + net.records_sent)
             : 0.0;
     filt.add_row({mode, fmt_count(net.records_sent),
-                  fmt_count(net.novelty_filtered), fmt_count(oc.rejected),
+                  fmt_count(net.deltas_sent), fmt_count(net.novelty_filtered),
+                  fmt_count(oc.checked), fmt_count(oc.rejected),
                   fmt_count(net.bytes_sent), fmt_double(ratio, 3)});
   };
   add_filt("hash filter", hash_only);
   add_filt("virgin oracle", with_oracle);
+  add_filt("virgin oracle, delta sync", delta_sync);
   bench::emit("star_novelty_filtering", filt);
 
   std::printf(
-      "Both stars must reproduce the 6-worker fleet's planted-bug union at "
+      "Every star must reproduce the 6-worker fleet's planted-bug union at "
       "the exact 6 x per-worker budget; the oracle row's higher reject "
       "ratio and lower wire volume are the virgin-map dividend — "
-      "distinct-but-redundant inputs never reach the wire.\n");
+      "distinct-but-redundant inputs never reach the wire. The delta-sync "
+      "row is the same oracle kept current by FailoverMesh's delta records "
+      "instead of MeshHub's folding of admitted entries.\n");
 }
 
 struct Profile {

@@ -22,8 +22,8 @@ echo "== bench_fig6_throughput (scale $BIGMAP_BENCH_SCALE) =="
 "$BUILD_DIR/bench/bench_fig6_throughput" --json "$OUT_DIR/BENCH_fig6.json"
 
 echo
-echo "== bench_fig9_parallel_scaling (scale $BIGMAP_BENCH_SCALE, real threads + procs) =="
-BIGMAP_REAL_THREADS=1 BIGMAP_REAL_PROCS=1 \
+echo "== bench_fig9_parallel_scaling (scale $BIGMAP_BENCH_SCALE, real threads + procs + federation) =="
+BIGMAP_REAL_THREADS=1 BIGMAP_REAL_PROCS=1 BIGMAP_NETFLEET=1 \
   "$BUILD_DIR/bench/bench_fig9_parallel_scaling" \
   --json "$OUT_DIR/BENCH_fig9.json" \
   --telemetry-dir "$OUT_DIR/telemetry_fig9"
@@ -73,7 +73,8 @@ fig6 = load("BENCH_fig6.json", "fig6",
 fig9 = load("BENCH_fig9.json", "fig9",
             ["normalized_throughput", "speedup_vs_afl",
              "real_thread_scaling", "telemetry_consistency",
-             "real_process_degradation"])
+             "real_process_degradation", "federated_union",
+             "star_federation", "star_novelty_filtering"])
 tracing = load("BENCH_tracing.json", "tracing",
                ["tracing_ratio", "speedup"])
 
@@ -154,6 +155,24 @@ check(degraded[cols.index("quarantined")] == "1",
 ratio = float(degraded[cols.index("vs (N-1)")].rstrip("x"))
 check(ratio >= 0.8,
       f"fig9: degraded fleet throughput collapsed ({ratio}x of baseline)")
+
+# Federations (fig9 (e) and (f)): every federated row delivers exactly
+# N x per-worker execs and reproduces the equal-width single fleet's
+# planted-bug union, whichever gateway keeps the oracle current.
+def federated_rows(table_name, want_rows):
+    t = next(t for t in fig9["tables"] if t["name"] == table_name)
+    cols = t["columns"]
+    rows = [r for r in t["rows"] if r[cols.index("union match")] != "-"]
+    check(len(rows) == want_rows,
+          f"fig9: expected {want_rows} federated rows in {table_name}")
+    for row in rows:
+        for col in ("budget exact", "union match"):
+            check(row[cols.index(col)] == "yes",
+                  f"fig9: {col} failed in {table_name} row {row}")
+
+
+federated_rows("federated_union", 1)
+federated_rows("star_federation", 3)
 
 # Fleet series snapshots must be present and monotone in execs. A bench
 # that silently emits zero or one snapshot per series (e.g. a telemetry

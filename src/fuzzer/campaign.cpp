@@ -21,6 +21,16 @@
 namespace bigmap {
 namespace {
 
+// Base havoc rounds per selected entry, scaled by perf_score/100.
+constexpr u32 kHavocRounds = 256;
+
+// How an execution ran, for Campaign::count_exec.
+enum class ExecKind : u8 {
+  kUntraced,  // kDual's oracle-only run that stayed boring
+  kTraced,    // a full map-pipeline run, oracle-fire re-executions included
+  kTrim,      // trim_entry's hash run: traced, no exec_ns sample
+};
+
 template <class Map, class Metric>
 class Campaign {
  public:
@@ -103,30 +113,47 @@ class Campaign {
     return false;
   }
 
-  void maybe_sample_series() {
-    if (cfg_.series_interval == 0 || res_.execs < next_sample_) return;
-    next_sample_ = res_.execs + cfg_.series_interval;
-    ScopedOpTimer t(res_.timing, MapOp::kOther);
-    res_.coverage_series.emplace_back(res_.execs,
-                                      ex_.virgin_queue().count_covered());
-  }
-
-  void note_exec() {
+  // The one place an execution is charged. Bumps the lifetime counters
+  // and their sink mirrors — every exec lands in exactly one of the
+  // untraced/traced counters, so their sum is execs by construction —
+  // then the heartbeat and the exec hook, then the per-exec cadences
+  // (telemetry stamp, checkpoint request, corpus compaction). `exec_ns`
+  // feeds the sink's latency histogram (trim runs record none);
+  // `reexec_ns` is the wall time of a traced re-execution, 0 otherwise.
+  void count_exec(ExecKind kind, u64 exec_ns = 0, u64 reexec_ns = 0) {
+    telemetry::TelemetrySink* t = cfg_.telemetry;
+    ++res_.execs;
+    if (kind == ExecKind::kUntraced) {
+      ++res_.tracing_untraced_execs;
+    } else {
+      ++res_.tracing_traced_execs;
+      res_.tracing_reexec_ns += reexec_ns;
+      if (kind == ExecKind::kTrim) ++res_.trim_execs;
+    }
+    if (t != nullptr) {
+      if (kind == ExecKind::kUntraced) {
+        t->tracing_untraced_execs.add();
+      } else {
+        if (kind == ExecKind::kTrim) t->trim_execs.add();
+        t->tracing_traced_execs.add();
+        if (reexec_ns != 0) t->tracing_reexec_ns.add(reexec_ns);
+      }
+      if (kind != ExecKind::kTrim) t->exec_ns.record(exec_ns);
+    }
     if (cfg_.control != nullptr) {
       cfg_.control->progress.fetch_add(1, std::memory_order_relaxed);
     }
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->execs.add();
-    }
-    if (cfg_.exec_hook != nullptr) {
-      cfg_.exec_hook->on_exec(res_.execs);
-    }
+    if (t != nullptr) t->execs.add();
+    if (cfg_.exec_hook != nullptr) cfg_.exec_hook->on_exec(res_.execs);
+    maybe_stamp_telemetry();
+    maybe_checkpoint();
+    maybe_compact_corpus();
   }
 
   // Refreshes the map-state gauges and appends one StatsSnapshot to the
-  // sink. Gauge refresh scans the virgin map, so this runs only on the
-  // stamp cadence (and at finalize), charged to kOther like the coverage
-  // series sampler.
+  // sink: the campaign's one periodic sampler. Gauge refresh scans the
+  // virgin map, so this runs only on the stamp cadence (and at finalize),
+  // charged to kOther.
   void stamp_telemetry() {
     telemetry::TelemetrySink& t = *cfg_.telemetry;
     ScopedOpTimer timer(res_.timing, MapOp::kOther);
@@ -170,22 +197,29 @@ class Campaign {
     return out;
   }
 
-  // Appends queue entry `idx` to the corpus store and remembers its
-  // content hash so checkpoints can encode the entry as a store ref.
-  void record_corpus_entry(usize idx, u64 sched_ns, u32 bitmap_hash,
-                           u32 depth, std::span<const u32> positions) {
+  // Offers one input to the corpus store, counting the append or the
+  // dedup hit. Returns its content hash.
+  u64 offer_to_store(std::span<const u8> data, u64 sched_ns, u32 bitmap_hash,
+                     u32 depth, std::span<const u32> positions) {
     u64 hash = 0;
-    bool durable = false;
-    if (cfg_.corpus->add_entry(queue_.entry(idx).data, sched_ns, bitmap_hash,
-                               depth, positions, &hash, &durable)) {
+    if (cfg_.corpus->add_entry(data, sched_ns, bitmap_hash, depth, positions,
+                               &hash)) {
       ++res_.corpus_appends;
     } else {
       ++res_.corpus_dedup_hits;
     }
+    return hash;
+  }
+
+  // Appends queue entry `idx` to the corpus store and remembers its
+  // content hash so checkpoints can encode the entry as a store ref.
+  void record_corpus_entry(usize idx, u64 sched_ns, u32 bitmap_hash,
+                           u32 depth, std::span<const u32> positions) {
     if (entry_hash_.size() <= idx) {
       entry_hash_.resize(idx + 1, 0);
     }
-    entry_hash_[idx] = hash;
+    entry_hash_[idx] = offer_to_store(queue_.entry(idx).data, sched_ns,
+                                      bitmap_hash, depth, positions);
   }
 
   void maybe_compact_corpus() {
@@ -219,19 +253,14 @@ class Campaign {
     s.map_size = cfg_.map.map_size;
     s.virgin_size = ex_.virgin_positions();
 
-    s.execs = res_.execs;
-    s.seed_execs = res_.seed_execs;
-    s.seed_seconds = res_.seed_seconds;
-    s.interesting = res_.interesting;
-    s.hangs = res_.hangs;
-    s.trim_execs = res_.trim_execs;
-    s.trimmed_bytes = res_.trimmed_bytes;
-    s.faulted_execs = res_.faulted_execs;
-    s.injected_hangs = res_.injected_hangs;
-    s.tracing_untraced_execs = res_.tracing_untraced_execs;
-    s.tracing_traced_execs = res_.tracing_traced_execs;
-    s.tracing_oracle_fires = res_.tracing_oracle_fires;
-    s.tracing_reexec_ns = res_.tracing_reexec_ns;
+    static_cast<persist::CampaignCounters&>(s) = res_;
+    if (cfg_.deterministic_timing) {
+      // The two wall-clock counters would make two runs of one seed write
+      // different bytes; under deterministic timing a snapshot is a pure
+      // function of the exec stream. The live result keeps them.
+      s.seed_seconds = 0.0;
+      s.tracing_reexec_ns = 0;
+    }
     s.crashes_total = triage_.total();
     s.crashes_afl_unique = triage_.afl_unique();
 
@@ -463,52 +492,19 @@ class Campaign {
         if (e.in_store) {
           entry_hash_[i] = e.content_hash;
         } else {
-          u64 hash = 0;
-          if (cfg_.corpus->add_entry(queue_.entry(i).data, e.exec_ns,
-                                     e.bitmap_hash, e.depth, {}, &hash,
-                                     nullptr)) {
-            ++res_.corpus_appends;
-          } else {
-            ++res_.corpus_dedup_hits;
-          }
-          entry_hash_[i] = hash;
+          entry_hash_[i] = offer_to_store(queue_.entry(i).data, e.exec_ns,
+                                          e.bitmap_hash, e.depth, {});
         }
       }
     }
 
-    res_.execs = s.execs;
-    res_.seed_execs = s.seed_execs;
-    res_.seed_seconds = s.seed_seconds;
-    res_.interesting = s.interesting;
-    res_.hangs = s.hangs;
-    res_.trim_execs = s.trim_execs;
-    res_.trimmed_bytes = s.trimmed_bytes;
-    res_.faulted_execs = s.faulted_execs;
-    res_.injected_hangs = s.injected_hangs;
-    res_.tracing_untraced_execs = s.tracing_untraced_execs;
-    res_.tracing_traced_execs = s.tracing_traced_execs;
-    res_.tracing_oracle_fires = s.tracing_oracle_fires;
-    res_.tracing_reexec_ns = s.tracing_reexec_ns;
+    static_cast<persist::CampaignCounters&>(res_) = s;
     res_.resumed = true;
     res_.resumed_from_execs = s.execs;
 
     if (cfg_.telemetry != nullptr) {
       cfg_.telemetry->checkpoints_loaded.add();
-      if (cfg_.telemetry_restore) {
-        // Whole-process resume: the sink is fresh, so prime its lifetime
-        // counters with the restored totals to keep fleet sums cumulative.
-        cfg_.telemetry->execs.add(s.execs);
-        cfg_.telemetry->interesting.add(s.interesting);
-        cfg_.telemetry->crashes.add(s.crashes_total);
-        cfg_.telemetry->hangs.add(s.hangs);
-        cfg_.telemetry->trim_execs.add(s.trim_execs);
-        cfg_.telemetry->faulted_execs.add(s.faulted_execs);
-        cfg_.telemetry->injected_hangs.add(s.injected_hangs);
-        cfg_.telemetry->tracing_untraced_execs.add(s.tracing_untraced_execs);
-        cfg_.telemetry->tracing_traced_execs.add(s.tracing_traced_execs);
-        cfg_.telemetry->tracing_oracle_fires.add(s.tracing_oracle_fires);
-        cfg_.telemetry->tracing_reexec_ns.add(s.tracing_reexec_ns);
-      }
+      if (cfg_.telemetry_restore) prime_telemetry(s);
     }
     if (cfg_.control != nullptr) {
       // Heartbeat continuity: the watchdog's stall detector keys off
@@ -516,6 +512,23 @@ class Campaign {
       cfg_.control->progress.fetch_add(s.execs, std::memory_order_relaxed);
     }
     return true;
+  }
+
+  // Whole-process resume: the sink is fresh, so prime its lifetime
+  // counters with the restored totals to keep fleet sums cumulative.
+  void prime_telemetry(const persist::CampaignSnapshot& s) {
+    telemetry::TelemetrySink& t = *cfg_.telemetry;
+    t.execs.add(s.execs);
+    t.interesting.add(s.interesting);
+    t.crashes.add(s.crashes_total);
+    t.hangs.add(s.hangs);
+    t.trim_execs.add(s.trim_execs);
+    t.faulted_execs.add(s.faulted_execs);
+    t.injected_hangs.add(s.injected_hangs);
+    t.tracing_untraced_execs.add(s.tracing_untraced_execs);
+    t.tracing_traced_execs.add(s.tracing_traced_execs);
+    t.tracing_oracle_fires.add(s.tracing_oracle_fires);
+    t.tracing_reexec_ns.add(s.tracing_reexec_ns);
   }
 
   // Consults the fault injector before an execution. Returns false when
@@ -567,6 +580,7 @@ class Campaign {
   bool process(Input input, u32 depth, bool is_seed) {
     if (!fault_gate()) return false;
     typename Executor<Map, Metric>::Outcome out;
+    u64 reexec_ns = 0;
     bool untraced_first = false;
     if constexpr (Map::kScheme == MapScheme::kFlat) {
       untraced_first = cfg_.tracing == TracingMode::kDual && !is_seed;
@@ -583,17 +597,7 @@ class Campaign {
           fast.fired || fast.exec.crashed() || fast.exec.hung();
       if (!reexec) {
         // Boring exec: count it and keep going — no map pipeline at all.
-        ++res_.execs;
-        ++res_.tracing_untraced_execs;
-        if (cfg_.telemetry != nullptr) {
-          cfg_.telemetry->tracing_untraced_execs.add();
-          cfg_.telemetry->exec_ns.record(fast.exec_ns);
-        }
-        note_exec();
-        maybe_sample_series();
-        maybe_stamp_telemetry();
-        maybe_checkpoint();
-        maybe_compact_corpus();
+        count_exec(ExecKind::kUntraced, fast.exec_ns);
         return false;
       }
       // Traced re-execution. It passes the fault gate again: an aborted
@@ -604,27 +608,11 @@ class Campaign {
       if (!fault_gate()) return false;
       const u64 reexec_start = monotonic_ns();
       out = ex_.run(input, res_.timing);
-      const u64 reexec_ns = monotonic_ns() - reexec_start;
-      res_.tracing_reexec_ns += reexec_ns;
-      ++res_.tracing_traced_execs;
-      if (cfg_.telemetry != nullptr) {
-        cfg_.telemetry->tracing_traced_execs.add();
-        cfg_.telemetry->tracing_reexec_ns.add(reexec_ns);
-      }
+      reexec_ns = monotonic_ns() - reexec_start;
     } else {
       out = ex_.run(input, res_.timing);
-      ++res_.tracing_traced_execs;
-      if (cfg_.telemetry != nullptr) {
-        cfg_.telemetry->tracing_traced_execs.add();
-      }
     }
-    ++res_.execs;
-    note_exec();
-    maybe_sample_series();
-    maybe_stamp_telemetry();
-    maybe_checkpoint();
-    maybe_compact_corpus();
-    if (cfg_.telemetry != nullptr) cfg_.telemetry->exec_ns.record(out.exec_ns);
+    count_exec(ExecKind::kTraced, out.exec_ns, reexec_ns);
 
     if (out.exec.crashed()) {
       if (cfg_.telemetry != nullptr) cfg_.telemetry->crashes.add();
@@ -720,18 +708,7 @@ class Campaign {
           continue;
         }
         auto sr = ex_.run_for_hash(candidate, res_.timing);
-        ++res_.execs;
-        ++res_.trim_execs;
-        ++res_.tracing_traced_execs;  // hash runs use the full map pipeline
-        note_exec();
-        if (cfg_.telemetry != nullptr) {
-          cfg_.telemetry->trim_execs.add();
-          cfg_.telemetry->tracing_traced_execs.add();
-        }
-        maybe_sample_series();
-        maybe_stamp_telemetry();
-        maybe_checkpoint();
-        maybe_compact_corpus();
+        count_exec(ExecKind::kTrim);
 
         if (sr.exec.outcome == ExecResult::Outcome::kOk &&
             sr.hash == target_hash) {
@@ -759,14 +736,8 @@ class Campaign {
         if (cfg_.corpus->fetch(entry_hash_[qi], &old)) {
           positions = std::move(old.positions);
         }
-        u64 hash = 0;
-        if (cfg_.corpus->add_entry(e.data, e.exec_ns, e.bitmap_hash, e.depth,
-                                   positions, &hash, nullptr)) {
-          ++res_.corpus_appends;
-        } else {
-          ++res_.corpus_dedup_hits;
-        }
-        entry_hash_[qi] = hash;
+        entry_hash_[qi] = offer_to_store(e.data, e.exec_ns, e.bitmap_hash,
+                                         e.depth, positions);
       }
     }
   }
@@ -872,7 +843,7 @@ class Campaign {
 
         const double score = queue_.perf_score(cycle_qi_, cycle_avg_ns_);
         const u64 rounds = std::max<u64>(
-            8, static_cast<u64>(cfg_.havoc_rounds * score / 100.0));
+            8, static_cast<u64>(kHavocRounds * score / 100.0));
         havoc_stage(cycle_qi_, rounds);
         queue_.entry(cycle_qi_).was_fuzzed = true;
       }
@@ -932,7 +903,6 @@ class Campaign {
   CampaignResult res_;
   u64 start_ns_ = 0;
   u64 next_sync_ = 0;
-  u64 next_sample_ = 0;
   u64 next_stamp_ = 0;
   u64 next_checkpoint_ = 0;
   u64 next_compact_ = 0;

@@ -17,6 +17,7 @@
 #include "fuzzer/queue.h"
 #include "fuzzer/sync.h"
 #include "instrumentation/metrics.h"
+#include "persist/snapshot.h"
 #include "target/program.h"
 #include "telemetry/sink.h"
 #include "util/fault.h"
@@ -105,9 +106,6 @@ struct CampaignConfig {
   usize max_input_size = 1u << 12;
   std::vector<std::vector<u8>> dictionary;
 
-  // Base havoc rounds per selected entry, scaled by perf_score/100.
-  u32 havoc_rounds = 256;
-
   // Deterministic stage (bitflips/arith/interesting) on first selection of
   // each entry. The paper's runs skip it (persistent-mode 24h protocol).
   bool run_deterministic = false;
@@ -117,10 +115,6 @@ struct CampaignConfig {
   // the map-hash operation heavily — one of the ops that make large flat
   // maps expensive.
   bool trim_enabled = true;
-
-  // When non-zero, sample (execs, covered_positions) every this many
-  // executions into CampaignResult::coverage_series.
-  u64 series_interval = 0;
 
   // Interpreter step budget per execution (hang threshold).
   u64 step_budget = 1u << 16;
@@ -190,17 +184,21 @@ struct CampaignConfig {
   // lock-free counters on the hot path and stamps a StatsSnapshot — map
   // gauges refreshed, rates computed — every telemetry_interval execs and
   // once at finalize. The sink is owned by the caller (the supervisor keeps
-  // one per instance slot, so counters accumulate across restarts).
+  // one per instance slot, so counters accumulate across restarts). Its
+  // stamped series is the campaign's one periodic sampler: coverage over
+  // time is (execs, covered_positions) of each stamp.
   telemetry::TelemetrySink* telemetry = nullptr;
   u64 telemetry_interval = 16384;
 };
 
-struct CampaignResult {
+// A campaign's outcome. The lifetime counters (execs, seed phase, finds,
+// trim, fault and tracing accounting) are the inherited CampaignCounters,
+// the same struct a checkpoint snapshot carries.
+struct CampaignResult : persist::CampaignCounters {
   std::string benchmark;
   MapScheme scheme{};
   usize map_size = 0;
 
-  u64 execs = 0;
   double wall_seconds = 0.0;
   double throughput() const noexcept {
     return wall_seconds > 0 ? static_cast<double>(execs) / wall_seconds : 0;
@@ -210,8 +208,6 @@ struct CampaignResult {
   // expensive interesting-case path (hash, rank update). Long campaigns —
   // the paper's 24 h runs — are dominated by the steady state after it, so
   // throughput comparisons should use steady_throughput().
-  u64 seed_execs = 0;
-  double seed_seconds = 0.0;
   double steady_throughput() const noexcept {
     const double t = wall_seconds - seed_seconds;
     return (t > 0 && execs > seed_execs)
@@ -233,17 +229,12 @@ struct CampaignResult {
   // condensed_size was deliberately undersized).
   u64 saturated_updates = 0;
 
-  u64 interesting = 0;  // test cases that produced new bits
-  u64 hangs = 0;
-
-  // Fault-injection accounting (all zero without a FaultInjector).
-  bool fault_aborted = false;  // died to kInstanceKill; result is partial
-  u64 faulted_execs = 0;       // executions lost to kExecAbort
-  u64 injected_hangs = 0;      // kTransientHang stalls served
+  // Died to an injected kInstanceKill; the result is partial.
+  bool fault_aborted = false;
 
   // Persistence accounting (all zero without a CheckpointStore). When
-  // `resumed` is set, every lifetime counter above (execs, interesting,
-  // hangs, crashes, trim, fault counters) continues from the restored
+  // `resumed` is set, every lifetime counter (the inherited ones and the
+  // crash totals below) continues from the restored
   // snapshot rather than from zero — the supervisor accounts for this by
   // treating resumed results as lifetime totals for the instance's current
   // budget segment.
@@ -265,27 +256,9 @@ struct CampaignResult {
   std::vector<u32> found_bug_ids;
   std::vector<u64> found_stack_hashes;
 
-  // Trimming statistics (when trim_enabled).
-  u64 trim_execs = 0;
-  u64 trimmed_bytes = 0;
-
-  // Coverage-guided tracing accounting. Invariant:
-  //   tracing_untraced_execs + tracing_traced_execs == execs
-  // (an exec counts as traced when it ran a map pipeline — seeds,
-  // oracle-fire re-executions, crash/hang replays, trim executions, and
-  // every exec under TracingMode::kAlways or on the two-level scheme).
-  u64 tracing_untraced_execs = 0;
-  u64 tracing_traced_execs = 0;
-  u64 tracing_oracle_fires = 0;  // untraced runs the oracle flagged
-  u64 tracing_reexec_ns = 0;     // wall time spent in traced re-executions
-
   // Corpus-store accounting (zero without a CorpusStore).
   u64 corpus_appends = 0;     // entries this instance added to the store
   u64 corpus_dedup_hits = 0;  // adds dropped as already-known content
-
-  // Coverage growth samples (when series_interval > 0): (execs, covered
-  // map positions) pairs — the raw data behind coverage-over-time plots.
-  std::vector<std::pair<u64, usize>> coverage_series;
 };
 
 // Runs a campaign of `config` over `program` starting from `seeds`.

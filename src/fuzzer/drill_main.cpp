@@ -51,6 +51,7 @@
 #include "fuzzer/netfleet/federate.h"
 #include "fuzzer/procfleet/coordinator.h"
 #include "fuzzer/supervisor.h"
+#include "persist/checkpoint.h"
 #include "persist/io.h"
 #include "persist/snapshot.h"
 #include "persist/statecheck.h"
@@ -201,24 +202,28 @@ u64 sum(const Outcome& o, u64 (*f)(const NodeReport&)) {
 #define SUM(field) sum(o, [](const NodeReport& r) -> u64 { return field; })
 
 std::string exchanged(const Outcome& o) {
-  return expect({{SUM(r.net.records_sent) > 0, "no corpus exchange"}});
+  return expect({{SUM(r.failover.net.records_sent) > 0, "no corpus exchange"}});
 }
 
 std::string oracle_engaged(const Outcome& o) {
-  return expect({{SUM(r.oracle.checked) > 0, "the oracle never engaged"}});
+  return expect(
+      {{SUM(r.failover.oracle.checked) > 0, "the oracle never engaged"}});
 }
 
 std::string storm_engaged(const Outcome& o) {
-  return expect({{SUM(r.net.injected_drops + r.net.injected_delays +
-                      r.net.injected_short_writes + r.net.injected_resets +
-                      r.net.injected_partitions) > 0,
+  return expect({{SUM(r.failover.net.injected_drops +
+                      r.failover.net.injected_delays +
+                      r.failover.net.injected_short_writes +
+                      r.failover.net.injected_resets +
+                      r.failover.net.injected_partitions) > 0,
                   "the storm injected no faults"},
-                 {SUM(r.net.reconnects) > 0, "the storm forced no reconnect"}});
+                 {SUM(r.failover.net.reconnects) > 0,
+                  "the storm forced no reconnect"}});
 }
 
 // Every failover stage ships corpus and delta-syncs the oracle models.
 std::string failover_synced(const Outcome& o) {
-  return expect({{SUM(r.net.records_sent) > 0, "no corpus exchange"},
+  return expect({{SUM(r.failover.net.records_sent) > 0, "no corpus exchange"},
                  {SUM(r.failover.deltas_applied) > 0, "no deltas applied"}});
 }
 
@@ -269,10 +274,13 @@ const std::vector<Stage>& stages() {
        .check = [](const Outcome& o) {
          return all_of(
              {exchanged(o), storm_engaged(o),
-              expect({{SUM(r.net.injected_drops) > 0, "no frame drops"},
-                      {SUM(r.net.injected_short_writes) > 0, "no torn frames"},
-                      {SUM(r.net.injected_resets) > 0, "no resets"},
-                      {SUM(r.net.injected_partitions) > 0, "no partition"}})});
+              expect({{SUM(r.failover.net.injected_drops) > 0,
+                       "no frame drops"},
+                      {SUM(r.failover.net.injected_short_writes) > 0,
+                       "no torn frames"},
+                      {SUM(r.failover.net.injected_resets) > 0, "no resets"},
+                      {SUM(r.failover.net.injected_partitions) > 0,
+                       "no partition"}})});
        }},
       {.name = "net-pair-partition", .baseline = "fleet-4",
        .topology = Topology::kFederation, .workers = 2, .ranks = 2,
@@ -281,11 +289,11 @@ const std::vector<Stage>& stages() {
        .check = [](const Outcome& o) {
          return all_of(
              {exchanged(o),
-              expect({{SUM(r.net.injected_partitions) > 0,
+              expect({{SUM(r.failover.net.injected_partitions) > 0,
                        "no partition was injected"},
-                      {SUM(r.net.partition_ms_total) > 0,
+                      {SUM(r.failover.net.partition_ms_total) > 0,
                        "no partition time was recorded"},
-                      {SUM(r.net.reconnects) > 0,
+                      {SUM(r.failover.net.reconnects) > 0,
                        "the partition never healed"}})});
        }},
 
@@ -296,7 +304,7 @@ const std::vector<Stage>& stages() {
        .oracle = true,
        .check = [](const Outcome& o) {
          return all_of({exchanged(o), oracle_engaged(o),
-                        expect({{SUM(r.oracle.rejected) > 0,
+                        expect({{SUM(r.failover.oracle.rejected) > 0,
                                  "the oracle rejected nothing"}})});
        }},
       {.name = "net-star-storm", .baseline = "fleet-6",
@@ -336,7 +344,7 @@ const std::vector<Stage>& stages() {
              {failover_synced(o), elected(o),
               expect({{v.fenced == 1 && v.role == 3,
                        "the stale leader did not fence"},
-                      {SUM(r.net.stale_hellos_dropped) > 0,
+                      {SUM(r.failover.net.stale_hellos_dropped) > 0,
                        "no stale hello was dropped"}})});
        }},
       {.name = "failover-storm", .baseline = "fleet-8",
@@ -455,9 +463,9 @@ std::unordered_set<u64> snapshot_pinned(const std::string& fleet_dir) {
   for (auto it = fs::recursive_directory_iterator(
            fleet_dir, fs::directory_options::skip_permission_denied, ec);
        it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (ec || !it->is_regular_file(ec) || name.rfind("snap-", 0) != 0 ||
-        it->path().extension() != ".bms") {
+    u64 seq;
+    if (ec || !it->is_regular_file(ec) ||
+        !persist::parse_snap_name(it->path().filename().string(), &seq)) {
       continue;
     }
     std::vector<u8> bytes;
@@ -742,7 +750,7 @@ void print(const Outcome& o) {
   }
   for (usize i = 0; i < o.nodes.size(); ++i) {
     const NodeReport& r = o.nodes[i];
-    const LinkStats& n = r.net;
+    const LinkStats& n = r.failover.net;
     const FailoverStats& f = r.failover;
     std::printf("  [rank-%zu]", i);
     for (const auto& [key, value] : std::initializer_list<
@@ -754,8 +762,8 @@ void print(const Outcome& o) {
              {"resets", n.injected_resets},
              {"partitions", n.injected_partitions},
              {"partition_ms", n.partition_ms_total},
-             {"oracle_checked", r.oracle.checked},
-             {"oracle_rejected", r.oracle.rejected}, {"epoch", f.epoch},
+             {"oracle_checked", f.oracle.checked},
+             {"oracle_rejected", f.oracle.rejected}, {"epoch", f.epoch},
              {"role", f.role}, {"elections", f.elections},
              {"promotions", f.promotions}, {"rejoins", f.rejoins},
              {"fenced", f.fenced}, {"deltas_applied", f.deltas_applied},

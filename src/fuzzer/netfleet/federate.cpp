@@ -28,41 +28,41 @@ void for_each_field(Report& r, F&& f) {
   f("total_interesting", r.total_interesting);
   f("total_crashes", r.total_crashes);
   f("all_completed", r.all_completed);
-  f("net_bytes_sent", r.net.bytes_sent);
-  f("net_bytes_received", r.net.bytes_received);
-  f("net_records_sent", r.net.records_sent);
-  f("net_records_received", r.net.records_received);
-  f("net_deltas_sent", r.net.deltas_sent);
-  f("net_deltas_received", r.net.deltas_received);
-  f("net_entries_offered", r.net.entries_offered);
-  f("net_novelty_filtered", r.net.novelty_filtered);
-  f("net_duplicates_dropped", r.net.duplicates_dropped);
-  f("net_out_of_order_dropped", r.net.out_of_order_dropped);
-  f("net_rewinds", r.net.rewinds);
-  f("net_connects", r.net.connects);
-  f("net_reconnects", r.net.reconnects);
-  f("net_heartbeat_timeouts", r.net.heartbeat_timeouts);
-  f("net_conn_errors", r.net.conn_errors);
-  f("net_hello_rejected", r.net.hello_rejected);
-  f("net_injected_drops", r.net.injected_drops);
-  f("net_injected_delays", r.net.injected_delays);
-  f("net_injected_short_writes", r.net.injected_short_writes);
-  f("net_injected_resets", r.net.injected_resets);
-  f("net_injected_partitions", r.net.injected_partitions);
-  f("net_partition_ms", r.net.partition_ms_total);
-  f("net_log_evicted", r.net.log_evicted);
-  f("net_lost_to_eviction", r.net.lost_to_eviction);
-  f("net_resyncs_sent", r.net.resyncs_sent);
-  f("net_resync_skipped", r.net.resync_skipped);
-  f("net_stale_hellos_dropped", r.net.stale_hellos_dropped);
-  f("net_epoch_ahead_seen", r.net.epoch_ahead_seen);
-  f("oracle_checked", r.oracle.checked);
-  f("oracle_accepted", r.oracle.accepted);
-  f("oracle_rejected", r.oracle.rejected);
-  f("oracle_deltas_exported", r.oracle.deltas_exported);
-  f("oracle_cells_exported", r.oracle.cells_exported);
-  f("oracle_deltas_applied", r.oracle.deltas_applied);
-  f("oracle_cells_applied", r.oracle.cells_applied);
+  f("net_bytes_sent", r.failover.net.bytes_sent);
+  f("net_bytes_received", r.failover.net.bytes_received);
+  f("net_records_sent", r.failover.net.records_sent);
+  f("net_records_received", r.failover.net.records_received);
+  f("net_deltas_sent", r.failover.net.deltas_sent);
+  f("net_deltas_received", r.failover.net.deltas_received);
+  f("net_entries_offered", r.failover.net.entries_offered);
+  f("net_novelty_filtered", r.failover.net.novelty_filtered);
+  f("net_duplicates_dropped", r.failover.net.duplicates_dropped);
+  f("net_out_of_order_dropped", r.failover.net.out_of_order_dropped);
+  f("net_rewinds", r.failover.net.rewinds);
+  f("net_connects", r.failover.net.connects);
+  f("net_reconnects", r.failover.net.reconnects);
+  f("net_heartbeat_timeouts", r.failover.net.heartbeat_timeouts);
+  f("net_conn_errors", r.failover.net.conn_errors);
+  f("net_hello_rejected", r.failover.net.hello_rejected);
+  f("net_injected_drops", r.failover.net.injected_drops);
+  f("net_injected_delays", r.failover.net.injected_delays);
+  f("net_injected_short_writes", r.failover.net.injected_short_writes);
+  f("net_injected_resets", r.failover.net.injected_resets);
+  f("net_injected_partitions", r.failover.net.injected_partitions);
+  f("net_partition_ms", r.failover.net.partition_ms_total);
+  f("net_log_evicted", r.failover.net.log_evicted);
+  f("net_lost_to_eviction", r.failover.net.lost_to_eviction);
+  f("net_resyncs_sent", r.failover.net.resyncs_sent);
+  f("net_resync_skipped", r.failover.net.resync_skipped);
+  f("net_stale_hellos_dropped", r.failover.net.stale_hellos_dropped);
+  f("net_epoch_ahead_seen", r.failover.net.epoch_ahead_seen);
+  f("oracle_checked", r.failover.oracle.checked);
+  f("oracle_accepted", r.failover.oracle.accepted);
+  f("oracle_rejected", r.failover.oracle.rejected);
+  f("oracle_deltas_exported", r.failover.oracle.deltas_exported);
+  f("oracle_cells_exported", r.failover.oracle.cells_exported);
+  f("oracle_deltas_applied", r.failover.oracle.deltas_applied);
+  f("oracle_cells_applied", r.failover.oracle.cells_applied);
   f("fo_epoch", r.failover.epoch);
   f("fo_role", r.failover.role);
   f("fo_leader", r.failover.leader_rank);
@@ -110,8 +110,6 @@ std::string encode_node_report(const procfleet::ProcFleetResult& r, bool ok,
   n.total_interesting = r.total_interesting;
   n.total_crashes = r.total_crashes;
   n.all_completed = r.all_completed();
-  n.net = r.failover.net;
-  n.oracle = r.failover.oracle;
   n.failover = r.failover;
 
   std::ostringstream os;

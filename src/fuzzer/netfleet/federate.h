@@ -20,10 +20,11 @@
 
 namespace bigmap::netfleet {
 
-// One rank's reported outcome (parsed from its pipe). `net` carries the
-// link counters summed over the rank's links (the per-link cursor and
-// state fields are not reported) and `oracle` the novelty-oracle
-// accounting (zeroed when the oracle was off).
+// One rank's reported outcome (parsed from its pipe). `failover` carries
+// the gateway accounting: `failover.net` the link counters summed over the
+// rank's links (the per-link cursor and state fields are not reported),
+// `failover.oracle` the novelty-oracle accounting (zeroed when the oracle
+// was off) and the election counters (zeroed without failover).
 struct NodeReport {
   bool ok = false;
   std::string error;
@@ -33,10 +34,6 @@ struct NodeReport {
   u64 total_interesting = 0;
   u64 total_crashes = 0;
   bool all_completed = false;
-  LinkStats net;
-  corpus::OracleStats oracle;
-  // Election accounting (zeroed without failover; its nested net/oracle
-  // fields stay zeroed here — the two members above carry them).
   FailoverStats failover;
 };
 

@@ -14,7 +14,8 @@ namespace {
 constexpr const char* kSnapPrefix = "snap-";
 constexpr const char* kSnapSuffix = ".bms";
 
-// Parses "snap-<seq>.bms" -> seq; returns false for anything else.
+}  // namespace
+
 bool parse_snap_name(const std::string& name, u64* seq) {
   const std::string_view v(name);
   const std::string_view prefix(kSnapPrefix);
@@ -33,6 +34,8 @@ bool parse_snap_name(const std::string& name, u64* seq) {
   *seq = value;
   return true;
 }
+
+namespace {
 
 // All snapshot sequence numbers present in `dir`, ascending.
 std::vector<u64> list_snaps(const std::string& dir) {

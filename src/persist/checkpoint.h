@@ -47,6 +47,12 @@ struct PersistStats {
   }
 };
 
+// The snapshot file-name rule: "snap-<seq>.bms" with <seq> a decimal u64.
+// Returns false for any other name, a sequence number that overflows u64
+// included. Everything that lists snapshots (the store, statecheck, the
+// drill's pin scan) goes through it, so they all see the same files.
+bool parse_snap_name(const std::string& name, u64* seq);
+
 class CheckpointStore {
  public:
   // Creates `dir` if needed. `fresh` wipes any snapshots already there

@@ -45,7 +45,37 @@ struct QueueEntrySnap {
   bool in_store = false;
 };
 
-struct CampaignSnapshot {
+// The lifetime counters a campaign charges its exec budget and its find
+// rates against. CampaignResult and CampaignSnapshot both inherit them, so
+// a checkpoint copies them whole and a restore hands them back whole; the
+// kCounters and kTracingState records below carry them. Invariant:
+// tracing_untraced_execs + tracing_traced_execs == execs (an exec counts as
+// traced when it ran a map pipeline: seeds, oracle-fire re-executions,
+// crash/hang replays, trim executions, and every exec under
+// TracingMode::kAlways or on the two-level scheme).
+struct CampaignCounters {
+  u64 execs = 0;
+  u64 seed_execs = 0;       // execs spent processing the initial corpus
+  double seed_seconds = 0.0;  // wall time of the seed phase
+  u64 interesting = 0;      // test cases that produced new bits
+  u64 hangs = 0;
+  u64 trim_execs = 0;
+  u64 trimmed_bytes = 0;
+  u64 faulted_execs = 0;    // executions lost to an injected kExecAbort
+  u64 injected_hangs = 0;   // injected kTransientHang stalls served
+
+  // Coverage-guided tracing: the untraced/traced split, untraced runs the
+  // oracle flagged, and wall time spent in traced re-executions. A
+  // snapshot without the kTracingState record restores these as zero —
+  // only lifetime accounting is affected, never correctness, because the
+  // oracle's breakpoint set is derived from the virgin maps + index.
+  u64 tracing_untraced_execs = 0;
+  u64 tracing_traced_execs = 0;
+  u64 tracing_oracle_fires = 0;
+  u64 tracing_reexec_ns = 0;
+};
+
+struct CampaignSnapshot : CampaignCounters {
   // --- identity: a snapshot only restores into the same configuration ----
   u32 scheme = 0;  // MapScheme as u32
   u32 metric = 0;  // MetricKind as u32
@@ -55,28 +85,9 @@ struct CampaignSnapshot {
   u64 virgin_size = 0;  // condensed size for BigMap, map_size for flat
   u64 checkpoint_seq = 0;
 
-  // --- resumable result counters -----------------------------------------
-  u64 execs = 0;
-  u64 seed_execs = 0;
-  double seed_seconds = 0.0;
-  u64 interesting = 0;
-  u64 hangs = 0;
-  u64 trim_execs = 0;
-  u64 trimmed_bytes = 0;
-  u64 faulted_execs = 0;
-  u64 injected_hangs = 0;
+  // --- crash-triage totals (the rest of the counters are inherited) ------
   u64 crashes_total = 0;
   u64 crashes_afl_unique = 0;
-
-  // Coverage-guided tracing counters (kTracingState record, additive like
-  // kCycleCursor: a snapshot without the record restores these as zero —
-  // only lifetime accounting is affected, never correctness, because the
-  // oracle's breakpoint set is derived from the virgin maps + index bitmap
-  // above, which are already snapshotted).
-  u64 tracing_untraced_execs = 0;
-  u64 tracing_traced_execs = 0;
-  u64 tracing_oracle_fires = 0;
-  u64 tracing_reexec_ns = 0;
 
   // --- RNG stream positions ----------------------------------------------
   std::array<u64, 4> rng_state{};

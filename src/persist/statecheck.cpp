@@ -10,6 +10,7 @@
 
 #include "corpus/novelty.h"
 #include "corpus/store.h"
+#include "persist/checkpoint.h"
 #include "persist/federation.h"
 #include "persist/fleet.h"
 #include "persist/io.h"
@@ -137,27 +138,6 @@ bool check_journal(const std::string& path, bool dump, JournalSummary* js) {
   return ok;
 }
 
-// Parses "snap-<seq>.bms" -> seq.
-bool parse_snap_seq(const std::string& name, u64* seq) {
-  const std::string prefix = "snap-";
-  const std::string suffix = ".bms";
-  if (name.size() <= prefix.size() + suffix.size() ||
-      name.compare(0, prefix.size(), prefix) != 0 ||
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-          0) {
-    return false;
-  }
-  const std::string digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  u64 value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<u64>(c - '0');
-  }
-  *seq = value;
-  return true;
-}
-
 // Cross-validates the journal's view of the world against the instance
 // directories. Two distinct error classes beyond structural damage:
 //
@@ -186,7 +166,7 @@ bool cross_validate(const std::string& dir, const JournalSummary& js) {
     for (const auto& f : fs::directory_iterator(inst_dir, ec)) {
       u64 seq;
       if (f.is_regular_file(ec) &&
-          parse_snap_seq(f.path().filename().string(), &seq)) {
+          parse_snap_name(f.path().filename().string(), &seq)) {
         newest = std::max(newest, seq);
       }
     }
@@ -371,7 +351,7 @@ bool check_corpus_dir(const std::string& root, bool dump,
       fed_wals.push_back(it->path().string());
       continue;
     }
-    if (!parse_snap_seq(it->path().filename().string(), &seq)) {
+    if (!parse_snap_name(it->path().filename().string(), &seq)) {
       continue;
     }
     std::vector<u8> bytes;

@@ -13,7 +13,8 @@
 //   - found_bug_ids and found_stack_hashes (crash-dedup identities) equal
 //   - every crash counter equal (total, AFL-unique, Crashwalk, ground truth)
 //   - the queue CONTENTS equal: same entries, same bytes, same order
-//   - covered virgin positions equal, coverage_series equal
+//   - covered virgin positions equal, coverage-over-time series equal
+//     (execs, covered_positions of each telemetry stamp)
 //   - trim decisions equal (trim_execs / trimmed_bytes)
 //   - used_key and saturated_updates equal
 //
@@ -33,6 +34,7 @@
 #include "persist/checkpoint.h"
 #include "target/generator.h"
 #include "target/suite.h"
+#include "telemetry/sink.h"
 #include "util/fault.h"
 
 namespace bigmap {
@@ -63,8 +65,25 @@ CampaignConfig diff_config(MapScheme scheme, TracingMode tracing,
   c.seed = 77;
   c.deterministic_timing = true;  // sched_ns = steps*100: mode-independent
   c.keep_corpus = true;
-  c.series_interval = 1000;
+  c.telemetry_interval = 1000;
   return c;
+}
+
+// A campaign result plus its coverage-over-time series: (execs,
+// covered_positions) of every telemetry stamp.
+struct DiffRun : CampaignResult {
+  std::vector<std::pair<u64, u64>> series;
+};
+
+DiffRun run_diff(const Program& program, const std::vector<Input>& seeds,
+                 CampaignConfig c) {
+  telemetry::TelemetrySink sink;
+  c.telemetry = &sink;
+  DiffRun d{run_campaign(program, seeds, c), {}};
+  for (const telemetry::StatsSnapshot& s : sink.series()) {
+    d.series.emplace_back(s.execs, s.covered_positions);
+  }
+  return d;
 }
 
 std::vector<u32> sorted(std::vector<u32> v) {
@@ -77,8 +96,7 @@ std::vector<u64> sorted(std::vector<u64> v) {
 }
 
 // The full equality contract between a dual-mode and an always-trace result.
-void expect_equivalent(const CampaignResult& dual,
-                       const CampaignResult& always) {
+void expect_equivalent(const DiffRun& dual, const DiffRun& always) {
   EXPECT_EQ(dual.execs, always.execs);
   EXPECT_EQ(dual.seed_execs, always.seed_execs);
   EXPECT_EQ(dual.interesting, always.interesting);
@@ -95,7 +113,7 @@ void expect_equivalent(const CampaignResult& dual,
             sorted(always.found_stack_hashes));
 
   EXPECT_EQ(dual.covered_positions, always.covered_positions);
-  EXPECT_EQ(dual.coverage_series, always.coverage_series);
+  EXPECT_EQ(dual.series, always.series);
 
   // Queue contents: byte-identical, in order.
   EXPECT_EQ(dual.corpus_size, always.corpus_size);
@@ -133,12 +151,10 @@ TEST_P(ModeDiffTable2Test, DualEqualsAlwaysTrace) {
   if (seeds.size() > 6) seeds.resize(6);  // runtime budget, not coverage
 
   for (MapScheme scheme : {MapScheme::kTwoLevel, MapScheme::kFlat}) {
-    CampaignResult dual =
-        run_campaign(target.program, seeds,
-                     diff_config(scheme, TracingMode::kDual, 4000));
-    CampaignResult always =
-        run_campaign(target.program, seeds,
-                     diff_config(scheme, TracingMode::kAlways, 4000));
+    DiffRun dual = run_diff(target.program, seeds,
+                            diff_config(scheme, TracingMode::kDual, 4000));
+    DiffRun always = run_diff(target.program, seeds,
+                              diff_config(scheme, TracingMode::kAlways, 4000));
     SCOPED_TRACE(info.name + (scheme == MapScheme::kFlat ? "/flat" : "/2l"));
     expect_equivalent(dual, always);
     if (scheme == MapScheme::kTwoLevel) {
@@ -180,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(
 // returns the resumed result. The clean interrupt writes a completion
 // checkpoint at exactly `part` execs, so both tracing modes restore from
 // the identical exec point.
-CampaignResult interrupted_resumed(const GeneratedTarget& target,
+DiffRun interrupted_resumed(const GeneratedTarget& target,
                                    const std::vector<Input>& seeds,
                                    MapScheme scheme, TracingMode tracing,
                                    const std::string& dir, u64 part,
@@ -197,7 +213,8 @@ CampaignResult interrupted_resumed(const GeneratedTarget& target,
   rc.checkpoint = &store2;
   rc.checkpoint_interval = 1024;
   rc.resume_from_checkpoint = true;
-  CampaignResult resumed = run_campaign(target.program, seeds, rc);
+  rc.telemetry_restore = true;  // the sink's execs continue from the snapshot
+  DiffRun resumed = run_diff(target.program, seeds, rc);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.resumed_from_execs, part);
   return resumed;
@@ -230,11 +247,11 @@ TEST(ModeDiffCheckpointTest, ResumeCrossesModesExactly) {
     const bool flat = scheme == MapScheme::kFlat;
 
     TempDir dual_dir(flat ? "flat_d" : "twolevel_d");
-    CampaignResult resumed_dual =
+    DiffRun resumed_dual =
         interrupted_resumed(target, seeds, scheme, TracingMode::kDual,
                             dual_dir.path, kPart, kFull);
     TempDir always_dir(flat ? "flat_a" : "twolevel_a");
-    CampaignResult resumed_always =
+    DiffRun resumed_always =
         interrupted_resumed(target, seeds, scheme, TracingMode::kAlways,
                             always_dir.path, kPart, kFull);
 
@@ -252,9 +269,9 @@ TEST(ModeDiffCheckpointTest, ResumeCrossesModesExactly) {
 
     // Uninterrupted arms agree with each other too (same contract at a
     // budget the Table II sweep doesn't cover).
-    CampaignResult straight = run_campaign(
+    DiffRun straight = run_diff(
         target.program, seeds, diff_config(scheme, TracingMode::kDual, kFull));
-    CampaignResult always = run_campaign(
+    DiffRun always = run_diff(
         target.program, seeds,
         diff_config(scheme, TracingMode::kAlways, kFull));
     expect_equivalent(straight, always);
@@ -264,7 +281,7 @@ TEST(ModeDiffCheckpointTest, ResumeCrossesModesExactly) {
 // Kills a campaign mid-run with an injected kInstanceKill (a crashing
 // worker cannot checkpoint at death), then relaunches it from the last
 // periodic checkpoint and returns the recovered result.
-CampaignResult killed_restarted(const GeneratedTarget& target,
+DiffRun killed_restarted(const GeneratedTarget& target,
                                 const std::vector<Input>& seeds,
                                 TracingMode tracing, const std::string& dir,
                                 u64 kill_nth, u64 full) {
@@ -285,7 +302,8 @@ CampaignResult killed_restarted(const GeneratedTarget& target,
   relaunch.checkpoint = &store2;
   relaunch.checkpoint_interval = 512;
   relaunch.resume_from_checkpoint = true;
-  CampaignResult resumed = run_campaign(target.program, seeds, relaunch);
+  relaunch.telemetry_restore = true;
+  DiffRun resumed = run_diff(target.program, seeds, relaunch);
   EXPECT_TRUE(resumed.resumed);
   return resumed;
 }
@@ -315,10 +333,10 @@ TEST(ModeDiffCheckpointTest, InstanceKillRestartStillMatchesAlwaysTrace) {
 
   const u64 kFull = 8000, kKillNth = 3000;
   TempDir dual_dir("kill_d");
-  CampaignResult resumed_dual = killed_restarted(
+  DiffRun resumed_dual = killed_restarted(
       target, seeds, TracingMode::kDual, dual_dir.path, kKillNth, kFull);
   TempDir always_dir("kill_a");
-  CampaignResult resumed_always = killed_restarted(
+  DiffRun resumed_always = killed_restarted(
       target, seeds, TracingMode::kAlways, always_dir.path, kKillNth, kFull);
 
   ASSERT_EQ(resumed_dual.resumed_from_execs,

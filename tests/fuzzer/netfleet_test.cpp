@@ -1126,60 +1126,69 @@ TEST(FederateTest, NodeReportRoundTrips) {
       {"total_execs", &r.total_execs, &h.total_execs},
       {"total_interesting", &r.total_interesting, &h.total_interesting},
       {"total_crashes", &r.total_crashes, &h.total_crashes},
-      {"bytes_sent", &r.failover.net.bytes_sent, &h.net.bytes_sent},
-      {"bytes_received", &r.failover.net.bytes_received, &h.net.bytes_received},
-      {"records_sent", &r.failover.net.records_sent, &h.net.records_sent},
+      {"bytes_sent", &r.failover.net.bytes_sent, &h.failover.net.bytes_sent},
+      {"bytes_received", &r.failover.net.bytes_received,
+       &h.failover.net.bytes_received},
+      {"records_sent", &r.failover.net.records_sent,
+       &h.failover.net.records_sent},
       {"records_received", &r.failover.net.records_received,
-       &h.net.records_received},
-      {"deltas_sent", &r.failover.net.deltas_sent, &h.net.deltas_sent},
+       &h.failover.net.records_received},
+      {"deltas_sent", &r.failover.net.deltas_sent, &h.failover.net.deltas_sent},
       {"deltas_received", &r.failover.net.deltas_received,
-       &h.net.deltas_received},
+       &h.failover.net.deltas_received},
       {"entries_offered", &r.failover.net.entries_offered,
-       &h.net.entries_offered},
+       &h.failover.net.entries_offered},
       {"novelty_filtered", &r.failover.net.novelty_filtered,
-       &h.net.novelty_filtered},
+       &h.failover.net.novelty_filtered},
       {"duplicates_dropped", &r.failover.net.duplicates_dropped,
-       &h.net.duplicates_dropped},
+       &h.failover.net.duplicates_dropped},
       {"out_of_order_dropped", &r.failover.net.out_of_order_dropped,
-       &h.net.out_of_order_dropped},
-      {"rewinds", &r.failover.net.rewinds, &h.net.rewinds},
-      {"connects", &r.failover.net.connects, &h.net.connects},
-      {"reconnects", &r.failover.net.reconnects, &h.net.reconnects},
+       &h.failover.net.out_of_order_dropped},
+      {"rewinds", &r.failover.net.rewinds, &h.failover.net.rewinds},
+      {"connects", &r.failover.net.connects, &h.failover.net.connects},
+      {"reconnects", &r.failover.net.reconnects, &h.failover.net.reconnects},
       {"heartbeat_timeouts", &r.failover.net.heartbeat_timeouts,
-       &h.net.heartbeat_timeouts},
-      {"conn_errors", &r.failover.net.conn_errors, &h.net.conn_errors},
-      {"hello_rejected", &r.failover.net.hello_rejected, &h.net.hello_rejected},
-      {"injected_drops", &r.failover.net.injected_drops, &h.net.injected_drops},
+       &h.failover.net.heartbeat_timeouts},
+      {"conn_errors", &r.failover.net.conn_errors, &h.failover.net.conn_errors},
+      {"hello_rejected", &r.failover.net.hello_rejected,
+       &h.failover.net.hello_rejected},
+      {"injected_drops", &r.failover.net.injected_drops,
+       &h.failover.net.injected_drops},
       {"injected_delays", &r.failover.net.injected_delays,
-       &h.net.injected_delays},
+       &h.failover.net.injected_delays},
       {"injected_short_writes", &r.failover.net.injected_short_writes,
-       &h.net.injected_short_writes},
+       &h.failover.net.injected_short_writes},
       {"injected_resets", &r.failover.net.injected_resets,
-       &h.net.injected_resets},
+       &h.failover.net.injected_resets},
       {"injected_partitions", &r.failover.net.injected_partitions,
-       &h.net.injected_partitions},
+       &h.failover.net.injected_partitions},
       {"partition_ms_total", &r.failover.net.partition_ms_total,
-       &h.net.partition_ms_total},
-      {"log_evicted", &r.failover.net.log_evicted, &h.net.log_evicted},
+       &h.failover.net.partition_ms_total},
+      {"log_evicted", &r.failover.net.log_evicted, &h.failover.net.log_evicted},
       {"lost_to_eviction", &r.failover.net.lost_to_eviction,
-       &h.net.lost_to_eviction},
-      {"resyncs_sent", &r.failover.net.resyncs_sent, &h.net.resyncs_sent},
-      {"resync_skipped", &r.failover.net.resync_skipped, &h.net.resync_skipped},
+       &h.failover.net.lost_to_eviction},
+      {"resyncs_sent", &r.failover.net.resyncs_sent,
+       &h.failover.net.resyncs_sent},
+      {"resync_skipped", &r.failover.net.resync_skipped,
+       &h.failover.net.resync_skipped},
       {"stale_hellos_dropped", &r.failover.net.stale_hellos_dropped,
-       &h.net.stale_hellos_dropped},
+       &h.failover.net.stale_hellos_dropped},
       {"epoch_ahead_seen", &r.failover.net.epoch_ahead_seen,
-       &h.net.epoch_ahead_seen},
-      {"oracle.checked", &r.failover.oracle.checked, &h.oracle.checked},
-      {"oracle.accepted", &r.failover.oracle.accepted, &h.oracle.accepted},
-      {"oracle.rejected", &r.failover.oracle.rejected, &h.oracle.rejected},
+       &h.failover.net.epoch_ahead_seen},
+      {"oracle.checked", &r.failover.oracle.checked,
+       &h.failover.oracle.checked},
+      {"oracle.accepted", &r.failover.oracle.accepted,
+       &h.failover.oracle.accepted},
+      {"oracle.rejected", &r.failover.oracle.rejected,
+       &h.failover.oracle.rejected},
       {"oracle.deltas_exported", &r.failover.oracle.deltas_exported,
-       &h.oracle.deltas_exported},
+       &h.failover.oracle.deltas_exported},
       {"oracle.cells_exported", &r.failover.oracle.cells_exported,
-       &h.oracle.cells_exported},
+       &h.failover.oracle.cells_exported},
       {"oracle.deltas_applied", &r.failover.oracle.deltas_applied,
-       &h.oracle.deltas_applied},
+       &h.failover.oracle.deltas_applied},
       {"oracle.cells_applied", &r.failover.oracle.cells_applied,
-       &h.oracle.cells_applied},
+       &h.failover.oracle.cells_applied},
       {"failover.epoch", &r.failover.epoch, &h.failover.epoch},
       {"failover.elections", &r.failover.elections, &h.failover.elections},
       {"failover.promotions", &r.failover.promotions,
@@ -1293,7 +1302,7 @@ void expect_federation_matches_single_fleet(u32 ranks) {
   EXPECT_EQ(fed.total_execs, u64{ranks} * 2 * 10000);
   ASSERT_EQ(fed.nodes.size(), ranks);
   for (u32 r = 0; r < ranks; ++r) {
-    EXPECT_GT(fed.nodes[r].net.records_sent, 0u) << "rank " << r;
+    EXPECT_GT(fed.nodes[r].failover.net.records_sent, 0u) << "rank " << r;
     EXPECT_EQ(fed.nodes[r].failover.elections, 0u) << "rank " << r;
   }
   std::vector<u32> want = single.found_bug_ids;

@@ -298,7 +298,9 @@ TEST(TracingExecTest, HangVerdictIdenticalInBothModes) {
 TEST(TracingPolicyTest, TwoLevelDualRunsEveryExecTraced) {
   GeneratedTarget target = branchy_target();
   std::vector<Input> seeds = make_seed_corpus(target, 4, 1);
-  auto run = [&](TracingMode tracing) {
+  // Coverage over time: (execs, covered_positions) of every stamp.
+  using Series = std::vector<std::pair<u64, u64>>;
+  auto run = [&](TracingMode tracing, Series* series) {
     CampaignConfig c;
     c.scheme = MapScheme::kTwoLevel;
     c.tracing = tracing;
@@ -308,11 +310,18 @@ TEST(TracingPolicyTest, TwoLevelDualRunsEveryExecTraced) {
     c.seed = 77;
     c.deterministic_timing = true;
     c.keep_corpus = true;
-    c.series_interval = 500;
-    return run_campaign(target.program, seeds, c);
+    telemetry::TelemetrySink sink;
+    c.telemetry = &sink;
+    c.telemetry_interval = 500;
+    CampaignResult r = run_campaign(target.program, seeds, c);
+    for (const telemetry::StatsSnapshot& s : sink.series()) {
+      series->emplace_back(s.execs, s.covered_positions);
+    }
+    return r;
   };
-  const CampaignResult dual = run(TracingMode::kDual);
-  const CampaignResult always = run(TracingMode::kAlways);
+  Series dual_series, always_series;
+  const CampaignResult dual = run(TracingMode::kDual, &dual_series);
+  const CampaignResult always = run(TracingMode::kAlways, &always_series);
 
   EXPECT_EQ(dual.tracing_untraced_execs, 0u);
   EXPECT_EQ(dual.tracing_oracle_fires, 0u);
@@ -337,7 +346,7 @@ TEST(TracingPolicyTest, TwoLevelDualRunsEveryExecTraced) {
   EXPECT_EQ(dual.trimmed_bytes, always.trimmed_bytes);
   EXPECT_EQ(dual.corpus_size, always.corpus_size);
   EXPECT_EQ(dual.corpus, always.corpus);
-  EXPECT_EQ(dual.coverage_series, always.coverage_series);
+  EXPECT_EQ(dual_series, always_series);
   EXPECT_GT(dual.interesting, 0u);
 }
 

@@ -135,18 +135,20 @@ TEST(SeriesTest, SamplesCoverageGrowth) {
   c.map.map_size = 1u << 16;
   c.map.huge_pages = false;
   c.max_execs = 10000;
-  c.series_interval = 1000;
+  telemetry::TelemetrySink sink;
+  c.telemetry = &sink;
+  c.telemetry_interval = 1000;
   auto r = run_campaign(target.program, seeds, c);
+  const std::vector<telemetry::StatsSnapshot> series = sink.series();
 
-  ASSERT_GE(r.coverage_series.size(), 5u);
+  ASSERT_GE(series.size(), 5u);
   // Exec counters strictly increase; coverage is non-decreasing.
-  for (usize i = 1; i < r.coverage_series.size(); ++i) {
-    EXPECT_GT(r.coverage_series[i].first, r.coverage_series[i - 1].first);
-    EXPECT_GE(r.coverage_series[i].second,
-              r.coverage_series[i - 1].second);
+  for (usize i = 1; i < series.size(); ++i) {
+    EXPECT_GT(series[i].execs, series[i - 1].execs);
+    EXPECT_GE(series[i].covered_positions, series[i - 1].covered_positions);
   }
   // Final sample matches the final coverage.
-  EXPECT_LE(r.coverage_series.back().second, r.covered_positions);
+  EXPECT_LE(series.back().covered_positions, r.covered_positions);
 }
 
 TEST(SeriesTest, DisabledByDefault) {
@@ -159,8 +161,15 @@ TEST(SeriesTest, DisabledByDefault) {
   c.map.map_size = 1u << 16;
   c.map.huge_pages = false;
   c.max_execs = 2000;
+  // No sink by default, so nothing is sampled.
+  EXPECT_EQ(c.telemetry, nullptr);
+  // A sink with a zero interval gets no periodic stamp: only finalize's.
+  telemetry::TelemetrySink sink;
+  c.telemetry = &sink;
+  c.telemetry_interval = 0;
   auto r = run_campaign(target.program, make_seed_corpus(target, 2, 1), c);
-  EXPECT_TRUE(r.coverage_series.empty());
+  ASSERT_EQ(sink.series_size(), 1u);
+  EXPECT_EQ(sink.latest().execs, r.execs);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "persist/fleet.h"
+#include "persist/statecheck.h"
 #include "util/fault.h"
 
 namespace bigmap::persist {
@@ -400,6 +401,59 @@ TEST(FleetStoreTest, InstanceStoresAreFreshOnlyForFreshFleets) {
     auto out = store.instance_store(1).load_latest();
     EXPECT_FALSE(out.snapshot.has_value());
   }
+}
+
+// The snapshot file-name rule is the store's: a decimal u64 between
+// "snap-" and ".bms", nothing else.
+TEST(SnapNameTest, ParsesOnlyDecimalU64Sequences) {
+  u64 seq = 0;
+  EXPECT_TRUE(parse_snap_name("snap-7.bms", &seq));
+  EXPECT_EQ(seq, 7u);
+  EXPECT_TRUE(parse_snap_name("snap-18446744073709551615.bms", &seq));
+  EXPECT_EQ(seq, ~u64{0});
+  for (const char* bad :
+       {"snap-18446744073709551616.bms", "snap-36893488147419103231.bms",
+        "snap-.bms", "snap-1x.bms", "snap--1.bms", "snap-+1.bms",
+        "snap-1.bms.tmp", "snap-1.bm", "Snap-1.bms", "snap-1"}) {
+    EXPECT_FALSE(parse_snap_name(bad, &seq)) << bad;
+  }
+}
+
+// statecheck's journal-vs-disk cross-check lists snapshots by the same
+// rule as the store. A stray but valid snapshot whose name holds 2^65 - 1
+// is no snapshot the store would ever load, so it must not stand in for
+// the missing one the journal references.
+TEST(FleetStatecheckTest, OverflowingSnapshotNameCannotMaskDanglingRef) {
+  TempDir dir("fleetxval");
+  std::string err;
+  {
+    FleetStore store(dir.path, fleet_fp(), FaultCtx{}, /*resume=*/false);
+    ASSERT_TRUE(store.ok()) << store.error();
+    ASSERT_TRUE(store.instance_store(0).save(snap_with(700), 2, &err))
+        << err;
+    InstanceEvent ev = event_for(0, kEventRunning, 700);
+    ev.checkpoint_seq = 1;
+    ASSERT_TRUE(store.append_event(ev, &err)) << err;
+  }
+  EXPECT_TRUE(check_fleet_dir(dir.path, /*dump=*/false));
+
+  // The journal now references snapshot 5, which no file holds.
+  {
+    FleetStore store(dir.path, fleet_fp(), FaultCtx{}, /*resume=*/true);
+    ASSERT_TRUE(store.ok()) << store.error();
+    InstanceEvent ev = event_for(0, kEventRunning, 900);
+    ev.checkpoint_seq = 5;
+    ASSERT_TRUE(store.append_event(ev, &err)) << err;
+  }
+  EXPECT_FALSE(check_fleet_dir(dir.path, /*dump=*/false));
+
+  const std::string inst = dir.path + "/instance-0";
+  fs::copy_file(inst + "/snap-1.bms", inst + "/snap-36893488147419103231.bms");
+  CheckpointStore reader(inst, FaultCtx{}, /*fresh=*/false);
+  const auto loaded = reader.load_latest();
+  ASSERT_TRUE(loaded.snapshot.has_value());
+  EXPECT_EQ(loaded.snapshot->checkpoint_seq, 1u);  // the store skips it
+  EXPECT_FALSE(check_fleet_dir(dir.path, /*dump=*/false));
 }
 
 }  // namespace

@@ -234,6 +234,42 @@ u64 newest_snapshot_bytes(const std::string& dir) {
   return newest_snapshot(dir).size();
 }
 
+// Under deterministic timing a snapshot is a pure function of the seed and
+// the exec stream: two runs of one configuration write byte-identical
+// newest snapshots. The wall-clock counters (seed_seconds, and the traced
+// re-execution time the flat dual-mode run accumulates) are written as 0;
+// the live results keep their measured values.
+TEST(CampaignResumeTest, DeterministicTimingSnapshotsAreByteIdentical) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+  for (MapScheme scheme : {MapScheme::kTwoLevel, MapScheme::kFlat}) {
+    SCOPED_TRACE(scheme == MapScheme::kFlat ? "flat" : "two-level");
+    std::vector<u8> bytes[2];
+    CampaignResult results[2];
+    for (int run = 0; run < 2; ++run) {
+      TempDir dir(run == 0 ? "determ_a" : "determ_b");
+      persist::CheckpointStore store(dir.path, persist::FaultCtx{}, true);
+      CampaignConfig c = make_config();
+      c.scheme = scheme;
+      c.checkpoint = &store;
+      c.checkpoint_interval = 1024;
+      results[run] = run_campaign(target.program, seeds, c);
+      bytes[run] = newest_snapshot(dir.path);
+    }
+    ASSERT_FALSE(bytes[0].empty());
+    EXPECT_TRUE(bytes[0] == bytes[1]);
+    EXPECT_GT(results[0].seed_seconds, 0.0);
+    if (scheme == MapScheme::kFlat) {
+      EXPECT_GT(results[0].tracing_reexec_ns, 0u);
+    }
+    const persist::DecodeResult d = persist::decode_snapshot(bytes[0]);
+    ASSERT_TRUE(d.snapshot.has_value());
+    EXPECT_EQ(d.snapshot->seed_seconds, 0.0);
+    EXPECT_EQ(d.snapshot->tracing_reexec_ns, 0u);
+    EXPECT_EQ(d.snapshot->execs, results[0].execs);
+  }
+}
+
 // Checkpoints follow coverage, not map size: the same two-level campaign
 // in a 64 kB and in an 8 MB map writes snapshots within a few KB of each
 // other (a whole-map encoding would be ~1.2 MB against ~160 MB).
