@@ -490,7 +490,7 @@ void run_star_section() {
     netfleet::LinkStats net;
     corpus::OracleStats oc;
     for (const netfleet::NodeReport& n : r.nodes) {
-      net = netfleet::sum_link_stats(net, n.failover.net);
+      net += n.failover.net;
       oc += n.failover.oracle;
     }
     const u64 suppressed = net.novelty_filtered + oc.rejected;

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Fails if an event is counted twice: outside src/telemetry no code may
+# hold a telemetry::Counter* (subsystems count in their stats structs, and
+# the fleet driver publishes those into the registry), and src/util may
+# not include a telemetry/ header (util sits below telemetry).
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+status=0
+hits=$(grep -rnE 'telemetry::Counter[[:space:]]*\*' src |
+       grep -v '^src/telemetry/' || true)
+if [[ -n "$hits" ]]; then
+  echo "telemetry::Counter* outside src/telemetry:" >&2
+  echo "$hits" >&2
+  status=1
+fi
+hits=$(grep -rnE '#include[[:space:]]*"telemetry/' src/util || true)
+if [[ -n "$hits" ]]; then
+  echo "src/util includes a telemetry/ header:" >&2
+  echo "$hits" >&2
+  status=1
+fi
+if [[ $status -ne 0 ]]; then
+  exit 1
+fi
+echo "stats lint: ok"

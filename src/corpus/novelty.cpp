@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/flat_map.h"
-#include "core/two_level_map.h"
 #include "fuzzer/executor.h"
 #include "persist/record.h"
 #include "util/hash.h"
@@ -179,34 +177,15 @@ class OracleImpl final : public NoveltyOracle {
   u64 export_seq_ = 0;
 };
 
-template <class Metric>
-std::unique_ptr<NoveltyOracle> make_for_scheme(const Program& prog,
-                                               const OracleConfig& cfg) {
-  if (cfg.scheme == MapScheme::kFlat) {
-    return std::make_unique<OracleImpl<FlatCoverageMap, Metric>>(prog, cfg);
-  }
-  return std::make_unique<OracleImpl<TwoLevelCoverageMap, Metric>>(prog, cfg);
-}
-
 }  // namespace
 
 std::unique_ptr<NoveltyOracle> make_novelty_oracle(const Program& program,
                                                    const OracleConfig& cfg) {
-  switch (cfg.metric) {
-    case MetricKind::kEdge:
-      return make_for_scheme<EdgeMetric>(program, cfg);
-    case MetricKind::kNGram:
-      return make_for_scheme<NGramMetric<3>>(program, cfg);
-    case MetricKind::kNGram2:
-      return make_for_scheme<NGramMetric<2>>(program, cfg);
-    case MetricKind::kNGram4:
-      return make_for_scheme<NGramMetric<4>>(program, cfg);
-    case MetricKind::kNGram8:
-      return make_for_scheme<NGramMetric<8>>(program, cfg);
-    case MetricKind::kContext:
-      return make_for_scheme<ContextMetric>(program, cfg);
-  }
-  return make_for_scheme<EdgeMetric>(program, cfg);
+  return dispatch_map_metric(
+      cfg.scheme, cfg.metric,
+      [&]<class Map, class Metric>() -> std::unique_ptr<NoveltyOracle> {
+        return std::make_unique<OracleImpl<Map, Metric>>(program, cfg);
+      });
 }
 
 }  // namespace bigmap::corpus

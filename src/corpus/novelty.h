@@ -30,8 +30,10 @@
 // and order-insensitive, so replayed or re-sent deltas are harmless.
 #pragma once
 
+#include <concepts>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/map_options.h"
@@ -62,17 +64,27 @@ struct OracleStats {
   u64 deltas_applied = 0;
   u64 cells_applied = 0;
 
-  OracleStats& operator+=(const OracleStats& o) noexcept {
-    checked += o.checked;
-    accepted += o.accepted;
-    rejected += o.rejected;
-    deltas_exported += o.deltas_exported;
-    cells_exported += o.cells_exported;
-    deltas_applied += o.deltas_applied;
-    cells_applied += o.cells_applied;
-    return *this;
-  }
+  OracleStats& operator+=(const OracleStats& o) noexcept;
 };
+
+// OracleStats' one field list: calls f(name, s.member...) for every
+// counter of one or more stats walked in lockstep.
+template <class F, class... S>
+  requires(std::same_as<std::remove_const_t<S>, OracleStats> && ...)
+void for_each_field(F&& f, S&... s) {
+  f("checked", s.checked...);
+  f("accepted", s.accepted...);
+  f("rejected", s.rejected...);
+  f("deltas_exported", s.deltas_exported...);
+  f("cells_exported", s.cells_exported...);
+  f("deltas_applied", s.deltas_applied...);
+  f("cells_applied", s.cells_applied...);
+}
+
+inline OracleStats& OracleStats::operator+=(const OracleStats& o) noexcept {
+  for_each_field([](const char*, u64& a, u64 b) { a += b; }, *this, o);
+  return *this;
+}
 
 // One changed virgin cell, keyed by the ORIGINAL map position.
 struct VirginDeltaCell {

@@ -20,10 +20,6 @@ using persist::RecordType;
 constexpr u8 kCrashEvent = 0;
 constexpr u8 kCrashRow = 1;
 
-void bump(telemetry::Counter* c, u64 n = 1) {
-  if (c != nullptr) c->add(n);
-}
-
 // AFL-style favor factor: cheaper-to-run and smaller entries win positions.
 u64 fav_factor(const CorpusEntry& e) noexcept {
   const u64 ns = e.exec_ns == 0 ? 1 : e.exec_ns;
@@ -62,16 +58,6 @@ CorpusStore::CorpusStore(std::string dir, persist::FaultCtx fault)
 
 std::string CorpusStore::wal_path() const { return wal_.path(); }
 std::string CorpusStore::pack_path() const { return dir_ + "/corpus.pack"; }
-
-void CorpusStore::set_registry(telemetry::MetricRegistry* reg) {
-  if (reg == nullptr) return;
-  c_wal_appends_ = &reg->counter("corpus.wal_appends");
-  c_wal_bytes_ = &reg->counter("corpus.wal_bytes");
-  c_dedup_hits_ = &reg->counter("corpus.dedup_hits");
-  c_trims_ = &reg->counter("corpus.trims");
-  c_compactions_ = &reg->counter("corpus.compactions");
-  c_crash_rows_ = &reg->counter("corpus.crash_rows");
-}
 
 void CorpusStore::set_compact_hook(CompactHook hook) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -302,8 +288,6 @@ bool CorpusStore::append_wal_locked(RecordType type, Fill&& fill,
   }
   ++stats_.wal_appends;
   stats_.wal_bytes += bytes;
-  bump(c_wal_appends_);
-  bump(c_wal_bytes_, bytes);
   return true;
 }
 
@@ -354,7 +338,6 @@ bool CorpusStore::add_entry(std::span<const u8> data, u64 exec_ns,
   auto it = entries_.find(hash);
   if (it != entries_.end()) {
     ++stats_.dedup_hits;
-    bump(c_dedup_hits_);
     // Min-merge duplicate observations (see entry_meta_less): the winning
     // metadata is WAL-journaled so replay converges to the same row.
     if (entry_meta_less(e, it->second)) {
@@ -384,10 +367,7 @@ bool CorpusStore::record_crash(u64 stack_hash, u32 bug_id, u32 instance,
   CrashRow& row = crashes_[stack_hash];
   const bool new_row = row.sightings.empty() && !row.has_witness;
   row.stack_hash = stack_hash;
-  if (new_row) {
-    row.bug_id = bug_id;
-    bump(c_crash_rows_);
-  }
+  if (new_row) row.bug_id = bug_id;
   CrashSighting& s = row.sightings[instance];
   const bool first_for_instance = s.count == 0;
   if (!first_for_instance && exec_seq <= s.last_exec) {
@@ -522,7 +502,6 @@ TrimReport CorpusStore::trim(const std::unordered_set<u64>& pinned) {
     entries_.erase(hash);
     ++rep.dropped;
     ++stats_.entries_trimmed;
-    bump(c_trims_);
   }
   return rep;
 }
@@ -592,7 +571,6 @@ bool CorpusStore::compact(std::string* err) {
   }
   ++generation_;
   ++stats_.compactions;
-  bump(c_compactions_);
   pending_entries_.clear();
   pending_crashes_.clear();
   return true;

@@ -51,7 +51,6 @@
 #include "persist/io.h"
 #include "persist/journal.h"
 #include "persist/record.h"
-#include "telemetry/registry.h"
 #include "util/types.h"
 
 namespace bigmap::corpus {
@@ -158,9 +157,6 @@ class CorpusStore {
   // pack (packs are committed atomically, so damage means real corruption,
   // not a crash mid-write).
   OpenReport open(bool fresh);
-
-  // Mirrors store activity into `corpus.*` counters. Call before open().
-  void set_registry(telemetry::MetricRegistry* reg);
 
   // Adds one input. Returns true when the entry is new (false = dedup
   // hit). `durable_out` (optional) reports whether the WAL append reached
@@ -272,13 +268,6 @@ class CorpusStore {
   bool opened_ = false;
   CorpusStats stats_{};
   CompactHook compact_hook_;
-
-  telemetry::Counter* c_wal_appends_ = nullptr;
-  telemetry::Counter* c_wal_bytes_ = nullptr;
-  telemetry::Counter* c_dedup_hits_ = nullptr;
-  telemetry::Counter* c_trims_ = nullptr;
-  telemetry::Counter* c_compactions_ = nullptr;
-  telemetry::Counter* c_crash_rows_ = nullptr;
 };
 
 }  // namespace bigmap::corpus

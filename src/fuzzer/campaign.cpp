@@ -921,16 +921,6 @@ class Campaign {
   std::vector<u64> entry_hash_;
 };
 
-template <class Metric>
-CampaignResult dispatch_scheme(const Program& prog,
-                               const std::vector<Input>& seeds,
-                               const CampaignConfig& cfg) {
-  if (cfg.scheme == MapScheme::kFlat) {
-    return Campaign<FlatCoverageMap, Metric>(prog, seeds, cfg).run();
-  }
-  return Campaign<TwoLevelCoverageMap, Metric>(prog, seeds, cfg).run();
-}
-
 }  // namespace
 
 CampaignResult run_campaign(const Program& program,
@@ -945,21 +935,10 @@ CampaignResult run_campaign(const Program& program,
         " out of range for SyncHub with " +
         std::to_string(config.sync->num_instances()) + " instances");
   }
-  switch (config.metric) {
-    case MetricKind::kEdge:
-      return dispatch_scheme<EdgeMetric>(program, seeds, config);
-    case MetricKind::kNGram:
-      return dispatch_scheme<NGramMetric<3>>(program, seeds, config);
-    case MetricKind::kNGram2:
-      return dispatch_scheme<NGramMetric<2>>(program, seeds, config);
-    case MetricKind::kNGram4:
-      return dispatch_scheme<NGramMetric<4>>(program, seeds, config);
-    case MetricKind::kNGram8:
-      return dispatch_scheme<NGramMetric<8>>(program, seeds, config);
-    case MetricKind::kContext:
-      return dispatch_scheme<ContextMetric>(program, seeds, config);
-  }
-  throw std::invalid_argument("unknown metric kind");
+  return dispatch_map_metric(
+      config.scheme, config.metric, [&]<class Map, class Metric>() {
+        return Campaign<Map, Metric>(program, seeds, config).run();
+      });
 }
 
 u64 measure_corpus_edges(const Program& program,

@@ -62,7 +62,6 @@
 using namespace bigmap;
 using netfleet::FailoverStats;
 using netfleet::FederationPlan;
-using netfleet::LinkStats;
 using netfleet::NodeReport;
 
 namespace {
@@ -749,27 +748,15 @@ void print(const Outcome& o) {
     std::printf("  %s:%s\n", key.c_str(), value.c_str());
   }
   for (usize i = 0; i < o.nodes.size(); ++i) {
-    const NodeReport& r = o.nodes[i];
-    const LinkStats& n = r.failover.net;
-    const FailoverStats& f = r.failover;
     std::printf("  [rank-%zu]", i);
-    for (const auto& [key, value] : std::initializer_list<
-             std::pair<const char*, u64>>{
-             {"sent", n.records_sent}, {"recv", n.records_received},
-             {"reconnects", n.reconnects}, {"drops", n.injected_drops},
-             {"delays", n.injected_delays},
-             {"short_writes", n.injected_short_writes},
-             {"resets", n.injected_resets},
-             {"partitions", n.injected_partitions},
-             {"partition_ms", n.partition_ms_total},
-             {"oracle_checked", f.oracle.checked},
-             {"oracle_rejected", f.oracle.rejected}, {"epoch", f.epoch},
-             {"role", f.role}, {"elections", f.elections},
-             {"promotions", f.promotions}, {"rejoins", f.rejoins},
-             {"fenced", f.fenced}, {"deltas_applied", f.deltas_applied},
-             {"stale_hellos", n.stale_hellos_dropped}}) {
-      std::printf(" %s=%llu", key, static_cast<unsigned long long>(value));
-    }
+    for_each_prefixed_field(
+        o.nodes[i].failover, {"fo_", "net_", "oracle_"},
+        [](const std::string& key, u64 value) {
+          if (value != 0) {
+            std::printf(" %s=%llu", key.c_str(),
+                        static_cast<unsigned long long>(value));
+          }
+        });
     std::printf("\n");
   }
 }

@@ -23,7 +23,9 @@
 #include <vector>
 
 #include "core/classify.h"
+#include "core/flat_map.h"
 #include "core/map_options.h"
+#include "core/two_level_map.h"
 #include "core/virgin.h"
 #include "instrumentation/metrics.h"
 #include "target/interpreter.h"
@@ -33,6 +35,22 @@
 #include "util/types.h"
 
 namespace bigmap {
+
+// Calls f.template operator()<Map, Metric>() with the coverage map class
+// `scheme` names and the metric class `metric` names: the one scheme x
+// metric switch in front of every Executor instantiation (run_campaign,
+// make_novelty_oracle). Throws std::invalid_argument for a metric value
+// outside MetricKind.
+template <class F>
+decltype(auto) dispatch_map_metric(MapScheme scheme, MetricKind metric,
+                                   F&& f) {
+  return dispatch_metric(metric, [&]<class Metric>() -> decltype(auto) {
+    if (scheme == MapScheme::kFlat) {
+      return f.template operator()<FlatCoverageMap, Metric>();
+    }
+    return f.template operator()<TwoLevelCoverageMap, Metric>();
+  });
+}
 
 // Metric concept detection: ContextMetric wants call/return notifications.
 template <class M>

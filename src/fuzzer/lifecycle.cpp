@@ -90,7 +90,7 @@ void Lifecycle::tick(u64 now,
   if (env_.telemetry != nullptr && policy_.fleet_stamp_ms > 0 &&
       now >= next_stamp_ns_) {
     next_stamp_ns_ = now + policy_.fleet_stamp_ms * kMsNs;
-    env_.telemetry->stamp_fleet();
+    stamp();
   }
   if (policy_.max_wall_seconds <= 0.0 || wall_stop_issued_ ||
       static_cast<double>(now - start_ns_) * 1e-9 <=
@@ -263,9 +263,22 @@ void Lifecycle::tally(FleetResult* out, u64 now) {
     out->persist = env_.store->stats();
     out->resumed = env_.store->resumed();
   }
-  if (env_.telemetry != nullptr) {
-    out->fleet_total = env_.telemetry->stamp_fleet();
+  if (env_.telemetry != nullptr) out->fleet_total = stamp();
+}
+
+telemetry::StatsSnapshot Lifecycle::stamp() {
+  telemetry::MetricRegistry& reg = env_.telemetry->registry();
+  if (env_.fault != nullptr) {
+    const FaultStats fs = env_.fault->stats();
+    for (usize si = 0; si < kNumFaultSites; ++si) {
+      const std::string site =
+          std::string("fault.") + fault_site_name(static_cast<FaultSite>(si));
+      reg.gauge(site + ".checked").set(fs.checked[si]);
+      reg.gauge(site + ".injected").set(fs.injected[si]);
+    }
   }
+  if (env_.publish) env_.publish(reg);
+  return env_.telemetry->stamp_fleet();
 }
 
 }  // namespace bigmap

@@ -16,7 +16,8 @@
 //    persist::InstanceEvent, written on each transition and replayed on
 //    resume, plus the kSelfKill bookkeeping (unfinished count, optional
 //    commit point after each append);
-//  - the find union, the totals and the fleet telemetry stamps.
+//  - the find union, the totals and the fleet telemetry stamps; each
+//    stamp publishes the run's stats structs into the registry first.
 //
 // Every decision takes `now` (monotonic ns) as an argument, so the policy
 // runs under a fake clock in tests. Only run() reads the real clock and
@@ -122,6 +123,9 @@ class Lifecycle {
     // Adds the driver's own counters to a journal event.
     std::function<void(u32 id, persist::InstanceEvent& ev)> fill_event;
     telemetry::FleetTelemetry* telemetry = nullptr;
+    // Writes the driver's own stats structs into the registry at each
+    // fleet stamp.
+    std::function<void(telemetry::MetricRegistry& reg)> publish;
     // Kept told the unfinished count for the kSelfKill marker line.
     FaultInjector* fault = nullptr;
     // kSelfKill commit point on this fault key after every journal append.
@@ -158,8 +162,9 @@ class Lifecycle {
   // pumps, then sleeps poll_ms. The first tick launches before any sleep.
   void run(const Mechanism& m);
 
-  // Stamps fleet telemetry when due. Once past max_wall_seconds, fails
-  // every pending instance and calls stop() for every running one.
+  // Stamps fleet telemetry when due (see stamp()). Once past
+  // max_wall_seconds, fails every pending instance and calls stop() for
+  // every running one.
   void tick(u64 now, const std::function<void(u32 id, u64 now)>& stop);
   bool due(u32 id, u64 now) const;
   // Counts a new attempt and arms its stall clock.
@@ -192,6 +197,10 @@ class Lifecycle {
 
  private:
   void report_unfinished();
+  // Writes the fault injector's FaultStats (fault.<site>.checked/.injected)
+  // and, through env_.publish, the driver's structs into the registry as
+  // gauges, then appends one fleet snapshot. Requires env_.telemetry.
+  telemetry::StatsSnapshot stamp();
 
   RestartPolicy policy_;
   u64 start_ns_;

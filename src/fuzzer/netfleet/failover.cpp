@@ -15,26 +15,13 @@ constexpr u64 kMsNs = 1'000'000ull;
 
 FailoverMesh::FailoverMesh(SyncEndpoint* inner, u32 gateway_instance,
                            FederationConfig cfg, OracleFactory factory,
-                           FaultInjector* fault,
-                           telemetry::MetricRegistry* reg)
+                           FaultInjector* fault)
     : Gateway(inner, gateway_instance),
       cfg_(std::move(cfg)),
       factory_(std::move(factory)),
       fault_(fault),
-      reg_(reg),
       epoch_(std::max<u64>(cfg_.initial_epoch, 1)),
       leader_(cfg_.initial_leader) {
-  if (reg_ != nullptr) {
-    c_elections_ = &reg_->counter("failover.elections");
-    c_promotions_ = &reg_->counter("failover.promotions");
-    c_rehomes_ = &reg_->counter("failover.rehomes");
-    c_rejoins_ = &reg_->counter("failover.rejoins");
-    c_fenced_ = &reg_->counter("failover.fenced");
-    c_deltas_shipped_ = &reg_->counter("failover.deltas_shipped");
-    c_deltas_applied_ = &reg_->counter("failover.deltas_applied");
-    c_dup_suppressed_ = &reg_->counter("failover.dup_suppressed");
-    c_handoff_ = &reg_->counter("failover.handoff_reoffered");
-  }
   my_oracle_ = make_model();
   load_wal();
 }
@@ -101,7 +88,6 @@ void FailoverMesh::capture_handoff(Peer& p) {
     // re-home supersedes every lost incremental.
     if (rec.kind == OutRecord::kEntry) {
       fstats_.handoff_reoffered++;
-      bump(c_handoff_);
       pending_broadcast_.push_back(std::move(rec.data));
     }
   }
@@ -111,14 +97,12 @@ void FailoverMesh::promote(u64 now_ns, bool resumed) {
   role_ = Role::kLeader;
   leader_ = cfg_.rank;
   fstats_.promotions++;
-  bump(c_promotions_);
   for (u32 r = 0; r < cfg_.num_nodes; ++r) {
     if (r == cfg_.rank) continue;
     Peer p;
     p.rank = r;
     p.link = std::make_unique<PeerLink>(
-        federation_link(cfg_, /*listener=*/true, r, epoch_), fault_, gateway_,
-        reg_);
+        federation_link(cfg_, /*listener=*/true, r, epoch_), fault_, gateway_);
     p.oracle = make_model();
     peers_.push_back(std::move(p));
   }
@@ -131,16 +115,12 @@ void FailoverMesh::rehome(u32 new_leader, u64 now_ns, bool rejoin) {
   role_ = Role::kFollower;
   leader_ = new_leader;
   fstats_.rehomes++;
-  bump(c_rehomes_);
-  if (rejoin) {
-    fstats_.rejoins++;
-    bump(c_rejoins_);
-  }
+  if (rejoin) fstats_.rejoins++;
   Peer p;
   p.rank = new_leader;
   p.link = std::make_unique<PeerLink>(
       federation_link(cfg_, /*listener=*/false, new_leader, epoch_), fault_,
-      gateway_, reg_);
+      gateway_);
   peers_.push_back(std::move(p));
   last_leader_seen_ns_ = now_ns;
   last_delta_ns_ = now_ns;
@@ -158,7 +138,7 @@ void FailoverMesh::rehome(u32 new_leader, u64 now_ns, bool rejoin) {
 
 void FailoverMesh::retire_links() {
   for (Peer& p : peers_) {
-    net_carried_ = sum_link_stats(net_carried_, p.link->stats());
+    net_carried_ += p.link->stats();
     if (p.oracle != nullptr) oracle_carried_ += p.oracle->stats();
   }
   peers_.clear();
@@ -171,7 +151,6 @@ void FailoverMesh::retire_links() {
 // fires one timeout later, walking the ring to the lowest live rank.
 void FailoverMesh::elect(u64 now_ns) {
   fstats_.elections++;
-  bump(c_elections_);
   for (Peer& p : peers_) capture_handoff(p);
   retire_links();
   const u32 successor = (leader_ + 1) % cfg_.num_nodes;
@@ -186,7 +165,6 @@ void FailoverMesh::elect(u64 now_ns) {
 void FailoverMesh::fence(u64 now_ns) {
   role_ = Role::kFenced;
   fstats_.fenced = 1;
-  bump(c_fenced_);
   retire_links();
   journal_epoch(static_cast<u8>(persist::EpochReason::kFenced));
   (void)now_ns;
@@ -237,8 +215,7 @@ void FailoverMesh::start_probe(u64 now_ns) {
     Peer p;
     p.rank = r;
     p.link = std::make_unique<PeerLink>(
-        federation_link(cfg_, /*listener=*/false, r, epoch_), fault_, gateway_,
-        reg_);
+        federation_link(cfg_, /*listener=*/false, r, epoch_), fault_, gateway_);
     peers_.push_back(std::move(p));
   }
 }
@@ -248,7 +225,6 @@ void FailoverMesh::start_probe(u64 now_ns) {
 void FailoverMesh::publish_once(Input in) {
   if (!seen_hashes_.insert(fnv1a64(in)).second) {
     fstats_.dup_suppressed++;
-    bump(c_dup_suppressed_);
     return;
   }
   inner_->publish(gateway_, std::move(in));
@@ -269,10 +245,7 @@ void FailoverMesh::ship_deltas(Peer& p, bool full) {
     d.epoch = epoch_;
     Input blob = corpus::encode_oracle_delta(d);
     journal_delta(blob);
-    if (p.link->offer_delta(std::move(blob))) {
-      fstats_.deltas_shipped++;
-      bump(c_deltas_shipped_);
-    }
+    if (p.link->offer_delta(std::move(blob))) fstats_.deltas_shipped++;
   }
 }
 
@@ -303,7 +276,6 @@ void FailoverMesh::pump_leader(u64 now_ns) {
       if (!corpus::decode_oracle_delta(blob, &d)) continue;
       if (peers_[i].oracle != nullptr && peers_[i].oracle->apply_delta(d)) {
         fstats_.deltas_applied++;
-        bump(c_deltas_applied_);
         journal_delta(blob);
       }
     }
@@ -445,7 +417,7 @@ FailoverStats FailoverMesh::failover_stats() const {
   s.net = net_carried_;
   s.oracle = oracle_carried_;
   for (const Peer& p : peers_) {
-    s.net = sum_link_stats(s.net, p.link->stats());
+    s.net += p.link->stats();
     if (p.oracle != nullptr) s.oracle += p.oracle->stats();
   }
   if (my_oracle_ != nullptr) s.oracle += my_oracle_->stats();

@@ -49,6 +49,10 @@
 //   statecheck's post-drill audit. A torn tail is truncated on open; a
 //   foreign file leaves the node unjournaled.
 //
+//   Accounting.  Every event is counted once, in FailoverStats (mesh.h);
+//   links and models retired at an epoch boundary fold into carried
+//   totals first, so failover_stats() covers the node's whole life.
+//
 // Thread-safety: like MeshHub — endpoint calls pass through to the inner
 // hub; offer/take/pump/shutdown serialize behind one mutex.
 #pragma once
@@ -76,11 +80,10 @@ class FailoverMesh final : public Gateway {
   // `inner` as in Gateway (one extra instance, the gateway). `cfg` must
   // have failover on. `factory` builds one fresh remote model per peer
   // link (may be null / return null: content-hash filtering only, no
-  // delta sync). `fault` drives the kNet* chaos sites; `reg` receives
-  // failover.* counters.
+  // delta sync). `fault` drives the kNet* chaos sites.
   FailoverMesh(SyncEndpoint* inner, u32 gateway_instance,
                FederationConfig cfg, OracleFactory factory,
-               FaultInjector* fault, telemetry::MetricRegistry* reg);
+               FaultInjector* fault);
   ~FailoverMesh() override;
 
   // Drives links, elections, delta sync, and epoch reactions.
@@ -118,14 +121,10 @@ class FailoverMesh final : public Gateway {
   void pump_leader(u64 now_ns);
   void pump_follower(u64 now_ns);
   void pump_probe(u64 now_ns);
-  void bump(telemetry::Counter* c, u64 n = 1) {
-    if (c != nullptr) c->add(n);
-  }
 
   const FederationConfig cfg_;
   OracleFactory factory_;
   FaultInjector* fault_;
-  telemetry::MetricRegistry* reg_;
 
   Role role_ = Role::kFollower;
   u64 epoch_ = 1;
@@ -157,16 +156,6 @@ class FailoverMesh final : public Gateway {
 
   FailoverStats fstats_;
   mutable std::mutex mu_;
-
-  telemetry::Counter* c_elections_ = nullptr;
-  telemetry::Counter* c_promotions_ = nullptr;
-  telemetry::Counter* c_rehomes_ = nullptr;
-  telemetry::Counter* c_rejoins_ = nullptr;
-  telemetry::Counter* c_fenced_ = nullptr;
-  telemetry::Counter* c_deltas_shipped_ = nullptr;
-  telemetry::Counter* c_deltas_applied_ = nullptr;
-  telemetry::Counter* c_dup_suppressed_ = nullptr;
-  telemetry::Counter* c_handoff_ = nullptr;
 };
 
 }  // namespace bigmap::netfleet

@@ -19,62 +19,17 @@ namespace {
 
 constexpr u64 kMsNs = 1'000'000ull;
 
-// The report codec's one key table: calls f(key, field) for every scalar
-// field of a NodeReport, for encode (const) and decode alike. ok, error
-// and the two find lists are handled separately.
+// The report codec's key walk: calls f(key, field) for every scalar field
+// of a NodeReport, for encode (const) and decode alike — the gateway
+// accounting through the stats structs' own field tables. ok, error and
+// the two find lists are handled separately.
 template <class Report, class F>
-void for_each_field(Report& r, F&& f) {
+void for_each_report_field(Report& r, F&& f) {
   f("total_execs", r.total_execs);
   f("total_interesting", r.total_interesting);
   f("total_crashes", r.total_crashes);
   f("all_completed", r.all_completed);
-  f("net_bytes_sent", r.failover.net.bytes_sent);
-  f("net_bytes_received", r.failover.net.bytes_received);
-  f("net_records_sent", r.failover.net.records_sent);
-  f("net_records_received", r.failover.net.records_received);
-  f("net_deltas_sent", r.failover.net.deltas_sent);
-  f("net_deltas_received", r.failover.net.deltas_received);
-  f("net_entries_offered", r.failover.net.entries_offered);
-  f("net_novelty_filtered", r.failover.net.novelty_filtered);
-  f("net_duplicates_dropped", r.failover.net.duplicates_dropped);
-  f("net_out_of_order_dropped", r.failover.net.out_of_order_dropped);
-  f("net_rewinds", r.failover.net.rewinds);
-  f("net_connects", r.failover.net.connects);
-  f("net_reconnects", r.failover.net.reconnects);
-  f("net_heartbeat_timeouts", r.failover.net.heartbeat_timeouts);
-  f("net_conn_errors", r.failover.net.conn_errors);
-  f("net_hello_rejected", r.failover.net.hello_rejected);
-  f("net_injected_drops", r.failover.net.injected_drops);
-  f("net_injected_delays", r.failover.net.injected_delays);
-  f("net_injected_short_writes", r.failover.net.injected_short_writes);
-  f("net_injected_resets", r.failover.net.injected_resets);
-  f("net_injected_partitions", r.failover.net.injected_partitions);
-  f("net_partition_ms", r.failover.net.partition_ms_total);
-  f("net_log_evicted", r.failover.net.log_evicted);
-  f("net_lost_to_eviction", r.failover.net.lost_to_eviction);
-  f("net_resyncs_sent", r.failover.net.resyncs_sent);
-  f("net_resync_skipped", r.failover.net.resync_skipped);
-  f("net_stale_hellos_dropped", r.failover.net.stale_hellos_dropped);
-  f("net_epoch_ahead_seen", r.failover.net.epoch_ahead_seen);
-  f("oracle_checked", r.failover.oracle.checked);
-  f("oracle_accepted", r.failover.oracle.accepted);
-  f("oracle_rejected", r.failover.oracle.rejected);
-  f("oracle_deltas_exported", r.failover.oracle.deltas_exported);
-  f("oracle_cells_exported", r.failover.oracle.cells_exported);
-  f("oracle_deltas_applied", r.failover.oracle.deltas_applied);
-  f("oracle_cells_applied", r.failover.oracle.cells_applied);
-  f("fo_epoch", r.failover.epoch);
-  f("fo_role", r.failover.role);
-  f("fo_leader", r.failover.leader_rank);
-  f("fo_elections", r.failover.elections);
-  f("fo_promotions", r.failover.promotions);
-  f("fo_rehomes", r.failover.rehomes);
-  f("fo_rejoins", r.failover.rejoins);
-  f("fo_fenced", r.failover.fenced);
-  f("fo_handoff_reoffered", r.failover.handoff_reoffered);
-  f("fo_dup_suppressed", r.failover.dup_suppressed);
-  f("fo_deltas_shipped", r.failover.deltas_shipped);
-  f("fo_deltas_applied", r.failover.deltas_applied);
+  for_each_prefixed_field(r.failover, {"fo_", "net_", "oracle_"}, f);
 }
 
 // One forked coordinator: runs the fleet, reports over `pipe_wr`, never
@@ -120,9 +75,10 @@ std::string encode_node_report(const procfleet::ProcFleetResult& r, bool ok,
   os << "\nstack_hashes";
   for (u64 h : r.found_stack_hashes) os << ' ' << h;
   os << "\n";
-  for_each_field(std::as_const(n), [&](const char* key, const auto& v) {
-    os << key << ' ' << v << "\n";
-  });
+  for_each_report_field(std::as_const(n),
+                        [&](const std::string& key, const auto& v) {
+                          os << key << ' ' << v << "\n";
+                        });
   return os.str();
 }
 
@@ -148,7 +104,7 @@ bool decode_node_report(const std::string& text, NodeReport* out) {
       u64 v;
       while (ls >> v) r.stack_hashes.push_back(v);
     } else {
-      for_each_field(r, [&](const char* k, auto& v) {
+      for_each_report_field(r, [&](const std::string& k, auto& v) {
         if (key == k) ls >> v;
       });
     }

@@ -17,25 +17,8 @@ constexpr usize kRecvChunk = 16u * 1024;
 }  // namespace
 
 PeerLink::PeerLink(const NetPeerConfig& config, FaultInjector* fault,
-                   u32 fault_instance, telemetry::MetricRegistry* reg)
+                   u32 fault_instance)
     : cfg_(config), fault_(fault), fault_instance_(fault_instance) {
-  if (reg != nullptr) {
-    c_bytes_sent_ = &reg->counter("netfleet.bytes_sent");
-    c_bytes_received_ = &reg->counter("netfleet.bytes_received");
-    c_records_sent_ = &reg->counter("netfleet.records_sent");
-    c_records_received_ = &reg->counter("netfleet.records_received");
-    c_novelty_filtered_ = &reg->counter("netfleet.novelty_filtered");
-    c_duplicates_ = &reg->counter("netfleet.duplicates_dropped");
-    c_reconnects_ = &reg->counter("netfleet.reconnects");
-    c_timeouts_ = &reg->counter("netfleet.heartbeat_timeouts");
-    c_conn_errors_ = &reg->counter("netfleet.conn_errors");
-    c_rewinds_ = &reg->counter("netfleet.rewinds");
-    c_partition_ms_ = &reg->counter("netfleet.partition_ms");
-    c_deltas_sent_ = &reg->counter("netfleet.deltas_sent");
-    c_deltas_received_ = &reg->counter("netfleet.deltas_received");
-    c_resyncs_ = &reg->counter("netfleet.resyncs_sent");
-    c_stale_hellos_ = &reg->counter("netfleet.stale_hellos_dropped");
-  }
   if (cfg_.listener) {
     if (cfg_.listen_fd >= 0) {
       listen_fd_ = cfg_.listen_fd;
@@ -86,7 +69,6 @@ bool PeerLink::offer(Input input) {
   const u64 h = fnv1a64(input);
   if (!remote_known_.insert(h).second) {
     stats_.novelty_filtered++;
-    bump(c_novelty_filtered_);
     return false;
   }
   push_record({OutRecord::kEntry, std::move(input)});
@@ -138,7 +120,6 @@ void PeerLink::establish(int fd, u64 now_ns) {
   stats_.connects++;
   if (stats_.connects > 1) {
     stats_.reconnects++;
-    bump(c_reconnects_);
   }
   reconnect_attempts_ = 0;
   last_rx_ns_ = now_ns;
@@ -173,7 +154,6 @@ void PeerLink::drop_connection(u64 now_ns, const char* why,
   decoder_.reset();
   if (count_error) {
     stats_.conn_errors++;
-    bump(c_conn_errors_);
   }
   // Anything past the peer's last ack is in doubt; the hello on the next
   // session tells us precisely where to resume, but rewinding now keeps
@@ -192,7 +172,6 @@ void PeerLink::drop_connection(u64 now_ns, const char* why,
 void PeerLink::enter_partition(u64 now_ns) {
   stats_.injected_partitions++;
   stats_.partition_ms_total += cfg_.partition_ms;
-  bump(c_partition_ms_, cfg_.partition_ms);
   partitioned_until_ns_ = now_ns + static_cast<u64>(cfg_.partition_ms) * kMsNs;
   if (fd_ >= 0) {
     close_with_reset(fd_);
@@ -207,7 +186,6 @@ void PeerLink::enter_partition(u64 now_ns) {
 void PeerLink::announce_resync() {
   append_cursor(outbox_, NetMsg::kResync, log_base_);
   stats_.resyncs_sent++;
-  bump(c_resyncs_);
 }
 
 // Receiver-side in-order acceptance shared by kEntry and kDelta: true when
@@ -217,7 +195,6 @@ void PeerLink::announce_resync() {
 bool PeerLink::accept_in_order(u64 seq) {
   if (seq < recv_cursor_) {
     stats_.duplicates_dropped++;
-    bump(c_duplicates_);
     return false;
   }
   if (seq > recv_cursor_) {
@@ -226,7 +203,6 @@ bool PeerLink::accept_in_order(u64 seq) {
   }
   recv_cursor_++;
   stats_.records_received++;
-  bump(c_records_received_);
   return true;
 }
 
@@ -276,7 +252,6 @@ void PeerLink::handle_frame(const Frame& f, u64 now_ns) {
           // hello the session never exchanges records, and the heartbeat
           // timeout reaps it if the peer lingers.
           stats_.stale_hellos_dropped++;
-          bump(c_stale_hellos_);
           return;
         }
         if (h.epoch > cfg_.epoch) {
@@ -297,7 +272,6 @@ void PeerLink::handle_frame(const Frame& f, u64 now_ns) {
             const ssize_t r = sock_send(fd_, outbox_.data(), outbox_.size());
             if (r > 0) {
               stats_.bytes_sent += static_cast<u64>(r);
-              bump(c_bytes_sent_, static_cast<u64>(r));
             }
           }
           drop_connection(now_ns, "epoch ahead", /*count_error=*/false);
@@ -351,7 +325,6 @@ void PeerLink::handle_frame(const Frame& f, u64 now_ns) {
       }
       if (!accept_in_order(seq)) return;
       stats_.deltas_received++;
-      bump(c_deltas_received_);
       received_deltas_.push_back(std::move(data));
       break;
     }
@@ -389,7 +362,6 @@ void PeerLink::handle_frame(const Frame& f, u64 now_ns) {
         if (target < send_pos_) {
           send_pos_ = target;
           stats_.rewinds++;
-          bump(c_rewinds_);
         }
         have_hb_cursor_ = false;  // re-arm: need two fresh stalled beats
       } else {
@@ -437,12 +409,10 @@ void PeerLink::queue_entries(u64 now_ns) {
     if (rec.kind == OutRecord::kDelta) {
       append_delta(outbox_, seq, rec.data);
       stats_.deltas_sent++;
-      bump(c_deltas_sent_);
     } else {
       append_entry(outbox_, seq, rec.data);
     }
     stats_.records_sent++;
-    bump(c_records_sent_);
   }
   (void)now_ns;
 }
@@ -470,7 +440,6 @@ void PeerLink::flush(u64 now_ns) {
     sent += static_cast<usize>(r);
   }
   stats_.bytes_sent += sent;
-  bump(c_bytes_sent_, sent);
   outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<std::ptrdiff_t>(sent));
   if (short_write) {
     close_with_reset(fd_);
@@ -561,7 +530,6 @@ void PeerLink::pump(u64 now_ns) {
       return;
     }
     stats_.bytes_received += static_cast<u64>(r);
-    bump(c_bytes_received_, static_cast<u64>(r));
     last_rx_ns_ = now_ns;
     decoder_.feed({chunk, static_cast<usize>(r)});
     if (static_cast<usize>(r) < sizeof(chunk)) break;
@@ -581,7 +549,6 @@ void PeerLink::pump(u64 now_ns) {
   if (now_ns - last_rx_ns_ >
       static_cast<u64>(cfg_.peer_timeout_ms) * kMsNs) {
     stats_.heartbeat_timeouts++;
-    bump(c_timeouts_);
     drop_connection(now_ns, "peer timeout", /*count_error=*/false);
     return;
   }

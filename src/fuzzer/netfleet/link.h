@@ -44,20 +44,21 @@
 //    partition_ms. During the cut both sides keep fuzzing on local sync
 //    (offer() keeps logging), and the heal replays the backlog through the
 //    normal resume path — graceful degradation, then reconciliation;
-//  - telemetry: netfleet.* counters (bytes, records, novelty-filtered
-//    drops, reconnects, timeouts, partition milliseconds) mirrored into a
-//    MetricRegistry so fuzzer_stats / registry_stats / BenchReports see
-//    the network tier like every other subsystem.
+//  - accounting: every event is counted once, in LinkStats. Its field
+//    table (for_each_field) drives the per-gateway sum, the node-report
+//    pipe, the drill diagnostics and the netfleet.* registry gauges the
+//    fleet driver publishes at each fleet stamp (mesh.h).
 #pragma once
 
+#include <concepts>
 #include <deque>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
 #include "fuzzer/netfleet/wire.h"
 #include "fuzzer/queue.h"
-#include "telemetry/registry.h"
 #include "util/fault.h"
 #include "util/types.h"
 
@@ -117,6 +118,7 @@ struct NetPeerConfig {
 };
 
 struct LinkStats {
+  // Counters, listed in for_each_field below and summed by +=.
   u64 bytes_sent = 0;
   u64 bytes_received = 0;
   u64 records_sent = 0;      // entry+delta frames queued to the wire
@@ -145,6 +147,8 @@ struct LinkStats {
   u64 resync_skipped = 0;    // sequences we fast-forwarded over as receiver
   u64 stale_hellos_dropped = 0;  // hellos fenced out for an older epoch
   u64 epoch_ahead_seen = 0;  // hellos observed from a NEWER epoch
+  // Per-link session state: meaningful on PeerLink::stats() only, never
+  // summed (a sum of cursors across links means nothing).
   u64 send_next = 0;         // next sequence to be assigned by offer()
   u64 peer_acked = 0;        // peer's cumulative record cursor
   u64 recv_cursor = 0;       // records accepted from the peer
@@ -153,7 +157,51 @@ struct LinkStats {
   bool connected = false;
   bool partitioned = false;
   bool gave_up = false;      // reconnect retry budget exhausted
+
+  // Adds another link's counters; the session state stays as it is.
+  LinkStats& operator+=(const LinkStats& o) noexcept;
 };
+
+// LinkStats' one field list: calls f(name, s.member...) for every counter
+// of one or more stats (const or not) walked in lockstep, so one walk both
+// names fields and zips two structs together.
+template <class F, class... S>
+  requires(std::same_as<std::remove_const_t<S>, LinkStats> && ...)
+void for_each_field(F&& f, S&... s) {
+  f("bytes_sent", s.bytes_sent...);
+  f("bytes_received", s.bytes_received...);
+  f("records_sent", s.records_sent...);
+  f("records_received", s.records_received...);
+  f("deltas_sent", s.deltas_sent...);
+  f("deltas_received", s.deltas_received...);
+  f("entries_offered", s.entries_offered...);
+  f("novelty_filtered", s.novelty_filtered...);
+  f("duplicates_dropped", s.duplicates_dropped...);
+  f("out_of_order_dropped", s.out_of_order_dropped...);
+  f("rewinds", s.rewinds...);
+  f("connects", s.connects...);
+  f("reconnects", s.reconnects...);
+  f("heartbeat_timeouts", s.heartbeat_timeouts...);
+  f("conn_errors", s.conn_errors...);
+  f("hello_rejected", s.hello_rejected...);
+  f("injected_drops", s.injected_drops...);
+  f("injected_delays", s.injected_delays...);
+  f("injected_short_writes", s.injected_short_writes...);
+  f("injected_resets", s.injected_resets...);
+  f("injected_partitions", s.injected_partitions...);
+  f("partition_ms_total", s.partition_ms_total...);
+  f("log_evicted", s.log_evicted...);
+  f("lost_to_eviction", s.lost_to_eviction...);
+  f("resyncs_sent", s.resyncs_sent...);
+  f("resync_skipped", s.resync_skipped...);
+  f("stale_hellos_dropped", s.stale_hellos_dropped...);
+  f("epoch_ahead_seen", s.epoch_ahead_seen...);
+}
+
+inline LinkStats& LinkStats::operator+=(const LinkStats& o) noexcept {
+  for_each_field([](const char*, u64& a, u64 b) { a += b; }, *this, o);
+  return *this;
+}
 
 // One replay-log record: a corpus entry or an opaque oracle-delta blob.
 // Both kinds share the sequence space, so cursor/ack/rewind semantics are
@@ -167,9 +215,9 @@ struct OutRecord {
 class PeerLink {
  public:
   // `fault` (nullable) drives the kNet* chaos sites keyed by
-  // `fault_instance`; `reg` (nullable) receives netfleet.* counters.
+  // `fault_instance`.
   PeerLink(const NetPeerConfig& config, FaultInjector* fault,
-           u32 fault_instance, telemetry::MetricRegistry* reg);
+           u32 fault_instance);
   ~PeerLink();
   PeerLink(const PeerLink&) = delete;
   PeerLink& operator=(const PeerLink&) = delete;
@@ -230,9 +278,6 @@ class PeerLink {
   void push_record(OutRecord rec);
   void queue_entries(u64 now_ns);
   void flush(u64 now_ns);
-  void bump(telemetry::Counter* c, u64 n = 1) {
-    if (c != nullptr) c->add(n);
-  }
   bool fire(FaultSite site) {
     return fault_ != nullptr && fault_->fire(site, fault_instance_);
   }
@@ -282,23 +327,6 @@ class PeerLink {
   bool gave_up_ = false;
 
   LinkStats stats_;
-
-  // Registry mirrors (null without a registry).
-  telemetry::Counter* c_bytes_sent_ = nullptr;
-  telemetry::Counter* c_bytes_received_ = nullptr;
-  telemetry::Counter* c_records_sent_ = nullptr;
-  telemetry::Counter* c_records_received_ = nullptr;
-  telemetry::Counter* c_novelty_filtered_ = nullptr;
-  telemetry::Counter* c_duplicates_ = nullptr;
-  telemetry::Counter* c_reconnects_ = nullptr;
-  telemetry::Counter* c_timeouts_ = nullptr;
-  telemetry::Counter* c_conn_errors_ = nullptr;
-  telemetry::Counter* c_rewinds_ = nullptr;
-  telemetry::Counter* c_partition_ms_ = nullptr;
-  telemetry::Counter* c_deltas_sent_ = nullptr;
-  telemetry::Counter* c_deltas_received_ = nullptr;
-  telemetry::Counter* c_resyncs_ = nullptr;
-  telemetry::Counter* c_stale_hellos_ = nullptr;
 };
 
 }  // namespace bigmap::netfleet

@@ -1,49 +1,13 @@
 #include "fuzzer/netfleet/mesh.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace bigmap::netfleet {
 
-LinkStats sum_link_stats(const LinkStats& a, const LinkStats& b) {
-  LinkStats s = a;
-  s.bytes_sent += b.bytes_sent;
-  s.bytes_received += b.bytes_received;
-  s.records_sent += b.records_sent;
-  s.records_received += b.records_received;
-  s.deltas_sent += b.deltas_sent;
-  s.deltas_received += b.deltas_received;
-  s.entries_offered += b.entries_offered;
-  s.novelty_filtered += b.novelty_filtered;
-  s.duplicates_dropped += b.duplicates_dropped;
-  s.out_of_order_dropped += b.out_of_order_dropped;
-  s.rewinds += b.rewinds;
-  s.connects += b.connects;
-  s.reconnects += b.reconnects;
-  s.heartbeat_timeouts += b.heartbeat_timeouts;
-  s.conn_errors += b.conn_errors;
-  s.hello_rejected += b.hello_rejected;
-  s.injected_drops += b.injected_drops;
-  s.injected_delays += b.injected_delays;
-  s.injected_short_writes += b.injected_short_writes;
-  s.injected_resets += b.injected_resets;
-  s.injected_partitions += b.injected_partitions;
-  s.partition_ms_total += b.partition_ms_total;
-  s.log_evicted += b.log_evicted;
-  s.lost_to_eviction += b.lost_to_eviction;
-  s.resyncs_sent += b.resyncs_sent;
-  s.resync_skipped += b.resync_skipped;
-  s.stale_hellos_dropped += b.stale_hellos_dropped;
-  s.epoch_ahead_seen += b.epoch_ahead_seen;
-  s.send_next += b.send_next;
-  s.peer_acked += b.peer_acked;
-  s.recv_cursor += b.recv_cursor;
-  s.peer_epoch = std::max(a.peer_epoch, b.peer_epoch);
-  s.peer_rank = std::max(a.peer_rank, b.peer_rank);
-  s.connected = a.connected || b.connected;
-  s.partitioned = a.partitioned || b.partitioned;
-  s.gave_up = a.gave_up || b.gave_up;
-  return s;
+void publish(const FailoverStats& s, telemetry::MetricRegistry& reg) {
+  for_each_prefixed_field(
+      s, {"failover.", "netfleet.", "oracle."},
+      [&reg](const std::string& key, auto v) { reg.gauge(key).set(v); });
 }
 
 NetPeerConfig federation_link(const FederationConfig& cfg, bool listener,
@@ -126,7 +90,7 @@ FailoverStats MeshHub::failover_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   FailoverStats s;
   for (const Peer& p : peers_) {
-    s.net = sum_link_stats(s.net, p.link->stats());
+    s.net += p.link->stats();
     if (p.oracle != nullptr) s.oracle += p.oracle->stats();
   }
   return s;

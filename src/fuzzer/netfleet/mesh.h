@@ -42,15 +42,18 @@
 // endpoint calls pass straight through.
 #pragma once
 
+#include <concepts>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "corpus/novelty.h"
 #include "fuzzer/netfleet/link.h"
 #include "fuzzer/sync.h"
+#include "telemetry/registry.h"
 
 namespace bigmap::netfleet {
 
@@ -126,9 +129,51 @@ struct FailoverStats {
   corpus::OracleStats oracle;  // aggregate over this node's models
 };
 
-// Sums per-link accounting into one LinkStats (booleans OR-ed; the cursor
-// fields are summed too and only meaningful per-link).
-LinkStats sum_link_stats(const LinkStats& a, const LinkStats& b);
+// FailoverStats' one field list for its own scalars (net and oracle have
+// their own tables): calls f(name, s.member...) for each.
+template <class F, class... S>
+  requires(std::same_as<std::remove_const_t<S>, FailoverStats> && ...)
+void for_each_field(F&& f, S&... s) {
+  f("epoch", s.epoch...);
+  f("role", s.role...);
+  f("leader_rank", s.leader_rank...);
+  f("elections", s.elections...);
+  f("promotions", s.promotions...);
+  f("rehomes", s.rehomes...);
+  f("rejoins", s.rejoins...);
+  f("fenced", s.fenced...);
+  f("handoff_reoffered", s.handoff_reoffered...);
+  f("dup_suppressed", s.dup_suppressed...);
+  f("deltas_shipped", s.deltas_shipped...);
+  f("deltas_applied", s.deltas_applied...);
+}
+
+// Every field of a FailoverStats through the three tables, as
+// f(key, member) with key = prefix + field name: the own scalars under
+// `own`, the link counters under `net`, the oracle counters under
+// `oracle`.
+struct StatsPrefixes {
+  const char* own;
+  const char* net;
+  const char* oracle;
+};
+template <class S, class F>
+  requires std::same_as<std::remove_const_t<S>, FailoverStats>
+void for_each_prefixed_field(S& s, const StatsPrefixes& p, F&& f) {
+  const auto under = [&f](const char* prefix) {
+    return [&f, prefix](const char* name, auto& v) {
+      f(std::string(prefix) + name, v);
+    };
+  };
+  for_each_field(under(p.own), s);
+  for_each_field(under(p.net), s.net);
+  for_each_field(under(p.oracle), s.oracle);
+}
+
+// Writes `s` into `reg` as one gauge per table field: failover.<field>,
+// netfleet.<field> and oracle.<field>. The fleet driver calls it at each
+// fleet stamp, so the registry is a published view of the struct.
+void publish(const FailoverStats& s, telemetry::MetricRegistry& reg);
 
 // What the coordinator drives: a SyncEndpoint that forwards every
 // endpoint call to the wrapped inner hub, plus the pump/shutdown cycle.

@@ -101,7 +101,6 @@ ProcFleetResult run_process_fleet(const Program& program,
   if (config.fault_enabled) {
     coord_fault_storage.emplace(config.fault_seed, config.fault_plan);
     coord_fault = &*coord_fault_storage;
-    if (fleet != nullptr) coord_fault->set_registry(&fleet->registry());
   }
 
   persist::FleetFingerprint fp;
@@ -175,8 +174,6 @@ ProcFleetResult run_process_fleet(const Program& program,
     }
     fc.link.max_entry_size =
         std::min<usize>(fc.link.max_entry_size, config.sync_max_input_size);
-    telemetry::MetricRegistry* reg =
-        fleet != nullptr ? &fleet->registry() : nullptr;
     if (fc.failover) {
       if (fc.wal_path.empty()) {
         fc.wal_path = persist::federation_wal_path(config.persist_dir);
@@ -184,8 +181,7 @@ ProcFleetResult run_process_fleet(const Program& program,
       netfleet::FailoverMesh::OracleFactory factory;
       if (config.net_virgin_oracle) factory = make_oracle;
       gateway = std::make_unique<netfleet::FailoverMesh>(
-          &hub, gateway_id, std::move(fc), std::move(factory), coord_fault,
-          reg);
+          &hub, gateway_id, std::move(fc), std::move(factory), coord_fault);
     } else {
       // Static topology: the leader listens for every other rank, each
       // follower dials the leader. Epoch 0: nothing to fence.
@@ -195,7 +191,7 @@ ProcFleetResult run_process_fleet(const Program& program,
         if (r == fc.rank || (!leads && r != fc.initial_leader)) continue;
         auto link = std::make_unique<netfleet::PeerLink>(
             netfleet::federation_link(fc, leads, r, /*epoch=*/0), coord_fault,
-            gateway_id, reg);
+            gateway_id);
         if (!link->ok()) {
           throw std::runtime_error("run_process_fleet: " + link->error());
         }
@@ -228,6 +224,11 @@ ProcFleetResult run_process_fleet(const Program& program,
     ev.segment_max_execs = s.goal;
   };
   env.telemetry = fleet;
+  if (gateway) {
+    env.publish = [&](telemetry::MetricRegistry& reg) {
+      netfleet::publish(gateway->failover_stats(), reg);
+    };
+  }
   env.fault = coord_fault;
   // Progress-keyed kill point for the coordinator itself, on its own
   // fault key so no worker trigger can land here.

@@ -38,7 +38,9 @@
 //    into the FleetTelemetry registry as procfleet.* counters, and
 //    per-worker exec heartbeats feed the per-instance sinks, so
 //    fuzzer_stats / plot_data emitters see process fleets exactly like
-//    thread fleets.
+//    thread fleets. Each fleet stamp also publishes the coordinator's
+//    FaultStats (fault.*) and its gateway's FailoverStats (failover.*,
+//    netfleet.*, oracle.*) into the registry as gauges.
 #pragma once
 
 #include <string>

@@ -83,10 +83,6 @@ SupervisorResult run_supervised_campaign(const Program& program,
         std::to_string(fleet->num_instances()) + " sinks for " +
         std::to_string(config.num_instances) + " instances");
   }
-  if (fleet != nullptr && config.fault != nullptr) {
-    // Fault-injection runs become observable in the same scrape.
-    config.fault->set_registry(&fleet->registry());
-  }
 
   // Fleet persistence: open (or resume) the on-disk store before any
   // thread starts so a fingerprint mismatch fails fast.
@@ -129,11 +125,6 @@ SupervisorResult run_supervised_campaign(const Program& program,
     ev.alloc_failures = s.health.alloc_failures;
     ev.faulted_execs = s.health.faulted_execs;
     ev.injected_hangs = s.health.injected_hangs;
-    ev.base_execs = s.base_execs;
-    ev.base_interesting = s.base_interesting;
-    ev.base_crashes = s.base_crashes;
-    ev.base_faulted_execs = s.base_faulted_execs;
-    ev.base_injected_hangs = s.base_injected_hangs;
     ev.segment_max_execs = s.segment_max_execs;
   };
   env.telemetry = fleet;
@@ -173,21 +164,14 @@ SupervisorResult run_supervised_campaign(const Program& program,
       s.health.alloc_failures = ev->alloc_failures;
       s.health.faulted_execs = ev->faulted_execs;
       s.health.injected_hangs = ev->injected_hangs;
-      s.base_execs = ev->base_execs;
-      s.base_interesting = ev->base_interesting;
-      s.base_crashes = ev->base_crashes;
-      s.base_faulted_execs = ev->base_faulted_execs;
-      s.base_injected_hangs = ev->base_injected_hangs;
       s.segment_max_execs = ev->segment_max_execs != 0
                                 ? ev->segment_max_execs
                                 : config.base.max_execs;
       if (lc.replay(id, *ev, config.base.max_execs)) {
-        s.resume_next = s.prime_telemetry = true;
         // The campaign's telemetry_restore primes the sink with the
-        // restored segment's counters; the earlier cold segments are
-        // primed here so lifetime totals stay continuous.
-        prime_sink(id, s.base_execs, s.base_interesting, s.base_crashes,
-                   s.base_faulted_execs, s.base_injected_hangs);
+        // restored segment's counters. A journaled run only ever restarts
+        // warm, so there are no earlier cold segments to add.
+        s.resume_next = s.prime_telemetry = true;
         continue;
       }
       // Finished in the previous process: recover the triage identities

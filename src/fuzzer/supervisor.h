@@ -81,9 +81,9 @@ struct SupervisorConfig : RestartPolicy {
   // The supervisor hands instance(i) to campaign i — the sink survives
   // restarts, so per-instance counters are lifetime totals — bumps the
   // fleet's restart/stall/kill/alloc/backoff counters from the watchdog
-  // loop, mirrors the fault injector's per-site counters into
-  // telemetry->registry(), and stamps a fleet-level snapshot every
-  // fleet_stamp_ms plus once at the end.
+  // loop, and stamps a fleet-level snapshot every fleet_stamp_ms plus once
+  // at the end. Each stamp first publishes the fault injector's FaultStats
+  // into telemetry->registry() as fault.<site>.checked/.injected gauges.
   telemetry::FleetTelemetry* telemetry = nullptr;
 };
 

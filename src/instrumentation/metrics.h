@@ -18,6 +18,8 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/hash.h"
@@ -169,5 +171,28 @@ class ContextMetric {
   u32 ctx_ = 0;
   std::vector<u32> ctx_stack_;
 };
+
+// Calls f.template operator()<Metric>() with the metric class `m` names:
+// the one runtime-to-template metric switch. Throws std::invalid_argument
+// for a value outside MetricKind.
+template <class F>
+decltype(auto) dispatch_metric(MetricKind m, F&& f) {
+  switch (m) {
+    case MetricKind::kEdge:
+      return f.template operator()<EdgeMetric>();
+    case MetricKind::kNGram:
+      return f.template operator()<NGramMetric<3>>();
+    case MetricKind::kNGram2:
+      return f.template operator()<NGramMetric<2>>();
+    case MetricKind::kNGram4:
+      return f.template operator()<NGramMetric<4>>();
+    case MetricKind::kNGram8:
+      return f.template operator()<NGramMetric<8>>();
+    case MetricKind::kContext:
+      return f.template operator()<ContextMetric>();
+  }
+  throw std::invalid_argument("unknown metric kind " +
+                              std::to_string(static_cast<unsigned>(m)));
+}
 
 }  // namespace bigmap

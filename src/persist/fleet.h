@@ -47,11 +47,13 @@ struct FleetFingerprint {
 // 3 = quarantined (parked by the procfleet coordinator; its remaining
 // budget was redistributed and nothing will resume it).
 //
-// The base_* fields carry the supervisor's budget-segment accounting:
-// counters charged to earlier cold segments of this instance (a resumed
-// attempt's lifetime counters are relative to its own segment, so health =
-// base + segment). segment_max_execs is the exec budget of the segment in
-// flight; a resuming process must continue that budget, not restart it.
+// Both drivers write the base_* fields as 0 and neither acts on them when
+// resuming. They would carry counters charged to earlier cold budget
+// segments, but cold restarts happen only without a persist_dir, and
+// without one there is no journal. The fields stay so the record layout
+// (and every journal byte) is unchanged. segment_max_execs is the exec
+// budget of the segment in flight; a resuming process must continue that
+// budget, not restart it.
 struct InstanceEvent {
   u32 instance = 0;
   u32 final_state = 0;

@@ -9,9 +9,10 @@
 // live in deques so references handed out stay valid for the registry's
 // lifetime.
 //
-// Header-only so low-level modules (util/fault) can mirror their counters
-// into a registry without a library-dependency cycle: this header depends
-// only on util/types.h.
+// Header-only; depends only on util/types.h. Subsystems below the fleet
+// drivers (netfleet, corpus, util/fault) do not touch it: they count in
+// their own stats structs, which the fleet driver publishes here as gauges
+// at each fleet stamp (fuzzer/lifecycle.h).
 #pragma once
 
 #include <array>

@@ -139,7 +139,9 @@ class FleetTelemetry {
   Counter& backoff_ms_total() { return backoff_ms_total_; }
 
   // Shared registry for everything else that wants to be observable in the
-  // same scrape (FaultInjector per-site counters, ad-hoc gauges).
+  // same scrape: the procfleet.* counters, and the gauges the fleet driver
+  // publishes from stats structs at each fleet stamp (fault.*, netfleet.*,
+  // failover.*, oracle.*).
   MetricRegistry& registry() noexcept { return registry_; }
   const MetricRegistry& registry() const noexcept { return registry_; }
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <string>
 
 #include "util/hash.h"
 
@@ -75,7 +74,6 @@ bool FaultInjector::fire(FaultSite site, u32 instance) {
     std::lock_guard<std::mutex> lock(mu_);
     n = counters_[k]++;
     ++stats_.checked[si];
-    if (reg_checked_[si] != nullptr) reg_checked_[si]->add();
   }
 
   bool hit = false;
@@ -105,7 +103,6 @@ bool FaultInjector::fire(FaultSite site, u32 instance) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.injected[si];
     ++injected_by_key_[k];
-    if (reg_injected_[si] != nullptr) reg_injected_[si]->add();
   }
   return hit;
 }
@@ -123,23 +120,6 @@ void FaultInjector::commit_point(u32 instance, u64 checkpoints) {
   std::fflush(stdout);
   (void)!::write(STDERR_FILENO, line, static_cast<usize>(n));
   ::kill(::getpid(), SIGKILL);
-}
-
-void FaultInjector::set_registry(telemetry::MetricRegistry* reg) {
-  std::array<telemetry::Counter*, kNumFaultSites> checked{};
-  std::array<telemetry::Counter*, kNumFaultSites> injected{};
-  if (reg != nullptr) {
-    for (usize si = 0; si < kNumFaultSites; ++si) {
-      const std::string base =
-          std::string("fault.") +
-          fault_site_name(static_cast<FaultSite>(si));
-      checked[si] = &reg->counter(base + ".checked");
-      injected[si] = &reg->counter(base + ".injected");
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  reg_checked_ = checked;
-  reg_injected_ = injected;
 }
 
 FaultStats FaultInjector::stats() const {

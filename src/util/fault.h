@@ -18,6 +18,9 @@
 // Deep paths that cannot be plumbed explicitly (PageBuffer in util/alloc)
 // consult a thread-local binding installed by the supervisor around each
 // campaign attempt.
+//
+// Every fire() is counted once, in FaultStats; the fleet driver publishes
+// stats() as registry gauges at each fleet stamp (fuzzer/lifecycle.h).
 #pragma once
 
 #include <array>
@@ -27,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "telemetry/registry.h"
 #include "util/types.h"
 
 namespace bigmap {
@@ -154,16 +156,6 @@ class FaultInjector {
   // like it is across thread restarts. Counters never move backwards.
   void advance(FaultSite site, u32 instance, u64 n);
 
-  // Mirrors per-site occurrence counts into `reg` as
-  // "fault.<site>.checked" / "fault.<site>.injected" counters, so
-  // fault-injection runs are observable in the same scrape as the rest of
-  // the fleet telemetry (the supervisor wires this automatically when both
-  // a FaultInjector and a FleetTelemetry are configured). Counter handles
-  // are resolved once here; fire() then bumps them lock-free relative to
-  // the registry. Pass nullptr to detach. `reg` must outlive the injector
-  // or the next set_registry call.
-  void set_registry(telemetry::MetricRegistry* reg);
-
   // Binds this injector (and an instance id) to the current thread so that
   // paths without an explicit FaultInjector* — PageBuffer allocation — can
   // consult it. Restores the previous binding on destruction.
@@ -196,9 +188,6 @@ class FaultInjector {
   std::unordered_map<u64, u64> injected_by_key_;   // (instance,site) -> hits
   FaultStats stats_;
   std::atomic<u32> unfinished_{0};
-  // Telemetry mirrors (null when no registry attached); written under mu_.
-  std::array<telemetry::Counter*, kNumFaultSites> reg_checked_{};
-  std::array<telemetry::Counter*, kNumFaultSites> reg_injected_{};
 };
 
 }  // namespace bigmap

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "core/coverage_map.h"
@@ -24,6 +25,14 @@ struct WorkloadParams {
   u64 seed;
   bool merged;
 };
+
+// Prints each case by its fields; ctest names the cases by this text
+// (gtest would otherwise print the struct's raw bytes, padding included,
+// and the names would change from build to build).
+void PrintTo(const WorkloadParams& p, std::ostream* os) {
+  *os << "map" << p.map_size << "_keys" << p.distinct_keys << "_execs"
+      << p.execs << "_seed" << p.seed << (p.merged ? "_merged" : "_split");
+}
 
 class SchemeEquivalenceTest
     : public ::testing::TestWithParam<WorkloadParams> {};

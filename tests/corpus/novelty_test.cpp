@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/two_level_map.h"
 #include "fuzzer/executor.h"
 #include "target/generator.h"
@@ -126,6 +128,16 @@ TEST(NoveltyOracleTest, CoverageMonotone) {
     last = now;
   }
   EXPECT_GT(last, 0u);
+}
+
+// An out-of-range metric is refused like run_campaign refuses it, never
+// silently modelled as an edge metric whose keys match no worker.
+TEST(NoveltyOracleTest, UnknownMetricKindThrows) {
+  const GeneratedTarget t = small_target(17);
+  OracleConfig oc = oracle_config(17);
+  oc.metric = static_cast<MetricKind>(200);
+  EXPECT_THROW((void)make_novelty_oracle(t.program, oc),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- delta sync --

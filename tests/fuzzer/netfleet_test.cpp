@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fuzzer/netfleet/failover.h"
@@ -355,14 +357,14 @@ struct LinkPair {
     ca.peer_timeout_ms = 500;
     ca.reconnect_initial_ms = 1;
     ca.reconnect_cap_ms = 5;
-    a = std::make_unique<PeerLink>(ca, fault_a, 0, nullptr);
+    a = std::make_unique<PeerLink>(ca, fault_a, 0);
     EXPECT_TRUE(a->ok()) << a->error();
 
     NetPeerConfig cb = ca;
     cb.listener = false;
     cb.port = a->listen_port();
     cb.session_fingerprint = fp_b != 0 ? fp_b : fp;
-    b = std::make_unique<PeerLink>(cb, fault_b, 0, nullptr);
+    b = std::make_unique<PeerLink>(cb, fault_b, 0);
     EXPECT_TRUE(b->ok()) << b->error();
   }
 
@@ -518,7 +520,7 @@ TEST(PeerLinkTest, PeerSilenceTriggersTimeoutAndReconnectBudget) {
   cb.reconnect_initial_ms = 1;
   cb.reconnect_cap_ms = 2;
   cb.max_reconnects = 3;
-  PeerLink lone(cb, nullptr, 0, nullptr);
+  PeerLink lone(cb, nullptr, 0);
   ASSERT_TRUE(lone.ok());
   u64 now = 1 * kMs;
   for (int i = 0; i < 50; ++i) {
@@ -575,7 +577,7 @@ TEST(PeerLinkTest, StaleHelloIsFencedYetTeachesTheNewerEpoch) {
   ca.reconnect_cap_ms = 5;
   ca.epoch = 2;
   ca.rank = 1;
-  PeerLink fresh(ca, nullptr, 0, nullptr);
+  PeerLink fresh(ca, nullptr, 0);
   ASSERT_TRUE(fresh.ok()) << fresh.error();
 
   NetPeerConfig cb = ca;
@@ -583,7 +585,7 @@ TEST(PeerLinkTest, StaleHelloIsFencedYetTeachesTheNewerEpoch) {
   cb.port = fresh.listen_port();
   cb.epoch = 1;
   cb.rank = 0;
-  PeerLink stale(cb, nullptr, 0, nullptr);
+  PeerLink stale(cb, nullptr, 0);
   ASSERT_TRUE(stale.ok()) << stale.error();
 
   (void)stale.offer(Input{0x5A});
@@ -624,7 +626,7 @@ TEST(PeerLinkTest, EpochAheadSideHandsOverItsHelloBeforeClosing) {
   ca.reconnect_cap_ms = 5;
   ca.epoch = 1;
   ca.rank = 0;
-  PeerLink stale(ca, nullptr, 0, nullptr);
+  PeerLink stale(ca, nullptr, 0);
   ASSERT_TRUE(stale.ok()) << stale.error();
 
   NetPeerConfig cb = ca;
@@ -632,7 +634,7 @@ TEST(PeerLinkTest, EpochAheadSideHandsOverItsHelloBeforeClosing) {
   cb.port = stale.listen_port();
   cb.epoch = 2;
   cb.rank = 1;
-  PeerLink fresh(cb, nullptr, 0, nullptr);
+  PeerLink fresh(cb, nullptr, 0);
   ASSERT_TRUE(fresh.ok()) << fresh.error();
 
   u64 now = 1 * kMs;
@@ -668,7 +670,7 @@ TEST(PeerLinkTest, CursorRewindPastEvictionForcesFullResync) {
   ca.reconnect_initial_ms = 1;
   ca.reconnect_cap_ms = 5;
   ca.send_log_max = 4;
-  PeerLink a(ca, nullptr, 0, nullptr);
+  PeerLink a(ca, nullptr, 0);
   ASSERT_TRUE(a.ok()) << a.error();
 
   NetPeerConfig cb = ca;
@@ -684,7 +686,7 @@ TEST(PeerLinkTest, CursorRewindPastEvictionForcesFullResync) {
   };
 
   {
-    PeerLink b(cb, nullptr, 0, nullptr);
+    PeerLink b(cb, nullptr, 0);
     ASSERT_TRUE(b.ok()) << b.error();
     pump_both(b, 4);
     ASSERT_TRUE(a.connected());
@@ -705,7 +707,7 @@ TEST(PeerLinkTest, CursorRewindPastEvictionForcesFullResync) {
   }  // b dies without a goodbye; its cursor state dies with it
 
   // A replacement session resumes from cursor 0 — far behind log_base.
-  PeerLink b2(cb, nullptr, 0, nullptr);
+  PeerLink b2(cb, nullptr, 0);
   ASSERT_TRUE(b2.ok()) << b2.error();
   pump_both(b2, 30);
   EXPECT_TRUE(a.offer(Input{0xFF, 0xE2}));  // exchange must have resumed
@@ -730,7 +732,7 @@ TEST(PeerLinkTest, OversizeEntriesAreRejectedAtOffer) {
   ca.listener = true;
   ca.port = 0;
   ca.max_entry_size = 4;
-  PeerLink link(ca, nullptr, 0, nullptr);
+  PeerLink link(ca, nullptr, 0);
   ASSERT_TRUE(link.ok());
   EXPECT_TRUE(link.offer(Input{1, 2, 3, 4}));
   EXPECT_FALSE(link.offer(Input{1, 2, 3, 4, 5}));
@@ -748,12 +750,12 @@ std::pair<std::unique_ptr<PeerLink>, std::unique_ptr<PeerLink>> link_pair(
   ca.port = 0;
   ca.session_fingerprint = fingerprint;
   ca.heartbeat_ms = 5;
-  auto listener = std::make_unique<PeerLink>(ca, nullptr, 1, nullptr);
+  auto listener = std::make_unique<PeerLink>(ca, nullptr, 1);
   EXPECT_TRUE(listener->ok()) << listener->error();
   NetPeerConfig cb = ca;
   cb.listener = false;
   cb.port = listener->listen_port();
-  auto dialer = std::make_unique<PeerLink>(cb, nullptr, 1, nullptr);
+  auto dialer = std::make_unique<PeerLink>(cb, nullptr, 1);
   EXPECT_TRUE(dialer->ok()) << dialer->error();
   return {std::move(listener), std::move(dialer)};
 }
@@ -931,7 +933,7 @@ struct FailoverRing {
     fc.stale_fatal = stale_fatal;
     fc.probe_timeout_ms = 240;
     return std::make_unique<FailoverMesh>(hubs[rank].get(), 1, fc,
-                                          nullptr, nullptr, nullptr);
+                                          nullptr, nullptr);
   }
 
   // Pumps every live mesh `rounds` times at 6ms fake steps.
@@ -1038,8 +1040,7 @@ struct LoneNode {
     fc.dial_ports.assign(1, 0);
     fc.link.session_fingerprint = 77;
     fc.wal_path = wal;
-    mesh = std::make_unique<FailoverMesh>(&hub, 1, fc, nullptr, nullptr,
-                                          nullptr);
+    mesh = std::make_unique<FailoverMesh>(&hub, 1, fc, nullptr, nullptr);
     mesh->pump(1 * kMs);
   }
 };
@@ -1221,6 +1222,32 @@ TEST(FederateTest, NodeReportRoundTrips) {
   for (const Field& f : fields) EXPECT_EQ(*f.dst, *f.src) << f.name;
   EXPECT_EQ(h.failover.role, 2u);
   EXPECT_EQ(h.failover.leader_rank, 3u);
+}
+
+// The registry is a published view of a gateway's FailoverStats: one
+// gauge per field of the three field tables, holding that field's value.
+TEST(FederateTest, PublishWritesOneGaugePerStatsField) {
+  FailoverStats s;
+  std::map<std::string, u64> want;
+  u64 next = 1;
+  for_each_prefixed_field(s, {"failover.", "netfleet.", "oracle."},
+                          [&](const std::string& key, auto& v) {
+                            v = static_cast<std::remove_reference_t<
+                                decltype(v)>>(next);
+                            want[key] = next++;
+                          });
+  // 12 own scalars, 28 link counters, 7 oracle counters.
+  ASSERT_EQ(want.size(), 47u);
+  EXPECT_EQ(s.leader_rank, want.at("failover.leader_rank"));
+  EXPECT_EQ(s.net.partition_ms_total, want.at("netfleet.partition_ms_total"));
+  EXPECT_EQ(s.oracle.cells_applied, want.at("oracle.cells_applied"));
+
+  telemetry::MetricRegistry reg;
+  publish(s, reg);
+  const auto gauges = reg.gauges();
+  const std::map<std::string, u64> have(gauges.begin(), gauges.end());
+  EXPECT_EQ(have, want);
+  EXPECT_TRUE(reg.counters().empty());
 }
 
 TEST(FederateTest, FailureReportCarriesError) {

@@ -431,6 +431,40 @@ TEST(SupervisorTest, PublishDropsAreAccounted) {
   EXPECT_EQ(r.found_bug_ids.size(), 3u);
 }
 
+// The injector counts each fire() once, in FaultStats; the registry holds
+// the copy published at every fleet stamp, which must equal the struct at
+// the end of the run.
+TEST(SupervisorTest, FaultStatsArePublishedAsRegistryGauges) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+
+  FaultPlan plan;
+  plan.rates.push_back({FaultSite::kExecAbort, /*per_million=*/20000});
+  plan.rates.push_back({FaultSite::kPublishDrop, /*per_million=*/500000});
+  FaultInjector inj(37, plan);
+  telemetry::FleetTelemetry fleet(2);
+
+  SupervisorConfig sc = make_config();
+  sc.num_instances = 2;
+  sc.fault = &inj;
+  sc.telemetry = &fleet;
+  auto r = run_supervised_campaign(target.program, seeds, sc);
+  ASSERT_TRUE(r.all_completed());
+
+  const FaultStats fs = inj.stats();
+  EXPECT_GT(fs.injected_total(), 0u);
+  for (usize si = 0; si < kNumFaultSites; ++si) {
+    const std::string site =
+        std::string("fault.") + fault_site_name(static_cast<FaultSite>(si));
+    EXPECT_EQ(fleet.registry().gauge(site + ".checked").get(),
+              fs.checked[si])
+        << site;
+    EXPECT_EQ(fleet.registry().gauge(site + ".injected").get(),
+              fs.injected[si])
+        << site;
+  }
+}
+
 TEST(SupervisorTest, WallClockSafetyStopTerminatesRun) {
   auto target = make_target();
   auto seeds = make_seed_corpus(target, 4, 1);
