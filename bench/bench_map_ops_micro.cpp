@@ -7,6 +7,10 @@
 // while two-level cost tracks the used-key count. The map-level scan
 // benchmarks dispatch through the process-default kernel (BIGMAP_KERNEL).
 //
+// BM_TrimPassFlat/map:<size>/fused:<0|1> times one exec of AFL's trim
+// loop on the flat map, the target's updates included: the separate
+// reset + classify + hash passes against the fused classify_hash_clear.
+//
 // Per-kernel families (BM_Kernel<Op>/<kernel>/<len>) are registered at
 // startup for every kernel this CPU supports and operate on raw buffers
 // of `len` bytes — `len` is exactly BigMap's used region, so the scalar
@@ -154,6 +158,32 @@ void BM_HashTwoLevel(benchmark::State& state) {
                                   });
 }
 BENCHMARK(BM_HashTwoLevel)->Arg(1 << 16)->Arg(2 << 20)->Arg(8 << 20);
+
+// The flat trim pass of one exec, the target's 3,000 updates included:
+// fused=0 is reset + updates + classify + hash, fused=1 is updates +
+// classify_hash_clear, which leaves the map zero so no reset is needed.
+void BM_TrimPassFlat(benchmark::State& state) {
+  const usize map_size = static_cast<usize>(state.range(0));
+  const bool fused = state.range(1) != 0;
+  FlatCoverageMap map(opts(map_size));
+  const auto keys = make_keys(3000, map_size, 3);
+  for (auto _ : state) {
+    if (!fused) map.reset();
+    for (u32 k : keys) map.update(k);
+    if (fused) {
+      benchmark::DoNotOptimize(map.classify_hash_clear());
+    } else {
+      map.classify();
+      benchmark::DoNotOptimize(map.hash());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<i64>(map.scan_cost_bytes()));
+}
+BENCHMARK(BM_TrimPassFlat)
+    ->ArgsProduct({{1 << 16, 2 << 20, 8 << 20}, {0, 1}})
+    ->ArgNames({"map", "fused"});
 
 // --- per-kernel raw-buffer families --------------------------------------
 

@@ -24,16 +24,11 @@ FlatCoverageMap::FlatCoverageMap(const MapOptions& opt)
     : trace_((validate_map_options(opt), opt.map_size), opt.backing()),
       kernel_(&kernels::resolve_kernel(opt.kernel)),
       mask_(static_cast<u32>(opt.map_size - 1)),
-      nontemporal_reset_(opt.nontemporal_reset),
       merged_classify_compare_(opt.merged_classify_compare) {}
 
 void FlatCoverageMap::reset() noexcept {
   ++ops_.resets;
-  if (nontemporal_reset_) {
-    memset_zero_nontemporal(trace_.data(), trace_.size());
-  } else {
-    kernel_->reset(trace_.data(), trace_.size());
-  }
+  kernel_->reset(trace_.data(), trace_.size());
 }
 
 void FlatCoverageMap::classify() noexcept {
@@ -61,6 +56,12 @@ NewBits FlatCoverageMap::classify_and_compare(VirginMap& virgin) noexcept {
 u32 FlatCoverageMap::hash() const noexcept {
   ++ops_.hashes;
   return kernel_->hash(trace_.data(), trace_.size());
+}
+
+u32 FlatCoverageMap::classify_hash_clear() noexcept {
+  ++ops_.classifies;
+  ++ops_.hashes;
+  return kernel_->classify_hash_clear(trace_.data(), trace_.size());
 }
 
 usize FlatCoverageMap::count_nonzero() const noexcept {

@@ -5,10 +5,18 @@
 // used, which is exactly the cost BigMap removes:
 //
 //   update    trace_bits[E]++              (sparse, random positions)
-//   reset     memset(trace_bits, 0, size)  (full map)
+//   reset     memset(trace_bits, 0, size)  (full map, plain stores)
 //   classify  bucket every byte            (full map)
 //   compare   has_new_bits vs. virgin      (full map)
 //   hash      crc32(trace_bits, size)      (full map, PCLMULQDQ-folded)
+//   classify_hash_clear                    (full map, one pass: the trim
+//             classify + hash + reset       pass; leaves the map zero)
+//
+// The reset uses plain, cache-allocating stores. A non-temporal reset
+// (§IV-E) streams the zeroed map out of a 2 MB L2, and the target's updates
+// and the next classify/compare pass then miss on every line: it ran the
+// flat arm at about half speed (EXPERIMENTS.md, "Flat map work that stays
+// in cache").
 #pragma once
 
 #include <span>
@@ -38,7 +46,7 @@ class FlatCoverageMap {
 
   // --- per-test-case map operations ----------------------------------------
 
-  // Clears the trace bitmap. Full-map memset (non-temporal when enabled).
+  // Clears the trace bitmap. Full-map memset with plain stores.
   void reset() noexcept;
 
   // Buckets every hit count in place. Full-map pass.
@@ -54,6 +62,11 @@ class FlatCoverageMap {
 
   // CRC-32 of the full trace bitmap (AFL's hash32 over MAP_SIZE).
   u32 hash() const noexcept;
+
+  // classify() + hash() + reset() in one full-map pass: returns the hash()
+  // the classified trace would give and leaves the map all zero. Counts as
+  // one classify and one hash.
+  u32 classify_hash_clear() noexcept;
 
   // --- introspection --------------------------------------------------------
 
@@ -91,7 +104,6 @@ class FlatCoverageMap {
   PageBuffer trace_;
   const kernels::KernelOps* kernel_;
   u32 mask_;
-  bool nontemporal_reset_;
   bool merged_classify_compare_;
   mutable MapOpCounts ops_;  // mutable: hash() is const
 };

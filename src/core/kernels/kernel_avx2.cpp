@@ -116,6 +116,30 @@ NewBits k_classify_compare(u8* trace, u8* virgin, usize len) noexcept {
 
 u32 k_hash(const u8* mem, usize len) noexcept { return crc32({mem, len}); }
 
+// Zero source vectors store zeros to the scratch only; a non-zero one is
+// classified into the scratch and cleared at the source, so the pass
+// writes the map only where the target wrote it.
+void k_classify_clear(u8* src, u8* dst, usize len) noexcept {
+  const __m256i zero = _mm256_setzero_si256();
+  usize i = 0;
+  for (; i + 32 <= len; i += 32) {
+    const __m256i t =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    if (_mm256_testz_si256(t, t)) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), zero);
+      continue;
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                        classify_vec(t));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(src + i), zero);
+  }
+  detail::tail_classify_clear(src + i, dst + i, len - i);
+}
+
+u32 k_classify_hash_clear(u8* mem, usize len) noexcept {
+  return detail::classify_hash_clear_chunked(mem, len, k_classify_clear);
+}
+
 usize k_count_ne(const u8* mem, usize len, u8 value) noexcept {
   const __m256i splat = _mm256_set1_epi8(static_cast<char>(value));
   usize ne = 0;
@@ -156,7 +180,8 @@ usize k_find_used_end(const u8* mem, usize len) noexcept {
 constexpr KernelOps kAvx2Kernel = {
     "avx2",    k_reset,    k_classify,
     k_compare, k_classify_compare,
-    k_hash,    k_count_ne, k_find_used_end,
+    k_hash,    k_classify_hash_clear,
+    k_count_ne, k_find_used_end,
 };
 
 }  // namespace

@@ -33,5 +33,21 @@ void tail_compare(const u8* trace, u8* virgin, usize len,
 void tail_classify_compare(u8* trace, u8* virgin, usize len,
                            NewBits& result) noexcept;
 
+// dst[i] = classify(src[i]), then src[i] = 0.
+void tail_classify_clear(u8* src, u8* dst, usize len) noexcept;
+
+// The fused trim pass's chunk: small enough that the classified copy is
+// still in L1 when the CRC fold reads it back.
+inline constexpr usize kClassifyHashChunk = 4096;
+
+// Classifies src[0, len) into dst[0, len) and leaves src all zero, for
+// len <= kClassifyHashChunk. Each word/vector kernel supplies one.
+using ClassifyClearFn = void (*)(u8* src, u8* dst, usize len) noexcept;
+
+// KernelOps::classify_hash_clear on top of a kernel's chunk function: one
+// chunk into an on-stack scratch buffer, then crc32_update over it.
+u32 classify_hash_clear_chunked(u8* mem, usize len,
+                                ClassifyClearFn chunk) noexcept;
+
 }  // namespace detail
 }  // namespace bigmap::kernels

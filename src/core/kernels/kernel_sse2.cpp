@@ -121,6 +121,29 @@ NewBits k_classify_compare(u8* trace, u8* virgin, usize len) noexcept {
 
 u32 k_hash(const u8* mem, usize len) noexcept { return crc32({mem, len}); }
 
+// Zero source vectors store zeros to the scratch only; a non-zero one is
+// classified into the scratch and cleared at the source, so the pass
+// writes the map only where the target wrote it.
+void k_classify_clear(u8* src, u8* dst, usize len) noexcept {
+  const __m128i zero = _mm_setzero_si128();
+  usize i = 0;
+  for (; i + 16 <= len; i += 16) {
+    const __m128i t =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    if (all_zero(t)) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), zero);
+      continue;
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), classify_vec(t));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(src + i), zero);
+  }
+  detail::tail_classify_clear(src + i, dst + i, len - i);
+}
+
+u32 k_classify_hash_clear(u8* mem, usize len) noexcept {
+  return detail::classify_hash_clear_chunked(mem, len, k_classify_clear);
+}
+
 usize k_count_ne(const u8* mem, usize len, u8 value) noexcept {
   const __m128i splat = _mm_set1_epi8(static_cast<char>(value));
   usize ne = 0;
@@ -161,7 +184,8 @@ usize k_find_used_end(const u8* mem, usize len) noexcept {
 constexpr KernelOps kSse2Kernel = {
     "sse2",    k_reset,    k_classify,
     k_compare, k_classify_compare,
-    k_hash,    k_count_ne, k_find_used_end,
+    k_hash,    k_classify_hash_clear,
+    k_count_ne, k_find_used_end,
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/kernels/kernels.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -51,6 +52,26 @@ void tail_classify_compare(u8* trace, u8* virgin, usize len,
   }
 }
 
+void tail_classify_clear(u8* src, u8* dst, usize len) noexcept {
+  const auto& lut = count_class_lookup8();
+  for (usize i = 0; i < len; ++i) {
+    dst[i] = lut[src[i]];
+    src[i] = 0;
+  }
+}
+
+u32 classify_hash_clear_chunked(u8* mem, usize len,
+                                ClassifyClearFn chunk) noexcept {
+  alignas(64) u8 scratch[kClassifyHashChunk];
+  u32 state = kCrc32Init;
+  for (usize off = 0; off < len; off += kClassifyHashChunk) {
+    const usize n = std::min(kClassifyHashChunk, len - off);
+    chunk(mem + off, scratch, n);
+    state = crc32_update(state, {scratch, n});
+  }
+  return crc32_finalize(state);
+}
+
 }  // namespace detail
 
 namespace {
@@ -89,6 +110,15 @@ u32 sc_hash(const u8* mem, usize len) noexcept {
   return crc32_finalize(state);
 }
 
+// The reference: the three passes the fused kernels replace, one after
+// the other.
+u32 sc_classify_hash_clear(u8* mem, usize len) noexcept {
+  sc_classify(mem, len);
+  const u32 h = crc32({mem, len});
+  sc_reset(mem, len);
+  return h;
+}
+
 usize sc_count_ne(const u8* mem, usize len, u8 value) noexcept {
   usize n = 0;
   for (usize i = 0; i < len; ++i) {
@@ -106,7 +136,8 @@ usize sc_find_used_end(const u8* mem, usize len) noexcept {
 constexpr KernelOps kScalarKernel = {
     "scalar",        sc_reset,    sc_classify,
     sc_compare,      sc_classify_compare,
-    sc_hash,         sc_count_ne, sc_find_used_end,
+    sc_hash,         sc_classify_hash_clear,
+    sc_count_ne,     sc_find_used_end,
 };
 
 // --- swar kernel: u64 word-at-a-time (AFL's LUT16 + zero-word skip) ------
@@ -143,6 +174,21 @@ u32 sw_hash(const u8* mem, usize len) noexcept {
   // crc32() already picks the fastest CRC-32 this CPU runs (PCLMULQDQ fold
   // or slicing-by-8); a u64-word formulation would only be slower.
   return crc32({mem, len});
+}
+
+void sw_classify_clear(u8* src, u8* dst, usize len) noexcept {
+  usize i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const u64 w = load64(src + i);
+    store64(dst + i, w);
+    if (w != 0) store64(src + i, 0);
+  }
+  classify_counts(dst, i);
+  detail::tail_classify_clear(src + i, dst + i, len - i);
+}
+
+u32 sw_classify_hash_clear(u8* mem, usize len) noexcept {
+  return detail::classify_hash_clear_chunked(mem, len, sw_classify_clear);
 }
 
 // Exact SWAR zero-byte count (no carry-propagation false positives):
@@ -188,7 +234,8 @@ usize sw_find_used_end(const u8* mem, usize len) noexcept {
 constexpr KernelOps kSwarKernel = {
     "swar",     sw_reset,    sw_classify,
     sw_compare, sw_classify_compare,
-    sw_hash,    sw_count_ne, sw_find_used_end,
+    sw_hash,    sw_classify_hash_clear,
+    sw_count_ne, sw_find_used_end,
 };
 
 // --- registry ------------------------------------------------------------

@@ -1,6 +1,7 @@
-// Whole-map kernel suite: runtime-dispatched implementations of the five
+// Whole-map kernel suite: runtime-dispatched implementations of the
 // whole-map operations (reset / classify / compare_update / fused
-// classify_compare / hash+count) at four ISA levels.
+// classify_compare / hash / fused classify_hash_clear / count) at four ISA
+// levels.
 //
 // BigMap's point (§IV) is that these operations scale with used_key, not
 // map size — the kernel layer removes the remaining constant factor. Every
@@ -37,8 +38,8 @@ namespace bigmap::kernels {
 struct KernelOps {
   const char* name;
 
-  // Zeroes [mem, mem+len) with plain (cache-allocating) stores. Callers
-  // that want the §IV-E non-temporal reset use memset_zero_nontemporal.
+  // Zeroes [mem, mem+len) with plain (cache-allocating) stores, so the
+  // target's updates and the next scan find the map in cache.
   void (*reset)(u8* mem, usize len) noexcept;
 
   // Buckets every hit count in place (AFL classification, core/classify.h).
@@ -55,6 +56,14 @@ struct KernelOps {
 
   // CRC-32 over [mem, mem+len) (same value as util/hash.h crc32()).
   u32 (*hash)(const u8* mem, usize len) noexcept;
+
+  // classify + hash + reset fused into one pass (the trim pass): returns
+  // the CRC-32 of the classified bytes — the value classify followed by
+  // hash gives — and leaves [mem, mem+len) all zero. The word and vector
+  // kernels classify one 4 kB chunk at a time into an L1 scratch buffer,
+  // zero only the non-zero source words/vectors, and fold the chunk into
+  // the CRC with crc32_update.
+  u32 (*classify_hash_clear)(u8* mem, usize len) noexcept;
 
   // Number of bytes in [mem, mem+len) that differ from `value`. value=0
   // gives count_nonzero; value=0xFF gives the virgin-map covered count.

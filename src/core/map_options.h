@@ -21,7 +21,10 @@ inline const char* map_scheme_name(MapScheme s) noexcept {
 // Options controlling map construction and the §IV-E optimizations. The
 // optimizations default to on for both schemes, matching the paper's
 // experimental setup ("Optimizations mentioned in Section IV-E applied to
-// both AFL and BigMap").
+// both AFL and BigMap"). The one §IV-E optimization not offered is the
+// non-temporal reset: on a map the size of L2 it evicts the lines the
+// target and the next scan are about to touch, so neither scheme uses it
+// (DESIGN.md decision 5).
 struct MapOptions {
   // Hash-space size in entries (== bytes for the flat scheme). Must be a
   // power of two and a multiple of 8.
@@ -29,10 +32,6 @@ struct MapOptions {
 
   // Back the bitmaps with huge pages when the OS allows it (§IV-E).
   bool huge_pages = true;
-
-  // Reset the flat map with non-temporal stores (§IV-E; a no-op benefit for
-  // the two-level scheme, which only clears its used region).
-  bool nontemporal_reset = true;
 
   // Fuse the classify and compare passes (§IV-E).
   bool merged_classify_compare = true;

@@ -157,15 +157,18 @@ class Campaign {
   void stamp_telemetry() {
     telemetry::TelemetrySink& t = *cfg_.telemetry;
     ScopedOpTimer timer(res_.timing, MapOp::kOther);
-    t.set_kernel(ex_.map().kernel_name());
+    // Read-only: a mutable map() would make the next run reset a map the
+    // last trim pass left zero.
+    const Map& map = std::as_const(ex_).map();
+    t.set_kernel(map.kernel_name());
     t.queue_depth.set(queue_.size());
     t.covered_positions.set(ex_.virgin_queue().count_covered());
     t.map_positions.set(ex_.virgin_positions());
     if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-      t.used_key.set(ex_.map().used_key());
-      t.saturated_updates.set(ex_.map().saturated_updates());
+      t.used_key.set(map.used_key());
+      t.saturated_updates.set(map.saturated_updates());
     }
-    const MapOpCounts& ops = ex_.map().op_counts();
+    const MapOpCounts& ops = map.op_counts();
     t.map_resets.set(ops.resets);
     t.map_classifies.set(ops.classifies);
     t.map_compares.set(ops.compares);
@@ -185,15 +188,12 @@ class Campaign {
   // --- corpus store ---------------------------------------------------------
 
   // Sparse coverage positions of the last run's classified trace — the
-  // rarity signal the store's trim pass works from. Interesting entries
-  // are rare, so the scan cost rides on the same slow path that already
-  // walks this span in update_scores.
+  // rarity signal the store's trim pass works from, found by the same
+  // zero-word-skipping walk update_scores makes.
   std::vector<u32> trace_positions() const {
     std::vector<u32> out;
-    const std::span<const u8> trace = ex_.last_trace();
-    for (usize i = 0; i < trace.size(); ++i) {
-      if (trace[i] != 0) out.push_back(static_cast<u32>(i));
-    }
+    for_each_nonzero(ex_.last_trace(),
+                     [&](usize i) { out.push_back(static_cast<u32>(i)); });
     return out;
   }
 

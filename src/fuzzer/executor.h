@@ -11,11 +11,12 @@
 //   execute    ->  MapOp::kExecution   (includes inline map updates)
 //   classify   ->  MapOp::kClassify
 //   compare    ->  MapOp::kCompare
-//   hash       ->  MapOp::kHash        (interesting test cases only)
+//   hash       ->  MapOp::kHash        (interesting test cases and trims)
 //
-// When merged classify+compare is enabled (§IV-E) the fused pass cannot be
-// split by measurement; its time is attributed half to kClassify and half
-// to kCompare, which benches note in their output.
+// A fused pass cannot be split by measurement, so its time is charged half
+// to each of its two categories: merged classify+compare (§IV-E) to
+// kClassify and kCompare, the flat scheme's trim pass (classify + hash +
+// clear) to kClassify and kHash.
 #pragma once
 
 #include <concepts>
@@ -89,11 +90,7 @@ class Executor {
   // each stage to `timing`.
   Outcome run(std::span<const u8> input, OpTimeBreakdown& timing) {
     Outcome out;
-
-    {
-      ScopedOpTimer t(timing, MapOp::kReset);
-      map_.reset();
-    }
+    reset_map(timing);
 
     {
       const u64 start = monotonic_ns();
@@ -230,14 +227,15 @@ class Executor {
 
   // Runs one input through reset / execute / classify / hash WITHOUT
   // touching any virgin map — AFL's trim_case uses exactly this sequence
-  // to test whether a shortened input preserves the execution path.
+  // to test whether a shortened input preserves the execution path. On the
+  // flat scheme classify + hash is one pass that also clears the map, so
+  // the next run skips its reset and last_trace() reads all zero; the
+  // two-level scheme keeps its trace (its hash stops at the last non-zero
+  // byte, §IV-D).
   SilentRun run_for_hash(std::span<const u8> input,
                          OpTimeBreakdown& timing) {
     SilentRun out;
-    {
-      ScopedOpTimer t(timing, MapOp::kReset);
-      map_.reset();
-    }
+    reset_map(timing);
     {
       ScopedOpTimer t(timing, MapOp::kExecution);
       metric_.begin_execution();
@@ -247,20 +245,27 @@ class Executor {
       });
     }
     sync_virgin();
-    {
-      ScopedOpTimer t(timing, MapOp::kClassify);
-      map_.classify();
-    }
-    {
+    if constexpr (Map::kScheme == MapScheme::kFlat) {
+      const u64 start = monotonic_ns();
+      out.hash = map_.classify_hash_clear();
+      const u64 ns = monotonic_ns() - start;
+      timing.add(MapOp::kClassify, ns / 2);
+      timing.add(MapOp::kHash, ns - ns / 2);
+      map_zero_ = true;
+    } else {
+      {
+        ScopedOpTimer t(timing, MapOp::kClassify);
+        map_.classify();
+      }
       ScopedOpTimer t(timing, MapOp::kHash);
       out.hash = map_.hash();
     }
     return out;
   }
 
-  // The classified trace of the last run, over the span relevant for the
+  // The classified trace of the last run(), over the span relevant for the
   // scheme (full map for flat, used region for BigMap) — what AFL's
-  // update_bitmap_score walks.
+  // update_bitmap_score walks. All zero after a flat run_for_hash.
   std::span<const u8> last_trace() const noexcept {
     if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
       return map_.used_region();
@@ -273,7 +278,12 @@ class Executor {
   // possible length).
   usize virgin_positions() const noexcept { return virgin_queue_.size(); }
 
-  Map& map() noexcept { return map_; }
+  // Mutable access may write the trace, so it forgets that the map is
+  // known to be zero: the next run resets it.
+  Map& map() noexcept {
+    map_zero_ = false;
+    return map_;
+  }
   const Map& map() const noexcept { return map_; }
   Metric& metric() noexcept { return metric_; }
 
@@ -330,6 +340,17 @@ class Executor {
     }
   }
 
+  // The per-exec reset, skipped when the last pass already left the map
+  // all zero.
+  void reset_map(OpTimeBreakdown& timing) {
+    if (map_zero_) {
+      map_zero_ = false;
+      return;
+    }
+    ScopedOpTimer t(timing, MapOp::kReset);
+    map_.reset();
+  }
+
   NewBits classify_and_compare(VirginMap& virgin, OpTimeBreakdown& timing) {
     if (merged_) {
       const u64 start = monotonic_ns();
@@ -355,6 +376,9 @@ class Executor {
   VirginMap virgin_hang_;
   Interpreter interp_;
   bool merged_;
+  // The map is all zero: set by the flat run_for_hash, cleared by the next
+  // run and by any mutable map() access.
+  bool map_zero_ = false;
   // Untraced-mode scratch: per-exec u8 hit counts per virgin position
   // plus the spare slot (mapped on the first run_untraced; only touched
   // pages become resident) and the positions touched this run, for sparse

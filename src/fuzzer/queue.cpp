@@ -1,13 +1,8 @@
 #include "fuzzer/queue.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 namespace bigmap {
-
-// update_scores() maps byte k of a loaded u64 to bits 8k..8k+7.
-static_assert(std::endian::native == std::endian::little);
 
 SeedQueue::SeedQueue(usize map_positions)
     : top_entry_(PageBuffer::plain(map_positions * sizeof(u32))),
@@ -32,7 +27,7 @@ void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
   const u32 idx32 = static_cast<u32>(entry_idx);
   u32* const top = winners();
   u64* const fav = factors();
-  auto visit = [&](usize i) {
+  for_each_nonzero(trace, [&](usize i) {
     if (fav[i] == 0) {
       ++top_covered_;
       top_end_ = std::max(top_end_, i + 1);
@@ -42,25 +37,7 @@ void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
     top[i] = idx32;
     fav[i] = factor;
     cull_pending_ = true;
-  };
-
-  // The flat scheme passes the full (mostly zero) map: skip zero words and
-  // visit each non-zero byte of a word via ctz, lowest byte first.
-  const u8* p = trace.data();
-  const usize n = trace.size();
-  usize i = 0;
-  for (; i + 8 <= n; i += 8) {
-    u64 w;
-    std::memcpy(&w, p + i, 8);
-    while (w != 0) {
-      const int bit = __builtin_ctzll(w) & ~7;
-      visit(i + static_cast<usize>(bit / 8));
-      w &= ~(u64{0xFF} << bit);
-    }
-  }
-  for (; i < n; ++i) {
-    if (p[i] != 0) visit(i);
-  }
+  });
 }
 
 void SeedQueue::cull() {

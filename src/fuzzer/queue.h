@@ -16,6 +16,8 @@
 //    deep entries with more havoc iterations.
 #pragma once
 
+#include <bit>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,6 +28,29 @@
 namespace bigmap {
 
 using Input = std::vector<u8>;
+
+// Calls f(i) for every non-zero byte trace[i], in ascending order. A flat
+// trace is a full, mostly zero map: zero u64 words are skipped and the
+// non-zero bytes of a word are found by ctz.
+template <class F>
+void for_each_nonzero(std::span<const u8> trace, F&& f) {
+  static_assert(std::endian::native == std::endian::little);
+  const u8* p = trace.data();
+  const usize n = trace.size();
+  usize i = 0;
+  for (; i + 8 <= n; i += 8) {
+    u64 w;
+    std::memcpy(&w, p + i, 8);
+    while (w != 0) {
+      const int bit = __builtin_ctzll(w) & ~7;
+      f(i + static_cast<usize>(bit / 8));
+      w &= ~(u64{0xFF} << bit);
+    }
+  }
+  for (; i < n; ++i) {
+    if (p[i] != 0) f(i);
+  }
+}
 
 struct QueueEntry {
   Input data;

@@ -6,7 +6,8 @@
 // bitmap with non-temporal stores so the (mostly dead) map bytes do not
 // evict useful cache lines. Both are implemented here with graceful
 // fallbacks so the library runs on any Linux host regardless of hugetlbfs
-// configuration.
+// configuration. Neither map resets with (b): on a map the size of L2 it
+// evicts the lines the next exec touches (DESIGN.md decision 5).
 #pragma once
 
 #include <cstddef>

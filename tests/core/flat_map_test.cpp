@@ -66,23 +66,6 @@ TEST(FlatMapTest, ResetClearsFullMap) {
   EXPECT_EQ(m.count_nonzero(), 0u);
 }
 
-TEST(FlatMapTest, ResetNontemporalAndPlainAgree) {
-  MapOptions nt = small_opts();
-  nt.nontemporal_reset = true;
-  MapOptions plain = small_opts();
-  plain.nontemporal_reset = false;
-
-  FlatCoverageMap a(nt), b(plain);
-  for (u32 k = 0; k < 64; ++k) {
-    a.update(k * 3);
-    b.update(k * 3);
-  }
-  a.reset();
-  b.reset();
-  EXPECT_EQ(a.count_nonzero(), 0u);
-  EXPECT_EQ(b.count_nonzero(), 0u);
-}
-
 TEST(FlatMapTest, ClassifyBucketsInPlace) {
   FlatCoverageMap m(small_opts(64));
   for (int i = 0; i < 5; ++i) m.update(10);  // raw 5 -> bucket 8

@@ -11,8 +11,8 @@
 //   - lengths crossing every word/vector boundary (len % 8 != 0 and
 //     len % 32 != 0 tails included);
 //   - ops: reset, classify, compare_update, fused classify_compare, hash,
-//     count_ne, find_used_end — asserting byte-exact coverage/virgin
-//     buffers and identical NewBits verdicts;
+//     fused classify_hash_clear, count_ne, find_used_end — asserting
+//     byte-exact coverage/virgin buffers and identical NewBits verdicts;
 //   - cross-scheme property runs (FlatCoverageMap vs. TwoLevelCoverageMap
 //     under every kernel) and the §IV-D golden-hash stability rule.
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "core/classify.h"
 #include "core/coverage_map.h"
 #include "core/kernels/kernels.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace bigmap {
@@ -307,6 +308,59 @@ TEST(KernelDiffTest, ResetHashCountUsedEndMatchScalar) {
                   static_cast<long>(len))
             << k->name << " reset, len " << len;
       }
+    }
+  }
+}
+
+// One classify_hash_clear call on `len` bytes at `offset` into a guarded
+// buffer: it must return the CRC-32 of the scalar-classified bytes, leave
+// them all zero, and write nothing outside them.
+void check_classify_hash_clear(const KernelOps& k, Pattern p, usize len,
+                               usize offset) {
+  constexpr usize kGuard = 64;
+  std::vector<u8> buf(offset + len + kGuard, 0xA5);
+  const std::vector<u8> trace = make_trace(p, len, 5 * len + offset);
+  std::copy(trace.begin(), trace.end(), buf.begin() + offset);
+
+  std::vector<u8> classified = trace;
+  kernels::scalar_kernel().classify(classified.data(), len);
+  const u32 want = crc32(classified);
+
+  ASSERT_EQ(k.classify_hash_clear(buf.data() + offset, len), want)
+      << k.name << " classify_hash_clear, " << pattern_name(p) << ", len "
+      << len << ", offset " << offset;
+  std::vector<u8> want_buf(buf.size(), 0xA5);
+  std::fill_n(want_buf.begin() + offset, len, 0);
+  ASSERT_EQ(buf, want_buf) << k.name << " classify_hash_clear, "
+                           << pattern_name(p) << ", len " << len
+                           << ", offset " << offset;
+}
+
+TEST(KernelDiffTest, ClassifyHashClearMatchesClassifyThenCrc) {
+  // Every compiled kernel, the scalar reference included: each length
+  // from 1 to 4,099 (every word/vector tail, the 4 kB chunk edge and one
+  // past it) at a rotating odd offset, then multi-chunk lengths at several
+  // offsets, then a whole 2 MB map.
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    for (Pattern p : {Pattern::kSparse, Pattern::kDense,
+                      Pattern::kBoundaries}) {
+      for (usize len = 1; len <= 4099; ++len) {
+        check_classify_hash_clear(*k, p, len, (2 * len + 1) % 7);
+        if (HasFatalFailure()) return;
+      }
+    }
+    for (Pattern p : kPatterns) {
+      for (usize len : {4096u, 8192u, 8193u, 12289u, 65543u}) {
+        for (usize offset : {0u, 1u, 3u, 31u}) {
+          check_classify_hash_clear(*k, p, len, offset);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+    for (Pattern p : {Pattern::kSparse, Pattern::kSaturating}) {
+      check_classify_hash_clear(*k, p, 2u << 20, 0);
+      check_classify_hash_clear(*k, p, 2u << 20, 1);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -1,6 +1,7 @@
 // Tests for the executor: the per-test-case map-operation pipeline, the
-// lazily filled two-level virgin maps against eager ones, and the resident
-// footprint of the per-position buffers.
+// lazily filled two-level virgin maps against eager ones, the resident
+// footprint of the per-position buffers, and a seeded mix of every run kind
+// on the flat scheme checked against a fresh map per input.
 #include "fuzzer/executor.h"
 
 #include <sys/mman.h>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <span>
 #include <string>
@@ -17,6 +19,8 @@
 #include "core/two_level_map.h"
 #include "fuzzer/queue.h"
 #include "target/generator.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace bigmap {
 namespace {
@@ -360,6 +364,121 @@ TEST(ExecutorTest, IdenticalPathsIdenticalHashesAcrossUsedKeyGrowth) {
   EXPECT_FALSE(out_a2.interesting());
   ex.run(a, t);
   EXPECT_EQ(ex.map().hash(), out_a1.hash);
+}
+
+// 0 branch(input[0]==7) -> 1 : 2 ; 1 bug ; 2 loop(input[1]) -> 3 : 4 ;
+// 3 fallthrough -> 2 ; 4 branch(input[2] < 0x80) -> 5 : 6 ; 5, 6 exit.
+// input[1] sets the loop edges' hit counts, up to 255 (every AFL bucket);
+// past about 150 iterations the run exhausts kSequenceBudget and hangs.
+Program loop_program() {
+  Program p;
+  p.name = "loop";
+  p.blocks.resize(7);
+  p.blocks[0].kind = BlockKind::kBranch;
+  p.blocks[0].pred = CmpPred::kEq;
+  p.blocks[0].expected = 7;
+  p.blocks[0].targets = {1, 2};
+  p.blocks[1].kind = BlockKind::kBug;
+  p.blocks[2].kind = BlockKind::kLoop;
+  p.blocks[2].input_offset = 1;
+  p.blocks[2].loop_max = 255;
+  p.blocks[2].targets = {3, 4};
+  p.blocks[3].kind = BlockKind::kFallthrough;
+  p.blocks[3].targets = {2};
+  p.blocks[4].kind = BlockKind::kBranch;
+  p.blocks[4].pred = CmpPred::kLt;
+  p.blocks[4].input_offset = 2;
+  p.blocks[4].expected = 0x80;
+  p.blocks[4].targets = {5, 6};
+  p.blocks[5].kind = BlockKind::kExit;
+  p.blocks[6].kind = BlockKind::kExit;
+  p.num_bugs = 1;
+  p.validate();
+  return p;
+}
+
+constexpr usize kSequenceMap = 1u << 16;
+constexpr u64 kSequenceBudget = 300;
+
+// What a fresh map records for one input: the outcome, the classified
+// trace and its CRC-32.
+struct FreshRun {
+  ExecResult::Outcome outcome;
+  std::vector<u8> trace;
+  u32 hash;
+};
+
+FreshRun fresh_run(const Program& prog, const BlockIdTable& ids,
+                   const Input& in) {
+  FlatCoverageMap m(opts(kSequenceMap));
+  EdgeMetric metric(ids);
+  Interpreter interp(kSequenceBudget);
+  metric.begin_execution();
+  const ExecResult r =
+      interp.run(prog, in, [&](u32 b) { m.update(metric.visit(b)); });
+  m.classify();
+  return {r.outcome, {m.trace().begin(), m.trace().end()}, crc32(m.trace())};
+}
+
+// A seeded mix of run, run_for_hash, run_untraced (ok, crashing and
+// hanging inputs) and outside map().update() writes on one flat executor.
+// Every hash and every last_trace() must be what a fresh map gives: a
+// reset the executor skips after a trim pass must never leave a stale
+// byte behind.
+TEST(ExecutorSequenceTest, FlatHashesAndTracesMatchAFreshMap) {
+  const Program prog = loop_program();
+  BlockIdTable ids(prog.blocks.size(), kSequenceMap, 13);
+  Executor<FlatCoverageMap, EdgeMetric> ex(prog, opts(kSequenceMap), ids,
+                                           kSequenceBudget);
+  OpTimeBreakdown t;
+  // What last_trace() must read: the last run()'s classified trace, zero
+  // after a run_for_hash, plus the outside writes since.
+  std::vector<u8> expect(kSequenceMap, 0);
+  for (const u64 seed : {1u, 2u, 3u}) {
+    Xoshiro256 rng(seed);
+    for (int step = 0; step < 300; ++step) {
+      const Input in{static_cast<u8>(rng.chance(1, 6) ? 7 : rng.below(7)),
+                     static_cast<u8>(rng.chance(1, 4) ? rng.between(160, 255)
+                                                      : rng.below(140)),
+                     static_cast<u8>(rng.next())};
+      const FreshRun want = fresh_run(prog, ids, in);
+      const u32 kind = rng.below(4);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step) + " kind " + std::to_string(kind));
+      switch (kind) {
+        case 0: {
+          const auto out = ex.run(in, t);
+          ASSERT_EQ(out.exec.outcome, want.outcome);
+          if (out.interesting()) {
+            ASSERT_EQ(out.hash, want.hash);
+          }
+          expect = want.trace;
+          break;
+        }
+        case 1: {
+          const auto out = ex.run_for_hash(in, t);
+          ASSERT_EQ(out.exec.outcome, want.outcome);
+          ASSERT_EQ(out.hash, want.hash);
+          expect.assign(kSequenceMap, 0);
+          break;
+        }
+        case 2: {
+          const auto out = ex.run_untraced(in, t);
+          ASSERT_EQ(out.exec.outcome, want.outcome);
+          break;
+        }
+        default: {
+          const u32 key = static_cast<u32>(rng.next());
+          ex.map().update(key);
+          ++expect[key & (kSequenceMap - 1)];
+          break;
+        }
+      }
+      const std::span<const u8> got = ex.last_trace();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), expect.begin(),
+                             expect.end()));
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Tests for input trimming and coverage-series sampling.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "core/flat_map.h"
 #include "core/two_level_map.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/executor.h"
 #include "fuzzer/queue.h"
 #include "target/generator.h"
+#include "util/hash.h"
 
 namespace bigmap {
 namespace {
@@ -27,38 +31,84 @@ Program prefix_only_program() {
   return p;
 }
 
-TEST(RunForHashTest, StablePathStableHash) {
-  Program p = prefix_only_program();
-  BlockIdTable ids(3, 1u << 12, 5);
+// Calls f.template operator()<Map>() once per map scheme, each under a
+// trace naming the scheme.
+template <class F>
+void for_each_scheme(F&& f) {
+  {
+    SCOPED_TRACE("flat");
+    f.template operator()<FlatCoverageMap>();
+  }
+  {
+    SCOPED_TRACE("two-level");
+    f.template operator()<TwoLevelCoverageMap>();
+  }
+}
+
+MapOptions small_map() {
   MapOptions o;
   o.map_size = 1u << 12;
   o.huge_pages = false;
-  Executor<TwoLevelCoverageMap, EdgeMetric> ex(p, o, ids, 1u << 12);
-  OpTimeBreakdown t;
+  return o;
+}
 
-  const auto a = ex.run_for_hash(Input{0x10, 1, 2, 3}, t);
-  const auto b = ex.run_for_hash(Input{0x10, 9, 9}, t);  // same path
-  const auto c = ex.run_for_hash(Input{0x90}, t);        // other path
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_NE(a.hash, c.hash);
-  EXPECT_EQ(a.exec.outcome, ExecResult::Outcome::kOk);
+TEST(RunForHashTest, StablePathStableHash) {
+  for_each_scheme([]<class Map>() {
+    Program p = prefix_only_program();
+    BlockIdTable ids(3, 1u << 12, 5);
+    Executor<Map, EdgeMetric> ex(p, small_map(), ids, 1u << 12);
+    OpTimeBreakdown t;
+
+    const auto a = ex.run_for_hash(Input{0x10, 1, 2, 3}, t);
+    const auto b = ex.run_for_hash(Input{0x10, 9, 9}, t);  // same path
+    const auto c = ex.run_for_hash(Input{0x90}, t);        // other path
+    EXPECT_EQ(a.hash, b.hash);
+    EXPECT_NE(a.hash, c.hash);
+    EXPECT_EQ(a.exec.outcome, ExecResult::Outcome::kOk);
+  });
 }
 
 TEST(RunForHashTest, MatchesInterestingRunHash) {
   // The hash produced by run_for_hash must equal the hash the normal
   // pipeline stored for the same input (trim compares against it).
+  for_each_scheme([]<class Map>() {
+    Program p = prefix_only_program();
+    BlockIdTable ids(3, 1u << 12, 5);
+    Executor<Map, EdgeMetric> ex(p, small_map(), ids, 1u << 12);
+    OpTimeBreakdown t;
+
+    auto full = ex.run(Input{0x10}, t);
+    ASSERT_TRUE(full.interesting());
+    auto silent = ex.run_for_hash(Input{0x10}, t);
+    EXPECT_EQ(silent.hash, full.hash);
+  });
+}
+
+TEST(RunForHashTest, FlatPassLeavesTheMapZero) {
+  // The flat trim pass classifies, hashes and clears in one pass, so the
+  // next run skips its reset; a mutable map() access brings it back.
   Program p = prefix_only_program();
   BlockIdTable ids(3, 1u << 12, 5);
-  MapOptions o;
-  o.map_size = 1u << 12;
-  o.huge_pages = false;
-  Executor<TwoLevelCoverageMap, EdgeMetric> ex(p, o, ids, 1u << 12);
+  Executor<FlatCoverageMap, EdgeMetric> ex(p, small_map(), ids, 1u << 12);
   OpTimeBreakdown t;
+  const auto& map = std::as_const(ex).map();
 
-  auto full = ex.run(Input{0x10}, t);
-  ASSERT_TRUE(full.interesting());
-  auto silent = ex.run_for_hash(Input{0x10}, t);
+  const auto full = ex.run(Input{0x10}, t);
+  ASSERT_GT(map.count_nonzero(), 0u);
+  const auto silent = ex.run_for_hash(Input{0x10}, t);
   EXPECT_EQ(silent.hash, full.hash);
+  EXPECT_EQ(map.count_nonzero(), 0u);
+  EXPECT_EQ(map.op_counts().resets, 2u);
+  EXPECT_EQ(map.op_counts().classifies, 2u);
+  EXPECT_EQ(map.op_counts().hashes, 2u);
+
+  ex.run(Input{0x90}, t);  // the map is zero: no reset
+  EXPECT_EQ(map.op_counts().resets, 2u);
+  ex.run_for_hash(Input{0x90}, t);  // after a run: resets
+  EXPECT_EQ(map.op_counts().resets, 3u);
+  ex.map();  // may write the trace: the next run resets
+  ex.run(Input{0x90}, t);
+  EXPECT_EQ(map.op_counts().resets, 4u);
 }
 
 TEST(TrimTest, CampaignTrimsRedundantSeeds) {
@@ -121,6 +171,47 @@ TEST(TrimTest, PreservesBehaviorOnRealTarget) {
       measure_corpus_edges(target.program, trimmed.corpus);
   EXPECT_GT(edges_trimmed, 0u);
   EXPECT_GT(trimmed.covered_positions, 0u);
+}
+
+// A flat 2 MB campaign with trimming, pinned to the figures it gave before
+// the trim pass and the reset skip: neither may change a CRC, so the exec
+// stream, the finds and the trimmed corpus must stay exactly these, under
+// both tracing modes.
+TEST(TrimTest, PinnedFlatCampaign) {
+  GeneratorParams gp;
+  gp.seed = 33;
+  gp.live_blocks = 700;
+  const auto target = generate_target(gp);
+  auto seeds = make_seed_corpus(target, 4, 1);
+  for (auto& s : seeds) s.resize(s.size() + 128, 0x41);  // trimmable tail
+
+  for (TracingMode mode : {TracingMode::kAlways, TracingMode::kDual}) {
+    SCOPED_TRACE(mode == TracingMode::kAlways ? "always" : "dual");
+    CampaignConfig c;
+    c.scheme = MapScheme::kFlat;
+    c.map.map_size = 2u << 20;
+    c.map.huge_pages = false;
+    c.tracing = mode;
+    c.max_execs = 3000;
+    c.seed = 7;
+    c.trim_enabled = true;
+    c.deterministic_timing = true;
+    c.keep_corpus = true;
+    const auto r = run_campaign(target.program, seeds, c);
+
+    u64 digest = 0xcbf29ce484222325ULL;
+    for (const Input& in : r.corpus) {
+      digest = hash_combine(digest, fnv1a64(in));
+    }
+    EXPECT_EQ(r.execs, 3000u);
+    EXPECT_EQ(r.interesting, 96u);
+    EXPECT_EQ(r.trim_execs, 436u);
+    EXPECT_EQ(r.trimmed_bytes, 643u);
+    EXPECT_EQ(r.corpus.size(), 96u);
+    EXPECT_EQ(r.covered_positions, 874u);
+    EXPECT_EQ(measure_corpus_edges(target.program, r.corpus), 873u);
+    EXPECT_EQ(digest, 0x21f5650a8d6a3cf2ULL);
+  }
 }
 
 TEST(SeriesTest, SamplesCoverageGrowth) {
