@@ -21,6 +21,10 @@
 // those numbers include one 2 MB memcpy per iteration for every kernel
 // alike.
 //
+// BM_KernelCollectNonzero/<kernel>/<len> is the sparse collect that
+// top_rated scoring runs once per added entry; BM_UpdateScoresFlat/<map>
+// is that whole score update on AFL's flat map.
+//
 // Interpreter families (BM_Interpret{Untraced,Traced}/<profile>[/<map>])
 // time the target substrate per executed block over a profile's first
 // seeds; the `sec_per_block` counter is the figure to read (e.g. "19.6n"
@@ -40,6 +44,7 @@
 #include "core/two_level_map.h"
 #include "core/virgin.h"
 #include "fuzzer/executor.h"
+#include "fuzzer/queue.h"
 #include "instrumentation/metrics.h"
 #include "target/interpreter.h"
 #include "target/suite.h"
@@ -200,6 +205,24 @@ std::vector<u8> make_trace(usize len, u64 seed) {
   return t;
 }
 
+// One AFL update_bitmap_score over a whole flat map with the ~2% trace:
+// a queue whose first entry already won every position scores a slower
+// second entry, so each iteration collects and contests every position
+// and wins none — the steady state once coverage settles.
+void BM_UpdateScoresFlat(benchmark::State& state) {
+  const usize len = static_cast<usize>(state.range(0));
+  const std::vector<u8> trace = make_trace(len, 17);
+  SeedQueue queue(len);
+  queue.update_scores(queue.add(Input(4), 10, 0, 0), trace);
+  const usize slower = queue.add(Input(8), 10, 0, 0);
+  for (auto _ : state) {
+    queue.update_scores(slower, trace);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<i64>(len));
+}
+BENCHMARK(BM_UpdateScoresFlat)->Arg(2 << 20);
+
 void register_kernel_benches() {
   using kernels::KernelOps;
   static const std::vector<i64> kLens = {1 << 16, 2 << 20};
@@ -289,6 +312,24 @@ void register_kernel_benches() {
           const std::vector<u8> trace = make_trace(len, 14);
           for (auto _ : state) {
             benchmark::DoNotOptimize(k->hash(trace.data(), len));
+          }
+          state.SetBytesProcessed(state.iterations() *
+                                  static_cast<i64>(len));
+        })
+        ->Args({kLens[0]})
+        ->Args({kLens[1]})
+        ->Args({8 << 20});
+
+    benchmark::RegisterBenchmark(
+        ("BM_KernelCollectNonzero" + suffix).c_str(),
+        [k](benchmark::State& state) {
+          const usize len = static_cast<usize>(state.range(0));
+          const std::vector<u8> trace = make_trace(len, 16);
+          std::vector<u32> out(len);
+          for (auto _ : state) {
+            benchmark::DoNotOptimize(
+                k->collect_nonzero(trace.data(), len, out.data()));
+            benchmark::ClobberMemory();
           }
           state.SetBytesProcessed(state.iterations() *
                                   static_cast<i64>(len));

@@ -7,7 +7,7 @@
 # Usage: scripts/bench_smoke.sh [output-dir]   (default: bench-artifacts)
 # Requires the bench binaries to be built (scripts/verify.sh or
 # `cmake --build build --target bench_fig6_throughput
-#  bench_fig9_parallel_scaling bench_tracing_fastpath`).
+#  bench_fig9_parallel_scaling bench_tracing_fastpath bench_map_ops_micro`).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,6 +31,12 @@ BIGMAP_REAL_THREADS=1 BIGMAP_REAL_PROCS=1 BIGMAP_NETFLEET=1 \
 echo
 echo "== bench_tracing_fastpath (scale $BIGMAP_BENCH_SCALE) =="
 "$BUILD_DIR/bench/bench_tracing_fastpath" --json "$OUT_DIR/BENCH_tracing.json"
+
+echo
+echo "== bench_map_ops_micro (sparse collect and flat score update) =="
+"$BUILD_DIR/bench/bench_map_ops_micro" \
+  --benchmark_filter='^BM_(KernelCollectNonzero|UpdateScoresFlat)/' \
+  --benchmark_min_time=0.05 --json "$OUT_DIR/BENCH_micro_collect.json"
 
 echo
 echo "== validating JSON schema and telemetry consistency =="
@@ -227,6 +233,19 @@ for scheme in ("AFL", "BigMap"):
             p = os.path.join(tdir, scheme, sub, fname)
             check(os.path.isfile(p), f"missing telemetry file {p}")
 
+# The collect family has every size for the two kernels every CPU runs,
+# and the flat score update its 2 MB row.
+with open(os.path.join(out_dir, "BENCH_micro_collect.json")) as f:
+    micro = {b["name"]: b for b in json.load(f).get("benchmarks", [])}
+want = ["BM_UpdateScoresFlat/2097152"] + [
+    f"BM_KernelCollectNonzero/{k}/{n}"
+    for k in ("scalar", "swar") for n in (65536, 2097152, 8388608)]
+for name in want:
+    check(name in micro, f"BENCH_micro_collect.json: missing {name}")
+for name, b in micro.items():
+    check(b.get("real_time", 0) > 0,
+          f"BENCH_micro_collect.json: {name} has no time")
+
 if failures:
     print("SMOKE FAILURES:")
     for f in failures:
@@ -236,5 +255,6 @@ print("bench smoke OK:",
       f"fig6 tables={len(fig6['tables'])},",
       f"fig9 tables={len(fig9['tables'])},",
       f"series={len(fig9['series'])},",
-      f"tracing tables={len(tracing['tables'])}")
+      f"tracing tables={len(tracing['tables'])},",
+      f"micro collect rows={len(micro)}")
 EOF

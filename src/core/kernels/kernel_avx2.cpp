@@ -177,11 +177,44 @@ usize k_find_used_end(const u8* mem, usize len) noexcept {
   return 0;
 }
 
+// Bit b of the result is set iff byte b of v is non-zero.
+inline u64 nonzero_mask(__m256i v) noexcept {
+  const __m256i zero = _mm256_cmpeq_epi8(v, _mm256_setzero_si256());
+  return ~static_cast<u32>(_mm256_movemask_epi8(zero));
+}
+
+// 128-byte groups: the OR of four vectors skips an all-zero group with one
+// test; a live group's byte masks make two u64s walked by ctz.
+usize k_collect_nonzero(const u8* mem, usize len, u32* out) noexcept {
+  usize n = 0;
+  usize i = 0;
+  for (; i + 128 <= len; i += 128) {
+    const auto* p = reinterpret_cast<const __m256i*>(mem + i);
+    const __m256i a = _mm256_loadu_si256(p);
+    const __m256i b = _mm256_loadu_si256(p + 1);
+    const __m256i c = _mm256_loadu_si256(p + 2);
+    const __m256i d = _mm256_loadu_si256(p + 3);
+    const __m256i any =
+        _mm256_or_si256(_mm256_or_si256(a, b), _mm256_or_si256(c, d));
+    if (_mm256_testz_si256(any, any)) continue;
+    const u64 halves[2] = {nonzero_mask(a) | nonzero_mask(b) << 32,
+                           nonzero_mask(c) | nonzero_mask(d) << 32};
+    for (usize h = 0; h < 2; ++h) {
+      for (u64 nz = halves[h]; nz != 0; nz &= nz - 1) {
+        out[n++] = static_cast<u32>(i + h * 64 +
+                                    static_cast<usize>(__builtin_ctzll(nz)));
+      }
+    }
+  }
+  return n + detail::tail_collect_nonzero(mem + i, len - i, i, out + n);
+}
+
 constexpr KernelOps kAvx2Kernel = {
     "avx2",    k_reset,    k_classify,
     k_compare, k_classify_compare,
     k_hash,    k_classify_hash_clear,
     k_count_ne, k_find_used_end,
+    k_collect_nonzero,
 };
 
 }  // namespace

@@ -36,6 +36,10 @@ void tail_classify_compare(u8* trace, u8* virgin, usize len,
 // dst[i] = classify(src[i]), then src[i] = 0.
 void tail_classify_clear(u8* src, u8* dst, usize len) noexcept;
 
+// Appends base + i to `out` for every non-zero mem[i]; returns the count.
+usize tail_collect_nonzero(const u8* mem, usize len, usize base,
+                           u32* out) noexcept;
+
 // The fused trim pass's chunk: small enough that the classified copy is
 // still in L1 when the CRC fold reads it back.
 inline constexpr usize kClassifyHashChunk = 4096;

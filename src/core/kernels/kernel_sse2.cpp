@@ -181,11 +181,41 @@ usize k_find_used_end(const u8* mem, usize len) noexcept {
   return 0;
 }
 
+// Bit b of the result is set iff byte b of v is non-zero.
+inline u64 nonzero_mask(__m128i v) noexcept {
+  const __m128i zero = _mm_cmpeq_epi8(v, _mm_setzero_si128());
+  return 0xFFFFu & ~static_cast<u32>(_mm_movemask_epi8(zero));
+}
+
+// 64-byte groups: the OR of four vectors skips an all-zero group with one
+// test; a live group's four byte masks make one u64 walked by ctz.
+usize k_collect_nonzero(const u8* mem, usize len, u32* out) noexcept {
+  usize n = 0;
+  usize i = 0;
+  for (; i + 64 <= len; i += 64) {
+    const auto* p = reinterpret_cast<const __m128i*>(mem + i);
+    const __m128i a = _mm_loadu_si128(p);
+    const __m128i b = _mm_loadu_si128(p + 1);
+    const __m128i c = _mm_loadu_si128(p + 2);
+    const __m128i d = _mm_loadu_si128(p + 3);
+    if (all_zero(_mm_or_si128(_mm_or_si128(a, b), _mm_or_si128(c, d)))) {
+      continue;
+    }
+    u64 nz = nonzero_mask(a) | nonzero_mask(b) << 16 |
+             nonzero_mask(c) << 32 | nonzero_mask(d) << 48;
+    for (; nz != 0; nz &= nz - 1) {
+      out[n++] = static_cast<u32>(i + static_cast<usize>(__builtin_ctzll(nz)));
+    }
+  }
+  return n + detail::tail_collect_nonzero(mem + i, len - i, i, out + n);
+}
+
 constexpr KernelOps kSse2Kernel = {
     "sse2",    k_reset,    k_classify,
     k_compare, k_classify_compare,
     k_hash,    k_classify_hash_clear,
     k_count_ne, k_find_used_end,
+    k_collect_nonzero,
 };
 
 }  // namespace

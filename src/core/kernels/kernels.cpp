@@ -60,6 +60,15 @@ void tail_classify_clear(u8* src, u8* dst, usize len) noexcept {
   }
 }
 
+usize tail_collect_nonzero(const u8* mem, usize len, usize base,
+                           u32* out) noexcept {
+  usize n = 0;
+  for (usize i = 0; i < len; ++i) {
+    if (mem[i] != 0) out[n++] = static_cast<u32>(base + i);
+  }
+  return n;
+}
+
 u32 classify_hash_clear_chunked(u8* mem, usize len,
                                 ClassifyClearFn chunk) noexcept {
   alignas(64) u8 scratch[kClassifyHashChunk];
@@ -133,11 +142,16 @@ usize sc_find_used_end(const u8* mem, usize len) noexcept {
   return end;
 }
 
+usize sc_collect_nonzero(const u8* mem, usize len, u32* out) noexcept {
+  return detail::tail_collect_nonzero(mem, len, 0, out);
+}
+
 constexpr KernelOps kScalarKernel = {
     "scalar",        sc_reset,    sc_classify,
     sc_compare,      sc_classify_compare,
     sc_hash,         sc_classify_hash_clear,
     sc_count_ne,     sc_find_used_end,
+    sc_collect_nonzero,
 };
 
 // --- swar kernel: u64 word-at-a-time (AFL's LUT16 + zero-word skip) ------
@@ -231,11 +245,27 @@ usize sw_find_used_end(const u8* mem, usize len) noexcept {
   return 0;
 }
 
+// Zero words are skipped; the non-zero bytes of a word are found by ctz.
+usize sw_collect_nonzero(const u8* mem, usize len, u32* out) noexcept {
+  usize n = 0;
+  usize i = 0;
+  for (; i + 8 <= len; i += 8) {
+    u64 w = load64(mem + i);
+    while (w != 0) {
+      const int bit = __builtin_ctzll(w) & ~7;
+      out[n++] = static_cast<u32>(i + static_cast<usize>(bit / 8));
+      w &= ~(u64{0xFF} << bit);
+    }
+  }
+  return n + detail::tail_collect_nonzero(mem + i, len - i, i, out + n);
+}
+
 constexpr KernelOps kSwarKernel = {
     "swar",     sw_reset,    sw_classify,
     sw_compare, sw_classify_compare,
     sw_hash,    sw_classify_hash_clear,
     sw_count_ne, sw_find_used_end,
+    sw_collect_nonzero,
 };
 
 // --- registry ------------------------------------------------------------

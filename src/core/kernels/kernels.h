@@ -1,7 +1,7 @@
 // Whole-map kernel suite: runtime-dispatched implementations of the
 // whole-map operations (reset / classify / compare_update / fused
-// classify_compare / hash / fused classify_hash_clear / count) at four ISA
-// levels.
+// classify_compare / hash / fused classify_hash_clear / count / collect)
+// at four ISA levels.
 //
 // BigMap's point (§IV) is that these operations scale with used_key, not
 // map size — the kernel layer removes the remaining constant factor. Every
@@ -72,6 +72,13 @@ struct KernelOps {
   // One past the index of the last non-zero byte (0 when all zero) — the
   // §IV-D "hash up to the last non-zero byte" scan, run backwards.
   usize (*find_used_end)(const u8* mem, usize len) noexcept;
+
+  // Writes the positions of the non-zero bytes of [mem, mem+len) to
+  // out[0, n) in ascending order and returns n — the sparse form of a
+  // classified trace that top_rated scoring and the corpus store read.
+  // `out` must hold one u32 per non-zero byte (len of them at most);
+  // len < 2^32.
+  usize (*collect_nonzero)(const u8* mem, usize len, u32* out) noexcept;
 };
 
 // The byte-at-a-time reference kernel (always available).

@@ -187,16 +187,6 @@ class Campaign {
 
   // --- corpus store ---------------------------------------------------------
 
-  // Sparse coverage positions of the last run's classified trace — the
-  // rarity signal the store's trim pass works from, found by the same
-  // zero-word-skipping walk update_scores makes.
-  std::vector<u32> trace_positions() const {
-    std::vector<u32> out;
-    for_each_nonzero(ex_.last_trace(),
-                     [&](usize i) { out.push_back(static_cast<u32>(i)); });
-    return out;
-  }
-
   // Offers one input to the corpus store, counting the append or the
   // dedup hit. Returns its content hash.
   u64 offer_to_store(std::span<const u8> data, u64 sched_ns, u32 bitmap_hash,
@@ -652,9 +642,12 @@ class Campaign {
                              : out.exec_ns;
     const usize idx =
         queue_.add(std::move(input), sched_ns, out.hash, depth);
-    queue_.update_scores(idx, ex_.last_trace());
+    // The positions the score update collected are the rarity signal the
+    // store's trim pass works from.
+    const std::span<const u32> positions =
+        queue_.update_scores(idx, ex_.last_trace());
     if (cfg_.corpus != nullptr) {
-      record_corpus_entry(idx, sched_ns, out.hash, depth, trace_positions());
+      record_corpus_entry(idx, sched_ns, out.hash, depth, positions);
     }
     return true;
   }

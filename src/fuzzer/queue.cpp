@@ -2,11 +2,13 @@
 
 #include <algorithm>
 
+#include "core/kernels/kernels.h"
+
 namespace bigmap {
 
 SeedQueue::SeedQueue(usize map_positions)
     : top_entry_(PageBuffer::plain(map_positions * sizeof(u32))),
-      top_factor_(PageBuffer::plain(map_positions * sizeof(u64))) {}
+      positions_(PageBuffer::plain(map_positions * sizeof(u32))) {}
 
 usize SeedQueue::add(Input data, u64 exec_ns, u32 bitmap_hash, u32 depth) {
   auto e = std::make_unique<QueueEntry>();
@@ -15,29 +17,35 @@ usize SeedQueue::add(Input data, u64 exec_ns, u32 bitmap_hash, u32 depth) {
   e->bitmap_hash = bitmap_hash;
   e->depth = depth;
   entries_.push_back(std::move(e));
+  factor_.push_back(0);
   return entries_.size() - 1;
 }
 
-void SeedQueue::update_scores(usize entry_idx, std::span<const u8> trace) {
+std::span<const u32> SeedQueue::update_scores(usize entry_idx,
+                                              std::span<const u8> trace) {
   const QueueEntry& e = *entries_[entry_idx];
   // fav_factor: lower is better (AFL: exec_us * len).
   const u64 factor =
       std::max<u64>(1, e.exec_ns) * std::max<usize>(1, e.data.size());
+  factor_[entry_idx] = factor;
 
-  const u32 idx32 = static_cast<u32>(entry_idx);
+  u32* const pos = reinterpret_cast<u32*>(positions_.data());
+  const usize n =
+      kernels::active_kernel().collect_nonzero(trace.data(), trace.size(), pos);
+  const u32 winner = static_cast<u32>(entry_idx) + 1;
   u32* const top = winners();
-  u64* const fav = factors();
-  for_each_nonzero(trace, [&](usize i) {
-    if (fav[i] == 0) {
+  for (usize k = 0; k < n; ++k) {
+    u32& slot = top[pos[k]];
+    if (slot == 0) {
       ++top_covered_;
-      top_end_ = std::max(top_end_, i + 1);
-    } else if (factor >= fav[i]) {
-      return;
+    } else if (factor >= factor_[slot - 1]) {
+      continue;
     }
-    top[i] = idx32;
-    fav[i] = factor;
+    slot = winner;
     cull_pending_ = true;
-  });
+  }
+  if (n != 0) top_end_ = std::max<usize>(top_end_, pos[n - 1] + 1);
+  return {pos, n};
 }
 
 void SeedQueue::cull() {
@@ -52,9 +60,8 @@ void SeedQueue::cull() {
   // favored set is slightly larger than AFL's minimal cover but has the
   // same growth behavior.
   const u32* const top = winners();
-  const u64* const fav = factors();
   for (usize i = 0; i < top_end_; ++i) {
-    if (fav[i] != 0) entries_[top[i]]->favored = true;
+    if (top[i] != 0) entries_[top[i] - 1]->favored = true;
   }
 }
 
@@ -109,11 +116,10 @@ SeedQueue::ExportedState SeedQueue::export_state(usize prefix) const {
                     std::vector<u64>(prefix, 0), top_covered_};
   // No position at or past top_end_ has a winner.
   const u32* const top = winners();
-  const u64* const fav = factors();
   for (usize i = 0; i < std::min(prefix, top_end_); ++i) {
-    if (fav[i] == 0) continue;
-    out.top_entry[i] = top[i];
-    out.top_factor[i] = fav[i];
+    if (top[i] == 0) continue;
+    out.top_entry[i] = top[i] - 1;
+    out.top_factor[i] = factor_[top[i] - 1];
   }
   return out;
 }
@@ -122,15 +128,20 @@ bool SeedQueue::import_state(std::vector<QueueEntry> entries,
                              std::span<const u32> top_entry,
                              std::span<const u64> top_factor,
                              usize top_covered) {
-  if (top_entry.size() > top_factor_.size() / sizeof(u64) ||
+  if (top_entry.size() > top_entry_.size() / sizeof(u32) ||
       top_factor.size() != top_entry.size()) {
     return false;
   }
+  // Every winning position of one entry must carry that entry's factor.
+  std::vector<u64> factor(entries.size(), 0);
   usize covered = 0;
   usize end = 0;
   for (usize i = 0; i < top_entry.size(); ++i) {
     if (top_entry[i] == kNoEntry) continue;
     if (top_entry[i] >= entries.size() || top_factor[i] == 0) return false;
+    u64& f = factor[top_entry[i]];
+    if (f != 0 && f != top_factor[i]) return false;
+    f = top_factor[i];
     ++covered;
     end = i + 1;
   }
@@ -141,15 +152,13 @@ bool SeedQueue::import_state(std::vector<QueueEntry> entries,
   for (QueueEntry& e : entries) {
     entries_.push_back(std::make_unique<QueueEntry>(std::move(e)));
   }
+  factor_ = std::move(factor);
   // Clear the old winners, then copy the new ones: O(prefix + old
   // top_end_), writing no position past either.
   u32* const top = winners();
-  u64* const fav = factors();
-  std::fill_n(fav, top_end_, u64{0});
+  std::fill_n(top, top_end_, u32{0});
   for (usize i = 0; i < end; ++i) {
-    if (top_entry[i] == kNoEntry) continue;
-    top[i] = top_entry[i];
-    fav[i] = top_factor[i];
+    if (top_entry[i] != kNoEntry) top[i] = top_entry[i] + 1;
   }
   top_covered_ = top_covered;
   top_end_ = end;

@@ -8,7 +8,8 @@
 //    in AFL — scans the whole trace bitmap for interesting entries. Under
 //    the flat scheme that scan covers the full map; under BigMap only the
 //    used region (the paper's "rank update" §IV-B). The caller passes the
-//    span to scan, so the asymmetry falls out naturally. The arrays live on
+//    span to scan, so the asymmetry falls out naturally. The scan is one
+//    kernel collect_nonzero pass; the winners are one u32 per position on
 //    zero-filled lazily faulted pages, so only positions ever won cost
 //    resident memory: [0, used_key) under BigMap.
 //  - cull(): marks the minimal favored set covering all seen positions.
@@ -16,8 +17,6 @@
 //    deep entries with more havoc iterations.
 #pragma once
 
-#include <bit>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -28,29 +27,6 @@
 namespace bigmap {
 
 using Input = std::vector<u8>;
-
-// Calls f(i) for every non-zero byte trace[i], in ascending order. A flat
-// trace is a full, mostly zero map: zero u64 words are skipped and the
-// non-zero bytes of a word are found by ctz.
-template <class F>
-void for_each_nonzero(std::span<const u8> trace, F&& f) {
-  static_assert(std::endian::native == std::endian::little);
-  const u8* p = trace.data();
-  const usize n = trace.size();
-  usize i = 0;
-  for (; i + 8 <= n; i += 8) {
-    u64 w;
-    std::memcpy(&w, p + i, 8);
-    while (w != 0) {
-      const int bit = __builtin_ctzll(w) & ~7;
-      f(i + static_cast<usize>(bit / 8));
-      w &= ~(u64{0xFF} << bit);
-    }
-  }
-  for (; i < n; ++i) {
-    if (p[i] != 0) f(i);
-  }
-}
 
 struct QueueEntry {
   Input data;
@@ -77,11 +53,14 @@ class SeedQueue {
   QueueEntry& entry(usize idx) noexcept { return *entries_[idx]; }
   const QueueEntry& entry(usize idx) const noexcept { return *entries_[idx]; }
 
-  // AFL's update_bitmap_score: called for a just-added interesting entry
-  // with its classified trace. For every position set in `trace`, the entry
-  // competes for top_rated by fav_factor = exec_ns * len. The span length
-  // embodies the flat/condensed asymmetry.
-  void update_scores(usize entry_idx, std::span<const u8> trace);
+  // AFL's update_bitmap_score: called once for a just-added interesting
+  // entry with its classified trace (no longer than the position count).
+  // For every position set in `trace`, the entry competes for top_rated by
+  // fav_factor = exec_ns * len, fixed at this call. The span length
+  // embodies the flat/condensed asymmetry. Returns the ascending positions
+  // set in `trace`, valid until the next call.
+  std::span<const u32> update_scores(usize entry_idx,
+                                     std::span<const u8> trace);
 
   // AFL's cull_queue: recompute the favored set. Cheap relative to
   // update_scores; call before each queue cycle. Walks only the positions
@@ -118,21 +97,19 @@ class SeedQueue {
   // (no longer than this queue's position count; later positions have no
   // winner) and reference only valid entry indices (or kNoEntry). Returns
   // false (leaving the queue unchanged) on any inconsistency, including a
-  // winner with fav factor 0 (real factors are >= 1). Marks culling
-  // pending so the favored set is recomputed before the next cycle.
+  // winner with fav factor 0 (real factors are >= 1) and one entry winning
+  // with two different factors. Marks culling pending so the favored set
+  // is recomputed before the next cycle.
   bool import_state(std::vector<QueueEntry> entries,
                     std::span<const u32> top_entry,
                     std::span<const u64> top_factor, usize top_covered);
 
-  // One slot per coverage position. kNoEntry when never covered.
+  // The exported/imported winner of a position never covered.
   static constexpr u32 kNoEntry = 0xFFFFFFFFu;
 
-  // The pages backing the two top_rated arrays, for residency checks.
+  // The pages backing the top_rated winners, for residency checks.
   std::span<const u8> top_entry_pages() const noexcept {
     return top_entry_.span();
-  }
-  std::span<const u8> top_factor_pages() const noexcept {
-    return top_factor_.span();
   }
 
  private:
@@ -142,19 +119,17 @@ class SeedQueue {
   const u32* winners() const noexcept {
     return reinterpret_cast<const u32*>(top_entry_.data());
   }
-  u64* factors() noexcept {
-    return reinterpret_cast<u64*>(top_factor_.data());
-  }
-  const u64* factors() const noexcept {
-    return reinterpret_cast<const u64*>(top_factor_.data());
-  }
 
   std::vector<std::unique_ptr<QueueEntry>> entries_;
-  // Per-position winning entry and its fav factor. A factor of 0 means no
-  // winner (a real factor is >= 1), so fresh zero pages need no fill and
-  // the entry slot is meaningful only where the factor is non-zero.
-  PageBuffer top_entry_;   // u32 per position
-  PageBuffer top_factor_;  // u64 per position
+  // Each entry's fav factor, fixed when it is scored; 0 until then (a real
+  // factor is >= 1). A position's winning factor is its winner's.
+  std::vector<u64> factor_;
+  // Per-position winning entry + 1; 0 means no winner, so fresh zero pages
+  // need no fill.
+  PageBuffer top_entry_;  // u32 per position
+  // update_scores' scratch: the positions it collected, u32 each. Only the
+  // prefix the densest trace reached is ever resident.
+  PageBuffer positions_;
   usize top_covered_ = 0;
   usize top_end_ = 0;  // one past the highest position with a winner
   bool cull_pending_ = false;

@@ -3,15 +3,10 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <new>
 #include <utility>
 
 #include "util/fault.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace bigmap {
 namespace {
@@ -99,33 +94,6 @@ void PageBuffer::release() noexcept {
     size_ = 0;
     mapped_size_ = 0;
   }
-}
-
-void memset_zero_nontemporal(u8* dst, usize len) noexcept {
-#if defined(__SSE2__)
-  u8* p = dst;
-  u8* const end = dst + len;
-
-  // Head: align to 16 bytes with plain stores.
-  while (p < end && (reinterpret_cast<uintptr_t>(p) & 0xF) != 0) *p++ = 0;
-
-  const __m128i zero = _mm_setzero_si128();
-  for (; p + 64 <= end; p += 64) {
-    _mm_stream_si128(reinterpret_cast<__m128i*>(p + 0), zero);
-    _mm_stream_si128(reinterpret_cast<__m128i*>(p + 16), zero);
-    _mm_stream_si128(reinterpret_cast<__m128i*>(p + 32), zero);
-    _mm_stream_si128(reinterpret_cast<__m128i*>(p + 48), zero);
-  }
-  for (; p + 16 <= end; p += 16) {
-    _mm_stream_si128(reinterpret_cast<__m128i*>(p), zero);
-  }
-  _mm_sfence();
-
-  // Tail.
-  while (p < end) *p++ = 0;
-#else
-  std::memset(dst, 0, len);
-#endif
 }
 
 }  // namespace bigmap

@@ -1,13 +1,13 @@
-// Page-aligned buffer with optional huge-page backing, plus a non-temporal
-// memset.
+// Page-aligned buffer with optional huge-page backing.
 //
 // The paper's §IV-E optimizations include (a) allocating the index and
 // coverage bitmaps on huge pages to cut DTLB pressure, and (b) resetting the
 // bitmap with non-temporal stores so the (mostly dead) map bytes do not
-// evict useful cache lines. Both are implemented here with graceful
+// evict useful cache lines. (a) is implemented here with graceful
 // fallbacks so the library runs on any Linux host regardless of hugetlbfs
-// configuration. Neither map resets with (b): on a map the size of L2 it
-// evicts the lines the next exec touches (DESIGN.md decision 5).
+// configuration. (b) is not implemented: on a map the size of L2 it evicts
+// the lines the next exec touches (DESIGN.md decision 5); cachesim models
+// it instead.
 #pragma once
 
 #include <cstddef>
@@ -76,11 +76,5 @@ class PageBuffer {
   usize mapped_size_ = 0;
   PageBackingResult backing_ = PageBackingResult::kNormal;
 };
-
-// memset-to-zero using non-temporal (streaming) stores where the target ISA
-// provides them, falling back to plain memset. Non-temporal stores bypass
-// the cache hierarchy, so zeroing a large, mostly-unread bitmap does not
-// evict the working set (§IV-E).
-void memset_zero_nontemporal(u8* dst, usize len) noexcept;
 
 }  // namespace bigmap

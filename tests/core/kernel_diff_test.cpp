@@ -11,7 +11,8 @@
 //   - lengths crossing every word/vector boundary (len % 8 != 0 and
 //     len % 32 != 0 tails included);
 //   - ops: reset, classify, compare_update, fused classify_compare, hash,
-//     fused classify_hash_clear, count_ne, find_used_end — asserting
+//     fused classify_hash_clear, count_ne, find_used_end, collect_nonzero
+//     — asserting
 //     byte-exact coverage/virgin buffers and identical NewBits verdicts;
 //   - cross-scheme property runs (FlatCoverageMap vs. TwoLevelCoverageMap
 //     under every kernel) and the §IV-D golden-hash stability rule.
@@ -361,6 +362,77 @@ TEST(KernelDiffTest, ClassifyHashClearMatchesClassifyThenCrc) {
       check_classify_hash_clear(*k, p, 2u << 20, 0);
       check_classify_hash_clear(*k, p, 2u << 20, 1);
       if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// One collect_nonzero call on `len` bytes at `offset`: the same positions
+// as the scalar reference, relative to the start of the span, and no
+// write past the last one.
+void check_collect_nonzero(const KernelOps& k, const std::vector<u8>& trace,
+                           usize offset) {
+  constexpr usize kGuard = 8;
+  constexpr u32 kSentinel = 0xDEADBEEF;
+  const usize len = trace.size();
+  std::vector<u8> buf(offset + len);
+  std::copy(trace.begin(), trace.end(), buf.begin() + offset);
+
+  std::vector<u32> want(len);
+  want.resize(kernels::scalar_kernel().collect_nonzero(buf.data() + offset,
+                                                       len, want.data()));
+  std::vector<u32> got(want.size() + kGuard, kSentinel);
+  ASSERT_EQ(k.collect_nonzero(buf.data() + offset, len, got.data()),
+            want.size())
+      << k.name << " collect_nonzero, len " << len << ", offset " << offset;
+  ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+      << k.name << " collect_nonzero, len " << len << ", offset " << offset;
+  ASSERT_EQ(std::count(got.begin() + static_cast<long>(want.size()),
+                       got.end(), kSentinel),
+            static_cast<long>(kGuard))
+      << k.name << " collect_nonzero wrote past its count, len " << len;
+}
+
+TEST(KernelDiffTest, CollectNonzeroMatchesScalar) {
+  // The scalar reference is checked against a plain loop first, then every
+  // kernel against it: each length 0-300 at a rotating offset, one
+  // non-zero byte on each side of every 8-byte boundary (so of every
+  // 16/32-byte vector and 64/128-byte group), a page and one, 64 kB and a
+  // whole 2 MB map.
+  for (Pattern p : kPatterns) {
+    const std::vector<u8> t = make_trace(p, 300, 17);
+    std::vector<u32> want;
+    for (usize i = 0; i < t.size(); ++i) {
+      if (t[i] != 0) want.push_back(static_cast<u32>(i));
+    }
+    std::vector<u32> got(t.size());
+    got.resize(
+        kernels::scalar_kernel().collect_nonzero(t.data(), t.size(),
+                                                 got.data()));
+    ASSERT_EQ(got, want) << pattern_name(p);
+  }
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    for (Pattern p : kPatterns) {
+      for (usize len = 0; len <= 300; ++len) {
+        check_collect_nonzero(*k, make_trace(p, len, 7 * len + 1), len % 5);
+        if (HasFatalFailure()) return;
+      }
+    }
+    std::vector<u8> one(1000, 0);
+    for (usize b = 8; b < one.size(); b += 8) {
+      for (usize pos : {b - 1, b}) {
+        one[pos] = 0x80;
+        check_collect_nonzero(*k, one, pos % 3);
+        one[pos] = 0;
+        if (HasFatalFailure()) return;
+      }
+    }
+    for (Pattern p : {Pattern::kAllZero, Pattern::kAllFF, Pattern::kDense,
+                      Pattern::kSparse}) {
+      for (usize len : {4097u, 65536u, 2u << 20}) {
+        check_collect_nonzero(*k, make_trace(p, len, len), 0);
+        check_collect_nonzero(*k, make_trace(p, len, len + 1), 3);
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }

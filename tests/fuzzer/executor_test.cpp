@@ -337,11 +337,10 @@ TEST(ResidencyTest, TwoLevelBuffersFollowUsedKey) {
   EXPECT_LE(resident_pages(virgin(ex.virgin_crash())), bound(1));
   EXPECT_LE(resident_pages(virgin(ex.virgin_hang())), bound(1));
   EXPECT_LE(resident_pages(queue.top_entry_pages()), bound(sizeof(u32)));
-  EXPECT_LE(resident_pages(queue.top_factor_pages()), bound(sizeof(u64)));
   // The buffers are real: their used prefix is resident.
   EXPECT_GE(resident_pages(virgin(ex.virgin_queue())), used / kPage);
-  EXPECT_GE(resident_pages(queue.top_factor_pages()),
-            used * sizeof(u64) / kPage);
+  EXPECT_GE(resident_pages(queue.top_entry_pages()),
+            used * sizeof(u32) / kPage);
 }
 
 TEST(ExecutorTest, IdenticalPathsIdenticalHashesAcrossUsedKeyGrowth) {

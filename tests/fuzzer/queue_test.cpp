@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 namespace bigmap {
@@ -123,9 +124,11 @@ TEST(SeedQueueTest, TraceSpanShorterThanMapIsFine) {
 }
 
 TEST(SeedQueueTest, UpdateScoresMatchesBytewiseAcrossWordBoundaries) {
-  // Hits in the first and last byte, on both sides of every u64 boundary,
-  // and traces whose length is not a multiple of 8.
-  for (const usize len : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 67u, 83u}) {
+  // Hits in the first and last byte, on both sides of every u64 boundary
+  // (so of every 16/32-byte vector and 64/128-byte group too), and traces
+  // whose length is not a multiple of 8 or of a vector group.
+  for (const usize len : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 64u,
+                          67u, 83u, 127u, 128u, 129u, 255u}) {
     SCOPED_TRACE(len);
     SeedQueue q(len);
     ReferenceScores ref(len);
@@ -158,8 +161,13 @@ TEST(SeedQueueTest, UpdateScoresMatchesBytewiseAcrossWordBoundaries) {
       q.entry(probe).favored = true;
       ref.pending = false;
 
-      q.update_scores(idx, trace);
+      const std::span<const u32> got = q.update_scores(idx, trace);
       ref.update(static_cast<u32>(idx), exec_ns * 4, trace);
+      std::vector<u32> want;
+      for (usize i = 0; i < len; ++i) {
+        if (trace[i] != 0) want.push_back(static_cast<u32>(i));
+      }
+      EXPECT_EQ(std::vector<u32>(got.begin(), got.end()), want);
 
       const SeedQueue::ExportedState st = q.export_state(len);
       EXPECT_EQ(st.top_entry, ref.top_entry);
@@ -287,6 +295,45 @@ TEST(SeedQueueTest, ImportPrefixMatchesWholeImport) {
   zeroed[5] = 0;
   EXPECT_FALSE(prefix.import_state(entries(), top.first(40), zeroed,
                                    st.top_covered));
+}
+
+// Each entry wins with one fav factor; a state where one entry's winning
+// positions carry two different factors is not one this queue can hold.
+TEST(SeedQueueTest, ImportRejectsDisagreeingFactors) {
+  SeedQueue src(64);
+  std::vector<u8> trace(64, 0);
+  for (usize i : {2u, 9u, 40u}) trace[i] = 1;
+  src.update_scores(src.add(bytes(4), 10, 0, 0), trace);
+  trace.assign(64, 0);
+  trace[9] = 1;
+  trace[50] = 1;
+  src.update_scores(src.add(bytes(2), 10, 0, 0), trace);
+  const SeedQueue::ExportedState st = src.export_state(64);
+  ASSERT_EQ(st.top_entry[2], 0u);
+  ASSERT_EQ(st.top_entry[40], 0u);
+  ASSERT_EQ(st.top_entry[9], 1u);
+  ASSERT_NE(st.top_factor[2], st.top_factor[9]);
+
+  std::vector<QueueEntry> entries;
+  for (usize i = 0; i < src.size(); ++i) entries.push_back(src.entry(i));
+  SeedQueue dst(64);
+  ASSERT_TRUE(dst.import_state(entries, st.top_entry, st.top_factor,
+                               st.top_covered));
+  const SeedQueue::ExportedState round = dst.export_state(64);
+  EXPECT_EQ(round.top_entry, st.top_entry);
+  EXPECT_EQ(round.top_factor, st.top_factor);
+
+  // Entry 0 wins positions 2 and 40; give one of them another factor.
+  std::vector<u64> factor = st.top_factor;
+  factor[40] += 1;
+  SeedQueue other(64);
+  EXPECT_FALSE(other.import_state(entries, st.top_entry, factor,
+                                  st.top_covered));
+  // A rejected import leaves the queue as it was.
+  EXPECT_FALSE(dst.import_state(entries, st.top_entry, factor,
+                                st.top_covered));
+  EXPECT_EQ(dst.export_state(64).top_factor, st.top_factor);
+  EXPECT_EQ(dst.size(), 2u);
 }
 
 }  // namespace

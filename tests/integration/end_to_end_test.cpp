@@ -1,7 +1,8 @@
 // Integration tests spanning the whole stack: suite profiles -> generator
 // -> (laf-intel) -> metrics -> executor -> campaign -> analysis. These are
 // scaled-down versions of the paper's experiments asserting the *shape*
-// results the benches print.
+// results the benches print. The wall-clock Figure 6 shape has its own
+// serial binary (throughput_shape_test.cpp).
 #include <gtest/gtest.h>
 
 #include "analysis/collision.h"
@@ -19,30 +20,6 @@ CampaignConfig config_for(MapScheme scheme, usize map_size, u64 execs) {
   c.max_execs = execs;
   c.seed = 17;
   return c;
-}
-
-TEST(EndToEndTest, ThroughputShapeOnZlib) {
-  // Mini Figure 6: same exec budget; BigMap's wall time must stay nearly
-  // flat from 64kB to 8MB while the flat scheme slows dramatically.
-  const BenchmarkInfo* info = find_benchmark("zlib");
-  ASSERT_NE(info, nullptr);
-  auto target = build_benchmark(*info);
-  auto seeds = benchmark_seeds(target, *info);
-
-  auto time_of = [&](MapScheme scheme, usize size) {
-    auto r = run_campaign(target.program, seeds,
-                          config_for(scheme, size, 3000));
-    return r.wall_seconds;
-  };
-
-  const double flat_small = time_of(MapScheme::kFlat, 1u << 16);
-  const double flat_large = time_of(MapScheme::kFlat, 8u << 20);
-  const double two_small = time_of(MapScheme::kTwoLevel, 1u << 16);
-  const double two_large = time_of(MapScheme::kTwoLevel, 8u << 20);
-
-  EXPECT_GT(flat_large, flat_small * 5) << "flat must degrade with size";
-  EXPECT_LT(two_large, two_small * 3) << "two-level must stay flat";
-  EXPECT_LT(two_large, flat_large / 4) << "BigMap must win at 8MB";
 }
 
 TEST(EndToEndTest, Table2CollisionColumnFromEquation1) {

@@ -1,4 +1,4 @@
-// Tests for PageBuffer and the non-temporal memset.
+// Tests for PageBuffer.
 #include "util/alloc.h"
 
 #include <gtest/gtest.h>
@@ -70,41 +70,6 @@ TEST(PageBufferTest, SmallHugeRequestUsesNormalPages) {
   PageBuffer b(4096, PageBacking::kHugeIfAvailable);
   EXPECT_EQ(b.backing(), PageBackingResult::kNormal);
 }
-
-TEST(NontemporalMemsetTest, ZeroesExactRange) {
-  std::vector<u8> buf(4096 + 13, 0xFF);
-  // Zero an unaligned interior range; bytes outside must be untouched.
-  memset_zero_nontemporal(buf.data() + 5, 4096);
-  EXPECT_EQ(buf[4], 0xFF);
-  for (usize i = 5; i < 5 + 4096; ++i) ASSERT_EQ(buf[i], 0) << i;
-  EXPECT_EQ(buf[5 + 4096], 0xFF);
-}
-
-TEST(NontemporalMemsetTest, TinyAndEmptyRanges) {
-  std::vector<u8> buf(64, 0xEE);
-  memset_zero_nontemporal(buf.data(), 0);
-  EXPECT_EQ(buf[0], 0xEE);
-  memset_zero_nontemporal(buf.data() + 1, 3);
-  EXPECT_EQ(buf[0], 0xEE);
-  EXPECT_EQ(buf[1], 0);
-  EXPECT_EQ(buf[2], 0);
-  EXPECT_EQ(buf[3], 0);
-  EXPECT_EQ(buf[4], 0xEE);
-}
-
-class NontemporalSizeTest : public ::testing::TestWithParam<usize> {};
-
-TEST_P(NontemporalSizeTest, MatchesPlainMemset) {
-  const usize len = GetParam();
-  std::vector<u8> a(len + 32, 0xAA), b(len + 32, 0xAA);
-  memset_zero_nontemporal(a.data() + 16, len);
-  std::memset(b.data() + 16, 0, len);
-  EXPECT_EQ(a, b) << "len=" << len;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, NontemporalSizeTest,
-                         ::testing::Values(1, 7, 15, 16, 17, 63, 64, 65, 127,
-                                           1024, 4095, 65536));
 
 }  // namespace
 }  // namespace bigmap
