@@ -10,7 +10,8 @@
 //   ./build/examples/collision_demo
 #include <cstdio>
 
-#include "core/coverage_map.h"
+#include "core/two_level_map.h"
+#include "core/virgin.h"
 #include "instrumentation/metrics.h"
 #include "util/rng.h"
 
@@ -43,7 +44,7 @@ CollidingPair find_colliding_edges(const BlockIdTable& ids, usize small_size,
   return {0, 1, 2, 3};
 }
 
-NewBits feed_edge(CoverageMapVariant& map, VirginMap& virgin,
+NewBits feed_edge(TwoLevelCoverageMap& map, VirginMap& virgin,
                   const BlockIdTable& ids, u32 prev, u32 cur) {
   map.reset();
   EdgeMetric metric(ids);
@@ -67,8 +68,8 @@ int main() {
   for (usize size : {kSmall, kLarge}) {
     MapOptions o;
     o.map_size = size;
-    CoverageMapVariant map(MapScheme::kTwoLevel, o);
-    VirginMap virgin(map.virgin_size());
+    TwoLevelCoverageMap map(o);
+    VirginMap virgin(map.condensed_size());
 
     const NewBits first =
         feed_edge(map, virgin, ids, pair.a_prev, pair.a_cur);

@@ -1,9 +1,5 @@
 #include "core/classify.h"
 
-#include <cassert>
-#include <cstring>
-#include <memory>
-
 namespace bigmap {
 namespace {
 
@@ -13,55 +9,11 @@ std::array<u8, 256> make_lookup8() noexcept {
   return lut;
 }
 
-std::unique_ptr<std::array<u16, 65536>> make_lookup16() {
-  auto lut = std::make_unique<std::array<u16, 65536>>();
-  const auto& l8 = count_class_lookup8();
-  for (u32 hi = 0; hi < 256; ++hi) {
-    for (u32 lo = 0; lo < 256; ++lo) {
-      (*lut)[(hi << 8) | lo] =
-          static_cast<u16>((static_cast<u16>(l8[hi]) << 8) | l8[lo]);
-    }
-  }
-  return lut;
-}
-
 }  // namespace
 
 const std::array<u8, 256>& count_class_lookup8() noexcept {
   static const std::array<u8, 256> lut = make_lookup8();
   return lut;
-}
-
-const std::array<u16, 65536>& count_class_lookup16() noexcept {
-  static const std::unique_ptr<std::array<u16, 65536>> lut = make_lookup16();
-  return *lut;
-}
-
-void classify_counts(u8* mem, usize len) noexcept {
-  assert(len % 8 == 0);
-
-  const auto& lut = count_class_lookup16();
-  const usize words = len / 8;
-
-  for (usize w = 0; w < words; ++w) {
-    // Word-at-a-time via memcpy'd locals (no aliasing UB; compiles to
-    // plain 8-byte load/store). Zero words — the dominant case on a sparse
-    // bitmap — are skipped entirely.
-    u64 t;
-    std::memcpy(&t, mem + w * 8, 8);
-    if (t != 0) {
-      const u64 c = static_cast<u64>(lut[t & 0xFFFF]) |
-                    (static_cast<u64>(lut[(t >> 16) & 0xFFFF]) << 16) |
-                    (static_cast<u64>(lut[(t >> 32) & 0xFFFF]) << 32) |
-                    (static_cast<u64>(lut[(t >> 48) & 0xFFFF]) << 48);
-      std::memcpy(mem + w * 8, &c, 8);
-    }
-  }
-}
-
-void classify_counts_bytewise(u8* mem, usize len) noexcept {
-  const auto& lut = count_class_lookup8();
-  for (usize i = 0; i < len; ++i) mem[i] = lut[mem[i]];
 }
 
 bool is_classified(std::span<const u8> mem) noexcept {

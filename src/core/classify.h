@@ -10,9 +10,11 @@
 // movement within a bucket is ignored. Bucketing also absorbs some noise
 // from accidental hash collisions (paper §II-A).
 //
-// classify_counts() uses AFL's 16-bit lookup-table trick: the 64 kB LUT maps
-// two bytes per probe and the loop skips zero words entirely, which is the
-// dominant case on a sparse bitmap.
+// This header holds the bucket function and its byte table. The whole-map
+// passes live in the kernel layer (core/kernels/kernels.h): the swar kernel
+// builds AFL's 16-bit lookup table (two bytes per probe, zero words
+// skipped) from count_class_lookup8(), and the vector kernels classify a
+// whole vector at once.
 #pragma once
 
 #include <array>
@@ -37,17 +39,6 @@ constexpr u8 classify_count(u8 raw) noexcept {
 
 // 256-entry byte-level lookup table (kCountClass8[raw] == classify_count(raw)).
 const std::array<u8, 256>& count_class_lookup8() noexcept;
-
-// 65536-entry table classifying two adjacent bytes at once.
-const std::array<u16, 65536>& count_class_lookup16() noexcept;
-
-// Classifies `mem` in place, one 64-bit word at a time. len must be a
-// multiple of 8 (checked in debug builds).
-void classify_counts(u8* mem, usize len) noexcept;
-
-// Classifies an arbitrary (unaligned / odd-length) span byte-by-byte.
-// Used for the tail of BigMap's used region.
-void classify_counts_bytewise(u8* mem, usize len) noexcept;
 
 // True if every byte of the span is a valid bucket value.
 bool is_classified(std::span<const u8> mem) noexcept;

@@ -155,6 +155,9 @@ constexpr KernelOps kScalarKernel = {
 };
 
 // --- swar kernel: u64 word-at-a-time (AFL's LUT16 + zero-word skip) ------
+//
+// Word masks here are bytes of a u64, not movemask lanes, so swar stays
+// outside SimdKernel; it is also the kernel non-x86 targets run.
 
 inline u64 load64(const u8* p) noexcept {
   u64 v;
@@ -170,18 +173,74 @@ void sw_reset(u8* mem, usize len) noexcept {
   for (; i < len; ++i) mem[i] = 0;
 }
 
+// AFL's 16-bit lookup table: one probe classifies two adjacent bytes.
+struct Lut16 {
+  u16 pair[65536];
+  Lut16() noexcept {
+    const auto& l8 = count_class_lookup8();
+    for (u32 v = 0; v < 65536; ++v) {
+      pair[v] = static_cast<u16>(l8[v >> 8] << 8 | l8[v & 0xFF]);
+    }
+  }
+};
+
+const Lut16& lut16() noexcept {
+  static const Lut16 lut;
+  return lut;
+}
+
+inline u64 classify_word(u64 t, const Lut16& lut) noexcept {
+  return static_cast<u64>(lut.pair[t & 0xFFFF]) |
+         static_cast<u64>(lut.pair[(t >> 16) & 0xFFFF]) << 16 |
+         static_cast<u64>(lut.pair[(t >> 32) & 0xFFFF]) << 32 |
+         static_cast<u64>(lut.pair[t >> 48]) << 48;
+}
+
+// Zero words — the dominant case on a sparse bitmap — are skipped.
 void sw_classify(u8* mem, usize len) noexcept {
-  const usize aligned = len & ~static_cast<usize>(7);
-  classify_counts(mem, aligned);
-  detail::tail_classify(mem + aligned, len - aligned);
+  const Lut16& lut = lut16();
+  const usize words = len / 8;
+  for (usize w = 0; w < words; ++w) {
+    const u64 t = load64(mem + w * 8);
+    if (t != 0) store64(mem + w * 8, classify_word(t, lut));
+  }
+  detail::tail_classify(mem + words * 8, len - words * 8);
+}
+
+// AFL's has_new_bits, a word at a time. When CLASSIFY is set each non-zero
+// trace word is bucketed and stored back first (the §IV-E fused pass). A
+// word that hits a virgin bit is rare; its bytes go through the bytewise
+// compare, which sets the verdict and clears the hit bits.
+template <bool CLASSIFY>
+NewBits sw_compare_core(u8* trace, u8* virgin, usize len) noexcept {
+  const Lut16& lut = lut16();
+  NewBits result = NewBits::kNone;
+  usize i = 0;
+  for (; i + 8 <= len; i += 8) {
+    u64 t = load64(trace + i);
+    if (t == 0) continue;
+    if constexpr (CLASSIFY) {
+      t = classify_word(t, lut);
+      store64(trace + i, t);
+    }
+    if ((t & load64(virgin + i)) != 0) [[unlikely]] {
+      detail::tail_compare(trace + i, virgin + i, 8, result);
+    }
+  }
+  if constexpr (CLASSIFY) {
+    detail::tail_classify_compare(trace + i, virgin + i, len - i, result);
+  } else {
+    detail::tail_compare(trace + i, virgin + i, len - i, result);
+  }
+  return result;
 }
 
 NewBits sw_compare(const u8* trace, u8* virgin, usize len) noexcept {
-  return compare_and_update_virgin(trace, virgin, len);
+  return sw_compare_core<false>(const_cast<u8*>(trace), virgin, len);
 }
 
 NewBits sw_classify_compare(u8* trace, u8* virgin, usize len) noexcept {
-  return classify_compare_update(trace, virgin, len);
+  return sw_compare_core<true>(trace, virgin, len);
 }
 
 u32 sw_hash(const u8* mem, usize len) noexcept {
@@ -191,13 +250,17 @@ u32 sw_hash(const u8* mem, usize len) noexcept {
 }
 
 void sw_classify_clear(u8* src, u8* dst, usize len) noexcept {
+  const Lut16& lut = lut16();
   usize i = 0;
   for (; i + 8 <= len; i += 8) {
     const u64 w = load64(src + i);
-    store64(dst + i, w);
-    if (w != 0) store64(src + i, 0);
+    if (w == 0) {
+      store64(dst + i, 0);
+      continue;
+    }
+    store64(dst + i, classify_word(w, lut));
+    store64(src + i, 0);
   }
-  classify_counts(dst, i);
   detail::tail_classify_clear(src + i, dst + i, len - i);
 }
 

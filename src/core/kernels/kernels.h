@@ -10,12 +10,16 @@
 // compiled variant), so selection is purely a performance decision:
 //
 //   scalar  byte-at-a-time reference; the semantics oracle
-//   swar    u64 word-at-a-time with the 16-bit classify LUT and zero-word
-//           skip (AFL's trick; builds on core/classify + core/virgin)
+//   swar    u64 word-at-a-time with AFL's 16-bit classify LUT and
+//           zero-word skip; the word code lives in kernels.cpp
 //   sse2    16-byte vectors, compiled whenever the target has SSE2
 //   avx2    32-byte vectors with pshufb nibble-LUT classify; compiled when
 //           the compiler supports -mavx2, registered only when the CPU
 //           reports AVX2 at startup
+//
+// sse2 and avx2 are one template, SimdKernel<V> (kernel_simd.h), over two
+// lane-traits structs: each algorithm is written once, and an ISA TU
+// supplies only its intrinsics and its classify.
 //
 // Selection happens once per process (BIGMAP_KERNEL=scalar|swar|sse2|avx2
 // env override, else best runtime-supported) and once per map

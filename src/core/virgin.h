@@ -13,6 +13,10 @@
 // prefix comparison is exact (paper §IV-B). A two-level virgin map is
 // therefore filled lazily: its plain pages are written with 0xFF only as
 // the prefix grows over them, and the pages past it never become resident.
+//
+// The comparison itself is a kernel op (KernelOps::compare_update and the
+// fused classify_compare in core/kernels/kernels.h); this header holds the
+// verdict type and the map it updates.
 #pragma once
 
 #include <span>
@@ -72,17 +76,5 @@ class VirginMap {
   PageBuffer buf_;
   usize filled_ = 0;
 };
-
-// Compares a *classified* trace against `virgin` over [0, len) and clears
-// the virgin bits the trace hits. Word-at-a-time with a byte fixup pass on
-// hit words, mirroring AFL's has_new_bits(). `trace` and `virgin` must be
-// 8-byte aligned; len need not be a multiple of 8 (tail handled bytewise).
-NewBits compare_and_update_virgin(const u8* trace, u8* virgin,
-                                  usize len) noexcept;
-
-// §IV-E optimization: classify and compare fused into one pass over the
-// trace (halves the traffic of the classify+compare pair). Classifies
-// `trace` in place and updates `virgin` exactly like the two-step sequence.
-NewBits classify_compare_update(u8* trace, u8* virgin, usize len) noexcept;
 
 }  // namespace bigmap

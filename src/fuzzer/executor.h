@@ -196,8 +196,8 @@ class Executor {
       if (c == 1) oracle_touched_.push_back(pos);
     });
     // Fused final-count check + sparse counter reset, one pass over the
-    // touched positions (LUT classify, like the traced pipeline's
-    // classify_counts), so the scratch is always clean for the next run.
+    // touched positions (LUT classify, like the traced pipeline's classify
+    // kernel), so the scratch is always clean for the next run.
     // The spare slot appearing in the touched list means an unassigned key
     // executed — a guaranteed-new first hit, detected by membership rather
     // than by count so a 256-wrap back to zero cannot mask it. The touched

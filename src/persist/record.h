@@ -40,8 +40,9 @@ inline constexpr usize kRecordHeaderSize = bmsp::kRecordHeaderSize;
 inline constexpr usize kRecordTrailerSize = bmsp::kRecordTrailerSize;
 
 // Record types. Values are part of the on-disk format — append only.
-// kTopRated, kVirginMap and kMapState are the v1 snapshot layout's
-// whole-map records: decoded, never written (snapshot.h).
+// kTopRated, kVirginMap and kMapState are the retired v1 snapshot layout's
+// whole-map records: never written, refused by the decoder, and their
+// numbers stay reserved (snapshot.h).
 enum class RecordType : u32 {
   kCampaignHeader = 1,  // scheme/metric/seed/map geometry/sequence number
   kCounters = 2,        // resumable CampaignResult counters

@@ -7,7 +7,7 @@ namespace {
 
 constexpr u32 kUnassigned = 0xFFFFFFFFu;  // TwoLevelCoverageMap::kUnassigned
 
-// Virgin-map subtype tags inside kVirginMap / kVirginPrefix records.
+// Virgin-map subtype tags inside kVirginPrefix records.
 constexpr u8 kVirginKinds = 3;  // queue, crash, hang
 
 template <class T>
@@ -221,8 +221,6 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
   std::vector<u8>* virgins[kVirginKinds] = {
       &s.virgin_queue, &s.virgin_crash, &s.virgin_hang};
   bool saw_header = false;
-  bool saw_v1 = false;
-  bool saw_v2 = false;
   u64 declared_entries = 0;
   auto fail = [&] {
     out.status = LoadStatus::kBadPayload;
@@ -324,42 +322,13 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
         s.in_cycle = in_cycle != 0;
         break;
       }
-      case RecordType::kTopRated: {
-        saw_v1 = true;
-        if (!get_vec(r, &s.top_entry) || !get_vec(r, &s.top_factor)) {
-          return fail();
-        }
-        break;
-      }
-      case RecordType::kVirginMap: {
-        saw_v1 = true;
-        u8 kind;
-        if (!r.get_u8(&kind) || kind >= kVirginKinds ||
-            !get_vec(r, virgins[kind])) {
-          return fail();
-        }
-        break;
-      }
-      case RecordType::kMapState: {
-        saw_v1 = true;
-        u8 two;
-        if (!r.get_u8(&two)) return fail();
-        s.has_two_level = two != 0;
-        if (s.has_two_level) {
-          std::vector<u32> index;
-          if (!r.get_u32(&s.used_key) || !r.get_u64(&s.saturated_updates) ||
-              !get_vec(r, &index) || index.size() != s.map_size) {
-            return fail();
-          }
-          std::optional<std::vector<u32>> keys =
-              keys_from_index(index, s.used_key, s.saturated_updates);
-          if (!keys) return fail();
-          s.map_keys = std::move(*keys);
-        }
-        break;
-      }
+      case RecordType::kTopRated:
+      case RecordType::kVirginMap:
+      case RecordType::kMapState:
+        // The v1 layout's whole-map records: no longer decoded.
+        out.status = LoadStatus::kBadVersion;
+        return out;
       case RecordType::kTopRatedPrefix: {
-        saw_v2 = true;
         u64 full;
         if (!r.get_u64(&full) || full != s.virgin_size ||
             !get_vec(r, &s.top_entry) || !get_vec(r, &s.top_factor)) {
@@ -368,7 +337,6 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
         break;
       }
       case RecordType::kVirginPrefix: {
-        saw_v2 = true;
         u8 kind;
         u64 full;
         if (!r.get_u8(&kind) || kind >= kVirginKinds || !r.get_u64(&full) ||
@@ -378,7 +346,6 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
         break;
       }
       case RecordType::kMapKeys: {
-        saw_v2 = true;
         u8 two;
         if (!r.get_u8(&two)) return fail();
         s.has_two_level = two != 0;
@@ -418,11 +385,9 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
 
   // Structural cross-checks: the snapshot must be internally consistent
   // before any of it is copied into live campaign state. The virgin maps
-  // share one live prefix (a v1 file holds whole maps), the top arrays
-  // another.
+  // share one live prefix, the top arrays another.
   const usize live = s.virgin_queue.size();
-  if (!saw_header || (saw_v1 && saw_v2) ||
-      (saw_v1 ? live != s.virgin_size : live > s.virgin_size) ||
+  if (!saw_header || live > s.virgin_size ||
       s.virgin_crash.size() != live || s.virgin_hang.size() != live ||
       s.entries.size() != declared_entries ||
       s.top_factor.size() != s.top_entry.size() ||
@@ -432,7 +397,6 @@ DecodeResult decode_snapshot(std::span<const u8> file) {
     return out;
   }
 
-  out.layout = saw_v1 ? SnapshotLayout::kV1 : SnapshotLayout::kV2;
   out.snapshot = std::move(s);
   return out;
 }

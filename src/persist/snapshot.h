@@ -99,8 +99,7 @@ struct CampaignSnapshot : CampaignCounters {
   // below each hold a prefix [0, live) of the virgin_size positions (one
   // length for the pair, one for the three maps); every position past it
   // holds its initial value (kNoEntry / 0 / 0xFF). A checkpoint writes
-  // live = used_key on two-level maps and virgin_size on flat ones;
-  // virgin maps decoded from the v1 layout are whole.
+  // live = used_key on two-level maps and virgin_size on flat ones.
   std::vector<u32> top_entry;   // per-position winner (kNoEntry when none)
   std::vector<u64> top_factor;  // per-position winning fav factor
   u64 top_covered = 0;
@@ -147,18 +146,14 @@ std::vector<u8> encode_snapshot(const CampaignSnapshot& s);
 std::vector<u8> encode_snapshot(const CampaignSnapshot& s,
                                 u64 checkpoint_seq);
 
-// Which per-position records a snapshot file holds: v1's whole-map
-// kTopRated/kVirginMap/kMapState (decode-only) or v2's live prefixes.
-enum class SnapshotLayout : u8 { kV1 = 1, kV2 = 2 };
-
-// Decodes a snapshot file of either layout. Any damage — bad
-// magic/version, torn tail, CRC mismatch, structurally invalid payload,
-// missing commit — yields a status other than kOk and no snapshot. Never
-// reads out of bounds. A v1 index is converted to map_keys.
+// Decodes a v2 snapshot file. Any damage — bad magic/version, torn tail,
+// CRC mismatch, structurally invalid payload, missing commit — yields a
+// status other than kOk and no snapshot. Never reads out of bounds. A
+// file of the retired v1 layout (whole-map kTopRated/kVirginMap/kMapState
+// records) is refused with kBadVersion.
 struct DecodeResult {
   LoadStatus status = LoadStatus::kOk;
   std::optional<CampaignSnapshot> snapshot;
-  SnapshotLayout layout = SnapshotLayout::kV2;
 };
 
 DecodeResult decode_snapshot(std::span<const u8> file);

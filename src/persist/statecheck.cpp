@@ -30,9 +30,8 @@ void dump_records(const ParsedFile& parsed) {
   }
 }
 
-void dump_snapshot(const CampaignSnapshot& s, SnapshotLayout layout) {
-  std::printf("  layout=v%u live=%zu of %llu positions\n",
-              static_cast<unsigned>(layout), s.virgin_queue.size(),
+void dump_snapshot(const CampaignSnapshot& s) {
+  std::printf("  live=%zu of %llu positions\n", s.virgin_queue.size(),
               static_cast<unsigned long long>(s.virgin_size));
   std::printf(
       "  scheme=%u metric=%u seed=%llu instance=%u map_size=%llu "
@@ -74,7 +73,7 @@ bool check_snapshot_file(const std::string& path, bool dump) {
   std::printf("%s: ok (%zu bytes)\n", path.c_str(), bytes.size());
   if (dump) {
     dump_records(parse_records(bytes));
-    dump_snapshot(*dec.snapshot, dec.layout);
+    dump_snapshot(*dec.snapshot);
   }
   return true;
 }

@@ -1,10 +1,13 @@
-// Tests for AFL hit-count bucketing.
+// Tests for AFL hit-count bucketing: the bucket function, its byte
+// table, and the whole-map classify pass under every kernel.
 #include "core/classify.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "core/kernels/kernels.h"
 #include "util/rng.h"
 
 namespace bigmap {
@@ -56,43 +59,59 @@ TEST(ClassifyLookup8Test, MatchesScalarFunction) {
   }
 }
 
+// The whole-map classify pass is a kernel op; the cases below run it under
+// every kernel this CPU can execute (scalar, swar's 16-bit LUT, and the
+// vector kernels).
+
 TEST(ClassifyLookup16Test, MatchesBytePairs) {
-  const auto& lut16 = count_class_lookup16();
+  // Random adjacent byte pairs: swar classifies each pair with one probe
+  // of its 16-bit table, and every kernel must bucket both bytes.
   Xoshiro256 rng(5);
-  for (int i = 0; i < 10000; ++i) {
+  std::vector<u8> raw(2 * 10000);
+  for (usize i = 0; i < raw.size(); i += 2) {
     const u16 v = static_cast<u16>(rng.next());
-    const u8 lo = static_cast<u8>(v);
-    const u8 hi = static_cast<u8>(v >> 8);
-    const u16 expect =
-        static_cast<u16>((static_cast<u16>(classify_count(hi)) << 8) |
-                         classify_count(lo));
-    EXPECT_EQ(lut16[v], expect);
+    raw[i] = static_cast<u8>(v);
+    raw[i + 1] = static_cast<u8>(v >> 8);
+  }
+  for (const kernels::KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> buf = raw;
+    k->classify(buf.data(), buf.size());
+    for (usize i = 0; i < buf.size(); ++i) {
+      ASSERT_EQ(buf[i], classify_count(raw[i])) << k->name << " byte " << i;
+    }
   }
 }
 
 TEST(ClassifyCountsTest, WordwiseMatchesBytewise) {
   Xoshiro256 rng(77);
-  std::vector<u8> a(4096), b(4096);
-  for (usize i = 0; i < a.size(); ++i) {
-    a[i] = b[i] = static_cast<u8>(rng.next());
+  std::vector<u8> raw(4096);
+  for (auto& v : raw) v = static_cast<u8>(rng.next());
+  std::vector<u8> want = raw;
+  kernels::scalar_kernel().classify(want.data(), want.size());
+  for (const kernels::KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> buf = raw;
+    k->classify(buf.data(), buf.size());
+    EXPECT_EQ(buf, want) << k->name;
   }
-  classify_counts(a.data(), a.size());
-  classify_counts_bytewise(b.data(), b.size());
-  EXPECT_EQ(a, b);
 }
 
 TEST(ClassifyCountsTest, ZeroBufferUntouched) {
-  std::vector<u8> buf(1024, 0);
-  classify_counts(buf.data(), buf.size());
-  for (u8 v : buf) EXPECT_EQ(v, 0);
+  for (const kernels::KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> buf(1024, 0);
+    k->classify(buf.data(), buf.size());
+    EXPECT_EQ(std::count(buf.begin(), buf.end(), 0), 1024) << k->name;
+  }
 }
 
 TEST(ClassifyCountsTest, ResultIsClassified) {
   Xoshiro256 rng(99);
-  std::vector<u8> buf(2048);
-  for (auto& v : buf) v = static_cast<u8>(rng.next());
-  classify_counts(buf.data(), buf.size());
-  EXPECT_TRUE(is_classified(buf));
+  std::vector<u8> raw(2048);
+  for (auto& v : raw) v = static_cast<u8>(rng.next());
+  for (const kernels::KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> buf = raw;
+    k->classify(buf.data(), buf.size());
+    EXPECT_TRUE(is_classified(buf)) << k->name;
+  }
 }
 
 TEST(IsClassifiedTest, DetectsRawCounts) {
@@ -105,23 +124,29 @@ TEST(IsClassifiedTest, DetectsRawCounts) {
 }
 
 TEST(ClassifyCountsBytewiseTest, HandlesOddLengths) {
-  std::vector<u8> buf{3, 9, 200, 1, 0};
-  classify_counts_bytewise(buf.data(), buf.size());
-  EXPECT_EQ(buf, (std::vector<u8>{4, 16, 128, 1, 0}));
+  for (const kernels::KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> buf{3, 9, 200, 1, 0};
+    k->classify(buf.data(), buf.size());
+    EXPECT_EQ(buf, (std::vector<u8>{4, 16, 128, 1, 0})) << k->name;
+  }
 }
 
-// Property sweep: every length and alignment combination of the word-wise
-// classifier must agree with the scalar reference.
+// Property sweep: at every length, every kernel's classify must agree with
+// the bucket function byte for byte.
 class ClassifyLengthTest : public ::testing::TestWithParam<usize> {};
 
 TEST_P(ClassifyLengthTest, AgreesWithScalar) {
   const usize len = GetParam();
   Xoshiro256 rng(1000 + len);
-  std::vector<u8> a(len), b(len);
-  for (usize i = 0; i < len; ++i) a[i] = b[i] = static_cast<u8>(rng.next());
-  classify_counts(a.data(), a.size());
-  for (auto& v : b) v = classify_count(v);
-  EXPECT_EQ(a, b);
+  std::vector<u8> raw(len);
+  for (auto& v : raw) v = static_cast<u8>(rng.next());
+  std::vector<u8> want = raw;
+  for (auto& v : want) v = classify_count(v);
+  for (const kernels::KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> buf = raw;
+    k->classify(buf.data(), buf.size());
+    EXPECT_EQ(buf, want) << k->name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ClassifyLengthTest,

@@ -12,7 +12,8 @@
 #include <ostream>
 #include <vector>
 
-#include "core/coverage_map.h"
+#include "core/flat_map.h"
+#include "core/two_level_map.h"
 #include "util/rng.h"
 
 namespace bigmap {
@@ -115,31 +116,6 @@ TEST(SchemeEquivalenceTest, HitCountsMatchPerKey) {
     ASSERT_NE(slot, TwoLevelCoverageMap::kUnassigned);
     EXPECT_EQ(flat.trace()[k], two.full_coverage()[slot]) << "key " << k;
   }
-}
-
-TEST(SchemeEquivalenceTest, VariantWrapperDispatchesCorrectly) {
-  MapOptions o;
-  o.map_size = 1u << 10;
-  o.huge_pages = false;
-
-  CoverageMapVariant flat(MapScheme::kFlat, o);
-  CoverageMapVariant two(MapScheme::kTwoLevel, o);
-  EXPECT_EQ(flat.scheme(), MapScheme::kFlat);
-  EXPECT_EQ(two.scheme(), MapScheme::kTwoLevel);
-  EXPECT_NE(flat.as_flat(), nullptr);
-  EXPECT_EQ(flat.as_two_level(), nullptr);
-  EXPECT_NE(two.as_two_level(), nullptr);
-
-  VirginMap vf(flat.virgin_size()), vt(two.virgin_size());
-  for (u32 k : {5u, 5u, 99u}) {
-    flat.update(k);
-    two.update(k);
-  }
-  EXPECT_EQ(flat.classify_and_compare(vf), NewBits::kNewTuple);
-  EXPECT_EQ(two.classify_and_compare(vt), NewBits::kNewTuple);
-  EXPECT_EQ(flat.count_nonzero(), two.count_nonzero());
-  EXPECT_EQ(flat.scan_cost_bytes(), o.map_size);
-  EXPECT_EQ(two.scan_cost_bytes(), 2u);  // two distinct keys
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 //     fused classify_hash_clear, count_ne, find_used_end, collect_nonzero
 //     — asserting
 //     byte-exact coverage/virgin buffers and identical NewBits verdicts;
+//   - every span at offsets 0-3 inside a guarded buffer (class Guarded):
+//     misaligned loads and stores, and no byte written outside the span;
 //   - cross-scheme property runs (FlatCoverageMap vs. TwoLevelCoverageMap
 //     under every kernel) and the §IV-D golden-hash stability rule.
 #include <gtest/gtest.h>
@@ -23,8 +25,9 @@
 #include <vector>
 
 #include "core/classify.h"
-#include "core/coverage_map.h"
+#include "core/flat_map.h"
 #include "core/kernels/kernels.h"
+#include "core/two_level_map.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -121,6 +124,44 @@ std::vector<u8> make_virgin(usize len, u64 seed) {
   return v;
 }
 
+// `bytes` copied to `offset` inside a buffer of guard bytes: kGuard of them
+// after the span and `offset` before it. Kernels run on span(); a kernel
+// that writes outside it changes a guard byte, and one that reads past it
+// sees non-zero bytes that change its result.
+class Guarded {
+ public:
+  static constexpr usize kGuard = 64;
+  static constexpr u8 kFill = 0xA5;
+
+  Guarded(const std::vector<u8>& bytes, usize offset)
+      : buf_(offset + bytes.size() + kGuard, kFill),
+        offset_(offset),
+        len_(bytes.size()) {
+    std::copy(bytes.begin(), bytes.end(), buf_.begin() + offset);
+  }
+
+  u8* span() noexcept { return buf_.data() + offset_; }
+  std::vector<u8> bytes() const {
+    return {buf_.begin() + static_cast<long>(offset_),
+            buf_.begin() + static_cast<long>(offset_ + len_)};
+  }
+  bool guards_intact() const {
+    const auto fill = [](u8 b) { return b == kFill; };
+    return std::all_of(buf_.begin(), buf_.begin() + static_cast<long>(offset_),
+                       fill) &&
+           std::all_of(buf_.begin() + static_cast<long>(offset_ + len_),
+                       buf_.end(), fill);
+  }
+
+ private:
+  std::vector<u8> buf_;
+  usize offset_;
+  usize len_;
+};
+
+// Span offsets every grid test runs at: aligned, and 1-3 bytes past it.
+constexpr usize kOffsets = 4;
+
 // --- registry sanity ------------------------------------------------------
 
 TEST(KernelRegistryTest, ScalarAndSwarAlwaysPresent) {
@@ -169,9 +210,6 @@ TEST(KernelRegistryTest, MapsReportTheirKernel) {
   EXPECT_STREQ(flat.kernel_name(), "swar");
   EXPECT_STREQ(two.kernel_name(), "swar");
 
-  CoverageMapVariant var(MapScheme::kTwoLevel, o);
-  EXPECT_STREQ(var.kernel_name(), "swar");
-
   MapOptions def;
   def.map_size = 1u << 10;
   def.huge_pages = false;
@@ -186,11 +224,18 @@ TEST(KernelDiffTest, ClassifyMatchesScalar) {
     for (Pattern p : kPatterns) {
       for (usize len : kLengths) {
         std::vector<u8> expect = make_trace(p, len, 7 * len + 1);
-        std::vector<u8> got = expect;
+        const std::vector<u8> raw = expect;
         kernels::scalar_kernel().classify(expect.data(), len);
-        k->classify(got.data(), len);
-        ASSERT_EQ(got, expect) << k->name << " classify, pattern "
-                               << pattern_name(p) << ", len " << len;
+        for (usize offset = 0; offset < kOffsets; ++offset) {
+          Guarded got(raw, offset);
+          k->classify(got.span(), len);
+          ASSERT_EQ(got.bytes(), expect)
+              << k->name << " classify, pattern " << pattern_name(p)
+              << ", len " << len << ", offset " << offset;
+          ASSERT_TRUE(got.guards_intact())
+              << k->name << " classify wrote outside its span, pattern "
+              << pattern_name(p) << ", len " << len << ", offset " << offset;
+        }
       }
     }
   }
@@ -219,17 +264,28 @@ TEST(KernelDiffTest, CompareUpdateMatchesScalar) {
         std::vector<u8> trace = make_trace(p, len, 31 * len + 5);
         kernels::scalar_kernel().classify(trace.data(), len);
 
-        std::vector<u8> virgin_ref = make_virgin(len, len);
-        std::vector<u8> virgin_got = virgin_ref;
+        const std::vector<u8> virgin_in = make_virgin(len, len);
+        std::vector<u8> virgin_ref = virgin_in;
         const NewBits expect = kernels::scalar_kernel().compare_update(
             trace.data(), virgin_ref.data(), len);
-        const NewBits got =
-            k->compare_update(trace.data(), virgin_got.data(), len);
-        ASSERT_EQ(got, expect) << k->name << " verdict, pattern "
-                               << pattern_name(p) << ", len " << len;
-        ASSERT_EQ(virgin_got, virgin_ref)
-            << k->name << " virgin bytes, pattern " << pattern_name(p)
-            << ", len " << len;
+        for (usize offset = 0; offset < kOffsets; ++offset) {
+          Guarded trace_got(trace, offset);
+          Guarded virgin_got(virgin_in, kOffsets - 1 - offset);
+          const NewBits got =
+              k->compare_update(trace_got.span(), virgin_got.span(), len);
+          ASSERT_EQ(got, expect) << k->name << " verdict, pattern "
+                                 << pattern_name(p) << ", len " << len
+                                 << ", offset " << offset;
+          ASSERT_EQ(virgin_got.bytes(), virgin_ref)
+              << k->name << " virgin bytes, pattern " << pattern_name(p)
+              << ", len " << len << ", offset " << offset;
+          ASSERT_EQ(trace_got.bytes(), trace)
+              << k->name << " compare_update wrote the trace, pattern "
+              << pattern_name(p) << ", len " << len << ", offset " << offset;
+          ASSERT_TRUE(trace_got.guards_intact() && virgin_got.guards_intact())
+              << k->name << " compare_update wrote outside its spans, "
+              << pattern_name(p) << ", len " << len << ", offset " << offset;
+        }
       }
     }
   }
@@ -239,23 +295,30 @@ TEST(KernelDiffTest, FusedClassifyCompareMatchesScalar) {
   for (const KernelOps* k : vector_kernels()) {
     for (Pattern p : kPatterns) {
       for (usize len : kLengths) {
-        std::vector<u8> trace_ref = make_trace(p, len, 13 * len + 3);
-        std::vector<u8> trace_got = trace_ref;
-        std::vector<u8> virgin_ref = make_virgin(len, len + 9);
-        std::vector<u8> virgin_got = virgin_ref;
-
+        const std::vector<u8> trace_in = make_trace(p, len, 13 * len + 3);
+        const std::vector<u8> virgin_in = make_virgin(len, len + 9);
+        std::vector<u8> trace_ref = trace_in;
+        std::vector<u8> virgin_ref = virgin_in;
         const NewBits expect = kernels::scalar_kernel().classify_compare(
             trace_ref.data(), virgin_ref.data(), len);
-        const NewBits got =
-            k->classify_compare(trace_got.data(), virgin_got.data(), len);
-        ASSERT_EQ(got, expect) << k->name << " verdict, pattern "
-                               << pattern_name(p) << ", len " << len;
-        ASSERT_EQ(trace_got, trace_ref)
-            << k->name << " classified trace, pattern " << pattern_name(p)
-            << ", len " << len;
-        ASSERT_EQ(virgin_got, virgin_ref)
-            << k->name << " virgin bytes, pattern " << pattern_name(p)
-            << ", len " << len;
+        for (usize offset = 0; offset < kOffsets; ++offset) {
+          Guarded trace_got(trace_in, offset);
+          Guarded virgin_got(virgin_in, (offset + 1) % kOffsets);
+          const NewBits got =
+              k->classify_compare(trace_got.span(), virgin_got.span(), len);
+          ASSERT_EQ(got, expect) << k->name << " verdict, pattern "
+                                 << pattern_name(p) << ", len " << len
+                                 << ", offset " << offset;
+          ASSERT_EQ(trace_got.bytes(), trace_ref)
+              << k->name << " classified trace, pattern " << pattern_name(p)
+              << ", len " << len << ", offset " << offset;
+          ASSERT_EQ(virgin_got.bytes(), virgin_ref)
+              << k->name << " virgin bytes, pattern " << pattern_name(p)
+              << ", len " << len << ", offset " << offset;
+          ASSERT_TRUE(trace_got.guards_intact() && virgin_got.guards_intact())
+              << k->name << " classify_compare wrote outside its spans, "
+              << pattern_name(p) << ", len " << len << ", offset " << offset;
+        }
       }
     }
   }
@@ -283,31 +346,37 @@ TEST(KernelDiffTest, FusedEqualsSequentialWithinEachKernel) {
 }
 
 TEST(KernelDiffTest, ResetHashCountUsedEndMatchScalar) {
+  const KernelOps& ref = kernels::scalar_kernel();
   for (const KernelOps* k : vector_kernels()) {
     for (Pattern p : kPatterns) {
       for (usize len : kLengths) {
-        std::vector<u8> buf = make_trace(p, len, 3 * len + 11);
+        const std::vector<u8> trace = make_trace(p, len, 3 * len + 11);
+        const u8* want = trace.data();
+        for (usize offset = 0; offset < kOffsets; ++offset) {
+          Guarded buf(trace, offset);
+          const u8* got = buf.span();
 
-        ASSERT_EQ(k->hash(buf.data(), len),
-                  kernels::scalar_kernel().hash(buf.data(), len))
-            << k->name << " hash, " << pattern_name(p) << ", len " << len;
-        ASSERT_EQ(k->count_ne(buf.data(), len, 0),
-                  kernels::scalar_kernel().count_ne(buf.data(), len, 0))
-            << k->name << " count_ne(0), " << pattern_name(p) << ", len "
-            << len;
-        ASSERT_EQ(k->count_ne(buf.data(), len, 0xFF),
-                  kernels::scalar_kernel().count_ne(buf.data(), len, 0xFF))
-            << k->name << " count_ne(0xFF), " << pattern_name(p) << ", len "
-            << len;
-        ASSERT_EQ(k->find_used_end(buf.data(), len),
-                  kernels::scalar_kernel().find_used_end(buf.data(), len))
-            << k->name << " find_used_end, " << pattern_name(p) << ", len "
-            << len;
+          ASSERT_EQ(k->hash(got, len), ref.hash(want, len))
+              << k->name << " hash, " << pattern_name(p) << ", len " << len
+              << ", offset " << offset;
+          ASSERT_EQ(k->count_ne(got, len, 0), ref.count_ne(want, len, 0))
+              << k->name << " count_ne(0), " << pattern_name(p) << ", len "
+              << len << ", offset " << offset;
+          ASSERT_EQ(k->count_ne(got, len, 0xFF),
+                    ref.count_ne(want, len, 0xFF))
+              << k->name << " count_ne(0xFF), " << pattern_name(p)
+              << ", len " << len << ", offset " << offset;
+          ASSERT_EQ(k->find_used_end(got, len), ref.find_used_end(want, len))
+              << k->name << " find_used_end, " << pattern_name(p)
+              << ", len " << len << ", offset " << offset;
 
-        k->reset(buf.data(), len);
-        ASSERT_EQ(std::count(buf.begin(), buf.end(), 0),
-                  static_cast<long>(len))
-            << k->name << " reset, len " << len;
+          k->reset(buf.span(), len);
+          ASSERT_EQ(buf.bytes(), std::vector<u8>(len, 0))
+              << k->name << " reset, len " << len << ", offset " << offset;
+          ASSERT_TRUE(buf.guards_intact())
+              << k->name << " reset wrote outside its span, len " << len
+              << ", offset " << offset;
+        }
       }
     }
   }
@@ -318,23 +387,22 @@ TEST(KernelDiffTest, ResetHashCountUsedEndMatchScalar) {
 // them all zero, and write nothing outside them.
 void check_classify_hash_clear(const KernelOps& k, Pattern p, usize len,
                                usize offset) {
-  constexpr usize kGuard = 64;
-  std::vector<u8> buf(offset + len + kGuard, 0xA5);
   const std::vector<u8> trace = make_trace(p, len, 5 * len + offset);
-  std::copy(trace.begin(), trace.end(), buf.begin() + offset);
+  Guarded buf(trace, offset);
 
   std::vector<u8> classified = trace;
   kernels::scalar_kernel().classify(classified.data(), len);
   const u32 want = crc32(classified);
 
-  ASSERT_EQ(k.classify_hash_clear(buf.data() + offset, len), want)
+  ASSERT_EQ(k.classify_hash_clear(buf.span(), len), want)
       << k.name << " classify_hash_clear, " << pattern_name(p) << ", len "
       << len << ", offset " << offset;
-  std::vector<u8> want_buf(buf.size(), 0xA5);
-  std::fill_n(want_buf.begin() + offset, len, 0);
-  ASSERT_EQ(buf, want_buf) << k.name << " classify_hash_clear, "
-                           << pattern_name(p) << ", len " << len
-                           << ", offset " << offset;
+  ASSERT_EQ(buf.bytes(), std::vector<u8>(len, 0))
+      << k.name << " classify_hash_clear, " << pattern_name(p) << ", len "
+      << len << ", offset " << offset;
+  ASSERT_TRUE(buf.guards_intact())
+      << k.name << " classify_hash_clear wrote outside its span, "
+      << pattern_name(p) << ", len " << len << ", offset " << offset;
 }
 
 TEST(KernelDiffTest, ClassifyHashClearMatchesClassifyThenCrc) {

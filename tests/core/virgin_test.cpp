@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "core/classify.h"
+#include "core/kernels/kernels.h"
 #include "util/rng.h"
 
 namespace bigmap {
 namespace {
+
+using kernels::KernelOps;
 
 // Reference byte-by-byte implementation of AFL's has_new_bits.
 NewBits reference_compare(const u8* trace, u8* virgin, usize len) {
@@ -83,127 +86,150 @@ TEST(VirginMapTest, RestorePrefixExtendsTheFilledPrefix) {
   }
 }
 
+// The comparison is a kernel op (compare_update, and classify_compare fused
+// with classification); every case below runs under each kernel this CPU
+// can execute.
+
 TEST(CompareVirginTest, EmptyTraceIsNone) {
-  std::vector<u8> trace(64, 0);
-  VirginMap virgin(64);
-  EXPECT_EQ(compare_and_update_virgin(trace.data(), virgin.data(), 64),
-            NewBits::kNone);
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> trace(64, 0);
+    VirginMap virgin(64);
+    EXPECT_EQ(k->compare_update(trace.data(), virgin.data(), 64),
+              NewBits::kNone)
+        << k->name;
+  }
 }
 
 TEST(CompareVirginTest, FirstHitIsNewTuple) {
-  std::vector<u8> trace(64, 0);
-  trace[5] = 1;
-  VirginMap virgin(64);
-  EXPECT_EQ(compare_and_update_virgin(trace.data(), virgin.data(), 64),
-            NewBits::kNewTuple);
-  // Virgin bit cleared: repeating the identical trace is no longer new.
-  EXPECT_EQ(compare_and_update_virgin(trace.data(), virgin.data(), 64),
-            NewBits::kNone);
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> trace(64, 0);
+    trace[5] = 1;
+    VirginMap virgin(64);
+    EXPECT_EQ(k->compare_update(trace.data(), virgin.data(), 64),
+              NewBits::kNewTuple)
+        << k->name;
+    // Virgin bit cleared: repeating the identical trace is no longer new.
+    EXPECT_EQ(k->compare_update(trace.data(), virgin.data(), 64),
+              NewBits::kNone)
+        << k->name;
+  }
 }
 
 TEST(CompareVirginTest, NewBucketOnKnownEdgeIsNewCounts) {
-  std::vector<u8> trace(64, 0);
-  trace[5] = 1;  // bucket 1
-  VirginMap virgin(64);
-  compare_and_update_virgin(trace.data(), virgin.data(), 64);
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> trace(64, 0);
+    trace[5] = 1;  // bucket 1
+    VirginMap virgin(64);
+    k->compare_update(trace.data(), virgin.data(), 64);
 
-  trace[5] = 2;  // bucket 2 on the same edge
-  EXPECT_EQ(compare_and_update_virgin(trace.data(), virgin.data(), 64),
-            NewBits::kNewCounts);
+    trace[5] = 2;  // bucket 2 on the same edge
+    EXPECT_EQ(k->compare_update(trace.data(), virgin.data(), 64),
+              NewBits::kNewCounts)
+        << k->name;
+  }
 }
 
 TEST(CompareVirginTest, NewTupleDominatesNewCounts) {
-  std::vector<u8> trace(64, 0);
-  trace[0] = 1;
-  VirginMap virgin(64);
-  compare_and_update_virgin(trace.data(), virgin.data(), 64);
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    std::vector<u8> trace(64, 0);
+    trace[0] = 1;
+    VirginMap virgin(64);
+    k->compare_update(trace.data(), virgin.data(), 64);
 
-  trace[0] = 2;   // would be new-counts
-  trace[20] = 1;  // brand-new tuple
-  EXPECT_EQ(compare_and_update_virgin(trace.data(), virgin.data(), 64),
-            NewBits::kNewTuple);
+    trace[0] = 2;   // would be new-counts
+    trace[20] = 1;  // brand-new tuple
+    EXPECT_EQ(k->compare_update(trace.data(), virgin.data(), 64),
+              NewBits::kNewTuple)
+        << k->name;
+  }
 }
 
 TEST(CompareVirginTest, TailBytesBeyondWordMultipleChecked) {
-  // len == 13: tail handling must see position 12.
-  std::vector<u8> trace(13, 0);
-  trace[12] = 1;
-  VirginMap virgin(16);
-  EXPECT_EQ(compare_and_update_virgin(trace.data(), virgin.data(), 13),
-            NewBits::kNewTuple);
-  EXPECT_EQ(virgin.data()[12], 0xFE);
-  // Byte 13 must be untouched (outside the compared prefix).
-  EXPECT_EQ(virgin.data()[13], 0xFF);
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    // len == 13: tail handling must see position 12.
+    std::vector<u8> trace(13, 0);
+    trace[12] = 1;
+    VirginMap virgin(16);
+    EXPECT_EQ(k->compare_update(trace.data(), virgin.data(), 13),
+              NewBits::kNewTuple)
+        << k->name;
+    EXPECT_EQ(virgin.data()[12], 0xFE) << k->name;
+    // Byte 13 must be untouched (outside the compared prefix).
+    EXPECT_EQ(virgin.data()[13], 0xFF) << k->name;
+  }
 }
 
 TEST(CompareVirginTest, MatchesReferenceOnRandomData) {
-  Xoshiro256 rng(2024);
-  for (int round = 0; round < 200; ++round) {
-    const usize len = 8 * (1 + rng.below(64));
-    std::vector<u8> trace(len, 0);
-    for (usize i = 0; i < len; ++i) {
-      if (rng.chance(1, 8)) trace[i] = classify_count(static_cast<u8>(rng.next()));
-    }
-    VirginMap v1(len), v2(len);
-    // Pre-dirty both virgin maps identically.
-    for (usize i = 0; i < len; ++i) {
-      if (rng.chance(1, 4)) {
-        const u8 d = static_cast<u8>(rng.next() | 1);
-        v1.data()[i] = d;
-        v2.data()[i] = d;
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    Xoshiro256 rng(2024);
+    for (int round = 0; round < 200; ++round) {
+      const usize len = 8 * (1 + rng.below(64));
+      std::vector<u8> trace(len, 0);
+      for (usize i = 0; i < len; ++i) {
+        if (rng.chance(1, 8)) {
+          trace[i] = classify_count(static_cast<u8>(rng.next()));
+        }
       }
+      VirginMap v1(len);
+      // Pre-dirty the virgin map.
+      for (usize i = 0; i < len; ++i) {
+        if (rng.chance(1, 4)) v1.data()[i] = static_cast<u8>(rng.next() | 1);
+      }
+      std::vector<u8> ref_virgin(v1.data(), v1.data() + len);
+
+      const NewBits fast = k->compare_update(trace.data(), v1.data(), len);
+      const NewBits ref =
+          reference_compare(trace.data(), ref_virgin.data(), len);
+
+      ASSERT_EQ(fast, ref) << k->name << " round " << round;
+      ASSERT_EQ(std::memcmp(v1.data(), ref_virgin.data(), len), 0)
+          << k->name << " round " << round;
     }
-    std::vector<u8> ref_virgin(v2.data(), v2.data() + len);
-
-    const NewBits fast =
-        compare_and_update_virgin(trace.data(), v1.data(), len);
-    const NewBits ref =
-        reference_compare(trace.data(), ref_virgin.data(), len);
-
-    EXPECT_EQ(fast, ref) << "round " << round;
-    EXPECT_EQ(std::memcmp(v1.data(), ref_virgin.data(), len), 0)
-        << "round " << round;
   }
 }
 
 TEST(ClassifyCompareMergedTest, EquivalentToSequentialOps) {
-  Xoshiro256 rng(31337);
-  for (int round = 0; round < 200; ++round) {
-    const usize len = 8 * (1 + rng.below(32));
-    std::vector<u8> raw(len, 0);
-    for (usize i = 0; i < len; ++i) {
-      if (rng.chance(1, 6)) raw[i] = static_cast<u8>(rng.next());
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    Xoshiro256 rng(31337);
+    for (int round = 0; round < 200; ++round) {
+      const usize len = 8 * (1 + rng.below(32));
+      std::vector<u8> raw(len, 0);
+      for (usize i = 0; i < len; ++i) {
+        if (rng.chance(1, 6)) raw[i] = static_cast<u8>(rng.next());
+      }
+
+      // Path A: merged single-pass.
+      std::vector<u8> trace_a = raw;
+      VirginMap virgin_a(len);
+      const NewBits a =
+          k->classify_compare(trace_a.data(), virgin_a.data(), len);
+
+      // Path B: classify then compare.
+      std::vector<u8> trace_b = raw;
+      k->classify(trace_b.data(), len);
+      VirginMap virgin_b(len);
+      const NewBits b =
+          k->compare_update(trace_b.data(), virgin_b.data(), len);
+
+      ASSERT_EQ(a, b) << k->name << " round " << round;
+      ASSERT_EQ(trace_a, trace_b) << k->name << " round " << round;
+      ASSERT_EQ(std::memcmp(virgin_a.data(), virgin_b.data(), len), 0)
+          << k->name << " round " << round;
     }
-
-    // Path A: merged single-pass.
-    std::vector<u8> trace_a = raw;
-    VirginMap virgin_a(len);
-    const NewBits a =
-        classify_compare_update(trace_a.data(), virgin_a.data(), len);
-
-    // Path B: classify then compare.
-    std::vector<u8> trace_b = raw;
-    classify_counts(trace_b.data(), len);
-    VirginMap virgin_b(len);
-    const NewBits b =
-        compare_and_update_virgin(trace_b.data(), virgin_b.data(), len);
-
-    EXPECT_EQ(a, b) << "round " << round;
-    EXPECT_EQ(trace_a, trace_b) << "round " << round;
-    EXPECT_EQ(std::memcmp(virgin_a.data(), virgin_b.data(), len), 0)
-        << "round " << round;
   }
 }
 
 TEST(ClassifyCompareMergedTest, OddTailLengths) {
-  for (usize len : {1u, 3u, 9u, 15u, 17u, 23u}) {
-    std::vector<u8> trace(len, 0);
-    trace[len - 1] = 200;  // raw count; classifies to 128
-    VirginMap virgin(len + 8);
-    const NewBits nb =
-        classify_compare_update(trace.data(), virgin.data(), len);
-    EXPECT_EQ(nb, NewBits::kNewTuple) << len;
-    EXPECT_EQ(trace[len - 1], 128) << len;
+  for (const KernelOps* k : kernels::runtime_kernels()) {
+    for (usize len : {1u, 3u, 9u, 15u, 17u, 23u}) {
+      std::vector<u8> trace(len, 0);
+      trace[len - 1] = 200;  // raw count; classifies to 128
+      VirginMap virgin(len + 8);
+      const NewBits nb =
+          k->classify_compare(trace.data(), virgin.data(), len);
+      EXPECT_EQ(nb, NewBits::kNewTuple) << k->name << " len " << len;
+      EXPECT_EQ(trace[len - 1], 128) << k->name << " len " << len;
+    }
   }
 }
 

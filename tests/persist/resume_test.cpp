@@ -299,14 +299,11 @@ TEST(CampaignResumeTest, TwoLevelSnapshotBytesFollowCoverageNotMapSize) {
 }
 
 // Kills a checkpointing campaign at exec `kill_at` and returns the result
-// of resuming it from its newest snapshot, after `rewrite` has had a go
-// at the snapshot directory.
-template <class Rewrite>
+// of resuming it from its newest snapshot.
 CampaignResult killed_then_resumed(const GeneratedTarget& target,
                                    const std::vector<Input>& seeds,
                                    const CampaignConfig& base,
-                                   const std::string& dir, u64 kill_at,
-                                   Rewrite&& rewrite) {
+                                   const std::string& dir, u64 kill_at) {
   FaultPlan plan;
   plan.triggers.push_back({FaultSite::kInstanceKill, 0, kill_at});
   FaultInjector injector(1, plan);
@@ -317,7 +314,6 @@ CampaignResult killed_then_resumed(const GeneratedTarget& target,
   auto died = run_campaign(target.program, seeds, c1);
   EXPECT_TRUE(died.fault_aborted);
   EXPECT_GT(died.checkpoints_written, 0u);
-  rewrite(store1.newest_seq_on_disk());
 
   persist::CheckpointStore store2(dir, persist::FaultCtx{}, false);
   CampaignConfig c2 = base;
@@ -368,7 +364,7 @@ TEST(CampaignResumeTest, EightMegabyteTwoLevelResumeIsStreamExact) {
 
   TempDir dir("killed8m");
   const CampaignResult resumed =
-      killed_then_resumed(target, seeds, base, dir.path, 3500, [](u64) {});
+      killed_then_resumed(target, seeds, base, dir.path, 3500);
   expect_same_stream(straight, resumed);
 }
 
@@ -416,93 +412,6 @@ TEST(CampaignResumeTest, RestoredSnapshotRebuildsByteIdentically) {
   EXPECT_EQ(r.snapshot->checkpoint_seq, w.snapshot->checkpoint_seq + 1);
   EXPECT_TRUE(persist::encode_snapshot(*r.snapshot,
                                        w.snapshot->checkpoint_seq) == written);
-}
-
-// Rewrites snapshot `path` in the v1 layout: whole-map kTopRated and
-// kVirginMap records (prefixes padded with kNoEntry/0 and 0xFF) and a
-// kMapState index built from the slot->key log.
-void rewrite_as_v1(const std::string& path) {
-  std::vector<u8> bytes;
-  std::string err;
-  ASSERT_TRUE(persist::read_file(path, &bytes, persist::FaultCtx{}, &err));
-  const persist::DecodeResult dec = persist::decode_snapshot(bytes);
-  ASSERT_EQ(dec.status, persist::LoadStatus::kOk);
-  const persist::CampaignSnapshot& s = *dec.snapshot;
-  ASSERT_EQ(s.saturated_updates, 0u);
-  const usize n = static_cast<usize>(s.virgin_size);
-
-  persist::RecordWriter rw;
-  for (const persist::RecordView& r : persist::parse_records(bytes).records) {
-    using persist::RecordType;
-    const auto put_u32s = [](persist::PayloadWriter& w,
-                             const std::vector<u32>& v) {
-      w.put_u64(v.size());
-      for (u32 x : v) w.put_u32(x);
-    };
-    switch (r.type) {
-      case RecordType::kTopRatedPrefix:
-        rw.append(RecordType::kTopRated, [&](persist::PayloadWriter& w) {
-          std::vector<u32> top = s.top_entry;
-          top.resize(n, 0xFFFFFFFFu);  // kNoEntry
-          put_u32s(w, top);
-          std::vector<u64> factor = s.top_factor;
-          factor.resize(n, 0);
-          w.put_u64(n);
-          for (u64 x : factor) w.put_u64(x);
-        });
-        break;
-      case RecordType::kVirginPrefix:
-        rw.append(RecordType::kVirginMap, [&](persist::PayloadWriter& w) {
-          w.put_u8(r.payload[0]);
-          const std::vector<u8>* v = r.payload[0] == 0   ? &s.virgin_queue
-                                     : r.payload[0] == 1 ? &s.virgin_crash
-                                                         : &s.virgin_hang;
-          std::vector<u8> whole = *v;
-          whole.resize(n, 0xFF);
-          w.put_u64(n);
-          w.put_bytes(whole);
-        });
-        break;
-      case RecordType::kMapKeys:
-        rw.append(RecordType::kMapState, [&](persist::PayloadWriter& w) {
-          std::vector<u32> index(static_cast<usize>(s.map_size), 0xFFFFFFFFu);
-          for (usize i = 0; i < s.map_keys.size(); ++i) {
-            index[s.map_keys[i]] = static_cast<u32>(i);
-          }
-          w.put_u8(1);
-          w.put_u32(s.used_key);
-          w.put_u64(s.saturated_updates);
-          put_u32s(w, index);
-        });
-        break;
-      default:
-        rw.append(r.type,
-                  [&](persist::PayloadWriter& w) { w.put_bytes(r.payload); });
-    }
-  }
-  const std::vector<u8> v1 = rw.finish();
-  const persist::DecodeResult again = persist::decode_snapshot(v1);
-  ASSERT_EQ(again.status, persist::LoadStatus::kOk);
-  ASSERT_EQ(again.layout, persist::SnapshotLayout::kV1);
-  ASSERT_TRUE(persist::write_file_atomic(path, v1, persist::FaultCtx{}, &err));
-}
-
-// A campaign resumed from a v1 (whole-map) snapshot continues exactly like
-// one resumed from the v2 snapshot it was converted from.
-TEST(CampaignResumeTest, V1SnapshotResumesLikeItsV2Twin) {
-  auto target = make_target();
-  auto seeds = make_seed_corpus(target, 4, 1);
-  const CampaignConfig base = stream_config(64u << 10);
-  TempDir v2_dir("twin_v2");
-  const CampaignResult from_v2 =
-      killed_then_resumed(target, seeds, base, v2_dir.path, 3500, [](u64) {});
-  TempDir v1_dir("twin_v1");
-  const CampaignResult from_v1 = killed_then_resumed(
-      target, seeds, base, v1_dir.path, 3500, [&](u64 seq) {
-        rewrite_as_v1(v1_dir.path + "/snap-" + std::to_string(seq) + ".bms");
-      });
-  EXPECT_EQ(from_v1.resumed_from_execs, from_v2.resumed_from_execs);
-  expect_same_stream(from_v2, from_v1);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Snapshot format tests: round-trip property over randomized states, a
-// committed v1 file that must keep decoding, a golden pin of the v2 layout,
+// committed v1 file that must be refused, a golden pin of the v2 layout,
 // and byte-flip corruption drills (any single-byte flip anywhere must be
 // recovered or rejected cleanly — never decoded into a different state,
 // never UB; the ASan CI job runs these).
@@ -24,8 +24,9 @@ namespace {
 constexpr u32 kNone = 0xFFFFFFFFu;  // kNoEntry / kUnassigned
 
 // The v1 encoding of small_snapshot() (whole-map kTopRated, kVirginMap and
-// kMapState records), as the v1 writer produced it. Committed so every
-// later reader is checked against real v1 bytes.
+// kMapState records), as the v1 writer produced it. Committed so the
+// decoder's refusal of the retired layout is checked against real v1
+// bytes.
 const u8 kV1SmallSnapshot[] = {
     0x42, 0x4d, 0x53, 0x50, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
     0x2c, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -88,7 +89,7 @@ const u8 kV1SmallSnapshot[] = {
 };
 
 // A two-level state whose arrays span the whole (4-position) map: the
-// value kV1SmallSnapshot decodes to.
+// value kV1SmallSnapshot holds.
 CampaignSnapshot small_snapshot() {
   CampaignSnapshot s;
   s.scheme = 1;
@@ -179,7 +180,7 @@ std::vector<u8> v1_small_bytes() {
 
 // Re-frames `file` with its first `type` record replaced by an `as` record
 // that `fill` writes (fresh CRC), so a test can plant a structurally bad
-// but checksum-clean record in either layout.
+// but checksum-clean record.
 template <class Fill>
 std::vector<u8> with_record(std::span<const u8> file, RecordType type,
                             Fill&& fill, std::optional<RecordType> as = {}) {
@@ -199,10 +200,10 @@ std::vector<u8> with_record(std::span<const u8> file, RecordType type,
   return rw.finish();
 }
 
-// Every file the corruption drills run over: both layouts, and a
+// Every file the corruption drills run over: a live-prefix snapshot and a
 // saturated map.
 std::vector<std::vector<u8>> drill_files() {
-  return {v1_small_bytes(), encode_snapshot(small_live_snapshot()),
+  return {encode_snapshot(small_live_snapshot()),
           encode_snapshot(saturated_snapshot())};
 }
 
@@ -273,7 +274,6 @@ TEST(SnapshotFormatTest, SmallSnapshotRoundTrips) {
     DecodeResult d = decode_snapshot(encode_snapshot(s));
     ASSERT_EQ(d.status, LoadStatus::kOk);
     ASSERT_TRUE(d.snapshot.has_value());
-    EXPECT_EQ(d.layout, SnapshotLayout::kV2);
     expect_equal(s, *d.snapshot);
   }
 }
@@ -377,9 +377,9 @@ TEST(SnapshotFormatTest, RandomizedStatesRoundTrip) {
   }
 }
 
-// The committed v1 file keeps decoding: record sequence, size and CRC pin
-// the fixture itself, and it decodes to small_snapshot() with the whole-map
-// index turned into the slot->key log.
+// The committed v1 file is refused: record sequence, size and CRC pin the
+// fixture itself, and its whole-map records make it a bad version with no
+// snapshot.
 TEST(SnapshotFormatTest, GoldenV1Layout) {
   const std::vector<u8> bytes = v1_small_bytes();
 
@@ -402,15 +402,14 @@ TEST(SnapshotFormatTest, GoldenV1Layout) {
   EXPECT_EQ(crc32({bytes.data(), bytes.size()}), 0x75811041u);
 
   DecodeResult d = decode_snapshot(bytes);
-  ASSERT_EQ(d.status, LoadStatus::kOk);
-  ASSERT_TRUE(d.snapshot.has_value());
-  EXPECT_EQ(d.layout, SnapshotLayout::kV1);
-  expect_equal(small_snapshot(), *d.snapshot);
+  EXPECT_EQ(d.status, LoadStatus::kBadVersion);
+  EXPECT_FALSE(d.snapshot.has_value());
 }
 
 // Golden pin of the v2 layout: record sequence, file size, and a CRC over
 // the whole encoding of a fixed snapshot. Any change to the encoding trips
-// this test — keep the old layout decodable and re-pin deliberately.
+// this test — re-pin deliberately, and keep files already written
+// decodable or refused.
 TEST(SnapshotFormatTest, GoldenV2Layout) {
   const std::vector<u8> bytes = encode_snapshot(small_live_snapshot());
 
@@ -632,8 +631,8 @@ TEST(SnapshotFormatTest, StructuralMismatchesAreBadPayload) {
                                         }))
                 .status,
             LoadStatus::kBadPayload);
-  // v1 and v2 per-position records mixed in one file: a whole-map v1
-  // kTopRated in place of the prefix record.
+  // A v1 whole-map record in a v2 file: kTopRated in place of the prefix
+  // record is refused like a v1 file.
   EXPECT_EQ(decode_snapshot(with_record(
                                 v2, RecordType::kTopRatedPrefix,
                                 [](PayloadWriter& w) {
@@ -648,28 +647,23 @@ TEST(SnapshotFormatTest, StructuralMismatchesAreBadPayload) {
                                 },
                                 RecordType::kTopRated))
                 .status,
-            LoadStatus::kBadPayload);
-  // A v1 index that does not cover the map, and one no map can reach (two
-  // keys on one slot).
-  const auto v1_index = [](std::vector<u32> index) {
-    return decode_snapshot(
-               with_record(v1_small_bytes(), RecordType::kMapState,
-                           [&](PayloadWriter& w) {
-                             w.put_u8(1);
-                             w.put_u32(2);
-                             w.put_u64(0);
-                             w.put_u64(index.size());
-                             for (u32 v : index) w.put_u32(v);
-                           }))
-        .status;
+            LoadStatus::kBadVersion);
+  // A whole-map index that does not cover the map, and ones no map can
+  // reach (two keys on one slot, a slot past used_key), encode to logs
+  // the decoder rejects.
+  const auto index_status = [](std::vector<u32> index) {
+    CampaignSnapshot s = small_live_snapshot();
+    s.map_keys.clear();
+    s.index_bitmap = std::move(index);
+    return decode_snapshot(encode_snapshot(s)).status;
   };
-  EXPECT_EQ(v1_index({0, kNone, 1, kNone, kNone, kNone, kNone, kNone}),
+  EXPECT_EQ(index_status({0, kNone, 1, kNone, kNone, kNone, kNone, kNone}),
             LoadStatus::kOk);
-  EXPECT_EQ(v1_index({0, kNone, 1, kNone, kNone, kNone, kNone}),
+  EXPECT_EQ(index_status({0, kNone, 1, kNone, kNone, kNone, kNone}),
             LoadStatus::kBadPayload);
-  EXPECT_EQ(v1_index({0, 0, 1, kNone, kNone, kNone, kNone, kNone}),
+  EXPECT_EQ(index_status({0, 0, 1, kNone, kNone, kNone, kNone, kNone}),
             LoadStatus::kBadPayload);
-  EXPECT_EQ(v1_index({0, kNone, 2, kNone, kNone, kNone, kNone, kNone}),
+  EXPECT_EQ(index_status({0, kNone, 2, kNone, kNone, kNone, kNone, kNone}),
             LoadStatus::kBadPayload);
 }
 
@@ -722,8 +716,8 @@ TEST(SnapshotFormatTest, MissingCommitIsRejected) {
   EXPECT_FALSE(d.snapshot.has_value());
 }
 
-// statecheck validates both layouts and reports which one a file uses and
-// its live length.
+// statecheck validates a v2 file and prints its live length, and reports a
+// v1 file as the bad version the decoder refuses.
 TEST(StatecheckTest, ValidatesBothLayoutsAndPrintsLive) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -738,13 +732,11 @@ TEST(StatecheckTest, ValidatesBothLayoutsAndPrintsLive) {
   };
   bool ok = false;
   std::string out = check(v1_small_bytes(), &ok);
-  EXPECT_TRUE(ok) << out;
-  EXPECT_NE(out.find("layout=v1 live=4 of 4 positions"), std::string::npos)
-      << out;
+  EXPECT_FALSE(ok) << out;
+  EXPECT_NE(out.find("INVALID (bad-version)"), std::string::npos) << out;
   out = check(encode_snapshot(small_live_snapshot()), &ok);
   EXPECT_TRUE(ok) << out;
-  EXPECT_NE(out.find("layout=v2 live=2 of 4 positions"), std::string::npos)
-      << out;
+  EXPECT_NE(out.find("  live=2 of 4 positions"), std::string::npos) << out;
   CampaignSnapshot dup = small_live_snapshot();
   dup.map_keys = {2, 2};
   out = check(encode_snapshot(dup), &ok);
