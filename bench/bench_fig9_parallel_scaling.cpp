@@ -362,9 +362,8 @@ void run_federated_section() {
 void run_star_section() {
   std::printf(
       "\n(f) Three-node star federation (hub + 2 spokes, measured): "
-      "virgin-map novelty oracle vs content-hash-only filtering, and the "
-      "oracle kept up by MeshHub's admit-folding vs FailoverMesh's delta "
-      "sync (failover on, no kill):\n");
+      "virgin-map novelty oracle vs content-hash-only filtering, with "
+      "failover off (pinned leader) and on (no kill):\n");
 
   GeneratorParams gp;
   gp.seed = 33;
@@ -426,16 +425,16 @@ void run_star_section() {
     return r;
   };
 
-  double hash_secs = 0, oracle_secs = 0, delta_secs = 0;
+  double hash_secs = 0, oracle_secs = 0, failover_secs = 0;
   const auto hash_only = run_star("hash", false, false, &hash_secs);
   const auto with_oracle = run_star("oracle", true, false, &oracle_secs);
-  const auto delta_sync = run_star("delta", true, true, &delta_secs);
+  const auto failover = run_star("failover", true, true, &failover_secs);
   std::filesystem::remove_all(root);
 
-  if (!hash_only.ok || !with_oracle.ok || !delta_sync.ok) {
+  if (!hash_only.ok || !with_oracle.ok || !failover.ok) {
     std::printf("WARNING: star federation failed: %s%s%s\n",
                 hash_only.error.c_str(), with_oracle.error.c_str(),
-                delta_sync.error.c_str());
+                failover.error.c_str());
     return;
   }
 
@@ -471,8 +470,8 @@ void run_star_section() {
       hash_secs);
   add("star, virgin oracle", with_oracle.found_bug_ids,
       with_oracle.total_execs, oracle_secs);
-  add("star, virgin oracle, delta sync", delta_sync.found_bug_ids,
-      delta_sync.total_execs, delta_secs);
+  add("star, virgin oracle, failover", failover.found_bug_ids,
+      failover.total_execs, failover_secs);
   bench::emit("star_federation", table);
 
   // Filtering economics: of every candidate transmission the gateways
@@ -480,8 +479,8 @@ void run_star_section() {
   // The hash filter only suppresses literal duplicates; the oracle
   // additionally rejects distinct inputs that flip no virgin bits in its
   // model of the receiving side (rejections include inbound model updates
-  // that pin down "never echo this back"). Delta sync sends its model
-  // updates as extra delta records and runs the oracle fewer times.
+  // that pin down "never echo this back"). The only delta records are the
+  // full-state snapshots each follower ships when it homes to the leader.
   TableWriter filt({"Mode", "records sent", "deltas sent", "hash-filtered",
                     "oracle checked", "oracle rejected", "bytes tx",
                     "novelty reject ratio"});
@@ -506,16 +505,16 @@ void run_star_section() {
   };
   add_filt("hash filter", hash_only);
   add_filt("virgin oracle", with_oracle);
-  add_filt("virgin oracle, delta sync", delta_sync);
+  add_filt("virgin oracle, failover", failover);
   bench::emit("star_novelty_filtering", filt);
 
   std::printf(
       "Every star must reproduce the 6-worker fleet's planted-bug union at "
       "the exact 6 x per-worker budget; the oracle row's higher reject "
       "ratio and lower wire volume are the virgin-map dividend — "
-      "distinct-but-redundant inputs never reach the wire. The delta-sync "
-      "row is the same oracle kept current by FailoverMesh's delta records "
-      "instead of MeshHub's folding of admitted entries.\n");
+      "distinct-but-redundant inputs never reach the wire. The failover "
+      "row runs the same gateway free to elect; its wire volume should "
+      "match the pinned-leader row.\n");
 }
 
 struct Profile {

@@ -48,6 +48,7 @@
 #include "instrumentation/metrics.h"
 #include "target/interpreter.h"
 #include "target/suite.h"
+#include "util/alloc.h"
 #include "util/rng.h"
 #include "util/timing.h"
 
@@ -192,11 +193,21 @@ BENCHMARK(BM_TrimPassFlat)
 
 // --- per-kernel raw-buffer families --------------------------------------
 
+// Every kernel-row buffer is a page-aligned mapping of its own, so a
+// row's timing never depends on where earlier frees left the heap (a
+// std::vector's address and alignment move with glibc's dynamic mmap
+// threshold).
+PageBuffer filled(usize len, u8 value) {
+  PageBuffer b = PageBuffer::plain(len);
+  std::memset(b.data(), value, len);
+  return b;
+}
+
 // A realistic used region: ~2% of positions hold a random raw hit count
 // (sparse bitmaps are the steady state; the zero-skip fast paths matter).
-std::vector<u8> make_trace(usize len, u64 seed) {
+PageBuffer make_trace(usize len, u64 seed) {
   Xoshiro256 rng(seed);
-  std::vector<u8> t(len, 0);
+  PageBuffer t = PageBuffer::plain(len);
   const usize hits = len / 50;
   for (usize i = 0; i < hits; ++i) {
     t[rng.below(static_cast<u32>(len))] =
@@ -211,12 +222,12 @@ std::vector<u8> make_trace(usize len, u64 seed) {
 // and wins none — the steady state once coverage settles.
 void BM_UpdateScoresFlat(benchmark::State& state) {
   const usize len = static_cast<usize>(state.range(0));
-  const std::vector<u8> trace = make_trace(len, 17);
+  const PageBuffer trace = make_trace(len, 17);
   SeedQueue queue(len);
-  queue.update_scores(queue.add(Input(4), 10, 0, 0), trace);
+  queue.update_scores(queue.add(Input(4), 10, 0, 0), trace.span());
   const usize slower = queue.add(Input(8), 10, 0, 0);
   for (auto _ : state) {
-    queue.update_scores(slower, trace);
+    queue.update_scores(slower, trace.span());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * static_cast<i64>(len));
@@ -234,7 +245,7 @@ void register_kernel_benches() {
         ("BM_KernelReset" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          std::vector<u8> buf(len, 1);
+          PageBuffer buf = filled(len, 1);
           for (auto _ : state) {
             k->reset(buf.data(), len);
             benchmark::ClobberMemory();
@@ -249,8 +260,8 @@ void register_kernel_benches() {
         ("BM_KernelClassify" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          const std::vector<u8> pristine = make_trace(len, 11);
-          std::vector<u8> trace(len);
+          const PageBuffer pristine = make_trace(len, 11);
+          PageBuffer trace = PageBuffer::plain(len);
           for (auto _ : state) {
             std::memcpy(trace.data(), pristine.data(), len);
             k->classify(trace.data(), len);
@@ -266,9 +277,9 @@ void register_kernel_benches() {
         ("BM_KernelCompareUpdate" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          std::vector<u8> trace = make_trace(len, 12);
+          PageBuffer trace = make_trace(len, 12);
           k->classify(trace.data(), len);
-          std::vector<u8> virgin(len, 0xFF);
+          PageBuffer virgin = filled(len, 0xFF);
           // Steady state: first compare consumes the new bits; the timed
           // iterations scan a stable virgin map, like a fuzzer that finds
           // nothing new.
@@ -288,9 +299,9 @@ void register_kernel_benches() {
         ("BM_KernelClassifyCompare" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          const std::vector<u8> pristine = make_trace(len, 13);
-          std::vector<u8> trace(len);
-          std::vector<u8> virgin(len, 0xFF);
+          const PageBuffer pristine = make_trace(len, 13);
+          PageBuffer trace = PageBuffer::plain(len);
+          PageBuffer virgin = filled(len, 0xFF);
           std::memcpy(trace.data(), pristine.data(), len);
           k->classify_compare(trace.data(), virgin.data(), len);
           for (auto _ : state) {
@@ -309,7 +320,7 @@ void register_kernel_benches() {
         ("BM_KernelHash" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          const std::vector<u8> trace = make_trace(len, 14);
+          const PageBuffer trace = make_trace(len, 14);
           for (auto _ : state) {
             benchmark::DoNotOptimize(k->hash(trace.data(), len));
           }
@@ -324,11 +335,11 @@ void register_kernel_benches() {
         ("BM_KernelCollectNonzero" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          const std::vector<u8> trace = make_trace(len, 16);
-          std::vector<u32> out(len);
+          const PageBuffer trace = make_trace(len, 16);
+          PageBuffer out = PageBuffer::plain(len * sizeof(u32));
           for (auto _ : state) {
-            benchmark::DoNotOptimize(
-                k->collect_nonzero(trace.data(), len, out.data()));
+            benchmark::DoNotOptimize(k->collect_nonzero(
+                trace.data(), len, reinterpret_cast<u32*>(out.data())));
             benchmark::ClobberMemory();
           }
           state.SetBytesProcessed(state.iterations() *
@@ -342,7 +353,7 @@ void register_kernel_benches() {
         ("BM_KernelCountNonzero" + suffix).c_str(),
         [k](benchmark::State& state) {
           const usize len = static_cast<usize>(state.range(0));
-          const std::vector<u8> trace = make_trace(len, 15);
+          const PageBuffer trace = make_trace(len, 15);
           for (auto _ : state) {
             benchmark::DoNotOptimize(k->count_ne(trace.data(), len, 0));
           }

@@ -220,7 +220,8 @@ std::string storm_engaged(const Outcome& o) {
                   "the storm forced no reconnect"}});
 }
 
-// Every failover stage ships corpus and delta-syncs the oracle models.
+// Every failover stage ships corpus and seeds the leaders' oracle models
+// with full-state deltas.
 std::string failover_synced(const Outcome& o) {
   return expect({{SUM(r.failover.net.records_sent) > 0, "no corpus exchange"},
                  {SUM(r.failover.deltas_applied) > 0, "no deltas applied"}});
@@ -607,7 +608,6 @@ Outcome run_ranks(const Stage& st, const std::string& dir) {
     fc.federation.link.reconnect_cap_ms = 100;
     fc.federation.failover = st.failover;
     fc.federation.election_timeout_ms = 600;
-    fc.federation.delta_interval_ms = 30;
     fc.net_virgin_oracle = st.oracle;
     if (st.fault_ranks & (1u << r)) {
       fc.fault_enabled = true;

@@ -70,12 +70,12 @@ struct FederationResult {
   bool all_completed = false;
 };
 
-// Runs nodes[r] as rank r of one federation; rank 0 leads (epoch 1 with
-// failover on). Each node's `federation.link` serves as its link template
-// (liveness/backoff tuning) and, with failover on, its election and delta
-// tuning applies; the rank table, wiring and fingerprint are filled in
-// here. `federation.failover` picks the gateway and must be the same on
-// every rank (a mismatch returns !ok with an error). The parent pre-binds
+// Runs nodes[r] as rank r of one federation; rank 0 leads epoch 1. Each
+// node's `federation.link` serves as its link template (liveness/backoff
+// tuning) and, with failover on, its election tuning applies; the rank
+// table, wiring and fingerprint are filled in here. `federation.failover`
+// lets the ranks elect past a dead leader and must be the same on every
+// rank (a mismatch returns !ok with an error). The parent pre-binds
 // the listener matrix — L[h][s], the socket rank s dials when rank h
 // leads; only rank 0's row without failover — so with failover ANY rank
 // can be promoted without coordination. Report pipes are drained while

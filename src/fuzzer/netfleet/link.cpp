@@ -237,46 +237,44 @@ void PeerLink::handle_frame(const Frame& f, u64 now_ns) {
         gave_up_ = true;
         return;
       }
-      // Epoch fencing (epoch-aware federations only). An OLDER epoch is
-      // dropped: the stale side sees our higher epoch in our own hello and
-      // must rejoin or die — we never exchange with the past. A NEWER
-      // epoch is recorded for the owner (re-elect / re-home / latch
-      // stale-fatal) and likewise refused: this link's epoch is immutable.
-      if (cfg_.epoch != 0 || h.epoch != 0) {
-        if (h.epoch < cfg_.epoch) {
-          // Fence the FRAME, not the connection: our own hello (queued at
-          // establish, flushed after this handler) must still reach the
-          // stale peer so it can observe the newer epoch and rejoin or
-          // die. Closing here would race the close ahead of that flush
-          // and leave the stale side blind forever. Without a valid
-          // hello the session never exchanges records, and the heartbeat
-          // timeout reaps it if the peer lingers.
-          stats_.stale_hellos_dropped++;
-          return;
+      // Epoch fencing. An OLDER epoch is dropped: the stale side sees our
+      // higher epoch in our own hello and must rejoin or die — we never
+      // exchange with the past. A NEWER epoch is recorded for the owner
+      // (re-elect / re-home / latch stale-fatal) and likewise refused:
+      // this link's epoch is immutable.
+      if (h.epoch < cfg_.epoch) {
+        // Fence the FRAME, not the connection: our own hello (queued at
+        // establish, flushed after this handler) must still reach the stale
+        // peer so it can observe the newer epoch and rejoin or die. Closing
+        // here would race the close ahead of that flush and leave the stale
+        // side blind forever. Without a valid hello the session never
+        // exchanges records, and the heartbeat timeout reaps it if the
+        // peer lingers.
+        stats_.stale_hellos_dropped++;
+        return;
+      }
+      if (h.epoch > cfg_.epoch) {
+        if (h.epoch > observed_epoch_) {
+          observed_epoch_ = h.epoch;
+          observed_rank_ = h.rank;
         }
-        if (h.epoch > cfg_.epoch) {
-          if (h.epoch > observed_epoch_) {
-            observed_epoch_ = h.epoch;
-            observed_rank_ = h.rank;
+        stats_.epoch_ahead_seen++;
+        // This side must close, but hand over our own hello first. A side
+        // that reads the newer hello in the pump that establishes (a dialer
+        // whose connect just completed, a listener whose accept found the
+        // peer's hello waiting) has not flushed yet, and drop_connection
+        // clears the outbox: the newer side would never see the older
+        // epoch it must fence. Before the handshake the outbox holds only
+        // the preamble and hello, which a fresh socket takes whole; best
+        // effort, no injected chaos.
+        if (!outbox_.empty()) {
+          const ssize_t r = sock_send(fd_, outbox_.data(), outbox_.size());
+          if (r > 0) {
+            stats_.bytes_sent += static_cast<u64>(r);
           }
-          stats_.epoch_ahead_seen++;
-          // This side must close, but hand over our own hello first. A
-          // side that reads the newer hello in the pump that establishes
-          // (a dialer whose connect just completed, a listener whose
-          // accept found the peer's hello waiting) has not flushed yet,
-          // and drop_connection clears the outbox: the newer side would
-          // never see the older epoch it must fence. Before the
-          // handshake the outbox holds only the preamble and hello, which
-          // a fresh socket takes whole; best effort, no injected chaos.
-          if (!outbox_.empty()) {
-            const ssize_t r = sock_send(fd_, outbox_.data(), outbox_.size());
-            if (r > 0) {
-              stats_.bytes_sent += static_cast<u64>(r);
-            }
-          }
-          drop_connection(now_ns, "epoch ahead", /*count_error=*/false);
-          return;
         }
+        drop_connection(now_ns, "epoch ahead", /*count_error=*/false);
+        return;
       }
       hello_received_ = true;
       stats_.peer_epoch = h.epoch;

@@ -3,7 +3,7 @@
 //
 // The link is the robustness core of the federation tier. It is a
 // single-threaded, non-blocking state machine (pumped from the
-// coordinator's event loop behind its gateway's mutex, mesh.h) that keeps
+// coordinator's event loop behind its gateway's mutex, gateway.h) that keeps
 // exactly one session with one peer and survives every partial failure a
 // socket can produce:
 //
@@ -23,12 +23,12 @@
 //    stream base (hello log_base + an explicit kResync frame); the
 //    receiver fast-forwards its cursor over the gap instead of waiting
 //    forever for sequences that no longer exist;
-//  - epoch fencing: in an epoch-aware federation (cfg.epoch != 0) a hello
-//    from an older epoch is dropped (the stale side sees our higher epoch
-//    in our own hello and must rejoin or die); a hello from a NEWER epoch
-//    is surfaced via observed_epoch() so the owner can re-elect/re-home,
-//    and the link closes after handing over its own hello so the newer
-//    side sees the fence too — the link never adopts an epoch;
+//  - epoch fencing: a hello from an older epoch is dropped (the stale side
+//    sees our higher epoch in our own hello and must rejoin or die); a
+//    hello from a NEWER epoch is surfaced via observed_epoch() so the owner
+//    can re-elect/re-home, and the link closes after handing over its own
+//    hello so the newer side sees the fence too — the link never adopts an
+//    epoch;
 //  - delta records: offer_delta() ships opaque oracle-delta blobs through
 //    the same replay log and sequence space as entries, so virgin-map
 //    delta sync inherits the exactly-once guarantees for free;
@@ -47,7 +47,7 @@
 //  - accounting: every event is counted once, in LinkStats. Its field
 //    table (for_each_field) drives the per-gateway sum, the node-report
 //    pipe, the drill diagnostics and the netfleet.* registry gauges the
-//    fleet driver publishes at each fleet stamp (mesh.h).
+//    fleet driver publishes at each fleet stamp (gateway.h).
 #pragma once
 
 #include <concepts>
@@ -81,10 +81,9 @@ struct NetPeerConfig {
   u64 session_fingerprint = 0;
   u64 node_id = 0;
 
-  // Federation epoch + rank carried in our hello. epoch 0 means an
-  // epoch-agnostic link (a static MeshHub topology): no fencing either way.
-  // In an epoch-aware federation the epoch is immutable per link — a new
-  // epoch always means a new PeerLink (promotion or re-home).
+  // Federation epoch + rank carried in our hello. The epoch is immutable
+  // per link — a new epoch always means a new PeerLink (promotion or
+  // re-home).
   u64 epoch = 0;
   u32 rank = 0;
 

@@ -63,7 +63,7 @@ struct HelloMsg {
   u64 fingerprint = 0;  // both sides must agree (config identity)
   u64 node_id = 0;
   u64 recv_cursor = 0;  // records this side has accepted from the peer
-  u64 epoch = 0;        // federation epoch (0 = epoch-agnostic pair link)
+  u64 epoch = 0;        // federation epoch
   u32 rank = 0;         // sender's position in the static rank table
   u64 log_base = 0;     // sender's replay-log eviction frontier
 };

@@ -13,8 +13,7 @@
 #include <utility>
 
 #include "corpus/novelty.h"
-#include "fuzzer/netfleet/failover.h"
-#include "fuzzer/netfleet/mesh.h"
+#include "fuzzer/netfleet/gateway.h"
 #include "fuzzer/procfleet/shm.h"
 #include "fuzzer/procfleet/shm_hub.h"
 #include "fuzzer/procfleet/worker.h"
@@ -143,7 +142,7 @@ ProcFleetResult run_process_fleet(const Program& program,
   // the gateway's publish/fetch traffic.
   ShmHub hub(&segment, hub_opts, nullptr);
 
-  // One remote model per link: the oracle re-executes each candidate and
+  // One remote model per peer: the oracle re-executes each candidate and
   // ships it only when it flips virgin bits the peer has not covered.
   auto make_oracle = [&]() -> std::unique_ptr<corpus::NoveltyOracle> {
     if (!config.net_virgin_oracle) return nullptr;
@@ -174,31 +173,15 @@ ProcFleetResult run_process_fleet(const Program& program,
     }
     fc.link.max_entry_size =
         std::min<usize>(fc.link.max_entry_size, config.sync_max_input_size);
-    if (fc.failover) {
-      if (fc.wal_path.empty()) {
-        fc.wal_path = persist::federation_wal_path(config.persist_dir);
-      }
-      netfleet::FailoverMesh::OracleFactory factory;
-      if (config.net_virgin_oracle) factory = make_oracle;
-      gateway = std::make_unique<netfleet::FailoverMesh>(
-          &hub, gateway_id, std::move(fc), std::move(factory), coord_fault);
-    } else {
-      // Static topology: the leader listens for every other rank, each
-      // follower dials the leader. Epoch 0: nothing to fence.
-      auto mesh = std::make_unique<netfleet::MeshHub>(&hub, gateway_id);
-      const bool leads = fc.rank == fc.initial_leader;
-      for (u32 r = 0; r < fc.num_nodes; ++r) {
-        if (r == fc.rank || (!leads && r != fc.initial_leader)) continue;
-        auto link = std::make_unique<netfleet::PeerLink>(
-            netfleet::federation_link(fc, leads, r, /*epoch=*/0), coord_fault,
-            gateway_id);
-        if (!link->ok()) {
-          throw std::runtime_error("run_process_fleet: " + link->error());
-        }
-        mesh->add_link(std::move(link), make_oracle());
-      }
-      gateway = std::move(mesh);
+    if (fc.failover && fc.wal_path.empty()) {
+      fc.wal_path = persist::federation_wal_path(config.persist_dir);
     }
+    gateway = std::make_unique<netfleet::Gateway>(
+        &hub, gateway_id, std::move(fc), make_oracle, coord_fault);
+    // Fail fast on wiring that can never work (an inherited listener
+    // that is gone), before any worker forks.
+    const std::string err = gateway->start(monotonic_ns());
+    if (!err.empty()) throw std::runtime_error("run_process_fleet: " + err);
   }
 
   const u64 stall_ns = static_cast<u64>(config.stall_deadline_ms) * 1000000;

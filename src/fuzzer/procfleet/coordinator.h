@@ -48,7 +48,7 @@
 
 #include "fuzzer/campaign.h"
 #include "fuzzer/lifecycle.h"
-#include "fuzzer/netfleet/mesh.h"
+#include "fuzzer/netfleet/gateway.h"
 #include "fuzzer/sync.h"
 #include "target/program.h"
 #include "telemetry/sink.h"
@@ -121,17 +121,17 @@ struct ProcFleetConfig : RestartPolicy {
   // coordinator reserves one extra hub instance as the federation's
   // gateway identity and pumps a netfleet::Gateway from its event loop —
   // workers never know the difference; remote finds arrive through their
-  // ordinary fetch_new. federation.failover picks the gateway: a static
-  // MeshHub around initial_leader, or a self-healing FailoverMesh whose
-  // wal_path defaults to <persist_dir>/federation.wal.
+  // ordinary fetch_new. federation.failover off pins initial_leader; on,
+  // the gateway elects successors and journals to wal_path, which
+  // defaults to <persist_dir>/federation.wal. A gateway link that cannot
+  // start makes run_process_fleet throw before any worker forks.
   netfleet::FederationConfig federation;
 
   // Upgrades every gateway link's novelty gate from content-hash to
-  // virgin-map semantics: a per-link corpus::NoveltyOracle re-executes
+  // virgin-map semantics: a per-peer corpus::NoveltyOracle re-executes
   // each candidate against a model of that peer's coverage and ships it
-  // only when it would flip virgin bits there (with failover on, the
-  // models also drive delta sync). Opt-in so oracle-free federation runs
-  // stay bit-identical.
+  // only when it would flip virgin bits there. Opt-in so oracle-free
+  // federation runs stay bit-identical.
   bool net_virgin_oracle = false;
 };
 

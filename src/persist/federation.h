@@ -1,5 +1,5 @@
 // Federation WAL records: the epoch-transition journal the self-healing
-// federation tier (fuzzer/netfleet/failover.h) appends alongside the fleet
+// federation tier (fuzzer/netfleet/gateway.h) appends alongside the fleet
 // state, and statecheck audits after chaos drills.
 //
 // The WAL is a plain BMSP record journal (file header + CRC-framed

@@ -1,6 +1,6 @@
 // Journal: the one append-only BMSP record log. The fleet journal
 // (persist/fleet.h), the corpus WAL (corpus/store.h) and the federation
-// WAL (fuzzer/netfleet/failover.h) are all Journals:
+// WAL (fuzzer/netfleet/gateway.h) are all Journals:
 //
 //   file := [u32 magic "BMSP"][u32 format_version] seed-record* record*
 //

@@ -1,9 +1,11 @@
 // Tests for the federation tier: wire codec, PeerLink session machine
 // (novelty filter, session resume, go-back-N recovery, fault injection,
-// fingerprint refusal, epoch fencing, eviction resync), the MeshHub
-// gateway (pair and star), the FailoverMesh election machine, the
-// node-report serialization run_federation speaks over its child pipes,
-// and run_federation end to end against a single fleet.
+// fingerprint refusal, epoch fencing, eviction resync), the Gateway (pair
+// and star relay with failover off and on, the election machine, the
+// pinned leader), the node-report serialization run_federation speaks
+// over its child pipes, the coordinator's fail-fast on dead wiring, and
+// run_federation end to end against a single fleet.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,14 +14,14 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
-#include "fuzzer/netfleet/failover.h"
 #include "fuzzer/netfleet/federate.h"
+#include "fuzzer/netfleet/gateway.h"
 #include "fuzzer/netfleet/link.h"
-#include "fuzzer/netfleet/mesh.h"
 #include "fuzzer/netfleet/transport.h"
 #include "fuzzer/netfleet/wire.h"
 #include "fuzzer/sync.h"
@@ -739,65 +741,7 @@ TEST(PeerLinkTest, OversizeEntriesAreRejectedAtOffer) {
   EXPECT_EQ(link.stats().entries_offered, 1u);
 }
 
-// ---------------------------------------------------------------- mesh --
-
-// A listener/dialer link pair over loopback with fast test timings; the
-// fault instance is the gateway id (1) like the coordinator's links.
-std::pair<std::unique_ptr<PeerLink>, std::unique_ptr<PeerLink>> link_pair(
-    u64 fingerprint) {
-  NetPeerConfig ca;
-  ca.listener = true;
-  ca.port = 0;
-  ca.session_fingerprint = fingerprint;
-  ca.heartbeat_ms = 5;
-  auto listener = std::make_unique<PeerLink>(ca, nullptr, 1);
-  EXPECT_TRUE(listener->ok()) << listener->error();
-  NetPeerConfig cb = ca;
-  cb.listener = false;
-  cb.port = listener->listen_port();
-  auto dialer = std::make_unique<PeerLink>(cb, nullptr, 1);
-  EXPECT_TRUE(dialer->ok()) << dialer->error();
-  return {std::move(listener), std::move(dialer)};
-}
-
-// Pumps every gateway `rounds` times at 6ms fake steps.
-void pump_all(const std::vector<MeshHub*>& hubs, u64* now, int rounds) {
-  for (int i = 0; i < rounds; ++i) {
-    for (MeshHub* h : hubs) h->pump(*now);
-    *now += 6 * kMs;
-  }
-}
-
-TEST(MeshHubTest, GatewayBridgesTwoLocalHubsWithoutEcho) {
-  // Two 1-worker fleets, each with a gateway instance (id 1), federated
-  // as a 2-rank static mesh: one link each.
-  SyncHub hub_a(2);
-  SyncHub hub_b(2);
-  auto [link_a, link_b] = link_pair(5);
-  MeshHub net_a(&hub_a, 1);
-  MeshHub net_b(&hub_b, 1);
-  net_a.add_link(std::move(link_a), nullptr);
-  net_b.add_link(std::move(link_b), nullptr);
-
-  // Worker 0 on side A finds something.
-  EXPECT_TRUE(net_a.publish(0, Input{0xAB, 0xCD}));
-  u64 now = 1 * kMs;
-  pump_all({&net_a, &net_b}, &now, 8);
-
-  // Side B's worker imports it through its ordinary fetch.
-  auto got = net_b.fetch_new(0);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], (Input{0xAB, 0xCD}));
-
-  // No echo: nothing ever comes back to side A.
-  pump_all({&net_a, &net_b}, &now, 8);
-  EXPECT_TRUE(net_a.fetch_new(0).empty());
-  EXPECT_EQ(net_a.failover_stats().net.records_received, 0u);
-  EXPECT_EQ(net_b.failover_stats().net.records_sent, 0u);
-
-  net_a.shutdown(now);
-  net_b.shutdown(now);
-}
+// ------------------------------------------------------------- gateway --
 
 // Remote models over a one-branch program: input[0] == 7 takes one edge,
 // anything else the other, so {7, 0} and {7, 1} are distinct entries with
@@ -818,105 +762,63 @@ std::unique_ptr<corpus::NoveltyOracle> branch_oracle() {
   return corpus::make_novelty_oracle(program, oc);
 }
 
-TEST(MeshHubTest, LeaderRelaysBetweenFollowersWithoutEcho) {
-  // Rank 0 leads (one link and one remote model per follower); ranks 1
-  // and 2 each hold one link to it. Every hub has one worker plus the
-  // gateway instance.
-  SyncHub hub0(2), hub1(2), hub2(2);
-  auto [to1, from1] = link_pair(9);
-  auto [to2, from2] = link_pair(9);
-  MeshHub leader(&hub0, 1), f1(&hub1, 1), f2(&hub2, 1);
-  leader.add_link(std::move(to1), branch_oracle());
-  leader.add_link(std::move(to2), branch_oracle());
-  f1.add_link(std::move(from1), branch_oracle());
-  f2.add_link(std::move(from2), branch_oracle());
-  const std::vector<MeshHub*> all = {&leader, &f1, &f2};
-  u64 now = 1 * kMs;
-  pump_all(all, &now, 8);
-
-  // A follower-1 find reaches follower 2 through the leader's relay (and
-  // the leader's own worker), and never comes back to follower 1.
-  const Input find{7, 0};
-  EXPECT_TRUE(f1.publish(0, find));
-  pump_all(all, &now, 12);
-  auto at0 = leader.fetch_new(0);
-  auto at2 = f2.fetch_new(0);
-  ASSERT_EQ(at0.size(), 1u);
-  EXPECT_EQ(at0[0], find);
-  ASSERT_EQ(at2.size(), 1u);
-  EXPECT_EQ(at2[0], find);
-  pump_all(all, &now, 8);
-  EXPECT_TRUE(f1.fetch_new(0).empty());
-  EXPECT_EQ(f1.failover_stats().net.records_received, 0u);
-
-  // The leader folded the received entry into follower 1's model, so a
-  // leader-local find with the same coverage is not re-offered to
-  // follower 1 (and follower 2's model has it from the relay): both
-  // models reject it and the wire stays quiet.
-  const FailoverStats before = leader.failover_stats();
-  EXPECT_TRUE(leader.publish(0, Input{7, 1}));
-  pump_all(all, &now, 8);
-  const FailoverStats after = leader.failover_stats();
-  EXPECT_EQ(after.oracle.rejected, before.oracle.rejected + 2);
-  EXPECT_EQ(after.net.entries_offered, before.net.entries_offered);
-  EXPECT_TRUE(f1.fetch_new(0).empty());
-  EXPECT_TRUE(f2.fetch_new(0).empty());
-
-  for (MeshHub* h : all) h->shutdown(now);
-}
-
-// ------------------------------------------------------------ failover --
-
-// Three FailoverMesh nodes wired over a real pre-bound listener matrix,
-// driven by fake time from one thread — the in-process twin of the forked
-// failover drill, small enough for the sanitizer jobs.
-struct FailoverRing {
-  static constexpr u32 kN = 3;
+// `n` Gateway nodes, rank 0 the founding leader, wired over a real
+// pre-bound listener matrix and driven by fake time from one thread — the
+// in-process twin of the forked federation drills, small enough for the
+// sanitizer jobs. Every hub has one worker (id 0) plus the gateway
+// instance (id 1).
+struct Ring {
+  const u32 n;
+  const bool failover;
+  const Gateway::OracleFactory factory;
   std::vector<std::unique_ptr<SyncHub>> hubs;
-  std::vector<std::unique_ptr<FailoverMesh>> meshes;
-  int fds[kN][kN];
-  u16 ports[kN][kN];
+  std::vector<std::unique_ptr<Gateway>> nodes;
+  std::vector<std::vector<int>> fds;
+  std::vector<std::vector<u16>> ports;
   u64 now = 1 * kMs;
 
-  FailoverRing() {
-    for (u32 h = 0; h < kN; ++h) {
-      for (u32 s = 0; s < kN; ++s) {
-        fds[h][s] = -1;
-        ports[h][s] = 0;
+  Ring(u32 n_nodes, bool failover_on,
+       Gateway::OracleFactory oracles = nullptr)
+      : n(n_nodes),
+        failover(failover_on),
+        factory(std::move(oracles)),
+        fds(n, std::vector<int>(n, -1)),
+        ports(n, std::vector<u16>(n, 0)) {
+    for (u32 h = 0; h < n; ++h) {
+      for (u32 s = 0; s < n; ++s) {
         if (h == s) continue;
         std::string err;
         fds[h][s] = tcp_listen("127.0.0.1", &ports[h][s], &err);
         EXPECT_GE(fds[h][s], 0) << err;
       }
     }
-    for (u32 i = 0; i < kN; ++i) {
+    for (u32 i = 0; i < n; ++i) {
       hubs.push_back(std::make_unique<SyncHub>(2));
-      meshes.push_back(make_mesh(i, /*resume_probe=*/false,
-                                 /*stale_fatal=*/false,
-                                 /*initial_epoch=*/1));
+      nodes.push_back(make_node(i, /*resume_probe=*/false,
+                                /*stale_fatal=*/false, /*epoch=*/1));
     }
   }
 
-  ~FailoverRing() {
-    meshes.clear();
-    for (u32 h = 0; h < kN; ++h) {
-      for (u32 s = 0; s < kN; ++s) {
-        if (fds[h][s] >= 0) ::close(fds[h][s]);
+  ~Ring() {
+    nodes.clear();
+    for (const std::vector<int>& row : fds) {
+      for (int fd : row) {
+        if (fd >= 0) ::close(fd);
       }
     }
   }
 
-  std::unique_ptr<FailoverMesh> make_mesh(u32 rank, bool resume_probe,
-                                          bool stale_fatal, u64 epoch) {
+  std::unique_ptr<Gateway> make_node(u32 rank, bool resume_probe,
+                                     bool stale_fatal, u64 epoch) {
     FederationConfig fc;
-    fc.failover = true;
+    fc.failover = failover;
     fc.rank = rank;
-    fc.num_nodes = kN;
+    fc.num_nodes = n;
     fc.initial_leader = 0;
     fc.initial_epoch = epoch;
-    fc.listen_fds.assign(kN, -1);
-    fc.dial_ports.assign(kN, 0);
-    for (u32 j = 0; j < kN; ++j) {
+    fc.listen_fds.assign(n, -1);
+    fc.dial_ports.assign(n, 0);
+    for (u32 j = 0; j < n; ++j) {
       if (j == rank) continue;
       fc.listen_fds[j] = fds[rank][j];
       fc.dial_ports[j] = ports[j][rank];
@@ -928,37 +830,114 @@ struct FailoverRing {
     fc.link.reconnect_initial_ms = 1;
     fc.link.reconnect_cap_ms = 5;
     fc.election_timeout_ms = 120;
-    fc.delta_interval_ms = 0;
     fc.resume_probe = resume_probe;
     fc.stale_fatal = stale_fatal;
     fc.probe_timeout_ms = 240;
-    return std::make_unique<FailoverMesh>(hubs[rank].get(), 1, fc,
-                                          nullptr, nullptr);
+    return std::make_unique<Gateway>(hubs[rank].get(), 1, fc, factory,
+                                     nullptr);
   }
 
-  // Pumps every live mesh `rounds` times at 6ms fake steps.
+  // Pumps every live node `rounds` times at 6ms fake steps.
   void pump(int rounds) {
     for (int i = 0; i < rounds; ++i) {
-      for (auto& m : meshes) {
-        if (m != nullptr) m->pump(now);
+      for (auto& g : nodes) {
+        if (g != nullptr) g->pump(now);
       }
       now += 6 * kMs;
     }
   }
+
+  void shutdown() {
+    for (auto& g : nodes) {
+      if (g != nullptr) g->shutdown(now);
+    }
+  }
 };
 
-TEST(FailoverTest, ElectsSuccessorRehomesAndFencesStaleNode) {
-  FailoverRing ring;
+// Both gateway behaviours hold whether or not the ranks may elect.
+class GatewayTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(GatewayTest, BridgesTwoLocalHubsWithoutEcho) {
+  // Two 1-worker fleets federated as a 2-rank pair: one link each.
+  Ring ring(2, /*failover=*/GetParam());
+  Gateway& a = *ring.nodes[0];
+  Gateway& b = *ring.nodes[1];
+
+  // Worker 0 on side A finds something.
+  EXPECT_TRUE(a.publish(0, Input{0xAB, 0xCD}));
   ring.pump(8);
-  EXPECT_EQ(ring.meshes[0]->failover_stats().role, 0u);  // founding leader
-  EXPECT_EQ(ring.meshes[1]->failover_stats().role, 1u);
-  EXPECT_EQ(ring.meshes[2]->failover_stats().role, 1u);
+
+  // Side B's worker imports it through its ordinary fetch.
+  auto got = b.fetch_new(0);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], (Input{0xAB, 0xCD}));
+
+  // No echo: nothing ever comes back to side A.
+  ring.pump(8);
+  EXPECT_TRUE(a.fetch_new(0).empty());
+  EXPECT_EQ(a.failover_stats().net.records_received, 0u);
+  EXPECT_EQ(b.failover_stats().net.records_sent, 0u);
+  ring.shutdown();
+}
+
+TEST_P(GatewayTest, LeaderRelaysBetweenFollowersWithoutEcho) {
+  // Rank 0 leads (one link and one remote model per follower); ranks 1
+  // and 2 each hold one link to it and one model of the federation.
+  Ring ring(3, /*failover=*/GetParam(), branch_oracle);
+  Gateway& leader = *ring.nodes[0];
+  Gateway& f1 = *ring.nodes[1];
+  Gateway& f2 = *ring.nodes[2];
+  ring.pump(8);
+
+  // A follower-1 find reaches follower 2 through the leader's relay (and
+  // the leader's own worker), and never comes back to follower 1.
+  const Input find{7, 0};
+  EXPECT_TRUE(f1.publish(0, find));
+  ring.pump(12);
+  auto at0 = leader.fetch_new(0);
+  auto at2 = f2.fetch_new(0);
+  ASSERT_EQ(at0.size(), 1u);
+  EXPECT_EQ(at0[0], find);
+  ASSERT_EQ(at2.size(), 1u);
+  EXPECT_EQ(at2[0], find);
+  ring.pump(8);
+  EXPECT_TRUE(f1.fetch_new(0).empty());
+  EXPECT_EQ(f1.failover_stats().net.records_received, 0u);
+
+  // The leader folded the received entry into follower 1's model, so a
+  // leader-local find with the same coverage is not re-offered to
+  // follower 1 (and follower 2's model has it from the relay): both
+  // models reject it and the wire stays quiet.
+  const FailoverStats before = leader.failover_stats();
+  EXPECT_TRUE(leader.publish(0, Input{7, 1}));
+  ring.pump(8);
+  const FailoverStats after = leader.failover_stats();
+  EXPECT_EQ(after.oracle.rejected, before.oracle.rejected + 2);
+  EXPECT_EQ(after.net.entries_offered, before.net.entries_offered);
+  EXPECT_TRUE(f1.fetch_new(0).empty());
+  EXPECT_TRUE(f2.fetch_new(0).empty());
+  ring.shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Gateway, GatewayTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FailoverOn" : "FailoverOff";
+                         });
+
+// ------------------------------------------------------------ failover --
+
+TEST(FailoverTest, ElectsSuccessorRehomesAndFencesStaleNode) {
+  Ring ring(3, /*failover=*/true);
+  ring.pump(8);
+  EXPECT_EQ(ring.nodes[0]->failover_stats().role, 0u);  // founding leader
+  EXPECT_EQ(ring.nodes[1]->failover_stats().role, 1u);
+  EXPECT_EQ(ring.nodes[2]->failover_stats().role, 1u);
 
   // Epoch-1 exchange: a find on node 1 reaches node 0 and node 2.
-  EXPECT_TRUE(ring.meshes[1]->publish(0, Input{0xAA, 0xBB}));
+  EXPECT_TRUE(ring.nodes[1]->publish(0, Input{0xAA, 0xBB}));
   ring.pump(10);
-  auto at0 = ring.meshes[0]->fetch_new(0);
-  auto at2 = ring.meshes[2]->fetch_new(0);
+  auto at0 = ring.nodes[0]->fetch_new(0);
+  auto at2 = ring.nodes[2]->fetch_new(0);
   ASSERT_EQ(at0.size(), 1u);
   EXPECT_EQ(at0[0], (Input{0xAA, 0xBB}));
   ASSERT_EQ(at2.size(), 1u);
@@ -966,11 +945,11 @@ TEST(FailoverTest, ElectsSuccessorRehomesAndFencesStaleNode) {
   // Kill the leader. Its listener sockets stay bound (the parent-held
   // matrix), so spokes see connects that never hello — exactly the
   // silence the election timeout is specified against.
-  ring.meshes[0].reset();
+  ring.nodes[0].reset();
   ring.pump(60);  // > election_timeout at 6ms steps
 
-  const FailoverStats s1 = ring.meshes[1]->failover_stats();
-  const FailoverStats s2 = ring.meshes[2]->failover_stats();
+  const FailoverStats s1 = ring.nodes[1]->failover_stats();
+  const FailoverStats s2 = ring.nodes[2]->failover_stats();
   EXPECT_EQ(s1.epoch, 2u);
   EXPECT_EQ(s1.role, 0u);  // succ(0) == 1 promoted itself
   EXPECT_EQ(s1.leader_rank, 1u);
@@ -983,54 +962,70 @@ TEST(FailoverTest, ElectsSuccessorRehomesAndFencesStaleNode) {
   EXPECT_GE(s2.rehomes, 1u);
 
   // Exchange works in the new epoch.
-  EXPECT_TRUE(ring.meshes[2]->publish(0, Input{0xCC, 0xDD}));
+  EXPECT_TRUE(ring.nodes[2]->publish(0, Input{0xCC, 0xDD}));
   ring.pump(10);
-  auto at1 = ring.meshes[1]->fetch_new(0);
+  auto at1 = ring.nodes[1]->fetch_new(0);
   ASSERT_EQ(at1.size(), 1u);
   EXPECT_EQ(at1[0], (Input{0xCC, 0xDD}));
 
   // Resurrect rank 0 as a stale-fatal prober at its journaled epoch 1:
   // it must observe epoch 2 from the new leader and latch fenced — the
   // split-brain rejection — while the leader fences its hello out.
-  ring.meshes[0] = ring.make_mesh(0, /*resume_probe=*/true,
-                                  /*stale_fatal=*/true, /*epoch=*/1);
+  ring.nodes[0] = ring.make_node(0, /*resume_probe=*/true,
+                                 /*stale_fatal=*/true, /*epoch=*/1);
   ring.pump(30);
-  const FailoverStats s0 = ring.meshes[0]->failover_stats();
+  const FailoverStats s0 = ring.nodes[0]->failover_stats();
   EXPECT_EQ(s0.fenced, 1u);
   EXPECT_EQ(s0.role, 3u);
   EXPECT_GE(s0.net.epoch_ahead_seen, 1u);
-  EXPECT_GE(ring.meshes[1]->failover_stats().net.stale_hellos_dropped, 1u);
+  EXPECT_GE(ring.nodes[1]->failover_stats().net.stale_hellos_dropped, 1u);
   // Fenced means out: node 0 exchanges nothing ever again.
-  EXPECT_TRUE(ring.meshes[0]->fetch_new(0).empty());
+  EXPECT_TRUE(ring.nodes[0]->fetch_new(0).empty());
 }
 
 TEST(FailoverTest, ResumeProbeFindsUnchangedLeaderAndRejoinsQuietly) {
-  FailoverRing ring;
+  Ring ring(3, /*failover=*/true);
   ring.pump(8);
   // Node 2 restarts while the epoch-1 leader is alive and well: the probe
   // must resolve to the journaled topology without an election.
-  ring.meshes[2] = ring.make_mesh(2, /*resume_probe=*/true,
-                                  /*stale_fatal=*/false, /*epoch=*/1);
+  ring.nodes[2] = ring.make_node(2, /*resume_probe=*/true,
+                                 /*stale_fatal=*/false, /*epoch=*/1);
   ring.pump(20);
-  const FailoverStats s2 = ring.meshes[2]->failover_stats();
+  const FailoverStats s2 = ring.nodes[2]->failover_stats();
   EXPECT_EQ(s2.epoch, 1u);
   EXPECT_EQ(s2.role, 1u);
   EXPECT_EQ(s2.leader_rank, 0u);
   EXPECT_EQ(s2.elections, 0u);
   EXPECT_EQ(s2.fenced, 0u);
 
-  EXPECT_TRUE(ring.meshes[2]->publish(0, Input{0x11, 0x22}));
+  EXPECT_TRUE(ring.nodes[2]->publish(0, Input{0x11, 0x22}));
   ring.pump(10);
-  auto at0 = ring.meshes[0]->fetch_new(0);
+  auto at0 = ring.nodes[0]->fetch_new(0);
   ASSERT_EQ(at0.size(), 1u);
   EXPECT_EQ(at0[0], (Input{0x11, 0x22}));
 }
 
-// One FailoverMesh alone in its federation, journaling to `wal`: its
-// first pump journals kInit and its founding promotion.
+// With failover off the founding leader is pinned: its death leaves the
+// followers waiting on it, in epoch 1, without an election.
+TEST(FailoverTest, FailoverOffNeverElects) {
+  Ring ring(3, /*failover=*/false);
+  ring.pump(8);
+  ring.nodes[0].reset();
+  ring.pump(60);  // > election_timeout at 6ms steps
+  for (u32 r : {1u, 2u}) {
+    const FailoverStats s = ring.nodes[r]->failover_stats();
+    EXPECT_EQ(s.epoch, 1u) << "rank " << r;
+    EXPECT_EQ(s.elections, 0u) << "rank " << r;
+    EXPECT_EQ(s.role, 1u) << "rank " << r;
+    EXPECT_EQ(s.leader_rank, 0u) << "rank " << r;
+  }
+}
+
+// One Gateway alone in its federation, journaling to `wal`: its first
+// pump journals kInit and its founding promotion.
 struct LoneNode {
   SyncHub hub{2};
-  std::unique_ptr<FailoverMesh> mesh;
+  std::unique_ptr<Gateway> mesh;
 
   explicit LoneNode(const std::string& wal) {
     FederationConfig fc;
@@ -1040,7 +1035,7 @@ struct LoneNode {
     fc.dial_ports.assign(1, 0);
     fc.link.session_fingerprint = 77;
     fc.wal_path = wal;
-    mesh = std::make_unique<FailoverMesh>(&hub, 1, fc, nullptr, nullptr);
+    mesh = std::make_unique<Gateway>(&hub, 1, fc, nullptr, nullptr);
     mesh->pump(1 * kMs);
   }
 };
@@ -1369,6 +1364,50 @@ TEST(RunFederationTest, FailoverMismatchIsRejected) {
   EXPECT_TRUE(fed.nodes.empty());
   // Refused before any rank ran: nothing was written.
   EXPECT_FALSE(std::filesystem::exists(root));
+}
+
+// A gateway link that can never start — here an inherited listener that
+// is already closed — fails the coordinator before any worker forks, in
+// both gateway modes.
+TEST(FederateTest, ClosedListenerFailsFleetFast) {
+  // F_DUPFD places the descriptor far above anything the fleet opens on
+  // its way to the gateway, so no file reuses the closed number.
+  u16 port = 0;
+  std::string err;
+  const int fd = tcp_listen("127.0.0.1", &port, &err);
+  ASSERT_GE(fd, 0) << err;
+  const int closed_fd = ::fcntl(fd, F_DUPFD, 900);
+  ASSERT_GE(closed_fd, 900);
+  ::close(closed_fd);
+  ::close(fd);
+
+  GeneratorParams gp;
+  gp.seed = 33;
+  gp.live_blocks = 200;
+  const GeneratedTarget target = generate_target(gp);
+  const std::vector<Input> seeds = make_seed_corpus(target, 4, 1);
+  const std::string root =
+      std::filesystem::temp_directory_path() /
+      ("bigmap_closed_listener_" + std::to_string(::getpid()));
+  for (bool failover : {false, true}) {
+    std::filesystem::remove_all(root);
+    procfleet::ProcFleetConfig fc = drill_config(root, 1, 501);
+    fc.federation.failover = failover;
+    fc.federation.num_nodes = 2;
+    fc.federation.listen_fds = {-1, closed_fd};
+    fc.federation.dial_ports = {0, port};
+    std::string what;
+    try {
+      (void)procfleet::run_process_fleet(target.program, seeds, fc);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what,
+              "run_process_fleet: netfleet: fcntl(O_NONBLOCK) on inherited "
+              "listener failed")
+        << "failover " << failover;
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
