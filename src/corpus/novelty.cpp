@@ -76,12 +76,27 @@ class OracleImpl final : public NoveltyOracle {
     return ex_.virgin_queue().count_covered();
   }
 
-  std::vector<OracleDelta> export_delta() override {
-    return export_impl(/*full=*/false);
-  }
-
   std::vector<OracleDelta> export_full() override {
-    return export_impl(/*full=*/true);
+    const usize n = ex_.map().map_size();
+    std::vector<OracleDelta> out;
+    for (u8 kind = 0; kind <= OracleDelta::kHang; ++kind) {
+      const VirginMap& v = virgin_of(kind);
+      OracleDelta d;
+      d.map_kind = kind;
+      // One O(map_size) scan per export. The dense two-level layout means
+      // nearly every probe is a one-branch slot_of miss; a gateway exports
+      // only when it ships its whole model to a (re)joined peer, so this
+      // never shows against exec cost.
+      for (u32 p = 0; p < n; ++p) {
+        const u8 cur = current_virgin(v, p);
+        if (cur != 0xFF) d.cells.push_back({p, cur});
+      }
+      d.seq = export_seq_++;
+      stats_.deltas_exported++;
+      stats_.cells_exported += d.cells.size();
+      out.push_back(std::move(d));
+    }
+    return out;
   }
 
   bool apply_delta(const OracleDelta& d) override {
@@ -138,42 +153,8 @@ class OracleImpl final : public NoveltyOracle {
     }
   }
 
-  std::vector<OracleDelta> export_impl(bool full) {
-    const usize n = ex_.map().map_size();
-    if (shadow_[0].empty()) {
-      for (auto& s : shadow_) s.assign(n, 0xFF);
-    }
-    std::vector<OracleDelta> out;
-    for (u8 kind = 0; kind <= OracleDelta::kHang; ++kind) {
-      std::vector<u8>& shadow = shadow_[kind];
-      if (full) std::fill(shadow.begin(), shadow.end(), 0xFF);
-      const VirginMap& v = virgin_of(kind);
-      OracleDelta d;
-      d.map_kind = kind;
-      // One O(map_size) scan per export. The dense two-level layout means
-      // nearly every probe is a one-branch slot_of miss; the cadence is
-      // tens of milliseconds, so this never shows against exec cost.
-      for (u32 p = 0; p < n; ++p) {
-        const u8 cur = current_virgin(v, p);
-        if (cur != shadow[p]) {
-          d.cells.push_back({p, cur});
-          shadow[p] = cur;
-        }
-      }
-      if (d.cells.empty() && !full) continue;
-      d.seq = export_seq_++;
-      stats_.deltas_exported++;
-      stats_.cells_exported += d.cells.size();
-      out.push_back(std::move(d));
-    }
-    return out;
-  }
-
   BlockIdTable ids_;
   Executor<Map, Metric> ex_;
-  // Per-map-kind view of the virgin state as of the last export, keyed by
-  // original position (lazily sized on first export).
-  std::vector<u8> shadow_[3];
   u64 export_seq_ = 0;
 };
 

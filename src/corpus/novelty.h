@@ -19,15 +19,18 @@
 // still converge to exact find-union equality.
 //
 // Delta sync: a model can also be (re)built WITHOUT executing anything.
-// export_delta() emits the virgin-map cells that changed since the last
-// export; apply_delta() ANDs them into another oracle's virgin maps. Cells
-// are keyed by ORIGINAL map positions (`key & mask`), never by condensed
-// slots — slot assignment is execution-order-dependent and therefore
-// meaningless across processes, but virgin state over original keys is
-// exactly what admit() verdicts depend on. The two-level scheme's dense
-// [0, used_key) layout keeps the records tiny: only positions that ever
-// received coverage can differ from 0xFF. AND-application is idempotent
-// and order-insensitive, so replayed or re-sent deltas are harmless.
+// export_full() emits every virgin-map cell that differs from 0xFF;
+// apply_delta() ANDs such cells into another oracle's virgin maps. A
+// federation ships the full model whenever a peer (re)joins and then
+// keeps both sides' models current by admitting the entries it relays,
+// so there is no incremental export. Cells are keyed by ORIGINAL map
+// positions (`key & mask`), never by condensed slots — slot assignment
+// is execution-order-dependent and therefore meaningless across
+// processes, but virgin state over original keys is exactly what admit()
+// verdicts depend on. The two-level scheme's dense [0, used_key) layout
+// keeps the records tiny: only positions that ever received coverage can
+// differ from 0xFF. AND-application is idempotent and order-insensitive,
+// so replayed or re-sent deltas are harmless.
 #pragma once
 
 #include <concepts>
@@ -124,14 +127,10 @@ class NoveltyOracle {
   // Covered positions of the model's queue virgin map.
   virtual usize covered() const = 0;
 
-  // Virgin cells that changed since the last export (per map kind; empty
-  // kinds are omitted). Never executes anything.
-  virtual std::vector<OracleDelta> export_delta() = 0;
-
   // Full model state: every cell that differs from virgin 0xFF, for all
   // three map kinds (always emitted, even when empty, so a receiver can
-  // distinguish "empty model" from "nothing new"). Resets the export
-  // shadow, so the next export_delta() is relative to this snapshot.
+  // distinguish "empty model" from "nothing new"). Never executes
+  // anything.
   virtual std::vector<OracleDelta> export_full() = 0;
 
   // ANDs a delta into this model's virgin maps — the zero-execution

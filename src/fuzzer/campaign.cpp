@@ -28,8 +28,26 @@ constexpr u32 kHavocRounds = 256;
 enum class ExecKind : u8 {
   kUntraced,  // kDual's oracle-only run that stayed boring
   kTraced,    // a full map-pipeline run, oracle-fire re-executions included
-  kTrim,      // trim_entry's hash run: traced, no exec_ns sample
+  kTrim,      // trim_entry's hash run: traced
 };
+
+// The lifetime counters a checkpoint persists, as the sink names them.
+telemetry::StatsSnapshot persisted_counts(const persist::CampaignCounters& c,
+                                          u64 crashes) {
+  telemetry::StatsSnapshot s;
+  s.execs = c.execs;
+  s.interesting = c.interesting;
+  s.crashes = crashes;
+  s.hangs = c.hangs;
+  s.trim_execs = c.trim_execs;
+  s.faulted_execs = c.faulted_execs;
+  s.injected_hangs = c.injected_hangs;
+  s.tracing_untraced_execs = c.tracing_untraced_execs;
+  s.tracing_traced_execs = c.tracing_traced_execs;
+  s.tracing_oracle_fires = c.tracing_oracle_fires;
+  s.tracing_reexec_ns = c.tracing_reexec_ns;
+  return s;
+}
 
 template <class Map, class Metric>
 class Campaign {
@@ -66,7 +84,11 @@ class Campaign {
       if (cfg_.checkpoint != nullptr && cfg_.checkpoint_interval != 0) {
         next_checkpoint_ = cfg_.checkpoint_interval;
       }
-      if (!try_restore()) {
+      const bool restored = try_restore();
+      if (cfg_.telemetry != nullptr) {
+        cfg_.telemetry->begin_attempt(persisted_counts(res_, triage_.total()));
+      }
+      if (!restored) {
         seed_queue();
         res_.seed_execs = res_.execs;
         res_.seed_seconds =
@@ -113,15 +135,13 @@ class Campaign {
     return false;
   }
 
-  // The one place an execution is charged. Bumps the lifetime counters
-  // and their sink mirrors — every exec lands in exactly one of the
-  // untraced/traced counters, so their sum is execs by construction —
-  // then the heartbeat and the exec hook, then the per-exec cadences
-  // (telemetry stamp, checkpoint request, corpus compaction). `exec_ns`
-  // feeds the sink's latency histogram (trim runs record none);
-  // `reexec_ns` is the wall time of a traced re-execution, 0 otherwise.
-  void count_exec(ExecKind kind, u64 exec_ns = 0, u64 reexec_ns = 0) {
-    telemetry::TelemetrySink* t = cfg_.telemetry;
+  // The one place an execution is charged. Bumps the lifetime counters —
+  // every exec lands in exactly one of the untraced/traced counters, so
+  // their sum is execs by construction — then the heartbeat and the exec
+  // hook, then the per-exec cadences (telemetry stamp, checkpoint
+  // request, corpus compaction). `reexec_ns` is the wall time of a traced
+  // re-execution, 0 otherwise.
+  void count_exec(ExecKind kind, u64 reexec_ns = 0) {
     ++res_.execs;
     if (kind == ExecKind::kUntraced) {
       ++res_.tracing_untraced_execs;
@@ -130,50 +150,47 @@ class Campaign {
       res_.tracing_reexec_ns += reexec_ns;
       if (kind == ExecKind::kTrim) ++res_.trim_execs;
     }
-    if (t != nullptr) {
-      if (kind == ExecKind::kUntraced) {
-        t->tracing_untraced_execs.add();
-      } else {
-        if (kind == ExecKind::kTrim) t->trim_execs.add();
-        t->tracing_traced_execs.add();
-        if (reexec_ns != 0) t->tracing_reexec_ns.add(reexec_ns);
-      }
-      if (kind != ExecKind::kTrim) t->exec_ns.record(exec_ns);
-    }
     if (cfg_.control != nullptr) {
       cfg_.control->progress.fetch_add(1, std::memory_order_relaxed);
     }
-    if (t != nullptr) t->execs.add();
     if (cfg_.exec_hook != nullptr) cfg_.exec_hook->on_exec(res_.execs);
     maybe_stamp_telemetry();
     maybe_checkpoint();
     maybe_compact_corpus();
   }
 
-  // Refreshes the map-state gauges and appends one StatsSnapshot to the
-  // sink: the campaign's one periodic sampler. Gauge refresh scans the
-  // virgin map, so this runs only on the stamp cadence (and at finalize),
-  // charged to kOther.
+  // Hands the sink one StatsSnapshot of the result counters and the
+  // map-state gauges: the campaign's one periodic sampler. Counting the
+  // covered positions scans the virgin map, so this runs only on the stamp
+  // cadence (and at finalize), charged to kOther.
   void stamp_telemetry() {
-    telemetry::TelemetrySink& t = *cfg_.telemetry;
     ScopedOpTimer timer(res_.timing, MapOp::kOther);
+    telemetry::StatsSnapshot s = persisted_counts(res_, triage_.total());
+    s.sync_published = res_.sync_published;
+    s.sync_imported = res_.sync_imported;
+    s.checkpoints_written = res_.checkpoints_written;
+    s.checkpoints_loaded = res_.checkpoints_loaded;
+    s.checkpoint_bytes = res_.checkpoint_bytes;
+    s.recovery_torn_tail = res_.recovery_torn_tail;
+    s.recovery_bad_crc = res_.recovery_bad_crc;
+    s.recovery_version_mismatch = res_.recovery_version_mismatch;
     // Read-only: a mutable map() would make the next run reset a map the
     // last trim pass left zero.
     const Map& map = std::as_const(ex_).map();
-    t.set_kernel(map.kernel_name());
-    t.queue_depth.set(queue_.size());
-    t.covered_positions.set(ex_.virgin_queue().count_covered());
-    t.map_positions.set(ex_.virgin_positions());
+    s.kernel = map.kernel_name();
+    s.queue_depth = queue_.size();
+    s.covered_positions = ex_.virgin_queue().count_covered();
+    s.map_positions = ex_.virgin_positions();
     if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-      t.used_key.set(map.used_key());
-      t.saturated_updates.set(map.saturated_updates());
+      s.used_key = map.used_key();
+      s.saturated_updates = map.saturated_updates();
     }
     const MapOpCounts& ops = map.op_counts();
-    t.map_resets.set(ops.resets);
-    t.map_classifies.set(ops.classifies);
-    t.map_compares.set(ops.compares);
-    t.map_hashes.set(ops.hashes);
-    t.stamp();
+    s.map_resets = ops.resets;
+    s.map_classifies = ops.classifies;
+    s.map_compares = ops.compares;
+    s.map_hashes = ops.hashes;
+    cfg_.telemetry->stamp(s);
   }
 
   void maybe_stamp_telemetry() {
@@ -324,15 +341,10 @@ class Campaign {
     }
     if (store.save(build_snapshot(), cfg_.keep_checkpoints, &err)) {
       ++res_.checkpoints_written;
+      res_.checkpoint_bytes +=
+          store.stats().checkpoint_bytes - before.checkpoint_bytes;
     } else {
       ++res_.checkpoint_failures;
-    }
-    if (cfg_.telemetry != nullptr) {
-      const persist::PersistStats after = store.stats();
-      cfg_.telemetry->checkpoints_written.add(after.checkpoints_written -
-                                              before.checkpoints_written);
-      cfg_.telemetry->checkpoint_bytes.add(after.checkpoint_bytes -
-                                           before.checkpoint_bytes);
     }
     // A multi-megabyte save on a slow disk freezes the exec heartbeat; tick
     // it so the watchdog doesn't mistake the pause for a stall.
@@ -376,16 +388,12 @@ class Campaign {
     persist::CheckpointStore& store = *cfg_.checkpoint;
     const persist::PersistStats before = store.stats();
     persist::CheckpointStore::LoadOutcome loaded = store.load_latest();
-    if (cfg_.telemetry != nullptr) {
-      const persist::PersistStats after = store.stats();
-      cfg_.telemetry->recovery_torn_tail.add(after.recovered_torn_tail -
-                                             before.recovered_torn_tail);
-      cfg_.telemetry->recovery_bad_crc.add(after.recovered_bad_crc -
-                                           before.recovered_bad_crc);
-      cfg_.telemetry->recovery_version_mismatch.add(
-          after.recovered_version_mismatch -
-          before.recovered_version_mismatch);
-    }
+    const persist::PersistStats after = store.stats();
+    res_.recovery_torn_tail =
+        after.recovered_torn_tail - before.recovered_torn_tail;
+    res_.recovery_bad_crc = after.recovered_bad_crc - before.recovered_bad_crc;
+    res_.recovery_version_mismatch =
+        after.recovered_version_mismatch - before.recovered_version_mismatch;
     if (!loaded.snapshot.has_value()) return false;
     persist::CampaignSnapshot& s = *loaded.snapshot;
 
@@ -491,34 +499,13 @@ class Campaign {
     static_cast<persist::CampaignCounters&>(res_) = s;
     res_.resumed = true;
     res_.resumed_from_execs = s.execs;
-
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->checkpoints_loaded.add();
-      if (cfg_.telemetry_restore) prime_telemetry(s);
-    }
+    res_.checkpoints_loaded = 1;
     if (cfg_.control != nullptr) {
       // Heartbeat continuity: the watchdog's stall detector keys off
       // progress deltas, so jump-start it with the restored exec count.
       cfg_.control->progress.fetch_add(s.execs, std::memory_order_relaxed);
     }
     return true;
-  }
-
-  // Whole-process resume: the sink is fresh, so prime its lifetime
-  // counters with the restored totals to keep fleet sums cumulative.
-  void prime_telemetry(const persist::CampaignSnapshot& s) {
-    telemetry::TelemetrySink& t = *cfg_.telemetry;
-    t.execs.add(s.execs);
-    t.interesting.add(s.interesting);
-    t.crashes.add(s.crashes_total);
-    t.hangs.add(s.hangs);
-    t.trim_execs.add(s.trim_execs);
-    t.faulted_execs.add(s.faulted_execs);
-    t.injected_hangs.add(s.injected_hangs);
-    t.tracing_untraced_execs.add(s.tracing_untraced_execs);
-    t.tracing_traced_execs.add(s.tracing_traced_execs);
-    t.tracing_oracle_fires.add(s.tracing_oracle_fires);
-    t.tracing_reexec_ns.add(s.tracing_reexec_ns);
   }
 
   // Consults the fault injector before an execution. Returns false when
@@ -532,7 +519,6 @@ class Campaign {
     }
     if (cfg_.fault->fire(FaultSite::kTransientHang, cfg_.sync_id)) {
       ++res_.injected_hangs;
-      if (cfg_.telemetry != nullptr) cfg_.telemetry->injected_hangs.add();
       const u64 deadline_ns =
           monotonic_ns() + static_cast<u64>(cfg_.fault->hang_ms()) * 1000000;
       while (monotonic_ns() < deadline_ns) {
@@ -545,7 +531,6 @@ class Campaign {
     }
     if (cfg_.fault->fire(FaultSite::kExecAbort, cfg_.sync_id)) {
       ++res_.faulted_execs;
-      if (cfg_.telemetry != nullptr) cfg_.telemetry->faulted_execs.add();
       return false;
     }
     return true;
@@ -577,17 +562,12 @@ class Campaign {
     }
     if (untraced_first) {
       const auto fast = ex_.run_untraced(input, res_.timing);
-      if (fast.fired) {
-        ++res_.tracing_oracle_fires;
-        if (cfg_.telemetry != nullptr) {
-          cfg_.telemetry->tracing_oracle_fires.add();
-        }
-      }
+      if (fast.fired) ++res_.tracing_oracle_fires;
       const bool reexec =
           fast.fired || fast.exec.crashed() || fast.exec.hung();
       if (!reexec) {
         // Boring exec: count it and keep going — no map pipeline at all.
-        count_exec(ExecKind::kUntraced, fast.exec_ns);
+        count_exec(ExecKind::kUntraced);
         return false;
       }
       // Traced re-execution. It passes the fault gate again: an aborted
@@ -602,10 +582,9 @@ class Campaign {
     } else {
       out = ex_.run(input, res_.timing);
     }
-    count_exec(ExecKind::kTraced, out.exec_ns, reexec_ns);
+    count_exec(ExecKind::kTraced, reexec_ns);
 
     if (out.exec.crashed()) {
-      if (cfg_.telemetry != nullptr) cfg_.telemetry->crashes.add();
       triage_.record(out.exec, out.outcome_new_bits != NewBits::kNone);
       if (cfg_.corpus != nullptr) {
         // Same identity as CrashTriage; res_.execs is this instance's
@@ -619,23 +598,17 @@ class Campaign {
     }
     if (out.exec.hung()) {
       ++res_.hangs;
-      if (cfg_.telemetry != nullptr) cfg_.telemetry->hangs.add();
       return false;
     }
 
     const bool fresh = out.interesting();
-    if (fresh) {
-      ++res_.interesting;
-      if (cfg_.telemetry != nullptr) cfg_.telemetry->interesting.add();
-    }
+    if (fresh) ++res_.interesting;
     if (!fresh && !is_seed) return false;
 
     ScopedOpTimer t(res_.timing, MapOp::kOther);
-    if (cfg_.sync != nullptr && fresh) {
-      if (cfg_.sync->publish(cfg_.sync_id, input) &&
-          cfg_.telemetry != nullptr) {
-        cfg_.telemetry->sync_published.add();
-      }
+    if (cfg_.sync != nullptr && fresh &&
+        cfg_.sync->publish(cfg_.sync_id, input)) {
+      ++res_.sync_published;
     }
     const u64 sched_ns = cfg_.deterministic_timing
                              ? out.exec.steps * 100  // pseudo-time
@@ -793,7 +766,7 @@ class Campaign {
     next_sync_ = res_.execs + cfg_.sync_interval;
     for (Input& imported : cfg_.sync->fetch_new(cfg_.sync_id)) {
       if (exhausted()) break;
-      if (cfg_.telemetry != nullptr) cfg_.telemetry->sync_imported.add();
+      ++res_.sync_imported;
       process(std::move(imported), 0, false);
     }
   }

@@ -173,20 +173,16 @@ struct CampaignConfig {
   corpus::CorpusStore* corpus = nullptr;
   u64 corpus_compact_interval = 0;
 
-  // On whole-process resume the telemetry sink starts from zero; this makes
-  // a successful restore prime the sink's lifetime counters from the
-  // snapshot so fleet totals stay cumulative. In-process warm restarts
-  // reuse the surviving sink (which already holds the counts) and must
-  // leave this off.
-  bool telemetry_restore = false;
-
-  // Telemetry (optional). When non-null, the campaign bumps the sink's
-  // lock-free counters on the hot path and stamps a StatsSnapshot — map
-  // gauges refreshed, rates computed — every telemetry_interval execs and
-  // once at finalize. The sink is owned by the caller (the supervisor keeps
-  // one per instance slot, so counters accumulate across restarts). Its
-  // stamped series is the campaign's one periodic sampler: coverage over
-  // time is (execs, covered_positions) of each stamp.
+  // Telemetry (optional). When non-null, the campaign publishes its own
+  // result counters and the map-state gauges to the sink as one
+  // StatsSnapshot every telemetry_interval execs and once at finalize;
+  // nothing is recorded per exec. The sink is owned by the caller (the
+  // supervisor keeps one per instance slot) and carries what earlier
+  // attempts published, so its series stays cumulative per instance
+  // whether this attempt starts cold, warm on the same sink, or resumed
+  // into a fresh one (TelemetrySink::begin_attempt). Its stamped series is
+  // the campaign's one periodic sampler: coverage over time is (execs,
+  // covered_positions) of each stamp.
   telemetry::TelemetrySink* telemetry = nullptr;
   u64 telemetry_interval = 16384;
 };
@@ -240,8 +236,15 @@ struct CampaignResult : persist::CampaignCounters {
   // budget segment.
   bool resumed = false;            // state restored from a checkpoint
   u64 resumed_from_execs = 0;      // snapshot's exec counter at restore
+  // This attempt's own counts (a snapshot does not persist them).
   u64 checkpoints_written = 0;
   u64 checkpoint_failures = 0;     // saves lost to (injected) I/O faults
+  u64 checkpoint_bytes = 0;        // bytes of the snapshots written
+  u64 checkpoints_loaded = 0;      // 1 when this attempt restored one
+  // Snapshots the restore skipped, by cause (see persist/checkpoint.h).
+  u64 recovery_torn_tail = 0;
+  u64 recovery_bad_crc = 0;
+  u64 recovery_version_mismatch = 0;
 
   u64 crashes_total = 0;
   u64 crashes_afl_unique = 0;        // AFL's map-biased dedup
@@ -255,6 +258,11 @@ struct CampaignResult : persist::CampaignCounters {
   // instances (Figures 9/10): planted bug ids and Crashwalk stack hashes.
   std::vector<u32> found_bug_ids;
   std::vector<u64> found_stack_hashes;
+
+  // Sync accounting (zero without a sync endpoint), this attempt's own:
+  // finds this instance published, other instances' inputs it imported.
+  u64 sync_published = 0;
+  u64 sync_imported = 0;
 
   // Corpus-store accounting (zero without a CorpusStore).
   u64 corpus_appends = 0;     // entries this instance added to the store

@@ -43,13 +43,6 @@ struct Slot {
   // exit that did not move this is a stuck worker, not scheduled work.
   u64 execs_at_launch = 0;
 
-  // Monotone high-water marks of what has been fed to this worker's
-  // telemetry sink, so heartbeat samples and end-of-attempt results can
-  // both feed it without double counting.
-  u64 sink_execs = 0;
-  u64 sink_interesting = 0;
-  u64 sink_crashes = 0;
-
   // Timestamps (monotonic ns) of recent abnormal deaths, pruned to the
   // quarantine window.
   std::deque<u64> death_times;
@@ -225,26 +218,17 @@ ProcFleetResult run_process_fleet(const Program& program,
     }
   };
 
-  // Feeds the monotone high-water counters into this worker's sink.
-  auto feed_sink = [&](u32 id, u64 execs, u64 interesting, u64 crashes) {
+  // Publishes the totals this coordinator holds for a worker into its
+  // sink. Instance sinks are never stamped here (the worker's map state
+  // lives in another process); the sink never lets a published counter go
+  // down, so heartbeat samples and end-of-attempt results can both feed it.
+  auto publish_totals = [&](u32 id, u64 execs) {
     if (fleet == nullptr) return;
-    Slot& s = slots[id];
-    telemetry::TelemetrySink& sink = fleet->instance(id);
-    if (execs > s.sink_execs) {
-      sink.execs.add(execs - s.sink_execs);
-      s.sink_execs = execs;
-    }
-    if (interesting > s.sink_interesting) {
-      sink.interesting.add(interesting - s.sink_interesting);
-      s.sink_interesting = interesting;
-    }
-    if (crashes > s.sink_crashes) {
-      sink.crashes.add(crashes - s.sink_crashes);
-      s.sink_crashes = crashes;
-    }
-  };
-  auto feed_totals = [&](u32 id) {
-    feed_sink(id, lc[id].execs, lc[id].interesting, lc[id].crashes_total);
+    telemetry::StatsSnapshot t;
+    t.execs = execs;
+    t.interesting = lc[id].interesting;
+    t.crashes = lc[id].crashes_total;
+    fleet->instance(id).publish(t);
   };
 
   // Spreads the freed budget pool over every worker that can still absorb
@@ -321,7 +305,7 @@ ProcFleetResult run_process_fleet(const Program& program,
         continue;
       }
       lc[id].execs = std::max(lc[id].execs, lc.absorb_snapshot(id));
-      feed_totals(id);
+      publish_totals(id, lc[id].execs);
     }
     // Re-derive any pool a quarantine freed that the previous coordinator
     // never managed to grant out (it died between journaling the park and
@@ -421,7 +405,7 @@ ProcFleetResult run_process_fleet(const Program& program,
           blk->result_interesting.load(std::memory_order_relaxed));
       w.crashes_total = std::max(
           w.crashes_total, blk->result_crashes.load(std::memory_order_relaxed));
-      feed_totals(id);
+      publish_totals(id, lc[id].execs);
     }
 
     // Exit-status triage.
@@ -524,7 +508,7 @@ ProcFleetResult run_process_fleet(const Program& program,
         // Park it. Durable progress is whatever its last checkpoint
         // holds; the undone budget goes back to the pool.
         w.execs = std::max(w.execs, lc.absorb_snapshot(id));
-        feed_totals(id);
+        publish_totals(id, lc[id].execs);
         if (s.goal > w.execs) budget_pool += s.goal - w.execs;
         if (w.last_error.empty()) w.last_error = "quarantined";
         bump("quarantined");
@@ -549,14 +533,13 @@ ProcFleetResult run_process_fleet(const Program& program,
         segment.worker(id)->control.progress.load(std::memory_order_relaxed);
     const Lifecycle::Beat beat = lc.beat(id, p, now);
     if (beat == Lifecycle::Beat::kMoved) {
-      // The heartbeat is the segment-lifetime exec count; feed the sink
-      // its monotone delta so process fleets chart like thread fleets.
-      // Clamped to the goal: the campaign also ticks the progress word
-      // once per checkpoint (so a slow save is not mistaken for a stall),
-      // and those ticks must not inflate the exec totals — the
-      // end-of-attempt result counters are the authoritative value.
-      feed_sink(id, s.goal != 0 ? std::min(p, s.goal) : p,
-                s.sink_interesting, s.sink_crashes);
+      // The heartbeat is the segment-lifetime exec count; publish it so
+      // process fleets chart like thread fleets. Clamped to the goal: the
+      // campaign also ticks the progress word once per checkpoint (so a
+      // slow save is not mistaken for a stall), and those ticks must not
+      // inflate the exec totals — the end-of-attempt result counters are
+      // the authoritative value.
+      publish_totals(id, s.goal != 0 ? std::min(p, s.goal) : p);
     } else if (!s.kill_sent &&
                (beat == Lifecycle::Beat::kStalled ||
                 (s.stop_sent && now >= s.stop_deadline_ns))) {

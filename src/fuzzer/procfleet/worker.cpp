@@ -139,7 +139,6 @@ int worker_main(const WorkerParams& p) {
     // any write here would land in a private COW page. The coordinator
     // derives per-worker telemetry from the shm heartbeat instead.
     c.telemetry = nullptr;
-    c.telemetry_restore = false;
 
     blk->state.store(kWorkerRunning, std::memory_order_release);
     const CampaignResult r = run_campaign(*p.program, *p.seeds, c);

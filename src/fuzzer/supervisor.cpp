@@ -38,8 +38,7 @@ struct Slot {
   u64 base_faulted_execs = 0;
   u64 base_injected_hangs = 0;
   u64 segment_max_execs = 0;
-  bool resume_next = false;     // next attempt restores from checkpoint
-  bool prime_telemetry = false;  // next attempt re-primes a fresh sink
+  bool resume_next = false;  // next attempt restores from checkpoint
 
   InstanceHealth health;  // the supervisor's own counters
 
@@ -132,17 +131,6 @@ SupervisorResult run_supervised_campaign(const Program& program,
   env.wall_error = "supervisor wall-clock limit";
   Lifecycle lc(config, config.num_instances, monotonic_ns(), std::move(env));
 
-  auto prime_sink = [&](u32 id, u64 execs, u64 interesting, u64 crashes,
-                        u64 faulted, u64 hangs) {
-    if (fleet == nullptr) return;
-    telemetry::TelemetrySink& sink = fleet->instance(id);
-    sink.execs.add(execs);
-    sink.interesting.add(interesting);
-    sink.crashes.add(crashes);
-    sink.faulted_execs.add(faulted);
-    sink.injected_hangs.add(hangs);
-  };
-
   // Whole-process resume: replay the journal into the slots. Instances the
   // previous process finished stay finished (their triage identities are
   // recovered from their final snapshot); instances that were still owed
@@ -156,7 +144,7 @@ SupervisorResult run_supervised_campaign(const Program& program,
       const std::optional<persist::InstanceEvent> ev =
           fleet_store->last_event(id);
       if (!ev.has_value()) {
-        s.resume_next = s.prime_telemetry = true;
+        s.resume_next = true;
         continue;
       }
       s.health.stalls = ev->stalls;
@@ -168,17 +156,25 @@ SupervisorResult run_supervised_campaign(const Program& program,
                                 ? ev->segment_max_execs
                                 : config.base.max_execs;
       if (lc.replay(id, *ev, config.base.max_execs)) {
-        // The campaign's telemetry_restore primes the sink with the
-        // restored segment's counters. A journaled run only ever restarts
-        // warm, so there are no earlier cold segments to add.
-        s.resume_next = s.prime_telemetry = true;
+        // The resumed campaign publishes the restored segment's counters
+        // into the fresh sink. A journaled run only ever restarts warm, so
+        // there are no earlier cold segments to add.
+        s.resume_next = true;
         continue;
       }
       // Finished in the previous process: recover the triage identities
-      // from the instance's final snapshot, without re-journaling.
+      // from the instance's final snapshot, without re-journaling, and
+      // publish the recovered totals as the sink's history.
       lc.absorb_snapshot(id);
-      prime_sink(id, lc[id].execs, lc[id].interesting, lc[id].crashes_total,
-                 s.health.faulted_execs, s.health.injected_hangs);
+      if (fleet != nullptr) {
+        telemetry::StatsSnapshot recovered;
+        recovered.execs = lc[id].execs;
+        recovered.interesting = lc[id].interesting;
+        recovered.crashes = lc[id].crashes_total;
+        recovered.faulted_execs = s.health.faulted_execs;
+        recovered.injected_hangs = s.health.injected_hangs;
+        fleet->instance(id).begin_attempt(recovered);
+      }
     }
   }
 
@@ -219,7 +215,6 @@ SupervisorResult run_supervised_campaign(const Program& program,
     try {
       s.thread = std::thread([&hub, &program, &seeds, &config, &s, id, store,
                               resume_this = s.resume_next,
-                              prime = s.prime_telemetry,
                               seg_max = s.segment_max_execs]() {
         FaultInjector::ScopedThreadBinding bind(config.fault, id);
         try {
@@ -235,7 +230,6 @@ SupervisorResult run_supervised_campaign(const Program& program,
           c.checkpoint_interval = config.checkpoint_interval;
           c.keep_checkpoints = config.keep_checkpoints;
           c.resume_from_checkpoint = resume_this;
-          c.telemetry_restore = prime;
           if (config.telemetry != nullptr) {
             c.telemetry = &config.telemetry->instance(id);
           }
@@ -254,7 +248,6 @@ SupervisorResult run_supervised_campaign(const Program& program,
       return;
     }
     s.resume_next = false;
-    s.prime_telemetry = false;
   };
 
   // Joins a finished worker and decides: completed, restart, or give up.

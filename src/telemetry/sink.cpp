@@ -7,72 +7,73 @@
 namespace bigmap::telemetry {
 
 TelemetrySink::TelemetrySink(u32 instance_id)
-    : instance_id_(instance_id), born_ns_(monotonic_ns()) {}
+    : instance_id_(instance_id), born_ns_(monotonic_ns()) {
+  published_.instance_id = instance_id;
+}
 
 u64 TelemetrySink::now_ms() const noexcept {
   return (monotonic_ns() - born_ns_) / 1000000;
 }
 
-StatsSnapshot TelemetrySink::live_at(u64 relative_ms) const {
-  StatsSnapshot s;
-  s.instance_id = instance_id_;
-  s.kernel = kernel_.load(std::memory_order_relaxed);
-  s.relative_ms = relative_ms;
-
-  s.execs = execs.get();
-  s.interesting = interesting.get();
-  s.crashes = crashes.get();
-  s.hangs = hangs.get();
-  s.trim_execs = trim_execs.get();
-  s.sync_published = sync_published.get();
-  s.sync_imported = sync_imported.get();
-  s.faulted_execs = faulted_execs.get();
-  s.injected_hangs = injected_hangs.get();
-  s.restarts = restarts.get();
-  s.tracing_untraced_execs = tracing_untraced_execs.get();
-  s.tracing_traced_execs = tracing_traced_execs.get();
-  s.tracing_oracle_fires = tracing_oracle_fires.get();
-  s.tracing_reexec_ns = tracing_reexec_ns.get();
-
-  s.checkpoints_written = checkpoints_written.get();
-  s.checkpoints_loaded = checkpoints_loaded.get();
-  s.checkpoint_bytes = checkpoint_bytes.get();
-  s.recovery_torn_tail = recovery_torn_tail.get();
-  s.recovery_bad_crc = recovery_bad_crc.get();
-  s.recovery_version_mismatch = recovery_version_mismatch.get();
-
-  s.queue_depth = queue_depth.get();
-  s.covered_positions = covered_positions.get();
-  s.map_positions = map_positions.get();
-  s.used_key = used_key.get();
-  s.saturated_updates = saturated_updates.get();
-  s.map_resets = map_resets.get();
-  s.map_classifies = map_classifies.get();
-  s.map_compares = map_compares.get();
-  s.map_hashes = map_hashes.get();
-
-  if (relative_ms > 0) {
-    s.execs_per_sec =
-        static_cast<double>(s.execs) * 1000.0 / static_cast<double>(relative_ms);
+void TelemetrySink::begin_attempt(const StatsSnapshot& restored) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (fresh_) {
+    // The restored counts are this sink's whole history: published as
+    // they stand (carry and at_start stay 0), but run by someone else.
+    for_each_field(
+        [](const char*, FieldKind kind, u64& out, u64 in) {
+          if (kind == FieldKind::kCounter) out = in;
+        },
+        published_, restored);
+    handed_execs_ = restored.execs;
+    fresh_ = false;
+  } else {
+    carry_ = published_;
+    at_start_ = restored;
   }
-  s.execs_per_sec_now = s.execs_per_sec;
-  return s;
 }
 
-StatsSnapshot TelemetrySink::stamp_at(u64 relative_ms) {
+StatsSnapshot TelemetrySink::publish_locked(const StatsSnapshot& s,
+                                            u64 relative_ms) {
+  fresh_ = false;
+  for_each_field(
+      [](const char*, FieldKind kind, u64& out, u64 now, u64 carry,
+         u64 at_start) {
+        if (kind == FieldKind::kGauge) {
+          out = now;
+        } else if (now > at_start) {
+          out = std::max(out, carry + (now - at_start));
+        }
+      },
+      published_, s, carry_, at_start_);
+  published_.kernel = s.kernel;
+  published_.relative_ms = relative_ms;
+  published_.restarts = restarts.get();
+  published_.execs_per_sec =
+      relative_ms > 0 ? static_cast<double>(published_.execs - handed_execs_) *
+                            1000.0 / static_cast<double>(relative_ms)
+                      : 0.0;
+  published_.execs_per_sec_now = published_.execs_per_sec;
+  return published_;
+}
+
+void TelemetrySink::publish(const StatsSnapshot& s) {
+  std::lock_guard<std::mutex> lock(mu_);
+  publish_locked(s, now_ms());
+}
+
+StatsSnapshot TelemetrySink::stamp_at(const StatsSnapshot& in,
+                                      u64 relative_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!series_.empty()) {
     relative_ms = std::max(relative_ms, series_.back().relative_ms);
   }
-  StatsSnapshot s = live_at(relative_ms);
+  StatsSnapshot s = publish_locked(in, relative_ms);
   if (!series_.empty()) {
     const StatsSnapshot& prev = series_.back();
     const u64 dt_ms = s.relative_ms - prev.relative_ms;
-    // Counters are monotone, but don't trust it across observer reads under
-    // relaxed ordering: clamp the delta at 0.
-    const u64 de = s.execs > prev.execs ? s.execs - prev.execs : 0;
     s.execs_per_sec_now =
-        dt_ms > 0 ? static_cast<double>(de) * 1000.0 /
+        dt_ms > 0 ? static_cast<double>(s.execs - prev.execs) * 1000.0 /
                         static_cast<double>(dt_ms)
                   : s.execs_per_sec;
   }
@@ -91,11 +92,11 @@ usize TelemetrySink::series_size() const {
 }
 
 StatsSnapshot TelemetrySink::latest() const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!series_.empty()) return series_.back();
-  }
-  return live();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!series_.empty()) return series_.back();
+  StatsSnapshot s = published_;
+  s.restarts = restarts.get();
+  return s;
 }
 
 FleetTelemetry::FleetTelemetry(u32 num_instances)
@@ -114,38 +115,10 @@ StatsSnapshot FleetTelemetry::fleet_total() const {
     const StatsSnapshot s = sink.latest();
     // The kernel is a process-wide selection; surface the first instance
     // that reported one.
-    if (total.kernel[0] == '\0' && s.kernel[0] != '\0') {
-      total.kernel = s.kernel;
-    }
+    if (total.kernel[0] == '\0') total.kernel = s.kernel;
     total.relative_ms = std::max(total.relative_ms, s.relative_ms);
-    total.execs += s.execs;
-    total.interesting += s.interesting;
-    total.crashes += s.crashes;
-    total.hangs += s.hangs;
-    total.trim_execs += s.trim_execs;
-    total.sync_published += s.sync_published;
-    total.sync_imported += s.sync_imported;
-    total.faulted_execs += s.faulted_execs;
-    total.injected_hangs += s.injected_hangs;
-    total.tracing_untraced_execs += s.tracing_untraced_execs;
-    total.tracing_traced_execs += s.tracing_traced_execs;
-    total.tracing_oracle_fires += s.tracing_oracle_fires;
-    total.tracing_reexec_ns += s.tracing_reexec_ns;
-    total.checkpoints_written += s.checkpoints_written;
-    total.checkpoints_loaded += s.checkpoints_loaded;
-    total.checkpoint_bytes += s.checkpoint_bytes;
-    total.recovery_torn_tail += s.recovery_torn_tail;
-    total.recovery_bad_crc += s.recovery_bad_crc;
-    total.recovery_version_mismatch += s.recovery_version_mismatch;
-    total.queue_depth += s.queue_depth;
-    total.covered_positions += s.covered_positions;
-    total.map_positions += s.map_positions;
-    total.used_key += s.used_key;
-    total.saturated_updates += s.saturated_updates;
-    total.map_resets += s.map_resets;
-    total.map_classifies += s.map_classifies;
-    total.map_compares += s.map_compares;
-    total.map_hashes += s.map_hashes;
+    for_each_field([](const char*, FieldKind, u64& a, u64 b) { a += b; },
+                   total, s);
     total.execs_per_sec += s.execs_per_sec;
     total.execs_per_sec_now += s.execs_per_sec_now;
   }

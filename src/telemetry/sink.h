@@ -1,24 +1,31 @@
-// TelemetrySink: the live metrics surface one campaign instance publishes
-// into, plus FleetTelemetry, the supervisor-side aggregate over N sinks.
+// TelemetrySink: the published view of one campaign instance's counters,
+// plus FleetTelemetry, the supervisor-side aggregate over N sinks.
 //
-// Split of responsibilities:
-//  - hot path (every execution): lock-free Counter bumps and one Histogram
-//    record — no mutex, no allocation (see registry.h);
-//  - cadence path (every telemetry_interval execs): the campaign refreshes
-//    the map-state gauges and calls stamp(), which assembles a
-//    StatsSnapshot — rates included — and appends it to a mutex-guarded
-//    series (the raw data behind plot_data);
-//  - observer path (supervisor / emitter threads): live() reads the
-//    counters at any time without stopping the instance; series() copies
-//    the stamped history.
+// The campaign counts each event once, in its CampaignResult. At each
+// stamp (every telemetry_interval execs, and at finalize) it fills one
+// StatsSnapshot from those counters and the map-state gauges and hands it
+// to stamp(), which applies the carry rule below, computes the rates and
+// appends the result to a mutex-guarded series (the raw data behind
+// plot_data). Nothing runs per exec. Observers (supervisor, emitter,
+// bench threads) read latest() and series() at any time.
 //
-// A sink outlives the campaign attempts that feed it: the supervisor keeps
-// one sink per instance slot across restarts, so counters and the snapshot
-// series are cumulative per *instance*, not per attempt — execs in the last
+// A sink outlives the producer attempts that feed it: the supervisor keeps
+// one sink per instance slot across restarts, so the snapshot series is
+// cumulative per *instance*, not per attempt. Each attempt opens with
+// begin_attempt(restored), and every lifetime counter it publishes is
+//
+//   carry + (now - at_start)
+//
+// where carry is what the sink had published when the attempt began (0 on
+// a fresh sink) and at_start is the value the attempt restored from a
+// checkpoint (0 on a cold start, 0 for fields a checkpoint does not
+// persist, and 0 on a fresh sink, whose history the restored counts then
+// are). This one rule covers a cold start, an in-process warm restart on a
+// surviving sink, and a whole-process resume onto a fresh sink. Gauges are
+// not carried. A published counter never goes down, so execs in the last
 // snapshot of each instance sum to the supervisor's fleet total.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <mutex>
 #include <vector>
@@ -34,85 +41,54 @@ class TelemetrySink {
 
   u32 instance_id() const noexcept { return instance_id_; }
 
-  // --- hot-path counters (lock-free) ---------------------------------------
-  Counter execs;
-  Counter interesting;
-  Counter crashes;
-  Counter hangs;
-  Counter trim_execs;
-  Counter sync_published;
-  Counter sync_imported;
-  Counter faulted_execs;
-  Counter injected_hangs;
-  Counter restarts;  // bumped by the supervisor, not the campaign
+  // The supervisor's event (Lifecycle::retry bumps it), not the
+  // producer's; every published snapshot reads it.
+  Counter restarts;
 
-  // Coverage-guided tracing counters (see CampaignConfig::tracing):
-  // untraced/traced exec split, oracle fires, and wall time spent in traced
-  // re-executions.
-  Counter tracing_untraced_execs;
-  Counter tracing_traced_execs;
-  Counter tracing_oracle_fires;
-  Counter tracing_reexec_ns;
+  // --- producer side ------------------------------------------------------
 
-  // Persistence counters (bumped by the campaign's checkpoint path; see
-  // persist/checkpoint.h for the recovery-cause taxonomy).
-  Counter checkpoints_written;
-  Counter checkpoints_loaded;
-  Counter checkpoint_bytes;
-  Counter recovery_torn_tail;
-  Counter recovery_bad_crc;
-  Counter recovery_version_mismatch;
+  // Opens a producer attempt that continues from `restored`, the lifetime
+  // counters it restored from a checkpoint (all zero on a cold start). On
+  // a fresh sink the restored counts are published at once, and the
+  // lifetime rate leaves them out: they ran before this sink existed. A
+  // supervisor hands a fresh sink the recovered totals of an instance that
+  // will not run again the same way.
+  void begin_attempt(const StatsSnapshot& restored);
 
-  // Per-execution wall time, log-2 ns buckets.
-  Histogram exec_ns;
+  // Publishes `s` under the carry rule without stamping it; latest()
+  // returns it until the first stamp. For producers that never stamp.
+  void publish(const StatsSnapshot& s);
 
-  // --- sampled gauges (set on the stamp cadence) ---------------------------
-  Gauge queue_depth;
-  Gauge covered_positions;
-  Gauge map_positions;
-  Gauge used_key;
-  Gauge saturated_updates;
-  Gauge map_resets;
-  Gauge map_classifies;
-  Gauge map_compares;
-  Gauge map_hashes;
+  // Publishes `s` and appends it to the series at relative_ms (clamped to
+  // be monotone within the series), with the lifetime rate and the
+  // instantaneous rate against the previous stamp.
+  StatsSnapshot stamp_at(const StatsSnapshot& s, u64 relative_ms);
+  StatsSnapshot stamp(const StatsSnapshot& s) {
+    return stamp_at(s, now_ms());
+  }
 
-  // Builds a snapshot of the current counters/gauges at `relative_ms` (most
-  // callers use live(), which reads the sink's own clock). Does not append
-  // to the series; rates are lifetime-only.
-  StatsSnapshot live_at(u64 relative_ms) const;
-  StatsSnapshot live() const { return live_at(now_ms()); }
-
-  // Appends live_at(relative_ms) to the series, computing the instantaneous
-  // rate against the previous snapshot. relative_ms is clamped to be
-  // monotone within the series.
-  StatsSnapshot stamp_at(u64 relative_ms);
-  StatsSnapshot stamp() { return stamp_at(now_ms()); }
+  // --- observer side ------------------------------------------------------
 
   std::vector<StatsSnapshot> series() const;
   usize series_size() const;
-  // Last stamped snapshot; a live() snapshot when none was stamped yet.
+  // The last stamp; the last published value when none was stamped yet.
   StatsSnapshot latest() const;
 
   // Milliseconds since this sink was constructed.
   u64 now_ms() const noexcept;
 
-  // Records which whole-map kernel the campaign's coverage map uses; must
-  // be a string with static storage duration (kernel names are). Stamped
-  // into every subsequent snapshot.
-  void set_kernel(const char* name) noexcept {
-    kernel_.store(name, std::memory_order_relaxed);
-  }
-  const char* kernel() const noexcept {
-    return kernel_.load(std::memory_order_relaxed);
-  }
-
  private:
+  StatsSnapshot publish_locked(const StatsSnapshot& s, u64 relative_ms);
+
   const u32 instance_id_;
   const u64 born_ns_;
-  std::atomic<const char*> kernel_{""};
 
-  mutable std::mutex mu_;  // guards series_ only
+  mutable std::mutex mu_;    // guards everything below
+  bool fresh_ = true;        // nothing published yet
+  StatsSnapshot published_;  // what latest() falls back to
+  StatsSnapshot carry_;      // published_ when the open attempt began
+  StatsSnapshot at_start_;   // what the open attempt restored
+  u64 handed_execs_ = 0;     // published execs this sink never saw run
   std::vector<StatsSnapshot> series_;
 };
 
@@ -145,9 +121,10 @@ class FleetTelemetry {
   MetricRegistry& registry() noexcept { return registry_; }
   const MetricRegistry& registry() const noexcept { return registry_; }
 
-  // Element-wise sum of every instance's latest snapshot (gauges sum too:
-  // fleet queue depth is the total queued entries across instances).
-  // relative_ms is the max across instances; rates are summed.
+  // Sum of every instance's latest snapshot over for_each_field (gauges
+  // sum too: fleet queue depth is the total queued entries across
+  // instances). relative_ms is the max across instances; rates are summed;
+  // restarts is the fleet's own counter.
   StatsSnapshot fleet_total() const;
 
   // Appends fleet_total() to the fleet-level series.
@@ -162,7 +139,7 @@ class FleetTelemetry {
   Counter& alloc_failures_;
   Counter& backoff_ms_total_;
 
-  std::deque<TelemetrySink> sinks_;  // deque: sinks hold atomics, never move
+  std::deque<TelemetrySink> sinks_;  // deque: sinks hold a mutex, never move
 
   mutable std::mutex mu_;  // guards fleet_series_ only
   std::vector<StatsSnapshot> fleet_series_;

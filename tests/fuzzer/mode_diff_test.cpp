@@ -213,7 +213,6 @@ DiffRun interrupted_resumed(const GeneratedTarget& target,
   rc.checkpoint = &store2;
   rc.checkpoint_interval = 1024;
   rc.resume_from_checkpoint = true;
-  rc.telemetry_restore = true;  // the sink's execs continue from the snapshot
   DiffRun resumed = run_diff(target.program, seeds, rc);
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.resumed_from_execs, part);
@@ -302,7 +301,6 @@ DiffRun killed_restarted(const GeneratedTarget& target,
   relaunch.checkpoint = &store2;
   relaunch.checkpoint_interval = 512;
   relaunch.resume_from_checkpoint = true;
-  relaunch.telemetry_restore = true;
   DiffRun resumed = run_diff(target.program, seeds, relaunch);
   EXPECT_TRUE(resumed.resumed);
   return resumed;

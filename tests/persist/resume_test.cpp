@@ -201,15 +201,56 @@ TEST(CampaignResumeTest, TelemetryRestorePrimesLifetimeCounters) {
   CampaignConfig c2 = make_config();
   c2.checkpoint = &store2;
   c2.resume_from_checkpoint = true;
-  c2.telemetry_restore = true;
   c2.telemetry = &sink;
   c2.max_execs = 6000;
   auto r2 = run_campaign(target.program, seeds, c2);
   ASSERT_TRUE(r2.resumed);
-  // The fresh sink was primed with the snapshot's lifetime totals, so its
-  // exec counter matches the lifetime result, not just this segment.
-  EXPECT_EQ(sink.execs.get(), r2.execs);
-  EXPECT_EQ(sink.checkpoints_loaded.get(), 1u);
+  // The fresh sink takes the snapshot's lifetime totals as its history, so
+  // its exec counter matches the lifetime result, not just this segment.
+  EXPECT_EQ(sink.latest().execs, r2.execs);
+  EXPECT_EQ(sink.latest().checkpoints_loaded, 1u);
+}
+
+// An in-process warm restart on the sink that watched the dying attempt:
+// the execs the first attempt ran past its last checkpoint were published
+// and stay counted, and the resumed attempt adds only what it runs beyond
+// the checkpoint it restored.
+TEST(CampaignResumeTest, WarmRestartOnOneSinkCountsEveryExecOnce) {
+  auto target = make_target();
+  auto seeds = make_seed_corpus(target, 4, 1);
+  TempDir dir("warm_sink");
+  telemetry::TelemetrySink sink;
+
+  persist::CheckpointStore store1(dir.path, persist::FaultCtx{}, true);
+  FaultPlan plan;
+  plan.triggers.push_back({FaultSite::kInstanceKill, 0, 2500});
+  FaultInjector injector(1, plan);
+  CampaignConfig c1 = make_config();
+  c1.checkpoint = &store1;
+  c1.checkpoint_interval = 500;
+  c1.fault = &injector;
+  c1.telemetry = &sink;
+  auto r1 = run_campaign(target.program, seeds, c1);
+  ASSERT_TRUE(r1.fault_aborted);
+  ASSERT_GT(r1.checkpoints_written, 0u);
+
+  persist::CheckpointStore store2(dir.path, persist::FaultCtx{}, false);
+  CampaignConfig c2 = make_config();
+  c2.checkpoint = &store2;
+  c2.checkpoint_interval = 500;
+  c2.resume_from_checkpoint = true;
+  c2.telemetry = &sink;
+  auto r2 = run_campaign(target.program, seeds, c2);
+  ASSERT_TRUE(r2.resumed);
+  ASSERT_GT(r2.resumed_from_execs, 0u);
+  ASSERT_LT(r2.resumed_from_execs, r1.execs);
+
+  const telemetry::StatsSnapshot s = sink.latest();
+  EXPECT_EQ(s.execs, r1.execs + r2.execs - r2.resumed_from_execs);
+  EXPECT_EQ(s.tracing_untraced_execs + s.tracing_traced_execs, s.execs);
+  EXPECT_EQ(s.checkpoints_loaded, 1u);
+  EXPECT_EQ(s.checkpoints_written,
+            r1.checkpoints_written + r2.checkpoints_written);
 }
 
 // Bytes of the newest snapshot in `dir`.

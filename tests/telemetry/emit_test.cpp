@@ -209,8 +209,9 @@ class StatsEmitterTest : public ::testing::Test {
 
 TEST_F(StatsEmitterTest, EmitSinkWritesBothFiles) {
   TelemetrySink sink(0);
-  sink.execs.add(10);
-  sink.stamp_at(100);
+  StatsSnapshot in;
+  in.execs = 10;
+  sink.stamp_at(in, 100);
 
   StatsEmitter emitter(root_);
   ASSERT_TRUE(emitter.emit_sink(sink, "instance_0", "test-banner"));
@@ -224,10 +225,11 @@ TEST_F(StatsEmitterTest, EmitSinkWritesBothFiles) {
 
 TEST_F(StatsEmitterTest, EmitFleetWritesEveryInstanceAndAggregate) {
   FleetTelemetry fleet(2);
-  fleet.instance(0).execs.add(30);
-  fleet.instance(1).execs.add(12);
-  fleet.instance(0).stamp_at(50);
-  fleet.instance(1).stamp_at(50);
+  StatsSnapshot in;
+  in.execs = 30;
+  fleet.instance(0).stamp_at(in, 50);
+  in.execs = 12;
+  fleet.instance(1).stamp_at(in, 50);
   fleet.stamp_fleet();
 
   StatsEmitter emitter(root_);
