@@ -21,6 +21,10 @@
 // those numbers include one 2 MB memcpy per iteration for every kernel
 // alike.
 //
+// BM_KernelClassifyHashClear/<kernel>/<len> is AFL's fused trim pass
+// (classify + hash + clear) alone: the restore runs outside the timed
+// region.
+//
 // BM_KernelCollectNonzero/<kernel>/<len> is the sparse collect that
 // top_rated scoring runs once per added entry; BM_UpdateScoresFlat/<map>
 // is that whole score update on AFL's flat map.
@@ -327,6 +331,30 @@ void register_kernel_benches() {
           state.SetBytesProcessed(state.iterations() *
                                   static_cast<i64>(len));
         })
+        ->Args({kLens[0]})
+        ->Args({kLens[1]})
+        ->Args({8 << 20});
+
+    // The trim pass leaves the buffer zero, so each iteration restores the
+    // trace first; only the classify_hash_clear call is timed.
+    benchmark::RegisterBenchmark(
+        ("BM_KernelClassifyHashClear" + suffix).c_str(),
+        [k](benchmark::State& state) {
+          const usize len = static_cast<usize>(state.range(0));
+          const PageBuffer pristine = make_trace(len, 18);
+          PageBuffer trace = PageBuffer::plain(len);
+          for (auto _ : state) {
+            std::memcpy(trace.data(), pristine.data(), len);
+            const u64 t0 = monotonic_ns();
+            benchmark::DoNotOptimize(k->classify_hash_clear(trace.data(), len));
+            const u64 t1 = monotonic_ns();
+            benchmark::ClobberMemory();
+            state.SetIterationTime(static_cast<double>(t1 - t0) * 1e-9);
+          }
+          state.SetBytesProcessed(state.iterations() *
+                                  static_cast<i64>(len));
+        })
+        ->UseManualTime()
         ->Args({kLens[0]})
         ->Args({kLens[1]})
         ->Args({8 << 20});

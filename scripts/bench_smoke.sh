@@ -131,7 +131,7 @@ for (bench, size), small in rss.items():
 for name, doc in (("BENCH_fig6.json", fig6), ("BENCH_fig9.json", fig9),
                   ("BENCH_tracing.json", tracing)):
     kernel = doc.get("meta", {}).get("kernel")
-    check(kernel in ("scalar", "swar", "sse2", "avx2"),
+    check(kernel in ("scalar", "swar", "sse2", "avx2", "avx512"),
           f"{name}: meta.kernel is {kernel!r}, not a known kernel")
 
 # Every real-thread run must report plot_data/fleet/supervisor exec

@@ -2,12 +2,12 @@
 # Fails if a translation unit compiled above the baseline ISA defines a
 # global or weak symbol other than its one entry point.
 #
-# Such a TU (the AVX2 kernel, the PCLMULQDQ CRC fold) is only entered after
-# a runtime CPU check. Any other symbol it exports, above all a weak inline
-# or template instantiation the linker may pick over the baseline copy,
-# could run ISA-extended code on a CPU without that extension. Allowed:
-# the entry point and DW.ref.__gxx_personality_v0 (the EH personality
-# reference every C++ object with unwind tables carries).
+# Such a TU (the AVX2 and AVX-512 kernels, the PCLMULQDQ CRC fold) is only
+# entered after a runtime CPU check. Any other symbol it exports, above all
+# a weak inline or template instantiation the linker may pick over the
+# baseline copy, could run ISA-extended code on a CPU without that
+# extension. Allowed: the entry point and DW.ref.__gxx_personality_v0 (the
+# EH personality reference every C++ object with unwind tables carries).
 #
 # Usage: scripts/lint_isa.sh <build-dir>
 set -euo pipefail
@@ -55,6 +55,8 @@ check() {
 }
 
 check core/kernels/kernel_avx2.cpp avx2_kernel_ops BIGMAP_COMPILER_HAS_MAVX2
+check core/kernels/kernel_avx512.cpp avx512_kernel_ops \
+  BIGMAP_COMPILER_HAS_MAVX512
 check util/crc32_clmul.cpp crc32_clmul_fold BIGMAP_COMPILER_HAS_MPCLMUL
 
 if [[ $status -ne 0 ]]; then

@@ -42,8 +42,8 @@ struct Avx2 {
   }
   static Vec or_(Vec a, Vec b) noexcept { return _mm256_or_si256(a, b); }
   static Vec eq(Vec a, Vec b) noexcept { return _mm256_cmpeq_epi8(a, b); }
-  static u32 mask(Vec v) noexcept {
-    return static_cast<u32>(_mm256_movemask_epi8(v));
+  static u32 eq_mask(Vec a, Vec b) noexcept {
+    return static_cast<u32>(_mm256_movemask_epi8(eq(a, b)));
   }
   static bool is_zero(Vec v) noexcept { return _mm256_testz_si256(v, v); }
 

@@ -11,10 +11,11 @@
 
 namespace bigmap::kernels {
 
-// Defined in kernel_sse2.cpp / kernel_avx2.cpp; nullptr when the ISA was
-// not compiled in.
+// Defined in kernel_sse2.cpp / kernel_avx2.cpp / kernel_avx512.cpp;
+// nullptr when the ISA was not compiled in.
 const KernelOps* sse2_kernel_ops() noexcept;
 const KernelOps* avx2_kernel_ops() noexcept;
+const KernelOps* avx512_kernel_ops() noexcept;
 
 // True when the running CPU can execute the given compiled kernel.
 bool cpu_supports(const KernelOps& k) noexcept;

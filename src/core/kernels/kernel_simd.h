@@ -9,16 +9,17 @@
 //   zero() / splat(b)        all-zero vector / every lane = b
 //   and_ / andnot / or_      a & b, ~a & b, a | b
 //   eq(a, b)                 0xFF in the lanes where a == b, else 0
-//   mask(v)                  bit i = top bit of lane i (movemask)
+//   eq_mask(a, b)            bit i set iff lane i of a == lane i of b; up
+//                            to 64 lanes, so lane masks are u64
 //   is_zero(v)               true when every lane is 0
 //   classify(v)              AFL bucket of every lane (core/classify.h)
 //
 // Each ISA TU includes this header inside its anonymous namespace, after
-// its traits, so every function here has internal linkage: the AVX2 TU is
-// compiled with -mavx2, and nothing it emits may become a symbol the
-// linker could share with baseline-ISA code (scripts/lint_isa.sh checks
-// the object). For the same reason nothing here calls a std:: function
-// template.
+// its traits, so every function here has internal linkage: the AVX2 and
+// AVX-512 TUs are compiled above the baseline ISA, and nothing they emit
+// may become a symbol the linker could share with baseline-ISA code
+// (scripts/lint_isa.sh checks the objects). For the same reason nothing
+// here calls a std:: function template.
 //
 // All loads and stores are unaligned. Tails shorter than one vector run
 // through the shared bytewise helpers in kernel_internal.h, which are the
@@ -29,12 +30,12 @@ template <class V>
 struct SimdKernel {
   using Vec = typename V::Vec;
   static constexpr usize W = V::kBytes;
-  // mask() bits that belong to a lane.
-  static constexpr u32 kLanes = W == 32 ? ~u32{0} : (u32{1} << W) - 1;
+  // eq_mask() bits that belong to a lane.
+  static constexpr u64 kLanes = W == 64 ? ~u64{0} : (u64{1} << W) - 1;
 
   // Bit i is set iff lane i of v is non-zero.
-  static u32 nonzero_mask(Vec v) noexcept {
-    return kLanes & ~V::mask(V::eq(v, V::zero()));
+  static u64 nonzero_mask(Vec v) noexcept {
+    return kLanes & ~V::eq_mask(v, V::zero());
   }
 
   static void reset(u8* mem, usize len) noexcept {
@@ -80,7 +81,7 @@ struct SimdKernel {
     }
 
     NewBits result = NewBits::kNone;
-    if (V::mask(acc_tuple) != 0) {
+    if (!V::is_zero(acc_tuple)) {
       result = NewBits::kNewTuple;
     } else if (!V::is_zero(acc_hit)) {
       result = NewBits::kNewCounts;
@@ -132,8 +133,8 @@ struct SimdKernel {
     usize ne = 0;
     usize i = 0;
     for (; i + W <= len; i += W) {
-      const u32 eq = V::mask(V::eq(V::load(mem + i), splat));
-      ne += W - static_cast<usize>(__builtin_popcount(eq));
+      const u64 eq = V::eq_mask(V::load(mem + i), splat);
+      ne += W - static_cast<usize>(__builtin_popcountll(eq));
     }
     for (; i < len; ++i) {
       if (mem[i] != value) ++ne;
@@ -149,9 +150,9 @@ struct SimdKernel {
       --end;
     }
     while (end >= W) {
-      const u32 nz = nonzero_mask(V::load(mem + end - W));
+      const u64 nz = nonzero_mask(V::load(mem + end - W));
       if (nz != 0) {
-        const int hi = 31 - __builtin_clz(nz);
+        const int hi = 63 - __builtin_clzll(nz);
         return end - W + static_cast<usize>(hi) + 1;
       }
       end -= W;
@@ -169,8 +170,10 @@ struct SimdKernel {
 
   // Groups of four vectors: the OR of the four skips an all-zero group
   // with one test; a live group's four lane masks make one u64 (16-byte
-  // lanes) or two (32-byte lanes), walked by ctz.
+  // lanes) or two (32-byte lanes), walked by ctz. 64-byte lanes bring
+  // their own (kernel_avx512.cpp).
   static usize collect_nonzero(const u8* mem, usize len, u32* out) noexcept {
+    static_assert(W <= 32, "a 64-byte lane kernel supplies collect_nonzero");
     constexpr usize kGroup = 4 * W;
     usize n = 0;
     usize i = 0;
@@ -180,8 +183,8 @@ struct SimdKernel {
       const Vec c = V::load(mem + i + 2 * W);
       const Vec d = V::load(mem + i + 3 * W);
       if (V::is_zero(V::or_(V::or_(a, b), V::or_(c, d)))) continue;
-      const u64 ab = nonzero_mask(a) | u64{nonzero_mask(b)} << W;
-      const u64 cd = nonzero_mask(c) | u64{nonzero_mask(d)} << W;
+      const u64 ab = nonzero_mask(a) | nonzero_mask(b) << W;
+      const u64 cd = nonzero_mask(c) | nonzero_mask(d) << W;
       if constexpr (2 * W == 64) {
         emit(ab, i, out, n);
         emit(cd, i + 64, out, n);

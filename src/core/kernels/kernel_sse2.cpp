@@ -36,10 +36,10 @@ struct Sse2 {
   static Vec andnot(Vec a, Vec b) noexcept { return _mm_andnot_si128(a, b); }
   static Vec or_(Vec a, Vec b) noexcept { return _mm_or_si128(a, b); }
   static Vec eq(Vec a, Vec b) noexcept { return _mm_cmpeq_epi8(a, b); }
-  static u32 mask(Vec v) noexcept {
-    return static_cast<u32>(_mm_movemask_epi8(v));
+  static u32 eq_mask(Vec a, Vec b) noexcept {
+    return static_cast<u32>(_mm_movemask_epi8(eq(a, b)));
   }
-  static bool is_zero(Vec v) noexcept { return mask(eq(v, zero())) == 0xFFFF; }
+  static bool is_zero(Vec v) noexcept { return eq_mask(v, zero()) == 0xFFFF; }
 
   static Vec ge(Vec b, u8 k) noexcept {
     return eq(_mm_max_epu8(b, splat(k)), b);

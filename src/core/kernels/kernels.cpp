@@ -337,6 +337,7 @@ std::vector<const KernelOps*> build_compiled() {
   std::vector<const KernelOps*> v{&kScalarKernel, &kSwarKernel};
   if (const KernelOps* k = sse2_kernel_ops()) v.push_back(k);
   if (const KernelOps* k = avx2_kernel_ops()) v.push_back(k);
+  if (const KernelOps* k = avx512_kernel_ops()) v.push_back(k);
   return v;
 }
 
@@ -352,15 +353,18 @@ std::vector<const KernelOps*> build_runtime() {
 
 bool cpu_supports(const KernelOps& k) noexcept {
   // scalar/swar/sse2 kernels are only compiled when the baseline target
-  // already guarantees their ISA; AVX2 needs a runtime check because the
-  // TU is compiled with -mavx2 above the baseline.
-  if (k.name == std::string_view("avx2")) {
+  // already guarantees their ISA; avx2 and avx512 need a runtime check
+  // because their TUs are compiled above the baseline.
+  const std::string_view name = k.name;
 #if defined(__x86_64__) || defined(__i386__)
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
+  if (name == "avx2") return __builtin_cpu_supports("avx2") != 0;
+  if (name == "avx512") {
+    return __builtin_cpu_supports("avx512bw") != 0 &&
+           __builtin_cpu_supports("vpclmulqdq") != 0;
   }
+#else
+  if (name == "avx2" || name == "avx512") return false;
+#endif
   return true;
 }
 
@@ -403,7 +407,7 @@ const KernelOps& resolve_kernel(std::string_view name) {
   if (const KernelOps* k = find_kernel(name)) return *k;
   throw std::invalid_argument(
       "unknown or unsupported map kernel: " + std::string(name) +
-      " (valid: scalar|swar|sse2|avx2, subject to CPU support)");
+      " (valid: scalar|swar|sse2|avx2|avx512, subject to CPU support)");
 }
 
 }  // namespace bigmap::kernels

@@ -1,7 +1,7 @@
 // Whole-map kernel suite: runtime-dispatched implementations of the
 // whole-map operations (reset / classify / compare_update / fused
 // classify_compare / hash / fused classify_hash_clear / count / collect)
-// at four ISA levels.
+// at five ISA levels.
 //
 // BigMap's point (§IV) is that these operations scale with used_key, not
 // map size — the kernel layer removes the remaining constant factor. Every
@@ -16,16 +16,21 @@
 //   avx2    32-byte vectors with pshufb nibble-LUT classify; compiled when
 //           the compiler supports -mavx2, registered only when the CPU
 //           reports AVX2 at startup
+//   avx512  64-byte AVX-512BW vectors; hash and classify_hash_clear fold
+//           CRC-32 2048 bits at a time with VPCLMULQDQ in one pass, and
+//           collect_nonzero compresses positions in registers; registered
+//           only when the CPU reports AVX-512BW and VPCLMULQDQ
 //
-// sse2 and avx2 are one template, SimdKernel<V> (kernel_simd.h), over two
-// lane-traits structs: each algorithm is written once, and an ISA TU
-// supplies only its intrinsics and its classify.
+// sse2, avx2 and avx512 are one template, SimdKernel<V> (kernel_simd.h),
+// over three lane-traits structs: each algorithm is written once, and an
+// ISA TU supplies only its intrinsics and its classify (avx512 also
+// replaces the three ops above).
 //
-// Selection happens once per process (BIGMAP_KERNEL=scalar|swar|sse2|avx2
-// env override, else best runtime-supported) and once per map
-// (MapOptions::kernel overrides the process default). The maps resolve a
-// KernelOps pointer at construction and call through it; per-edge update()
-// never goes through the registry.
+// Selection happens once per process
+// (BIGMAP_KERNEL=scalar|swar|sse2|avx2|avx512 env override, else best
+// runtime-supported) and once per map (MapOptions::kernel overrides the
+// process default). The maps resolve a KernelOps pointer at construction
+// and call through it; per-edge update() never goes through the registry.
 #pragma once
 
 #include <span>
@@ -64,9 +69,10 @@ struct KernelOps {
   // classify + hash + reset fused into one pass (the trim pass): returns
   // the CRC-32 of the classified bytes — the value classify followed by
   // hash gives — and leaves [mem, mem+len) all zero. The word and vector
-  // kernels classify one 4 kB chunk at a time into an L1 scratch buffer,
-  // zero only the non-zero source words/vectors, and fold the chunk into
-  // the CRC with crc32_update.
+  // kernels up to avx2 classify one 4 kB chunk at a time into an L1
+  // scratch buffer, zero only the non-zero source words/vectors, and fold
+  // the chunk into the CRC with crc32_update; avx512 folds the classified
+  // vectors straight from registers, with no scratch.
   u32 (*classify_hash_clear)(u8* mem, usize len) noexcept;
 
   // Number of bytes in [mem, mem+len) that differ from `value`. value=0
@@ -89,7 +95,7 @@ struct KernelOps {
 const KernelOps& scalar_kernel() noexcept;
 
 // Every kernel compiled into this binary, ordered worst-to-best
-// (scalar, swar[, sse2][, avx2]). Entries may still be unusable on the
+// (scalar, swar[, sse2][, avx2][, avx512]). Entries may still be unusable on the
 // running CPU; see runtime_kernels().
 std::span<const KernelOps* const> compiled_kernels() noexcept;
 

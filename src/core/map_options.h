@@ -40,8 +40,8 @@ struct MapOptions {
   // bitmap. 0 means "same as map_size" (the paper's configuration).
   usize condensed_size = 0;
 
-  // Whole-map kernel variant ("scalar", "swar", "sse2", "avx2"). Empty
-  // selects the process default: the BIGMAP_KERNEL environment override
+  // Whole-map kernel variant ("scalar", "swar", "sse2", "avx2",
+  // "avx512"). Empty selects the process default: the BIGMAP_KERNEL environment override
   // when set and usable, else the best kernel this CPU supports. An
   // unknown or unsupported name makes map construction throw (see
   // core/kernels/kernels.h).

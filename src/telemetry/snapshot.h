@@ -18,7 +18,8 @@ namespace bigmap::telemetry {
 struct StatsSnapshot {
   u32 instance_id = 0;
   // Whole-map kernel the producing campaign's coverage map dispatches to
-  // ("scalar"/"swar"/"sse2"/"avx2"; empty when the producer never set it).
+  // ("scalar"/"swar"/"sse2"/"avx2"/"avx512"; empty when the producer never
+  // set it).
   // Always a string literal with static storage duration, so plain copies
   // of the snapshot stay valid.
   const char* kernel = "";

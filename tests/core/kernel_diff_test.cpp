@@ -1,15 +1,17 @@
 // Differential kernel-equivalence suite.
 //
-// Every kernel variant (swar / sse2 / avx2 / whatever the registry exposes
-// on this CPU) must be provably byte-identical to the scalar reference on
-// every whole-map operation — that is the contract that makes kernel
-// selection a pure performance decision. The suite runs seeded random
-// traces through every runtime kernel and the scalar oracle side by side:
+// Every kernel variant (swar / sse2 / avx2 / avx512 / whatever the
+// registry exposes on this CPU) must be provably byte-identical to the
+// scalar reference on every whole-map operation — that is the contract
+// that makes kernel selection a pure performance decision. The suite runs
+// seeded random traces through every runtime kernel and the scalar oracle
+// side by side:
 //
 //   - trace patterns: dense, sparse, all-zero, all-0xFF, saturating
 //     (255-heavy plus every bucket boundary), bucket-boundary cycling;
-//   - lengths crossing every word/vector boundary (len % 8 != 0 and
-//     len % 32 != 0 tails included);
+//   - lengths crossing every word/vector boundary (len % 8 != 0,
+//     len % 64 != 0 and len % 256 != 0 tails included), and whole 2 MB
+//     maps for the hash and the trim pass;
 //   - ops: reset, classify, compare_update, fused classify_compare, hash,
 //     fused classify_hash_clear, count_ne, find_used_end, collect_nonzero
 //     — asserting
@@ -44,12 +46,13 @@ std::vector<const KernelOps*> vector_kernels() {
   return v;
 }
 
-// Lengths chosen to cross every u64 word and 16/32-byte vector boundary,
-// plus empty and sub-word sizes.
+// Lengths chosen to cross every u64 word, 16/32/64-byte vector and
+// 256-byte CRC fold block boundary, plus empty and sub-word sizes.
 const std::vector<usize> kLengths = {
-    0,  1,  2,   3,   5,   7,   8,   9,   13,  15,   16,   17,   24,
-    31, 32, 33,  40,  63,  64,  65,  100, 127, 128,  129,  255,  256,
-    257, 1000, 4096, 4099, 8192, 8201, 65536, 65543};
+    0,   1,   2,   3,   5,   7,    8,    9,    13,   15,    16,   17,
+    24,  31,  32,  33,  40,  63,   64,   65,   100,  127,   128,  129,
+    255, 256, 257, 511, 512, 513,  1000, 4096, 4099, 8192,  8201, 65536,
+    65543};
 
 enum class Pattern {
   kAllZero,
@@ -177,6 +180,35 @@ TEST(KernelRegistryTest, ScalarAndSwarAlwaysPresent) {
   for (const KernelOps* k : runtime) names.emplace_back(k->name);
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
+}
+
+bool avx512_compiled() {
+  for (const KernelOps* k : kernels::compiled_kernels()) {
+    if (std::string_view(k->name) == "avx512") return true;
+  }
+  return false;
+}
+
+bool cpu_has_avx512_kernel_isa() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("vpclmulqdq");
+#else
+  return false;
+#endif
+}
+
+TEST(KernelRegistryTest, Avx512UsableExactlyWhenCpuReportsItsIsa) {
+  if (!avx512_compiled()) {
+    GTEST_SKIP() << "avx512 kernel not compiled in: the compiler lacks "
+                    "-mavx512bw or -mvpclmulqdq";
+  }
+  EXPECT_EQ(kernels::find_kernel("avx512") != nullptr,
+            cpu_has_avx512_kernel_isa());
+  if (kernels::find_kernel("avx512") == nullptr) {
+    GTEST_SKIP() << "avx512 kernel compiled but this CPU lacks avx512bw or "
+                    "vpclmulqdq: no differential grid ran it";
+  }
 }
 
 TEST(KernelRegistryTest, ActiveKernelIsRuntimeUsable) {
@@ -382,6 +414,29 @@ TEST(KernelDiffTest, ResetHashCountUsedEndMatchScalar) {
   }
 }
 
+// Whole flat maps, and one past-the-vector tail on top: the wide CRC
+// folds run for thousands of iterations before their tails. The
+// reference is computed once per length.
+const std::vector<usize> kWholeMapLengths = {2u << 20, (2u << 20) + 3};
+
+TEST(KernelDiffTest, HashMatchesScalarOnWholeMaps) {
+  for (usize len : kWholeMapLengths) {
+    const std::vector<u8> trace = make_trace(Pattern::kSparse, len, len);
+    const u32 want = kernels::scalar_kernel().hash(trace.data(), len);
+    for (const KernelOps* k : vector_kernels()) {
+      for (usize offset = 0; offset < kOffsets; ++offset) {
+        Guarded buf(trace, offset);
+        ASSERT_EQ(k->hash(buf.span(), len), want)
+            << k->name << " hash, len " << len << ", offset " << offset;
+        ASSERT_EQ(buf.bytes(), trace)
+            << k->name << " hash wrote its span, len " << len;
+        ASSERT_TRUE(buf.guards_intact())
+            << k->name << " hash wrote outside its span, len " << len;
+      }
+    }
+  }
+}
+
 // One classify_hash_clear call on `len` bytes at `offset` into a guarded
 // buffer: it must return the CRC-32 of the scalar-classified bytes, leave
 // them all zero, and write nothing outside them.
@@ -409,7 +464,7 @@ TEST(KernelDiffTest, ClassifyHashClearMatchesClassifyThenCrc) {
   // Every compiled kernel, the scalar reference included: each length
   // from 1 to 4,099 (every word/vector tail, the 4 kB chunk edge and one
   // past it) at a rotating odd offset, then multi-chunk lengths at several
-  // offsets, then a whole 2 MB map.
+  // offsets, then whole 2 MB maps at offsets 0-3.
   for (const KernelOps* k : kernels::runtime_kernels()) {
     for (Pattern p : {Pattern::kSparse, Pattern::kDense,
                       Pattern::kBoundaries}) {
@@ -426,11 +481,15 @@ TEST(KernelDiffTest, ClassifyHashClearMatchesClassifyThenCrc) {
         }
       }
     }
-    for (Pattern p : {Pattern::kSparse, Pattern::kSaturating}) {
-      check_classify_hash_clear(*k, p, 2u << 20, 0);
-      check_classify_hash_clear(*k, p, 2u << 20, 1);
-      if (HasFatalFailure()) return;
+    for (usize len : kWholeMapLengths) {
+      for (usize offset = 0; offset < kOffsets; ++offset) {
+        check_classify_hash_clear(*k, Pattern::kSparse, len, offset);
+        if (HasFatalFailure()) return;
+      }
     }
+    check_classify_hash_clear(*k, Pattern::kSaturating, 2u << 20, 0);
+    check_classify_hash_clear(*k, Pattern::kSaturating, 2u << 20, 1);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -464,7 +523,7 @@ TEST(KernelDiffTest, CollectNonzeroMatchesScalar) {
   // The scalar reference is checked against a plain loop first, then every
   // kernel against it: each length 0-300 at a rotating offset, one
   // non-zero byte on each side of every 8-byte boundary (so of every
-  // 16/32-byte vector and 64/128-byte group), a page and one, 64 kB and a
+  // 16/32/64-byte vector and 64/128-byte group), a page and one, 64 kB and a
   // whole 2 MB map.
   for (Pattern p : kPatterns) {
     const std::vector<u8> t = make_trace(p, 300, 17);
