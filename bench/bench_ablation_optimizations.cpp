@@ -1,7 +1,10 @@
 // §IV-E ablations: the orthogonal optimizations measured in isolation on
 // both schemes —
 //   1. merged classify+compare (halves the scan-pair cost),
-//   2. huge-page backing (cuts DTLB pressure on multi-MB maps).
+//   2. huge-page backing (cuts DTLB pressure on multi-MB maps). Only the
+//      flat map's buffers ask for it: every two-level buffer, the hashed
+//      index included, follows coverage on plain pages (DESIGN.md
+//      decision 8), so the two-level "+huge pages" column is a null run.
 // The paper's third, the non-temporal reset, is not offered: it halved the
 // flat scheme's speed here (EXPERIMENTS.md records its last column).
 #include <cstdio>

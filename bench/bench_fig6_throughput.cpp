@@ -2,12 +2,16 @@
 // 256kB, 2MB, and 8MB maps across the 19 benchmarks, plus the average
 // speedup line the paper headlines (0.98x / 1.4x / 4.5x / 33.1x).
 //
-// A second table runs BigMap with checkpoints every 1024 execs at 64kB,
-// 2MB, 8MB and 32MB on a fixed exec budget: snapshots encode only the live
-// [0, used_key) prefix, so exec/s and snapshot bytes should not move with
-// the map size. Each of its rows runs in a forked child, and the peak RSS
-// column is that child's: only the index (4 B per map position) should
-// grow with the map.
+// A `shape` table times zlib campaigns of 3,000 execs (whatever the scale)
+// at 64kB and 8MB on both schemes: the wall-clock copy of the three claims
+// throughput_shape_test checks on counted work.
+//
+// A last table runs BigMap with checkpoints every 1024 execs at 64kB, 2MB,
+// 8MB, 32MB and 128MB on a fixed exec budget: snapshots encode only the
+// live [0, used_key) prefix, so exec/s and snapshot bytes should not move
+// with the map size. Each of its rows runs in a forked child, and the peak
+// RSS column is that child's: every two-level buffer, the index included,
+// follows the keys found, so it should not grow with the map either.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -129,10 +133,38 @@ int main(int argc, char** argv) {
   }
   bench::emit("averages", avg);
 
+  std::printf("\nMini Figure 6 on wall clock (zlib, 3000 execs, seed 17):\n");
+  TableWriter shape({"Ratio", "Value", "Bound"});
+  {
+    const BenchmarkInfo* info = find_benchmark("zlib");
+    auto target = build_benchmark(*info);
+    auto seeds = benchmark_seeds(target, *info);
+    auto seconds = [&](MapScheme scheme, usize size) {
+      CampaignConfig c;
+      c.scheme = scheme;
+      c.map.map_size = size;
+      c.max_execs = 3000;
+      c.seed = 17;
+      return run_campaign(target.program, seeds, c).wall_seconds;
+    };
+    const double flat_small = seconds(MapScheme::kFlat, 64u << 10);
+    const double flat_large = seconds(MapScheme::kFlat, 8u << 20);
+    const double two_small = seconds(MapScheme::kTwoLevel, 64u << 10);
+    const double two_large = seconds(MapScheme::kTwoLevel, 8u << 20);
+    shape.add_row({"flat 8M/64k", fmt_double(flat_large / flat_small, 2),
+                   "> 5"});
+    shape.add_row({"two-level 8M/64k", fmt_double(two_large / two_small, 2),
+                   "< 3"});
+    shape.add_row({"flat/two-level at 8M",
+                   fmt_double(flat_large / two_large, 2), "> 4"});
+  }
+  bench::emit("shape", shape);
+
   std::printf("\nBigMap with checkpoints every 1024 execs:\n");
   TableWriter ckpt({"Benchmark", "Map", "exec/s", "vs 64kB", "Checkpoints",
                     "Snapshot bytes", "Peak RSS MB"});
-  const usize ckpt_sizes[] = {64u << 10, 2u << 20, 8u << 20, 32u << 20};
+  const usize ckpt_sizes[] = {64u << 10, 2u << 20, 8u << 20, 32u << 20,
+                              128u << 20};
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("bigmap_fig6_ckpt_" + std::to_string(::getpid())))

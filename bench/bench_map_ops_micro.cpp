@@ -460,7 +460,8 @@ void register_interpreter_benches() {
         })
         ->UseManualTime()
         ->Arg(1 << 16)
-        ->Arg(2 << 20);
+        ->Arg(2 << 20)
+        ->Arg(8 << 20);
   }
 }
 

@@ -75,7 +75,7 @@ def load(name, expect_bench, expect_tables):
 
 
 fig6 = load("BENCH_fig6.json", "fig6",
-            ["throughput", "averages", "checkpointed"])
+            ["throughput", "averages", "shape", "checkpointed"])
 fig9 = load("BENCH_fig9.json", "fig9",
             ["normalized_throughput", "speedup_vs_afl",
              "real_thread_scaling", "telemetry_consistency",
@@ -106,10 +106,9 @@ for (bench, size), small in snap_bytes.items():
               f"fig6: {bench} 8MB snapshots are {big} B against {small} B "
               "at 64kB (live-prefix encoding lost?)")
 
-# Two-level memory follows coverage: per benchmark, the 32 MB row's peak
-# RSS may exceed the 64 kB row's only by the index (4 B per map position)
-# plus 8 MB. Whole-map coverage, virgin and top_rated buffers would add
-# ~16 B per position (~500 MB) on top.
+# Two-level memory follows coverage: per benchmark, the 32 MB and 128 MB
+# rows' peak RSS may exceed the 64 kB row's by at most 8 MB. A buffer of
+# even 1 B per map position would add 32 MB and 128 MB.
 rss = {}
 for row in ckpt["rows"]:
     rss[(row[cols.index("Benchmark")], row[cols.index("Map")])] = \
@@ -117,14 +116,28 @@ for row in ckpt["rows"]:
 for (bench, size), small in rss.items():
     if size != "64k":
         continue
-    big = rss.get((bench, "32M"))
-    check(big is not None, f"fig6: no 32MB checkpointed row for {bench}")
     check(small > 0, f"fig6: {bench} 64kB row reported no peak RSS")
-    if big is not None:
-        bound = small + 4 * 32 + 8
-        check(big <= bound,
-              f"fig6: {bench} 32MB peak RSS {big} MB exceeds {bound} MB "
-              f"(64kB row {small} MB + 128 MB index + 8 MB)")
+    for big_size in ("32M", "128M"):
+        big = rss.get((bench, big_size))
+        check(big is not None,
+              f"fig6: no {big_size} checkpointed row for {bench}")
+        if big is not None:
+            bound = small + 8
+            check(big <= bound,
+                  f"fig6: {bench} {big_size} peak RSS {big} MB exceeds "
+                  f"{bound} MB (64kB row {small} MB + 8 MB)")
+
+# Mini Figure 6 on wall clock: the three ratios throughput_shape_test
+# checks on counted work, each against its bound.
+shape = next(t for t in fig6["tables"] if t["name"] == "shape")
+cols = shape["columns"]
+check(len(shape["rows"]) == 3, "fig6: expected 3 shape rows")
+for row in shape["rows"]:
+    value = float(row[cols.index("Value")])
+    op, limit = row[cols.index("Bound")].split()
+    ok = value > float(limit) if op == ">" else value < float(limit)
+    check(ok, f"fig6: {row[cols.index('Ratio')]} is {value}x, "
+              f"not {op} {limit}x")
 
 # Every report must record which whole-map kernel produced it, so perf
 # trajectories in committed BENCH_*.json artifacts are attributable.

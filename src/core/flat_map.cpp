@@ -28,18 +28,18 @@ FlatCoverageMap::FlatCoverageMap(const MapOptions& opt)
 
 void FlatCoverageMap::reset() noexcept {
   ++ops_.resets;
-  kernel_->reset(trace_.data(), trace_.size());
+  kernel_->reset(trace_.data(), scan_cost_bytes());
 }
 
 void FlatCoverageMap::classify() noexcept {
   ++ops_.classifies;
-  kernel_->classify(trace_.data(), trace_.size());
+  kernel_->classify(trace_.data(), scan_cost_bytes());
 }
 
 NewBits FlatCoverageMap::compare_update(VirginMap& virgin) noexcept {
   ++ops_.compares;
   return kernel_->compare_update(trace_.data(), virgin.data(),
-                                 trace_.size());
+                                 scan_cost_bytes());
 }
 
 NewBits FlatCoverageMap::classify_and_compare(VirginMap& virgin) noexcept {
@@ -47,7 +47,7 @@ NewBits FlatCoverageMap::classify_and_compare(VirginMap& virgin) noexcept {
     ++ops_.classifies;
     ++ops_.compares;
     return kernel_->classify_compare(trace_.data(), virgin.data(),
-                                     trace_.size());
+                                     scan_cost_bytes());
   }
   classify();
   return compare_update(virgin);
@@ -55,13 +55,13 @@ NewBits FlatCoverageMap::classify_and_compare(VirginMap& virgin) noexcept {
 
 u32 FlatCoverageMap::hash() const noexcept {
   ++ops_.hashes;
-  return kernel_->hash(trace_.data(), trace_.size());
+  return kernel_->hash(trace_.data(), scan_cost_bytes());
 }
 
 u32 FlatCoverageMap::classify_hash_clear() noexcept {
   ++ops_.classifies;
   ++ops_.hashes;
-  return kernel_->classify_hash_clear(trace_.data(), trace_.size());
+  return kernel_->classify_hash_clear(trace_.data(), scan_cost_bytes());
 }
 
 usize FlatCoverageMap::count_nonzero() const noexcept {

@@ -73,7 +73,8 @@ class FlatCoverageMap {
   std::span<const u8> trace() const noexcept { return trace_.span(); }
   std::span<u8> mutable_trace() noexcept { return trace_.span(); }
 
-  // Bytes iterated by each whole-map scan (== map_size for this scheme).
+  // Bytes iterated by each whole-map scan (== map_size for this scheme);
+  // every reset, classify, compare and hash passes exactly this length.
   usize scan_cost_bytes() const noexcept { return trace_.size(); }
 
   // Number of distinct map positions currently non-zero.

@@ -2,28 +2,40 @@
 // paper's core contribution (§IV).
 //
 // Layout:
-//   index_bitmap    map_size entries; maps a coverage key to its condensed
-//                   slot. kUnassigned (-1) until the key is first seen.
+//   index           maps a coverage key to its condensed slot; a key never
+//                   seen has none (kUnassigned). Listing 2 makes it a
+//                   direct array of map_size entries; here it is a compact
+//                   open-addressing table sized by the keys it holds (see
+//                   below), so neither its memory nor a lookup's cache
+//                   footprint grows with the map size.
 //   coverage_bitmap condensed hit counts, densely packed from slot 0.
 //   used_key        bump allocator: the next free condensed slot.
 //   slot_keys       append-only log of the key each allocation assigned,
 //                   in order; written only on the cold first-touch path.
 //
 // Update (Listing 2):
-//   if (index_bitmap[E] == -1) index_bitmap[E] = used_key++;
-//   coverage_bitmap[index_bitmap[E]]++;
+//   if (index[E] == -1) index[E] = used_key++;
+//   coverage_bitmap[index[E]]++;
 //
 // Because the index assignment is stable for the whole campaign, every other
 // map operation (reset / classify / compare / hash) needs to touch only the
 // [0, used_key) prefix of the coverage bitmap — cost proportional to edges
-// *discovered*, not to map size. The index bitmap is touched only by update
-// and is never reset (§IV-B).
+// *discovered*, not to map size. The index is touched only by update and is
+// never reset (§IV-B).
+//
+// The index table: 8-byte entries `key | slot << 32`, all-ones when empty.
+// A multiplicative hash picks a key's home entry and linear probing
+// resolves clashes. Its load stays at or below 1/2: the table doubles by
+// rehashing the slot->key log, inside an address range reserved once at
+// construction, so update() never allocates and only the entries in use
+// (16-32 B per key) ever become resident.
 //
 // Hash rule (§IV-D): hashing always runs up to the *last non-zero* byte, not
 // up to used_key, so a path executed before and after unrelated used_key
 // growth produces the same hash.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -42,28 +54,36 @@ class TwoLevelCoverageMap {
   static constexpr MapScheme kScheme = MapScheme::kTwoLevel;
   static constexpr u32 kUnassigned = 0xFFFFFFFFu;
 
-  usize map_size() const noexcept { return index_size_; }
+  usize map_size() const noexcept { return map_size_; }
 
   // Number of condensed coverage slots (defaults to map_size).
   usize condensed_size() const noexcept { return coverage_.size(); }
 
   // --- hot path -------------------------------------------------------------
 
-  // Records one hit of coverage key `key` (Listing 2, lines 3-6). The
-  // first-touch branch is almost always not-taken and thus well predicted.
-  void update(u32 key) noexcept {
-    u32* slot = index_data_ + (key & mask_);
-    u32 k = *slot;
-    if (k == kUnassigned) [[unlikely]] {
-      k = allocate_slot(slot);
+  // Records one hit of coverage key `key` (Listing 2, lines 3-6). A key is
+  // usually found at its home entry, and the first-touch branch is almost
+  // always not taken. It is forced inline because GCC's growth limits
+  // otherwise leave a call per block in the interpreter loop.
+  [[gnu::always_inline]] void update(u32 key) noexcept {
+    key &= mask_;
+    usize e = home(key);
+    u64 entry = table_[e];
+    while (static_cast<u32>(entry) != key) [[unlikely]] {
+      if (entry == kEmpty) {
+        ++coverage_[allocate_slot(key, e)];
+        return;
+      }
+      e = (e + 1) & table_mask_;
+      entry = table_[e];
     }
-    ++coverage_[k];
+    ++coverage_[slot_in(entry)];
   }
 
   // --- per-test-case map operations ------------------------------------------
 
-  // Clears [0, used_key) of the coverage bitmap. The index bitmap is
-  // deliberately left intact.
+  // Clears [0, used_key) of the coverage bitmap. The index is deliberately
+  // left intact.
   void reset() noexcept;
 
   // Buckets hit counts over [0, used_key).
@@ -85,8 +105,11 @@ class TwoLevelCoverageMap {
   // Next free condensed slot == number of distinct keys seen so far.
   u32 used_key() const noexcept { return used_key_; }
 
-  // Condensed slot of `key`, or kUnassigned if never seen.
-  u32 slot_of(u32 key) const noexcept { return index_data_[key & mask_]; }
+  // Condensed slot of `key`, or kUnassigned if never seen (the slot field
+  // of an empty entry).
+  u32 slot_of(u32 key) const noexcept {
+    return slot_in(table_[find(key & mask_)]);
+  }
 
   // The used prefix of the coverage bitmap.
   std::span<const u8> used_region() const noexcept {
@@ -119,8 +142,11 @@ class TwoLevelCoverageMap {
   PageBackingResult coverage_backing() const noexcept {
     return coverage_.backing();
   }
-  PageBackingResult index_backing() const noexcept {
-    return index_.backing();
+
+  // The index table's whole reserved range; only the entries in use are
+  // ever written, so its resident pages follow used_key.
+  std::span<const u8> index_reservation() const noexcept {
+    return index_.span();
   }
 
   // --- persistence ------------------------------------------------------------
@@ -135,8 +161,10 @@ class TwoLevelCoverageMap {
     return {key_log_data_, static_cast<usize>(used_key_ + saturated_)};
   }
 
-  // Copies the whole index table into `index` (map_size entries) with the
-  // allocator state; O(map_size), for tools that want the table itself.
+  // Writes the index as a direct array of map_size entries (Listing 2's
+  // layout, kUnassigned where no key was seen) into `index`, built from
+  // the slot->key log, with the allocator state; O(map_size), for tools
+  // that want the whole-map form.
   void export_state(std::vector<u32>* index, u32* used_key,
                     u64* saturated) const;
 
@@ -147,12 +175,44 @@ class TwoLevelCoverageMap {
   bool import_slot_keys(std::span<const u32> keys);
 
  private:
-  // Cold path of update(): assigns the next condensed slot to *slot and
-  // logs the key.
-  u32 allocate_slot(u32* slot) noexcept;
+  static constexpr u64 kEmpty = ~u64{0};
 
-  // map_size u32 entries, init 0xFFFFFFFF. The one randomly accessed
-  // buffer, so the one on huge pages (§IV-E) when MapOptions asks.
+  static u32 slot_in(u64 entry) noexcept {
+    return static_cast<u32>(entry >> 32);
+  }
+
+  // Index of `key`'s entry in the table, or of the empty entry that ends
+  // its probe sequence. An empty entry's low word (0xFFFFFFFF) never
+  // equals a key, because keys are below map_size <= 2^31.
+  usize home(u32 key) const noexcept {
+    return (key * 0x9E3779B1u) >> table_shift_;
+  }
+  usize find(u32 key) const noexcept {
+    usize e = home(key);
+    while (static_cast<u32>(table_[e]) != key && table_[e] != kEmpty) {
+      e = (e + 1) & table_mask_;
+    }
+    return e;
+  }
+
+  // Condensed slot of the allocation at log position `n`: its own slot,
+  // or the final one once the bitmap is full.
+  u32 slot_at(usize n) const noexcept {
+    return static_cast<u32>(std::min(n, coverage_.size() - 1));
+  }
+
+  // Cold path of update(): assigns the next condensed slot to `key`,
+  // whose probe ended at the empty entry `e`, and logs the key.
+  u32 allocate_slot(u32 key, usize e) noexcept;
+
+  // Empties a table of `capacity` entries (a power of two).
+  void clear_table(usize capacity) noexcept;
+
+  // Doubles the table and reinserts every logged key.
+  void grow() noexcept;
+
+  // The index table's reservation: 2 * map_size entries, the most a load
+  // of 1/2 ever needs, on plain pages that fault in as the table grows.
   PageBuffer index_;
   // Condensed hit counts on plain pages: every access lands in
   // [0, used_key), so only that prefix ever becomes resident.
@@ -163,8 +223,10 @@ class TwoLevelCoverageMap {
   PageBuffer key_log_;
   u32* key_log_data_;     // == reinterpret_cast<u32*>(key_log_.data())
   const kernels::KernelOps* kernel_;
-  u32* index_data_;       // == reinterpret_cast<u32*>(index_.data())
-  usize index_size_;      // entries in index_
+  u64* table_;            // == reinterpret_cast<u64*>(index_.data())
+  usize table_mask_ = 0;  // entries in use - 1
+  u32 table_shift_ = 0;   // 32 - log2(entries in use)
+  usize map_size_;
   u32 mask_;
   u32 used_key_ = 0;
   u64 saturated_ = 0;

@@ -1,6 +1,7 @@
 #include "corpus/novelty.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "fuzzer/executor.h"
 #include "persist/record.h"
@@ -77,19 +78,31 @@ class OracleImpl final : public NoveltyOracle {
   }
 
   std::vector<OracleDelta> export_full() override {
-    const usize n = ex_.map().map_size();
+    // Two-level positions without a condensed slot have never been
+    // touched, so they still read 0xFF. The walk over the slot->key log
+    // (saturated keys that alias the final slot included) costs what the
+    // coverage does; sorting it keeps the cells in position order.
+    std::vector<std::pair<u32, u32>> live;  // (position, virgin index)
+    if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+      const Map& m = ex_.map();
+      for (const u32 pos : m.slot_keys()) {
+        live.emplace_back(pos, m.slot_of(pos));
+      }
+      std::sort(live.begin(), live.end());
+    }
     std::vector<OracleDelta> out;
     for (u8 kind = 0; kind <= OracleDelta::kHang; ++kind) {
       const VirginMap& v = virgin_of(kind);
       OracleDelta d;
       d.map_kind = kind;
-      // One O(map_size) scan per export. The dense two-level layout means
-      // nearly every probe is a one-branch slot_of miss; a gateway exports
-      // only when it ships its whole model to a (re)joined peer, so this
-      // never shows against exec cost.
-      for (u32 p = 0; p < n; ++p) {
-        const u8 cur = current_virgin(v, p);
-        if (cur != 0xFF) d.cells.push_back({p, cur});
+      const auto emit = [&](u32 pos, u32 i) {
+        if (v.data()[i] != 0xFF) d.cells.push_back({pos, v.data()[i]});
+      };
+      if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
+        for (const auto& [pos, i] : live) emit(pos, i);
+      } else {
+        const u32 n = static_cast<u32>(ex_.map().map_size());
+        for (u32 p = 0; p < n; ++p) emit(p, p);
       }
       d.seq = export_seq_++;
       stats_.deltas_exported++;
@@ -139,17 +152,6 @@ class OracleImpl final : public NoveltyOracle {
       case OracleDelta::kCrash: return ex_.mutable_virgin_crash();
       case OracleDelta::kHang: return ex_.mutable_virgin_hang();
       default: return ex_.mutable_virgin_queue();
-    }
-  }
-
-  // Current virgin byte for an ORIGINAL map position. Two-level positions
-  // without a condensed slot have never been touched: still 0xFF.
-  u8 current_virgin(const VirginMap& v, u32 pos) const {
-    if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
-      const u32 slot = ex_.map().slot_of(pos);
-      return slot == Map::kUnassigned ? 0xFF : v.data()[slot];
-    } else {
-      return v.data()[pos];
     }
   }
 

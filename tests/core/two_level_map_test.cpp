@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "core/classify.h"
@@ -259,6 +260,133 @@ TEST(TwoLevelMapTest, ImportSlotKeysRejectsBadLogs) {
   used.update(7);
   EXPECT_FALSE(used.import_slot_keys(std::vector<u32>{9}));
   EXPECT_EQ(used.slot_of(9), TwoLevelCoverageMap::kUnassigned);
+}
+
+// --- the hashed index against a model ---------------------------------------
+
+// Key -> slot and per-slot hit counts, kept the way Listing 2 defines them.
+struct IndexModel {
+  usize map_size;
+  usize condensed;
+  std::unordered_map<u32, u32> slot;
+  std::vector<u8> counts;
+  u32 used_key = 0;
+  u64 saturated = 0;
+
+  IndexModel(usize size, usize cond)
+      : map_size(size), condensed(cond == 0 ? size : cond), counts(condensed) {}
+
+  void update(u32 key) {
+    const auto [it, fresh] =
+        slot.try_emplace(key & static_cast<u32>(map_size - 1), 0);
+    if (fresh) {
+      if (used_key < condensed) {
+        it->second = used_key++;
+      } else {
+        it->second = static_cast<u32>(condensed - 1);
+        ++saturated;
+      }
+    }
+    ++counts[it->second];
+  }
+
+  u32 slot_of(u32 pos) const {
+    const auto it = slot.find(pos);
+    return it == slot.end() ? TwoLevelCoverageMap::kUnassigned : it->second;
+  }
+
+  std::vector<u32> whole_index() const {
+    std::vector<u32> index(map_size, TwoLevelCoverageMap::kUnassigned);
+    for (const auto& [pos, s] : slot) index[pos] = s;
+    return index;
+  }
+};
+
+std::vector<u32> exported_index(const TwoLevelCoverageMap& m) {
+  std::vector<u32> index;
+  u32 used_key = 0;
+  u64 saturated = 0;
+  m.export_state(&index, &used_key, &saturated);
+  EXPECT_EQ(used_key, m.used_key());
+  EXPECT_EQ(saturated, m.saturated_updates());
+  return index;
+}
+
+// Seeded key streams (a mix of fresh keys and repeats, unmasked) drive the
+// map and the model side by side. 6000 distinct keys take the one-page
+// table through five doublings; a 1000-slot condensed bitmap saturates on
+// the way. Every lookup, the hit counts, the allocator and export_state
+// must match the model.
+TEST(TwoLevelMapTest, HashedIndexMatchesModel) {
+  constexpr usize kSize = 1u << 16;
+  for (const usize condensed : {usize{0}, usize{1000}}) {
+    for (const u64 seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "condensed " << condensed
+                                      << " seed " << seed);
+      TwoLevelCoverageMap m(opts(kSize, condensed));
+      IndexModel model(kSize, condensed);
+      Xoshiro256 rng(seed);
+      std::vector<u32> seen;
+      while (model.slot.size() < 6000) {
+        const bool repeat = !seen.empty() && rng.below(3) != 0;
+        const u32 key = repeat ? seen[rng.below(static_cast<u32>(seen.size()))]
+                               : static_cast<u32>(rng.next());
+        if (!repeat) seen.push_back(key);
+        model.update(key);
+        m.update(key);
+        ASSERT_EQ(m.slot_of(key), model.slot_of(key & (kSize - 1)))
+            << "key " << key;
+      }
+      EXPECT_EQ(m.used_key(), model.used_key);
+      EXPECT_EQ(m.saturated_updates(), model.saturated);
+      EXPECT_EQ(condensed != 0, model.saturated > 0);
+      for (u32 pos = 0; pos < kSize; ++pos) {
+        ASSERT_EQ(m.slot_of(pos), model.slot_of(pos)) << "pos " << pos;
+      }
+      EXPECT_TRUE(std::equal(m.used_region().begin(), m.used_region().end(),
+                             model.counts.begin(),
+                             model.counts.begin() + model.used_key));
+      EXPECT_EQ(exported_index(m), model.whole_index());
+      EXPECT_EQ(m.slot_keys().size(), model.slot.size());
+    }
+  }
+}
+
+// An import that fails deep into a log (past several doublings) rolls the
+// map back to fresh; the good log then imports to the same index.
+TEST(TwoLevelMapTest, ImportRollbackAfterGrowthMatchesModel) {
+  constexpr usize kSize = 1u << 16;
+  for (const usize condensed : {usize{0}, usize{1000}}) {
+    TwoLevelCoverageMap src(opts(kSize, condensed));
+    IndexModel model(kSize, condensed);
+    Xoshiro256 rng(condensed + 11);
+    while (model.slot.size() < 3000) {
+      const u32 key = static_cast<u32>(rng.next());
+      src.update(key);
+      model.update(key);
+    }
+    const std::vector<u32> log(src.slot_keys().begin(),
+                               src.slot_keys().end());
+    std::vector<u32> repeated(log.begin(), log.begin() + 2500);
+    repeated.push_back(log[1234]);
+    std::vector<u32> out_of_range(log.begin(), log.begin() + 2500);
+    out_of_range.push_back(kSize);
+    for (const std::vector<u32>* bad : {&repeated, &out_of_range}) {
+      TwoLevelCoverageMap m(opts(kSize, condensed));
+      EXPECT_FALSE(m.import_slot_keys(*bad));
+      EXPECT_EQ(m.used_key(), 0u);
+      EXPECT_EQ(m.saturated_updates(), 0u);
+      EXPECT_TRUE(m.slot_keys().empty());
+      EXPECT_EQ(exported_index(m), IndexModel(kSize, condensed).whole_index());
+      for (usize i = 0; i < 2500; i += 97) {
+        ASSERT_EQ(m.slot_of(log[i]), TwoLevelCoverageMap::kUnassigned) << i;
+      }
+      ASSERT_TRUE(m.import_slot_keys(log));
+      EXPECT_EQ(m.used_key(), model.used_key);
+      EXPECT_EQ(m.saturated_updates(), model.saturated);
+      EXPECT_EQ(exported_index(m), model.whole_index());
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/two_level_map.h"
 #include "fuzzer/executor.h"
@@ -255,6 +257,52 @@ TEST(OracleDeltaTest, ApplyPastFilledPrefixMatchesEagerModel) {
   for (usize i = half; i < stream.size(); ++i) {
     EXPECT_EQ(lazy->admit(stream[i]), eager->admit(stream[i])) << i;
   }
+}
+
+// export_full() walks the slot->key log instead of probing every map
+// position. On a saturated two-level model (keys past the condensed
+// bitmap alias its final slot) it must emit exactly the cells the
+// whole-map scan of a reference executor does, in position order.
+TEST(OracleDeltaTest, ExportFullMatchesWholeMapScanWhenSaturated) {
+  const u64 seed = 9;
+  const GeneratedTarget t = small_target(seed);
+  OracleConfig oc = oracle_config(seed);
+  oc.map.condensed_size = 64;
+  auto oracle = make_novelty_oracle(t.program, oc);
+  BlockIdTable ids(t.program.blocks.size(), oc.map.map_size,
+                   mix64(oc.seed ^ 0xB10C1D5ULL));
+  Executor<TwoLevelCoverageMap, EdgeMetric> ref(t.program, oc.map, ids,
+                                                oc.step_budget,
+                                                oc.work_per_block);
+  for (const auto& in : candidate_stream(t, seed)) {
+    OpTimeBreakdown timing;
+    (void)ref.run(in, timing);
+    (void)oracle->admit(in);
+  }
+  const TwoLevelCoverageMap& m = ref.map();
+  ASSERT_GT(m.saturated_updates(), 0u);
+
+  const std::vector<OracleDelta> got = oracle->export_full();
+  ASSERT_EQ(got.size(), 3u);
+  const VirginMap* virgins[] = {&ref.virgin_queue(), &ref.virgin_crash(),
+                                &ref.virgin_hang()};
+  for (u8 kind = 0; kind <= OracleDelta::kHang; ++kind) {
+    std::vector<std::pair<u32, u8>> want;
+    for (u32 pos = 0; pos < oc.map.map_size; ++pos) {
+      const u32 slot = m.slot_of(pos);
+      const u8 cur = slot == TwoLevelCoverageMap::kUnassigned
+                         ? 0xFF
+                         : virgins[kind]->data()[slot];
+      if (cur != 0xFF) want.emplace_back(pos, cur);
+    }
+    std::vector<std::pair<u32, u8>> cells;
+    for (const VirginDeltaCell& c : got[kind].cells) {
+      cells.emplace_back(c.pos, c.value);
+    }
+    EXPECT_EQ(got[kind].map_kind, kind);
+    EXPECT_EQ(cells, want) << "kind " << int{kind};
+  }
+  EXPECT_FALSE(got[OracleDelta::kQueue].cells.empty());
 }
 
 TEST(OracleDeltaTest, ApplyIsIdempotentAndAtomicOnMalformed) {

@@ -343,6 +343,24 @@ TEST(ResidencyTest, TwoLevelBuffersFollowUsedKey) {
             used * sizeof(u32) / kPage);
 }
 
+// The index is a hashed table sized by the keys it holds, not a 4-byte
+// entry per map position: on a 32 MB map a few thousand keys keep 16-32 B
+// per key resident (its load stays between 1/4 and 1/2), where a direct
+// array would hold 128 MB.
+TEST(ResidencyTest, TwoLevelIndexFollowsKeys) {
+  if (thp_always()) GTEST_SKIP() << "THP is 'always' on this host";
+  MapOptions o;
+  o.map_size = 32u << 20;
+  o.huge_pages = false;
+  TwoLevelCoverageMap m(o);
+  Xoshiro256 rng(31);
+  while (m.used_key() < 3000) m.update(static_cast<u32>(rng.next()));
+  const usize keys = m.used_key();
+  const usize resident = resident_pages(m.index_reservation());
+  EXPECT_LE(resident, (keys * 32 + kPage - 1) / kPage + 1);
+  EXPECT_GE(resident, keys * 16 / kPage);
+}
+
 TEST(ExecutorTest, IdenticalPathsIdenticalHashesAcrossUsedKeyGrowth) {
   // End-to-end validation of the §IV-D hash rule through the executor.
   GeneratorParams gp;
