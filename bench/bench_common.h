@@ -34,6 +34,7 @@
 
 #include "core/kernels/kernels.h"
 #include "fuzzer/campaign.h"
+#include "fuzzer/exec_pool.h"
 #include "target/suite.h"
 #include "telemetry/bench_report.h"
 #include "util/report.h"

@@ -136,6 +136,7 @@ int main(int argc, char** argv) {
           c.sync = &hub;
           c.sync_id = inst;
           c.is_master = (inst == 0);
+          c.exec_pool = &ExecPool::serial();  // one core per instance
           auto r = run_campaign(target.program, seeds, c);
           execs[i] += r.execs;
           for (u64 h : r.found_stack_hashes) stack_union.insert(h);

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
       CampaignConfig c = bench::throughput_config(
           MapScheme::kFlat, size, bench::config_seconds(3.0));
       c.map.merged_classify_compare = false;  // separable categories
+      c.exec_pool = &ExecPool::serial();      // one core, as in the paper
       auto r = run_campaign(target.program, seeds, c);
 
       if (r.execs == 0) continue;

@@ -51,6 +51,7 @@ CheckpointedRow run_checkpointed(const Program& program,
                                                 0.0, /*seed=*/1);
     c.max_execs = bench::scaled_execs(40000);
     c.deterministic_timing = true;  // same finds, so same bytes
+    c.exec_pool = &ExecPool::serial();  // one core, as in the paper
     c.checkpoint = &store;
     c.checkpoint_interval = 1024;
     const CampaignResult r = run_campaign(program, seeds, c);
@@ -108,6 +109,7 @@ int main(int argc, char** argv) {
       for (MapScheme scheme : {MapScheme::kFlat, MapScheme::kTwoLevel}) {
         CampaignConfig c = bench::throughput_config(
             scheme, size, bench::config_seconds(1.5), /*seed=*/1);
+        c.exec_pool = &ExecPool::serial();  // one core, as in the paper
         auto r = run_campaign(target.program, seeds, c);
         tput[scheme == MapScheme::kTwoLevel] = r.steady_throughput();
       }
@@ -145,6 +147,7 @@ int main(int argc, char** argv) {
       c.map.map_size = size;
       c.max_execs = 3000;
       c.seed = 17;
+      c.exec_pool = &ExecPool::serial();
       return run_campaign(target.program, seeds, c).wall_seconds;
     };
     const double flat_small = seconds(MapScheme::kFlat, 64u << 10);

@@ -42,6 +42,7 @@ CampaignConfig tracing_config(const RowSpec& spec, TracingMode tracing,
   c.seed = 1;
   c.trim_enabled = false;
   c.deterministic_timing = true;  // identical exec streams across modes
+  c.exec_pool = &ExecPool::serial();  // one core, as in the paper
   return c;
 }
 
@@ -83,6 +84,12 @@ int main(int argc, char** argv) {
                      "Fires", "Steady untraced"});
   TableWriter speedup({"Benchmark", "Scheme", "Map", "Always exec/s",
                        "Dual exec/s", "Speedup", "Finds equal"});
+  // The dual campaign again with the target run ahead on the process's
+  // spare cores (fuzzer/exec_pool.h): same finds, and how many execs found
+  // their trace recorded.
+  TableWriter pipelined({"Benchmark", "Scheme", "Map", "Serial exec/s",
+                         "Pipelined exec/s", "Speedup", "Prefetch hits",
+                         "Prefetch misses", "Finds equal"});
 
   for (const RowSpec& spec : rows) {
     const BenchmarkInfo* info = find_benchmark(spec.benchmark);
@@ -124,6 +131,22 @@ int main(int argc, char** argv) {
                      fmt_double(ratio_x, 2) + "x",
                      finds_equal(dual, always) ? "yes" : "NO"});
 
+    CampaignConfig piped_cfg = tracing_config(spec, TracingMode::kDual,
+                                              budget);
+    piped_cfg.exec_pool = &ExecPool::process();
+    CampaignResult piped = run_campaign(target.program, seeds, piped_cfg);
+    const double piped_x = dual.steady_throughput() > 0
+                               ? piped.steady_throughput() /
+                                     dual.steady_throughput()
+                               : 0.0;
+    pipelined.add_row(
+        {spec.benchmark, scheme_name, fmt_bytes(spec.map_size),
+         fmt_double(dual.steady_throughput(), 0),
+         fmt_double(piped.steady_throughput(), 0),
+         fmt_double(piped_x, 2) + "x", std::to_string(piped.prefetch_hits),
+         std::to_string(piped.prefetch_misses),
+         finds_equal(piped, dual) ? "yes" : "NO"});
+
     bench::report().add_series(
         std::string("dual/") + spec.benchmark + "/" + scheme_name,
         sink.series());
@@ -132,5 +155,7 @@ int main(int argc, char** argv) {
   bench::emit("tracing_ratio", ratio);
   std::printf("\n");
   bench::emit("speedup", speedup);
+  std::printf("\n");
+  bench::emit("pipelined", pipelined);
   return bench::finish();
 }

@@ -61,5 +61,10 @@ int main() {
                   result.crashes_crashwalk_unique),
               static_cast<unsigned long long>(result.crashes_ground_truth),
               target.program.num_bugs);
+  // Execs whose target run a spare core made ahead of time (0 and 0 on a
+  // one-CPU host, where the campaign runs serially).
+  std::printf("pipelined: %llu prefetch hits, %llu misses\n",
+              static_cast<unsigned long long>(result.prefetch_hits),
+              static_cast<unsigned long long>(result.prefetch_misses));
   return 0;
 }

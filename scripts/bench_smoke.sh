@@ -82,7 +82,7 @@ fig9 = load("BENCH_fig9.json", "fig9",
              "real_process_degradation", "federated_union",
              "star_federation", "star_novelty_filtering"])
 tracing = load("BENCH_tracing.json", "tracing",
-               ["tracing_ratio", "speedup"])
+               ["tracing_ratio", "speedup", "pipelined"])
 
 # Two-level checkpoints encode only the live [0, used_key) prefix: for every
 # benchmark the 8 MB snapshots may exceed the 64 kB ones by a few KB at most
@@ -235,6 +235,14 @@ check(len(speed_t["rows"]) == len(ratio_t["rows"]),
 for row in speed_t["rows"]:
     check(row[cols.index("Finds equal")] == "yes",
           f"tracing: dual-mode finds differ from always-trace in row {row}")
+# The same dual campaigns pipelined onto spare cores find the same.
+piped_t = next(t for t in tracing["tables"] if t["name"] == "pipelined")
+cols = piped_t["columns"]
+check(len(piped_t["rows"]) == len(ratio_t["rows"]),
+      "tracing: pipelined/tracing_ratio row count mismatch")
+for row in piped_t["rows"]:
+    check(row[cols.index("Finds equal")] == "yes",
+          f"tracing: pipelined finds differ from serial in row {row}")
 check_series(tracing, "tracing", 1)
 
 # Emitted AFL-style trees: fuzzer_stats + plot_data for fleet and each

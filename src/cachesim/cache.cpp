@@ -93,7 +93,6 @@ void CacheHierarchy::reset() noexcept {
   l2_.reset();
   l3_.reset();
   memory_accesses_ = 0;
-  nt_stores_ = 0;
 }
 
 }  // namespace bigmap

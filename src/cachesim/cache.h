@@ -87,10 +87,6 @@ class CacheHierarchy {
 
   HitLevel access(u64 addr) noexcept;
 
-  // A non-temporal store: bypasses the hierarchy entirely (counted in
-  // nt_stores_ only) — models §IV-E's streaming reset.
-  void access_nontemporal(u64 /*addr*/) noexcept { ++nt_stores_; }
-
   void reset() noexcept;
 
   Cache& l1() noexcept { return l1_; }
@@ -101,12 +97,10 @@ class CacheHierarchy {
   const Cache& l3() const noexcept { return l3_; }
 
   u64 memory_accesses() const noexcept { return memory_accesses_; }
-  u64 nt_stores() const noexcept { return nt_stores_; }
 
  private:
   Cache l1_, l2_, l3_;
   u64 memory_accesses_ = 0;
-  u64 nt_stores_ = 0;
 };
 
 }  // namespace bigmap

@@ -88,14 +88,7 @@ CacheBehaviorReport simulate_map_cache_behavior(const CacheSimParams& p) {
 
   for (u32 it = 0; it < p.iterations; ++it) {
     // ---- reset ------------------------------------------------------------
-    for (usize b = 0; b < scan_bytes; b += kWord) {
-      if (!two_level && p.nontemporal_reset) {
-        h.access_nontemporal(kTraceBase + b);
-        ++rep.ops[1].accesses;  // counted but cache-neutral
-      } else {
-        reset.access(kTraceBase + b);
-      }
-    }
+    for (usize b = 0; b < scan_bytes; b += kWord) reset.access(kTraceBase + b);
 
     // ---- execution: app working set + inline updates ----------------------
     // The app toucheses its working set with high locality; edge updates

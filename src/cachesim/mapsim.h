@@ -72,7 +72,6 @@ struct CacheSimParams {
   u32 iterations = 8;           // fuzzing iterations simulated
   u32 hash_every = 4;           // hash op every k-th iteration (interesting)
   usize app_ws_bytes = 24 * 1024;  // target's own working set
-  bool nontemporal_reset = false;  // flat scheme: streaming reset (§IV-E)
   u64 seed = 1;
 };
 

@@ -11,6 +11,7 @@
 #include "core/flat_map.h"
 #include "core/two_level_map.h"
 #include "corpus/store.h"
+#include "fuzzer/exec_pool.h"
 #include "fuzzer/executor.h"
 #include "fuzzer/mutator.h"
 #include "persist/checkpoint.h"
@@ -29,6 +30,52 @@ enum class ExecKind : u8 {
   kUntraced,  // kDual's oracle-only run that stayed boring
   kTraced,    // a full map-pipeline run, oracle-fire re-executions included
   kTrim,      // trim_entry's hash run: traced
+};
+
+// AFL's trim_case walk as a cursor: the next chunk to try removing,
+// assuming every try before it was rejected; accepted() undoes that for
+// the last one. The walk halves the chunk after each full pass and stops
+// below min_remove or once a pass would start on 8 bytes or fewer.
+struct TrimCursor {
+  usize remove = 0;
+  usize min_remove = 0;
+  usize pos = 0;
+  bool in_pass = false;
+
+  // Writes `data` minus the next chunk into `out`; false when the walk is
+  // over.
+  bool next(const Input& data, Input& out) {
+    for (;;) {
+      if (!in_pass) {
+        if (remove < min_remove || data.size() <= 8) return false;
+        in_pass = true;
+        pos = 0;
+      }
+      if (pos + remove <= data.size()) {
+        const auto cut = data.begin() + static_cast<long>(pos);
+        out.assign(data.begin(), cut);
+        out.insert(out.end(), cut + static_cast<long>(remove), data.end());
+        pos += remove;
+        return true;
+      }
+      remove /= 2;
+      in_pass = false;
+    }
+  }
+  // The last candidate replaced the data: the next one cuts at its place.
+  void accepted() noexcept { pos -= remove; }
+};
+
+// Where the campaign stands in a stage whose inputs can be predicted: it
+// has generated every input before the ones this cursor yields next.
+struct StageCursor {
+  enum class Stage : u8 { kNone, kSeeds, kTrim, kHavoc };
+  Stage stage = Stage::kNone;
+  u64 next = 0;  // seeds: next seed index; havoc: next round
+  u64 end = 0;   // seeds: seed count; havoc: rounds
+  usize qi = 0;  // havoc: the entry being fuzzed
+  const Input* trim_data = nullptr;  // trim: the entry's bytes so far
+  TrimCursor trim;
 };
 
 // The lifetime counters a checkpoint persists, as the sink names them.
@@ -63,7 +110,17 @@ class Campaign {
         queue_(ex_.virgin_positions()),
         mut_({cfg.max_input_size, cfg.havoc_stack_pow, cfg.dictionary},
              mix64(cfg.seed ^ 0x3A7A70Full)),
-        rng_(mix64(cfg.seed ^ 0x5C4ED11ULL)) {}
+        rng_(mix64(cfg.seed ^ 0x5C4ED11ULL)),
+        ahead_mut_(mut_.options(), 0),
+        ahead_rng_(0),
+        window_(cfg.exec_pool != nullptr ? *cfg.exec_pool
+                                         : ExecPool::process(),
+                ex_.recorder(),
+                [&]() -> std::unique_ptr<TraceRecorder> {
+                  return std::make_unique<KeyRecorder<Metric>>(
+                      prog, ids_, cfg.step_budget, cfg.work_per_block);
+                },
+                cfg.step_budget) {}
 
   CampaignResult run() {
     start_ns_ = monotonic_ns();
@@ -109,23 +166,30 @@ class Campaign {
       main_loop();
     } catch (const InjectedInstanceKill&) {
       res_.fault_aborted = true;
+      end_stage();
     }
     finalize();
     return std::move(res_);
   }
 
  private:
+  // The exec budget in force (0 = unbounded): max_execs, or the
+  // supervisor's in-place override.
+  u64 budget() const noexcept {
+    if (cfg_.control != nullptr) {
+      const u64 grown =
+          cfg_.control->budget_override.load(std::memory_order_relaxed);
+      if (grown != 0) return grown;
+    }
+    return cfg_.max_execs;
+  }
+
   bool exhausted() const noexcept {
     if (cfg_.control != nullptr &&
         cfg_.control->stop.load(std::memory_order_relaxed)) {
       return true;
     }
-    u64 budget = cfg_.max_execs;
-    if (cfg_.control != nullptr) {
-      const u64 grown =
-          cfg_.control->budget_override.load(std::memory_order_relaxed);
-      if (grown != 0) budget = grown;
-    }
+    const u64 budget = this->budget();
     if (budget != 0 && res_.execs >= budget) return true;
     if (cfg_.max_seconds > 0.0) {
       const double elapsed =
@@ -508,6 +572,129 @@ class Campaign {
     return true;
   }
 
+  // --- lookahead --------------------------------------------------------------
+
+  // One havoc round's input from entry `qi`, drawing from `rng` and `mut`:
+  // AFL's splice choice against the queue as it is now, then havoc.
+  void havoc_input(usize qi, Xoshiro256& rng, Mutator& mut, Input& out) {
+    const usize qsize = queue_.size();
+    if (qsize > 1 && rng.chance(1, 4)) {
+      const auto& other =
+          queue_.entry(rng.below(static_cast<u32>(qsize))).data;
+      auto spliced = mut.splice(queue_.entry(qi).data, other);
+      if (spliced) {
+        out = std::move(*spliced);
+      } else {
+        out = queue_.entry(qi).data;
+      }
+    } else {
+      out = queue_.entry(qi).data;
+    }
+    mut.havoc(out);
+  }
+
+  // The input after cursor `c`, advancing it; false at the end of its
+  // stage. The stage loops generate their real inputs through this with
+  // the campaign's own RNG streams, and the lookahead its predictions with
+  // copies of them, so a prediction is what the campaign will generate as
+  // long as the queue and the trim data stay as they are.
+  bool generate(StageCursor& c, Xoshiro256& rng, Mutator& mut, Input& out) {
+    switch (c.stage) {
+      case StageCursor::Stage::kNone:
+        return false;
+      case StageCursor::Stage::kSeeds:
+        if (c.next >= c.end) return false;
+        out = seeds_[c.next++];
+        return true;
+      case StageCursor::Stage::kTrim:
+        return c.trim.next(*c.trim_data, out);
+      case StageCursor::Stage::kHavoc:
+        if (c.next >= c.end) return false;
+        havoc_input(c.qi, rng, mut, out);
+        ++c.next;
+        return true;
+    }
+    return false;
+  }
+
+  // Submits predictions until the window is full, the stage has no more,
+  // or the window already holds every exec the budget has left.
+  void top_up() {
+    const u64 budget = this->budget();
+    while (budget == 0 || res_.execs + window_.size() < budget) {
+      if (!ahead_pending_) {
+        if (!generate(ahead_, ahead_rng_, ahead_mut_, ahead_input_)) return;
+        ahead_pending_ = true;
+      }
+      if (!window_.submit(ahead_input_)) return;
+      ahead_pending_ = false;
+    }
+  }
+
+  // Re-forecasts from the campaign's own position: keeps the oldest jobs
+  // that are still what the campaign will reach, drops the rest, and fills
+  // the window again.
+  void resync() {
+    if (window_.capacity() == 0) return;
+    ahead_ = live_;
+    ahead_rng_.set_state(rng_.state());
+    ahead_mut_.rng().set_state(mut_.rng().state());
+    ahead_pending_ = false;
+    usize keep = 0;
+    while (keep < window_.size() &&
+           generate(ahead_, ahead_rng_, ahead_mut_, ahead_input_)) {
+      if (!std::ranges::equal(window_.input(keep), ahead_input_)) {
+        ahead_pending_ = true;
+        break;
+      }
+      ++keep;
+    }
+    window_.cancel_from(keep);
+    top_up();
+  }
+
+  void begin_stage(const StageCursor& c) {
+    live_ = c;
+    resync();
+  }
+
+  void end_stage() {
+    live_ = StageCursor{};
+    ahead_ = StageCursor{};
+    ahead_pending_ = false;
+    window_.cancel_from(0);
+  }
+
+  // The recorded trace for `input`, an input of a predicted stage that is
+  // about to run: the oldest job's, when its bytes are the input's. Else
+  // the window is re-forecast past this input, which then runs on this
+  // thread (nullptr). The wait for the trace is execution time.
+  const KeyTrace* take_prediction(std::span<const u8> input) {
+    if (window_.capacity() == 0) return nullptr;
+    u64 wait_ns = 0;
+    const KeyTrace* trace = window_.take(input, &wait_ns);
+    if (trace != nullptr) {
+      ++res_.prefetch_hits;
+      res_.timing.add(MapOp::kExecution, wait_ns);
+      top_up();
+    } else {
+      ++res_.prefetch_misses;
+      resync();
+    }
+    return trace;
+  }
+
+  // An input of a predicted stage that the fault gate aborted: its job,
+  // if it has one, is not needed.
+  void skip_prediction(std::span<const u8> input) {
+    if (window_.capacity() == 0) return;
+    if (window_.drop(input)) {
+      top_up();
+    } else {
+      resync();
+    }
+  }
+
   // Consults the fault injector before an execution. Returns false when
   // this execution is aborted (kExecAbort); throws InjectedInstanceKill for
   // kInstanceKill; serves kTransientHang in place, polling the stop flag so
@@ -552,8 +739,16 @@ class Campaign {
   // between the modes, and beyond crash/hang replays a re-execution is
   // only ever paid for an actually-interesting input. On the two-level
   // scheme every exec runs traced (see TracingMode).
-  bool process(Input input, u32 depth, bool is_seed) {
-    if (!fault_gate()) return false;
+  //
+  // `predicted` marks an input of a stage the lookahead forecasts (seeds,
+  // trim, havoc): it runs on a recorded trace when one is waiting for its
+  // exact bytes.
+  bool process(Input input, u32 depth, bool is_seed, bool predicted) {
+    if (!fault_gate()) {
+      if (predicted) skip_prediction(input);
+      return false;
+    }
+    const KeyTrace* trace = predicted ? take_prediction(input) : nullptr;
     typename Executor<Map, Metric>::Outcome out;
     u64 reexec_ns = 0;
     bool untraced_first = false;
@@ -561,7 +756,9 @@ class Campaign {
       untraced_first = cfg_.tracing == TracingMode::kDual && !is_seed;
     }
     if (untraced_first) {
-      const auto fast = ex_.run_untraced(input, res_.timing);
+      const auto fast = trace != nullptr
+                            ? ex_.run_untraced(*trace, res_.timing)
+                            : ex_.run_untraced(input, res_.timing);
       if (fast.fired) ++res_.tracing_oracle_fires;
       const bool reexec =
           fast.fired || fast.exec.crashed() || fast.exec.hung();
@@ -570,17 +767,18 @@ class Campaign {
         count_exec(ExecKind::kUntraced);
         return false;
       }
-      // Traced re-execution. It passes the fault gate again: an aborted
-      // re-exec counts in NEITHER tracing counter and not against the
-      // budget — and since the untraced run mutated no campaign state,
-      // the breakpoint stays armed for the next time this coverage shows
-      // up.
+      // Traced re-execution, which runs the target again. It passes the
+      // fault gate again: an aborted re-exec counts in NEITHER tracing
+      // counter and not against the budget — and since the untraced run
+      // mutated no campaign state, the breakpoint stays armed for the next
+      // time this coverage shows up.
       if (!fault_gate()) return false;
       const u64 reexec_start = monotonic_ns();
       out = ex_.run(input, res_.timing);
       reexec_ns = monotonic_ns() - reexec_start;
     } else {
-      out = ex_.run(input, res_.timing);
+      out = trace != nullptr ? ex_.run(*trace, res_.timing)
+                             : ex_.run(input, res_.timing);
     }
     count_exec(ExecKind::kTraced, reexec_ns);
 
@@ -622,14 +820,21 @@ class Campaign {
     if (cfg_.corpus != nullptr) {
       record_corpus_entry(idx, sched_ns, out.hash, depth, positions);
     }
+    // Havoc predictions drew their splice partners from the shorter queue.
+    if (live_.stage == StageCursor::Stage::kHavoc) resync();
     return true;
   }
 
   void seed_queue() {
-    for (const Input& s : seeds_) {
-      if (exhausted()) break;
-      process(s, 0, /*is_seed=*/true);
+    StageCursor c;
+    c.stage = StageCursor::Stage::kSeeds;
+    c.end = seeds_.size();
+    begin_stage(c);
+    Input seed;
+    while (!exhausted() && generate(live_, rng_, mut_, seed)) {
+      process(std::move(seed), 0, /*is_seed=*/true, /*predicted=*/true);
     }
+    end_stage();
     // All seeds crashed/hung (or none were given): fall back to dummy
     // inputs so the campaign can start, as afl-fuzz does. Crash-on-zero
     // targets are retried with seeded random bytes.
@@ -640,7 +845,7 @@ class Campaign {
       if (attempt > 0) {
         for (auto& b : dummy) b = static_cast<u8>(fallback_rng.next());
       }
-      process(std::move(dummy), 0, /*is_seed=*/true);
+      process(std::move(dummy), 0, /*is_seed=*/true, /*predicted=*/false);
     }
   }
 
@@ -654,38 +859,34 @@ class Campaign {
 
     Input data = e.data;
     const usize orig_len = data.size();
-    usize remove = std::max<usize>(data.size() / 16, 4);
-    const usize min_remove = std::max<usize>(data.size() / 1024, 4);
+    StageCursor c;
+    c.stage = StageCursor::Stage::kTrim;
+    c.trim_data = &data;
+    c.trim.remove = std::max<usize>(data.size() / 16, 4);
+    c.trim.min_remove = std::max<usize>(data.size() / 1024, 4);
+    begin_stage(c);
     bool changed = false;
 
-    while (remove >= min_remove && data.size() > 8 && !exhausted()) {
-      usize pos = 0;
-      while (pos + remove <= data.size() && !exhausted()) {
-        Input candidate;
-        candidate.reserve(data.size() - remove);
-        candidate.insert(candidate.end(), data.begin(),
-                         data.begin() + static_cast<long>(pos));
-        candidate.insert(candidate.end(),
-                         data.begin() + static_cast<long>(pos + remove),
-                         data.end());
-
-        if (!fault_gate()) {
-          pos += remove;
-          continue;
-        }
-        auto sr = ex_.run_for_hash(candidate, res_.timing);
-        count_exec(ExecKind::kTrim);
-
-        if (sr.exec.outcome == ExecResult::Outcome::kOk &&
-            sr.hash == target_hash) {
-          data = std::move(candidate);
-          changed = true;
-        } else {
-          pos += remove;
-        }
+    Input candidate;
+    while (!exhausted() && generate(live_, rng_, mut_, candidate)) {
+      if (!fault_gate()) {
+        skip_prediction(candidate);
+        continue;
       }
-      remove /= 2;
+      const KeyTrace* trace = take_prediction(candidate);
+      auto sr = trace != nullptr ? ex_.run_for_hash(*trace, res_.timing)
+                                 : ex_.run_for_hash(candidate, res_.timing);
+      count_exec(ExecKind::kTrim);
+
+      if (sr.exec.outcome == ExecResult::Outcome::kOk &&
+          sr.hash == target_hash) {
+        data = std::move(candidate);
+        live_.trim.accepted();
+        changed = true;
+        resync();  // the predictions cut the old data
+      }
     }
+    end_stage();
 
     if (changed) {
       res_.trimmed_bytes += orig_len - data.size();
@@ -717,7 +918,7 @@ class Campaign {
     const u32 depth = queue_.entry(qi).depth + 1;
     auto sink = [&](const Input& variant) {
       if (exhausted()) return;
-      process(variant, depth, false);
+      process(variant, depth, false, /*predicted=*/false);
     };
     for (u32 bits : {1u, 2u, 4u}) {
       mut_.det_bitflips(base, bits, sink);
@@ -744,21 +945,17 @@ class Campaign {
 
   void havoc_stage(usize qi, u64 rounds) {
     const u32 depth = queue_.entry(qi).depth + 1;
-    for (u64 r = 0; r < rounds && !exhausted(); ++r) {
-      Input work;
-      const usize qsize = queue_.size();
-      if (qsize > 1 && rng_.chance(1, 4)) {
-        const auto& other =
-            queue_.entry(rng_.below(static_cast<u32>(qsize))).data;
-        auto spliced = mut_.splice(queue_.entry(qi).data, other);
-        work = spliced ? std::move(*spliced) : queue_.entry(qi).data;
-      } else {
-        work = queue_.entry(qi).data;
-      }
-      mut_.havoc(work);
-      process(std::move(work), depth, false);
+    StageCursor c;
+    c.stage = StageCursor::Stage::kHavoc;
+    c.end = rounds;
+    c.qi = qi;
+    begin_stage(c);
+    Input work;
+    while (!exhausted() && generate(live_, rng_, mut_, work)) {
+      process(std::move(work), depth, false, /*predicted=*/true);
       maybe_sync();
     }
+    end_stage();
   }
 
   void maybe_sync() {
@@ -767,7 +964,7 @@ class Campaign {
     for (Input& imported : cfg_.sync->fetch_new(cfg_.sync_id)) {
       if (exhausted()) break;
       ++res_.sync_imported;
-      process(std::move(imported), 0, false);
+      process(std::move(imported), 0, false, /*predicted=*/false);
     }
   }
 
@@ -885,6 +1082,20 @@ class Campaign {
   // Queue index -> corpus content hash (0 = not recorded). Parallel to the
   // queue, which only ever appends.
   std::vector<u64> entry_hash_;
+
+  // Lookahead: live_ is the campaign's own position in a predicted stage,
+  // ahead_ the forecast's, past the newest job in the window. The forecast
+  // draws from copies of the campaign's RNG streams. ahead_input_ is its
+  // next prediction; ahead_pending_ says it is generated but not yet
+  // submitted (the window had no free slot).
+  StageCursor live_;
+  StageCursor ahead_;
+  Mutator ahead_mut_;
+  Xoshiro256 ahead_rng_;
+  Input ahead_input_;
+  bool ahead_pending_ = false;
+  // Last member: its workers read ids_ and prog_ until it joins them.
+  ExecWindow window_;
 };
 
 }  // namespace

@@ -34,6 +34,8 @@ namespace corpus {
 class CorpusStore;
 }
 
+class ExecPool;
+
 // Shared-memory control block between a running campaign and its
 // supervisor: the campaign publishes an execution heartbeat the watchdog
 // samples for stall detection, and honours a cooperative stop request at
@@ -185,6 +187,17 @@ struct CampaignConfig {
   // covered_positions) of each stamp.
   telemetry::TelemetrySink* telemetry = nullptr;
   u64 telemetry_interval = 16384;
+
+  // Pipelined execution (fuzzer/exec_pool.h). The pool's workers run the
+  // target on the inputs the campaign predicts it will reach next (seeds
+  // in order, the rest of the current havoc stage, trim candidates
+  // assumed rejected) and record their metric keys; the campaign thread
+  // applies a recorded trace only to an input whose bytes equal the
+  // prediction's, and runs every other input itself. Results are
+  // identical for every pool size. nullptr means ExecPool::process();
+  // fleets, which already run one instance per core, pass
+  // ExecPool::serial().
+  ExecPool* exec_pool = nullptr;
 };
 
 // A campaign's outcome. The lifetime counters (execs, seed phase, finds,
@@ -267,6 +280,12 @@ struct CampaignResult : persist::CampaignCounters {
   // Corpus-store accounting (zero without a CorpusStore).
   u64 corpus_appends = 0;     // entries this instance added to the store
   u64 corpus_dedup_hits = 0;  // adds dropped as already-known content
+
+  // Pipelined execution, this attempt's own (zero on a serial pool): execs
+  // of a predicted stage that found their input at the head of the
+  // window, and those that did not and ran on the campaign thread.
+  u64 prefetch_hits = 0;
+  u64 prefetch_misses = 0;
 };
 
 // Runs a campaign of `config` over `program` starting from `seeds`.

@@ -2,13 +2,17 @@
 // map-operation sequence (§II-A2).
 //
 // Templated on the coverage map (FlatCoverageMap / TwoLevelCoverageMap) and
-// the coverage metric (EdgeMetric / NGramMetric / ContextMetric) so the
-// per-edge path — interpreter step -> metric key -> map update — inlines
-// with zero dispatch. Every stage is attributed to the Figure 3 timing
-// category it belongs to:
+// the coverage metric (EdgeMetric / NGramMetric / ContextMetric). An exec
+// is two passes: a KeyRecorder runs the target and writes the metric key
+// of every executed block into a KeyTrace, then the executor applies the
+// trace to the map, one inlined update per key. run(), run_untraced() and
+// run_for_hash() take either an input, which they record on the calling
+// thread first, or a trace recorded elsewhere (fuzzer/exec_pool.h).
+// Every stage is attributed to the Figure 3 timing category it belongs
+// to:
 //
 //   reset      ->  MapOp::kReset
-//   execute    ->  MapOp::kExecution   (includes inline map updates)
+//   execute    ->  MapOp::kExecution   (target run + applying its keys)
 //   classify   ->  MapOp::kClassify
 //   compare    ->  MapOp::kCompare
 //   hash       ->  MapOp::kHash        (interesting test cases and trims)
@@ -28,6 +32,7 @@
 #include "core/map_options.h"
 #include "core/two_level_map.h"
 #include "core/virgin.h"
+#include "fuzzer/exec_pool.h"
 #include "instrumentation/metrics.h"
 #include "target/interpreter.h"
 #include "target/program.h"
@@ -60,19 +65,62 @@ concept ContextAwareMetric = requires(M m, u32 block) {
   m.on_return();
 };
 
+// Runs the target and records its metric keys: an interpreter and a
+// metric over one program. Campaigns give one to every thread that runs
+// targets; the metric's state is per-run, so any recorder of one program,
+// id table and step budget records the same trace for the same input.
+template <class Metric>
+class KeyRecorder final : public TraceRecorder {
+ public:
+  KeyRecorder(const Program& prog, const BlockIdTable& ids, u64 step_budget,
+              u32 work_per_block = Interpreter::kDefaultWorkPerBlock)
+      : prog_(&prog), metric_(ids), interp_(step_budget, work_per_block) {}
+
+  void record(std::span<const u8> input, KeyTrace& out) override {
+    out.reserve(interp_.step_budget());
+    u32* keys = out.data();
+    const u64 start = monotonic_ns();
+    metric_.begin_execution();
+    out.exec = interp_.run(*prog_, input, [&](u32 block_index) {
+      track_calls(block_index);
+      *keys++ = metric_.visit(block_index);
+    });
+    out.run_ns = monotonic_ns() - start;
+  }
+
+  Interpreter& interpreter() noexcept { return interp_; }
+  Metric& metric() noexcept { return metric_; }
+
+ private:
+  // Call/return notifications for context-aware metrics; compiles to
+  // nothing for the others.
+  void track_calls(u32 block_index) {
+    if constexpr (ContextAwareMetric<Metric>) {
+      const Block& b = prog_->blocks[block_index];
+      if (b.kind == BlockKind::kCall) {
+        metric_.on_call(b.targets[0]);
+      } else if (b.kind == BlockKind::kReturn) {
+        metric_.on_return();
+      }
+    }
+  }
+
+  const Program* prog_;
+  Metric metric_;
+  Interpreter interp_;
+};
+
 template <class Map, class Metric>
 class Executor {
  public:
   Executor(const Program& prog, const MapOptions& opts,
            const BlockIdTable& ids, u64 step_budget,
            u32 work_per_block = Interpreter::kDefaultWorkPerBlock)
-      : prog_(&prog),
-        map_(opts),
-        metric_(ids),
+      : map_(opts),
         virgin_queue_(make_virgin(map_, opts)),
         virgin_crash_(make_virgin(map_, opts)),
         virgin_hang_(make_virgin(map_, opts)),
-        interp_(step_budget, work_per_block),
+        recorder_(prog, ids, step_budget, work_per_block),
         merged_(opts.merged_classify_compare) {}
 
   struct Outcome {
@@ -89,19 +137,17 @@ class Executor {
   // Runs one input through the full AFL per-test-case pipeline, charging
   // each stage to `timing`.
   Outcome run(std::span<const u8> input, OpTimeBreakdown& timing) {
-    Outcome out;
-    reset_map(timing);
+    return run(record(input, timing), timing);
+  }
 
-    {
-      const u64 start = monotonic_ns();
-      metric_.begin_execution();
-      out.exec = interp_.run(*prog_, input, [this](u32 block_index) {
-        track_calls(block_index);
-        map_.update(metric_.visit(block_index));
-      });
-      out.exec_ns = monotonic_ns() - start;
-      timing.add(MapOp::kExecution, out.exec_ns);
-    }
+  // The same pipeline over a trace already recorded for the input: what
+  // run(input) does after running the target. exec_ns is the recorded
+  // run's time plus applying its keys.
+  Outcome run(const KeyTrace& trace, OpTimeBreakdown& timing) {
+    Outcome out;
+    out.exec = trace.exec;
+    reset_map(timing);
+    out.exec_ns = trace.run_ns + apply(trace, timing);
     sync_virgin();
 
     switch (out.exec.outcome) {
@@ -135,8 +181,8 @@ class Executor {
     u64 exec_ns = 0;
   };
 
-  // Runs one input with NO trace emission and NO whole-map operations —
-  // only the inline interest oracle. The oracle is EXACT against the
+  // Runs one input with NO map trace and NO whole-map operations — only
+  // the interest oracle over its keys. The oracle is EXACT against the
   // queue virgin map: it fires if and only if the traced pipeline would
   // report new bits for this input. Two parts compose:
   //
@@ -146,8 +192,8 @@ class Executor {
   //    must never mutate the index. The check is BRANCHLESS: the
   //    unassigned sentinel is clamped (one cmov) onto a spare counter slot
   //    just past the virgin positions, the run completes like any other,
-  //    and a touched spare slot reads back as fired. The interpreter loop
-  //    therefore needs no per-block stop check.
+  //    and a touched spare slot reads back as fired. The key loop
+  //    therefore needs no per-key stop check.
   //  - final-count check: a sparse per-position u8 counter mirrors the
   //    map's counter (same 256-wrap); after the run, fired = any touched
   //    position with classify_count(final_count) & virgin — byte-for-byte
@@ -155,7 +201,7 @@ class Executor {
   //    counts are deliberately NOT checked against virgin mid-run: a
   //    traced run clears only its FINAL bucket's bit, so lower-bucket bits
   //    stay virgin indefinitely and checking them over-fires on nearly
-  //    every exec; the hot per-block path therefore touches no virgin byte
+  //    every exec; the hot per-key loop therefore touches no virgin byte
   //    at all, only the two count arrays.
   //
   // Crashes and hangs complete normally (fired stays false); the caller
@@ -169,7 +215,14 @@ class Executor {
   // exactness tests.
   UntracedOutcome run_untraced(std::span<const u8> input,
                                OpTimeBreakdown& timing) {
+    return run_untraced(record(input, timing), timing);
+  }
+
+  // The oracle over a trace already recorded for the input.
+  UntracedOutcome run_untraced(const KeyTrace& trace,
+                               OpTimeBreakdown& timing) {
     UntracedOutcome out;
+    out.exec = trace.exec;
     // One spare slot past the virgin positions absorbs unassigned
     // two-level keys; flat maps never touch it.
     const u32 spare = static_cast<u32>(virgin_positions());
@@ -178,10 +231,7 @@ class Executor {
       oracle_touched_.reserve(1024);
     }
     const u64 start = monotonic_ns();
-    metric_.begin_execution();
-    out.exec = interp_.run(*prog_, input, [this, spare](u32 block_index) {
-      track_calls(block_index);
-      const u32 key = metric_.visit(block_index);
+    for (const u32 key : trace.keys()) {
       u32 pos;
       if constexpr (Map::kScheme == MapScheme::kTwoLevel) {
         pos = map_.slot_of(key);
@@ -194,7 +244,7 @@ class Executor {
       }
       const u8 c = ++oracle_counts_[pos];
       if (c == 1) oracle_touched_.push_back(pos);
-    });
+    }
     // Fused final-count check + sparse counter reset, one pass over the
     // touched positions (LUT classify, like the traced pipeline's classify
     // kernel), so the scratch is always clean for the next run.
@@ -214,8 +264,9 @@ class Executor {
       oracle_counts_[pos] = 0;
     }
     oracle_touched_.clear();
-    out.exec_ns = monotonic_ns() - start;
-    timing.add(MapOp::kExecution, out.exec_ns);
+    const u64 ns = monotonic_ns() - start;
+    timing.add(MapOp::kExecution, ns);
+    out.exec_ns = trace.run_ns + ns;
     return out;
   }
 
@@ -234,16 +285,15 @@ class Executor {
   // byte, §IV-D).
   SilentRun run_for_hash(std::span<const u8> input,
                          OpTimeBreakdown& timing) {
+    return run_for_hash(record(input, timing), timing);
+  }
+
+  // The same sequence over a trace already recorded for the input.
+  SilentRun run_for_hash(const KeyTrace& trace, OpTimeBreakdown& timing) {
     SilentRun out;
+    out.exec = trace.exec;
     reset_map(timing);
-    {
-      ScopedOpTimer t(timing, MapOp::kExecution);
-      metric_.begin_execution();
-      out.exec = interp_.run(*prog_, input, [this](u32 block_index) {
-        track_calls(block_index);
-        map_.update(metric_.visit(block_index));
-      });
-    }
+    apply(trace, timing);
     sync_virgin();
     if constexpr (Map::kScheme == MapScheme::kFlat) {
       const u64 start = monotonic_ns();
@@ -285,7 +335,7 @@ class Executor {
     return map_;
   }
   const Map& map() const noexcept { return map_; }
-  Metric& metric() noexcept { return metric_; }
+  Metric& metric() noexcept { return recorder_.metric(); }
 
   const VirginMap& virgin_queue() const noexcept { return virgin_queue_; }
   const VirginMap& virgin_crash() const noexcept { return virgin_crash_; }
@@ -298,7 +348,11 @@ class Executor {
   VirginMap& mutable_virgin_crash() noexcept { return virgin_crash_; }
   VirginMap& mutable_virgin_hang() noexcept { return virgin_hang_; }
 
-  Interpreter& interpreter() noexcept { return interp_; }
+  Interpreter& interpreter() noexcept { return recorder_.interpreter(); }
+
+  // The recorder run(input) and its siblings record with, for a caller
+  // that records traces itself.
+  KeyRecorder<Metric>& recorder() noexcept { return recorder_; }
 
   // The virgin invariant: all three virgin maps are valid over
   // [0, used_key) (two-level maps fill them lazily; flat maps are filled
@@ -316,17 +370,22 @@ class Executor {
   }
 
  private:
-  // Call/return notifications for context-aware metrics; compiles to
-  // nothing for the others.
-  void track_calls(u32 block_index) {
-    if constexpr (ContextAwareMetric<Metric>) {
-      const Block& b = prog_->blocks[block_index];
-      if (b.kind == BlockKind::kCall) {
-        metric_.on_call(b.targets[0]);
-      } else if (b.kind == BlockKind::kReturn) {
-        metric_.on_return();
-      }
-    }
+  // Records `input` into the executor's own trace, charging the run to
+  // kExecution.
+  const KeyTrace& record(std::span<const u8> input, OpTimeBreakdown& timing) {
+    recorder_.record(input, trace_);
+    timing.add(MapOp::kExecution, trace_.run_ns);
+    return trace_;
+  }
+
+  // One map update per recorded key, charged to kExecution. Returns the
+  // time it took.
+  u64 apply(const KeyTrace& trace, OpTimeBreakdown& timing) {
+    const u64 start = monotonic_ns();
+    for (const u32 key : trace.keys()) map_.update(key);
+    const u64 ns = monotonic_ns() - start;
+    timing.add(MapOp::kExecution, ns);
+    return ns;
   }
 
   // Two-level virgin maps are only ever touched over [0, used_key): plain
@@ -368,13 +427,13 @@ class Executor {
     return map_.compare_update(virgin);
   }
 
-  const Program* prog_;
   Map map_;
-  Metric metric_;
   VirginMap virgin_queue_;
   VirginMap virgin_crash_;
   VirginMap virgin_hang_;
-  Interpreter interp_;
+  KeyRecorder<Metric> recorder_;
+  // What run(input) and its siblings record into, reserved on first use.
+  KeyTrace trace_;
   bool merged_;
   // The map is all zero: set by the flat run_for_hash, cleared by the next
   // run and by any mutable map() access.

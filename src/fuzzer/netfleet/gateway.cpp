@@ -330,7 +330,15 @@ void Gateway::import_from(usize i, bool relay) {
 
 void Gateway::ship_full_state(Peer& p) {
   if (my_oracle_ == nullptr) return;
-  for (corpus::OracleDelta d : my_oracle_->export_full()) {
+  std::vector<corpus::OracleDelta> full = my_oracle_->export_full();
+  // A model with no cells (a founding follower's) would only seed the
+  // leader's empty model with nothing.
+  if (std::all_of(full.begin(), full.end(), [](const corpus::OracleDelta& d) {
+        return d.cells.empty();
+      })) {
+    return;
+  }
+  for (corpus::OracleDelta& d : full) {
     d.epoch = epoch_;
     Input blob = corpus::encode_oracle_delta(d);
     journal_delta(blob);

@@ -6,6 +6,7 @@
 #include <new>
 #include <optional>
 
+#include "fuzzer/exec_pool.h"
 #include "persist/checkpoint.h"
 
 namespace bigmap::procfleet {
@@ -123,6 +124,8 @@ int worker_main(const WorkerParams& p) {
     FaultInjector::ScopedThreadBinding bind(fault, p.id);
 
     CampaignConfig c = p.base;
+    // One worker process per core already: no spare core to pipeline on.
+    c.exec_pool = &ExecPool::serial();
     c.seed = p.base.seed + static_cast<u64>(p.id) * p.seed_stride;
     c.max_execs = p.goal;
     c.sync = &hub;

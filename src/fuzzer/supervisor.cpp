@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "fuzzer/exec_pool.h"
 #include "persist/fleet.h"
 #include "util/timing.h"
 
@@ -219,6 +220,8 @@ SupervisorResult run_supervised_campaign(const Program& program,
         FaultInjector::ScopedThreadBinding bind(config.fault, id);
         try {
           CampaignConfig c = config.base;
+          // One instance per core already: no spare core to pipeline on.
+          c.exec_pool = &ExecPool::serial();
           c.seed = config.base.seed + id * config.instance_seed_stride;
           c.max_execs = seg_max;
           c.sync = &hub;

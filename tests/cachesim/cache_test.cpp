@@ -123,14 +123,6 @@ TEST(CacheHierarchyTest, L1EvictionFallsBackToL2) {
   EXPECT_EQ(h.access(0x0), HitLevel::kL2);
 }
 
-TEST(CacheHierarchyTest, NontemporalStoresBypass) {
-  auto h = CacheHierarchy::xeon_e5645();
-  for (u64 a = 0; a < 1 << 20; a += 64) h.access_nontemporal(a);
-  EXPECT_EQ(h.nt_stores(), (1u << 20) / 64);
-  EXPECT_EQ(h.l1().accesses(), 0u);
-  EXPECT_EQ(h.memory_accesses(), 0u);
-}
-
 TEST(CacheHierarchyTest, ResetClearsAllLevels) {
   auto h = CacheHierarchy::xeon_e5645();
   h.access(0x0);

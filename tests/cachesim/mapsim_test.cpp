@@ -77,17 +77,6 @@ TEST(MapSimTest, AppMissRateWorseUnderFlatLargeMap) {
   EXPECT_GT(flat.app_miss_rate, two.app_miss_rate);
 }
 
-TEST(MapSimTest, NontemporalResetReducesPollution) {
-  CacheSimParams with_nt = params(MapScheme::kFlat, 8u << 20);
-  with_nt.nontemporal_reset = true;
-  CacheSimParams without = params(MapScheme::kFlat, 8u << 20);
-
-  auto rep_nt = simulate_map_cache_behavior(with_nt);
-  auto rep_plain = simulate_map_cache_behavior(without);
-  // Streaming stores never allocate: reset contributes no cache pressure.
-  EXPECT_LE(rep_nt.app_miss_rate, rep_plain.app_miss_rate);
-}
-
 TEST(MapSimTest, SmallMapBothSchemesBehaveSimilarly) {
   // At 64 kB both schemes fit comfortably in L2: app miss rates converge
   // (the paper's "identical throughput at 64 kB" observation).
